@@ -145,6 +145,8 @@ def _cmd_mincost(args) -> int:
     costs = None
     if args.costs:
         raw = json.loads(Path(args.costs).read_text())
+        if not isinstance(raw, dict):
+            raise InstanceError("costs document must be a JSON object")
         costs = {str(e): parse_rational(c) for e, c in raw.items()}
     res = min_cost_stable(inst, costs)
     _emit(

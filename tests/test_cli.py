@@ -143,6 +143,15 @@ def test_mincost_without_costs_is_a_domain_error(capsys, triangle_file):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("doc", [[1, 2, 3], "costs", 7, None])
+def test_mincost_costs_not_an_object_is_a_domain_error(capsys, tmp_path, triangle_file, doc):
+    cost_file = tmp_path / "costs.json"
+    cost_file.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "mincost", triangle_file, "--costs", str(cost_file))
+    assert code == 1
+    assert json.loads(out) == {"error": "costs document must be a JSON object"}
+
+
 def test_enumerate_and_grid(capsys, triangle_file):
     code, out = run_cli(capsys, "enumerate", triangle_file)
     assert code == 0

@@ -2,14 +2,104 @@
 
 from fractions import Fraction as F
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from smp.flow import FlowNetwork, min_cut
-from smp.linalg import gaussian_solve
+from smp.linalg import LinearSolution, _normalize_integer, gaussian_solve
 from smp.simplex import LinearProgram, simplex_maximize
 
 
 # --- gaussian elimination ---------------------------------------------------
+
+
+def dense_gauss_jordan(matrix, rhs):
+    """Reference: dense Gauss-Jordan elimination on Fractions.
+
+    Pivots on the first remaining row with a nonzero in each column; the
+    result must equal `gaussian_solve`'s, since the reduced row echelon form
+    is unique.
+    """
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    rows = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [v / inv for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if rows[i][n] != 0:
+            return LinearSolution(status="infeasible")
+    particular = [F(0)] * n
+    for i, c in enumerate(pivot_cols):
+        particular[c] = rows[i][n]
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    if not free_cols:
+        return LinearSolution(status="unique", solution=particular)
+    basis = []
+    for fc in free_cols:
+        vec = [F(0)] * n
+        vec[fc] = F(1)
+        for i, c in enumerate(pivot_cols):
+            vec[c] = -rows[i][fc]
+        basis.append(_normalize_integer(vec))
+    return LinearSolution(status="underdetermined", solution=particular, nullspace=basis)
+
+
+# small signed rationals, zero-heavy so that rows are sparse
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-6, 6).map(F),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 5)),
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """Wide, tall and square systems with zero, duplicate and dependent rows."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combo"]))
+        if kind == "zero":
+            row = [F(0)] * n
+        elif kind == "copy" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "combo" and rows:
+            s, t = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(entries), draw(entries)
+            row = [a * u + b * v for u, v in zip(s, t)]
+        else:
+            row = draw(st.lists(entries, min_size=n, max_size=n))
+        rows.append(row)
+    if draw(st.booleans()):
+        # consistent right-hand side through a random point
+        x0 = draw(st.lists(entries, min_size=n, max_size=n))
+        rhs = [sum((a * v for a, v in zip(row, x0)), F(0)) for row in rows]
+    else:
+        # arbitrary right-hand side, usually inconsistent on dependent rows
+        rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    return rows, rhs
+
+
+@settings(max_examples=500, deadline=None)
+@given(rational_systems())
+def test_gaussian_solve_matches_dense_reference(system):
+    matrix, rhs = system
+    assert gaussian_solve(matrix, rhs) == dense_gauss_jordan(matrix, rhs)
 
 
 def test_gaussian_unique_solution():

@@ -1,6 +1,8 @@
 """Data model: rational parsing, instance validation, JSON round-trips."""
 
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +203,14 @@ def test_vertex_load_sums_incident_edges():
     assert vertex_load(inst, x, "f1") == F(7)
     assert vertex_load(inst, x, "w1") == F(3)
     assert vertex_load(inst, x, "w3") == F(0)
+
+
+DOCS = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_documented_instance_examples_parse(doc):
+    blocks = re.findall(r"```json\n(.*?)```", (DOCS / doc).read_text(), re.S)
+    assert blocks, f"no JSON instance example in {doc}"
+    for block in blocks:
+        parse_instance(block)

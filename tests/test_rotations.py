@@ -64,7 +64,7 @@ def test_triangle_tau_is_min_of_load_and_capacity_slack(a, b, expected_tau):
     assert max_weight(inst, x, rot, act) == rot.tau
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 10])
 def test_chained_instance_rotation_recurrence(k):
     inst = chained_instance(k, F(8 * 4 ** (k - 1)), F(15 * 4 ** (k - 1)))
     a = F(8 * 4 ** (k - 1))
