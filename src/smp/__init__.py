@@ -22,6 +22,7 @@ from .model import (
     Edge,
     Instance,
     InstanceError,
+    SolverLimitError,
     format_rational,
     full_assignment,
     parse_assignment,
@@ -35,7 +36,6 @@ from .model import (
 from .poset import (
     ClosedFunction,
     RotationPoset,
-    Route,
     build_poset,
     enumerate_fully_closed,
     gamma,
@@ -43,7 +43,6 @@ from .poset import (
     hull_membership,
     is_closed,
     omega,
-    run_route,
     stable_join_workers,
     stable_meet_workers,
 )
@@ -51,12 +50,14 @@ from .rotations import (
     ActiveStructure,
     Component,
     Rotation,
+    Route,
+    applicable_rotations,
     apply_shift,
     build_active_structure,
     extract_rotation,
     max_weight,
     maximal_components,
-    route_to_terminal,
+    run_route,
 )
 from .stability import Comparison, StabilityReport, compare_stable, stability_report
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (reported as a JSON body on stdout),
-2 usage error.  All output is deterministic JSON (or DOT with --dot).
+2 usage error, 3 solver round cap reached (JSON body as for 1).  All output
+is deterministic JSON (or DOT with --dot).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .mincost import min_cost_stable
 from .model import (
     Instance,
     InstanceError,
+    SolverLimitError,
     format_rational,
     full_assignment,
     parse_assignment,
@@ -25,8 +27,8 @@ from .model import (
     serialize_assignment,
     serialize_instance,
 )
-from .poset import build_poset, grid_sublattice, enumerate_fully_closed, gamma, omega, run_route
-from .rotations import build_active_structure, extract_rotation, maximal_components
+from .poset import build_poset, grid_sublattice, enumerate_fully_closed, gamma, omega
+from .rotations import applicable_rotations, run_route
 from .stability import stability_report
 
 
@@ -72,16 +74,11 @@ def _cmd_solve(args) -> int:
             return 0
         x = res.assignment
         if args.side == "firms":
-            from .rotations import route_to_terminal
-
-            x, _ = route_to_terminal(inst.swapped(), x)
-            x = full_assignment(inst, x)
+            x = full_assignment(inst, run_route(inst.swapped(), x).states[-1])
     else:
         x = solve_xmin_modified(inst, trace=trace)
         if args.side == "workers":
-            from .rotations import route_to_terminal
-
-            x, _ = route_to_terminal(inst, x)
+            x = run_route(inst, x).states[-1]
     doc = serialize_assignment(x)
     if args.trace:
         doc["trace"] = [
@@ -98,9 +95,7 @@ def _cmd_rotations(args) -> int:
         x = parse_assignment(Path(args.at).read_text(), inst)
     else:
         x = solve_xmin_modified(inst)
-    act = build_active_structure(inst, x)
-    comps = maximal_components(inst, act)
-    rots = [extract_rotation(inst, x, c, act) for c in comps]
+    act, rots = applicable_rotations(inst, x)
     if args.dot:
         lines = ["digraph active {"]
         for v in sorted(act.regular):
@@ -269,6 +264,9 @@ def main(argv=None) -> int:
     except (InstanceError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         _emit({"error": str(exc)})
         return 1
+    except SolverLimitError as exc:
+        _emit({"error": str(exc)})
+        return 3
 
 
 if __name__ == "__main__":

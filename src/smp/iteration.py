@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .choice import choose
-from .model import Edge, Instance, InstanceError, full_assignment, vertex_load
-from .rotations import route_to_terminal
+from .model import Edge, Instance, InstanceError, SolverLimitError, full_assignment, vertex_load
+from .rotations import run_route
 from .simplex import LinearProgram, simplex_maximize
 from .stability import stability_report
 
@@ -31,7 +31,13 @@ MAX_STEPS_ENV = "SMP_MAX_STEPS"
 def _step_cap(inst: Instance) -> int:
     override = os.environ.get(MAX_STEPS_ENV)
     if override:
-        return int(override)
+        try:
+            cap = int(override)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"${MAX_STEPS_ENV} must be a positive integer, got {override!r}")
+        return cap
     return 10 * len(inst.edges)
 
 
@@ -335,13 +341,13 @@ def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[st
                 break
         marker = new_marker
     if result is None:
-        raise AssertionError(
+        raise SolverLimitError(
             f"no stable point within {cap} rounds (raise ${MAX_STEPS_ENV} to retry)"
         )
     assert stability_report(inst, result).stable
     # normalize: in the swapped orientation the routes descend toward the
     # firm-optimal end of the original instance
-    xmin, _ = route_to_terminal(inst.swapped(), result)
+    xmin = run_route(inst.swapped(), result).states[-1]
     return full_assignment(inst, xmin)
 
 
@@ -351,8 +357,7 @@ def solve_xmin(inst: Instance) -> dict[str, Fraction]:
 
 def solve_xmax(inst: Instance) -> dict[str, Fraction]:
     """The worker-optimal stable assignment (terminal point of any route)."""
-    xmax, _ = route_to_terminal(inst, solve_xmin(inst))
-    return xmax
+    return run_route(inst, solve_xmin(inst)).states[-1]
 
 
 @dataclass
@@ -439,7 +444,7 @@ def solve_quota_filling(inst: Instance) -> QuotaFillingResult:
     ext = extended.ext
     y0 = extended.seed()
     assert stability_report(ext, y0).stable, "depot seed unexpectedly unstable"
-    ymax, _ = route_to_terminal(ext, y0)
+    ymax = run_route(ext, y0).states[-1]
     side = extended.firm_side_edges + extended.worker_side_edges
     if any(ymax[e] != 0 for e in side):
         return QuotaFillingResult(quota_filling=False, assignment=None)

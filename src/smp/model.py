@@ -20,6 +20,10 @@ class InstanceError(ValueError):
     """Raised for malformed instances, assignments or rationals."""
 
 
+class SolverLimitError(RuntimeError):
+    """Raised when a solver reaches its round cap without finishing."""
+
+
 RationalLike = Union[int, str, Fraction]
 
 

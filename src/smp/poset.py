@@ -16,67 +16,10 @@ from typing import Mapping, Optional, Sequence
 from .choice import choose
 from .iteration import solve_xmin
 from .model import Instance, InstanceError, full_assignment
-from .rotations import (
-    Rotation,
-    apply_shift,
-    build_active_structure,
-    extract_rotation,
-    maximal_components,
-)
+from .rotations import Rotation, applicable_rotations, apply_shift, run_route
 from .stability import stability_report
 
 RotationKey = tuple  # sorted (edge id, value) pairs — the vector identity
-
-
-@dataclass
-class Route:
-    states: list[dict[str, Fraction]]
-    steps: list[tuple[Rotation, Fraction]]
-    all_full: bool
-
-    @property
-    def non_expensive(self) -> bool:
-        keys = [rot.key() for rot, _ in self.steps]
-        return len(keys) == len(set(keys))
-
-
-def _applicable(inst: Instance, x: Mapping[str, Fraction]) -> list[Rotation]:
-    act = build_active_structure(inst, x)
-    comps = maximal_components(inst, act)
-    return [extract_rotation(inst, x, c, act) for c in comps]
-
-
-def run_route(
-    inst: Instance,
-    start: Optional[Mapping[str, Fraction]] = None,
-    rng=None,
-    avoid: Optional[RotationKey] = None,
-) -> Route:
-    """Full-weight shifts from `start` (default: the firm optimum) to the end.
-
-    With `avoid` set, the rotation with that vector is never applied and the
-    route stops once nothing else is applicable.  `rng` shuffles the choice
-    among simultaneously applicable rotations.
-    """
-    x = full_assignment(inst, start if start is not None else solve_xmin(inst))
-    states = [dict(x)]
-    steps: list[tuple[Rotation, Fraction]] = []
-    guard = 4 * len(inst.edges)
-    while True:
-        options = _applicable(inst, x)
-        if avoid is not None:
-            options = [r for r in options if r.key() != avoid]
-        if not options:
-            break
-        rot = options[0] if rng is None else rng.choice(options)
-        x = apply_shift(inst, x, [rot], [rot.tau], verify=False)
-        states.append(dict(x))
-        steps.append((rot, rot.tau))
-        if len(steps) > guard:
-            raise AssertionError(f"route exceeded {guard} shifts")
-    if avoid is None:
-        assert len(steps) <= 2 * len(inst.edges), "route longer than twice the edge count"
-    return Route(states=states, steps=steps, all_full=True)
 
 
 @dataclass
@@ -174,11 +117,11 @@ def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int) -> 
     assert all(poset.downset(c) - {c} <= ideal for c in ideal), "witness set not an ideal"
     lam = {c: poset.tau[c] for c in ideal}
     x = gamma(inst, poset, ClosedFunction(lam), verify=False)
-    here = {r.key() for r in _applicable(inst, x)}
+    here = {r.key() for r in applicable_rotations(inst, x)[1]}
     assert poset.rotations[a].key() in here, "predecessor not applicable at witness state"
     assert poset.rotations[b].key() not in here, "successor applicable too early"
     x2 = apply_shift(inst, x, [poset.rotations[a]], [poset.tau[a]], verify=False)
-    there = {r.key() for r in _applicable(inst, x2)}
+    there = {r.key() for r in applicable_rotations(inst, x2)[1]}
     assert poset.rotations[b].key() in there, "successor not enabled by predecessor"
 
 
@@ -299,29 +242,32 @@ def hull_membership(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
     return True
 
 
-def stable_join_workers(
-    inst: Instance, x: Mapping[str, Fraction], y: Mapping[str, Fraction]
+def _choose_from_max(
+    inst: Instance,
+    x: Mapping[str, Fraction],
+    y: Mapping[str, Fraction],
+    choosers: Sequence[str],
+    name: str,
 ) -> dict[str, Fraction]:
-    """Worker-side join: each worker chooses from the edgewise maximum."""
     x = full_assignment(inst, x)
     y = full_assignment(inst, y)
     top = {e: max(x[e], y[e]) for e in inst.edge_ids}
     out: dict[str, Fraction] = {}
-    for w in inst.workers:
-        out.update(choose(inst, w, top).result)
-    assert stability_report(inst, out).stable, "worker-side join not stable"
+    for v in choosers:
+        out.update(choose(inst, v, top).result)
+    assert stability_report(inst, out).stable, f"worker-side {name} not stable"
     return full_assignment(inst, out)
+
+
+def stable_join_workers(
+    inst: Instance, x: Mapping[str, Fraction], y: Mapping[str, Fraction]
+) -> dict[str, Fraction]:
+    """Worker-side join: each worker chooses from the edgewise maximum."""
+    return _choose_from_max(inst, x, y, inst.workers, "join")
 
 
 def stable_meet_workers(
     inst: Instance, x: Mapping[str, Fraction], y: Mapping[str, Fraction]
 ) -> dict[str, Fraction]:
     """Worker-side meet: each firm chooses from the edgewise maximum."""
-    x = full_assignment(inst, x)
-    y = full_assignment(inst, y)
-    top = {e: max(x[e], y[e]) for e in inst.edge_ids}
-    out: dict[str, Fraction] = {}
-    for f in inst.firms:
-        out.update(choose(inst, f, top).result)
-    assert stability_report(inst, out).stable, "firm-side meet not stable"
-    return full_assignment(inst, out)
+    return _choose_from_max(inst, x, y, inst.firms, "meet")

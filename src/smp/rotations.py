@@ -8,6 +8,8 @@ removes vertices pinned by deficit neighbours, the remaining active edges form
 a digraph whose sink strong components each carry a unique (up to scale)
 balanced circulation — the rotation.  Shifting x by λ·ρ for 0 < λ ≤ τ yields
 a new stable assignment strictly worse for firms, better for workers.
+Repeating full-weight shifts down to the worker optimum is a route
+(`run_route`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .choice import ChoiceOutcome, choose
+from .choice import ChoiceOutcome
 from .linalg import gaussian_solve
 from .model import Instance, InstanceError, full_assignment
 from .stability import stability_report
@@ -27,8 +29,6 @@ from .stability import stability_report
 class ActiveStructure:
     outcomes: dict[str, ChoiceOutcome]       # per-vertex choice at x
     potential_head: dict[str, frozenset[str]]  # f in F^= -> D_f
-    chosen_tie: dict[str, Optional[int]]       # f -> tie index of D_f
-    reduced_head: dict[str, bool]              # D_f sits inside the critical tie
     head: dict[str, frozenset[str]]            # w in W^= -> H_w
     singular: frozenset[str]                   # V0
     regular: frozenset[str]                    # V+ = V^= - V0
@@ -77,7 +77,7 @@ def build_active_structure(inst: Instance, x: Mapping[str, Fraction]) -> ActiveS
     report = stability_report(inst, x)
     if not report.stable:
         raise InstanceError(f"assignment is not stable (blocking: {report.blocking_edges})")
-    outcomes = {v: choose(inst, v, x) for v in inst.vertices()}
+    outcomes = report.outcomes
     fully = report.fully_filled
 
     def unsaturated(eid: str) -> bool:
@@ -87,15 +87,11 @@ def build_active_structure(inst: Instance, x: Mapping[str, Fraction]) -> ActiveS
     head = {w: outcomes[w].head for w in inst.workers if w in fully}
 
     potential_head: dict[str, frozenset[str]] = {}
-    chosen_tie: dict[str, Optional[int]] = {}
-    reduced: dict[str, bool] = {}
     for f in inst.firms:
         if f not in fully:
             continue
         potential_head[f] = frozenset()
-        chosen_tie[f] = None
-        reduced[f] = False
-        for i, tie in enumerate(inst.corteges[f]):
+        for tie in inst.corteges[f]:
             # a tie holding an unsaturated edge to a deficit worker blocks
             # this tie and every worse one from being a potential head
             if any(
@@ -109,8 +105,6 @@ def build_active_structure(inst: Instance, x: Mapping[str, Fraction]) -> ActiveS
             )
             if candidates:
                 potential_head[f] = candidates
-                chosen_tie[f] = i
-                reduced[f] = i == outcomes[f].critical_tie
                 break
 
     # cleaning: remove vertices whose head leads (transitively) to a vertex
@@ -136,8 +130,6 @@ def build_active_structure(inst: Instance, x: Mapping[str, Fraction]) -> ActiveS
     return ActiveStructure(
         outcomes=outcomes,
         potential_head=potential_head,
-        chosen_tie=chosen_tie,
-        reduced_head=reduced,
         head=head,
         singular=frozenset(singular),
         regular=frozenset(regular),
@@ -238,7 +230,7 @@ def extract_rotation(
     inst: Instance,
     x: Mapping[str, Fraction],
     comp: Component,
-    act: Optional[ActiveStructure] = None,
+    act: ActiveStructure,
 ) -> Rotation:
     """Solve the balance system on a sink component and assemble the rotation.
 
@@ -248,8 +240,6 @@ def extract_rotation(
     its positive integer generator with gcd 1 defines the rotation values.
     """
     x = full_assignment(inst, x)
-    if act is None:
-        act = build_active_structure(inst, x)
     firms, workers = comp.firms, comp.workers
     var_index = {v: i for i, v in enumerate(firms + workers)}
     nvars = len(var_index)
@@ -341,12 +331,10 @@ def max_weight(
     inst: Instance,
     x: Mapping[str, Fraction],
     rot: Rotation,
-    act: Optional[ActiveStructure] = None,
+    act: ActiveStructure,
 ) -> Fraction:
     """Largest λ for which x + λ·rot stays stable."""
     x = full_assignment(inst, x)
-    if act is None:
-        act = build_active_structure(inst, x)
     candidates: list[Fraction] = []
     for w, edges in rot.drop_edges.items():
         for e in edges:
@@ -368,37 +356,6 @@ def max_weight(
     tau = min(candidates)
     assert tau > 0, "maximal admissible weight must be positive"
     return tau
-
-
-def route_to_terminal(
-    inst: Instance,
-    x: Mapping[str, Fraction],
-    rng=None,
-    verify_each: bool = False,
-) -> tuple[dict[str, Fraction], list[Rotation]]:
-    """Drive x down by full-weight shifts until no rotation remains.
-
-    Returns the terminal (worker-optimal) assignment and the rotations applied
-    in order.  The shift count is bounded by twice the number of edges; the
-    guard allows four times as a diagnostic margin.  `rng` (a random.Random)
-    randomizes which available rotation is applied first; the terminal point
-    and the multiset of applied rotations do not depend on it.
-    """
-    x = full_assignment(inst, x)
-    steps: list[Rotation] = []
-    guard = 4 * len(inst.edges)
-    while True:
-        act = build_active_structure(inst, x)
-        comps = maximal_components(inst, act)
-        if not comps:
-            assert not act.active_edges(), "active edges left but no sink component"
-            return x, steps
-        comp = comps[0] if rng is None else rng.choice(comps)
-        rot = extract_rotation(inst, x, comp, act)
-        x = apply_shift(inst, x, [rot], [rot.tau], verify=verify_each)
-        steps.append(rot)
-        if len(steps) > guard:
-            raise AssertionError(f"route exceeded {guard} shifts")
 
 
 def apply_shift(
@@ -435,3 +392,62 @@ def apply_shift(
         cmp = compare_stable(inst, x, xp, side="firms")
         assert cmp.holds and xp != x, "shift is not a strict firm-side descent"
     return xp
+
+
+@dataclass
+class Route:
+    states: list[dict[str, Fraction]]
+    steps: list[tuple[Rotation, Fraction]]
+
+    @property
+    def non_expensive(self) -> bool:
+        keys = [rot.key() for rot, _ in self.steps]
+        return len(keys) == len(set(keys))
+
+
+def applicable_rotations(
+    inst: Instance, x: Mapping[str, Fraction]
+) -> tuple[ActiveStructure, list[Rotation]]:
+    """The active structure at stable x and one rotation per sink component."""
+    act = build_active_structure(inst, x)
+    comps = maximal_components(inst, act)
+    return act, [extract_rotation(inst, x, c, act) for c in comps]
+
+
+def run_route(
+    inst: Instance,
+    start: Mapping[str, Fraction],
+    rng=None,
+    avoid: Optional[tuple] = None,
+) -> Route:
+    """Full-weight shifts from the stable assignment `start` to the end.
+
+    Without `avoid` the route ends at the worker optimum; the rotations
+    applied and their weights do not depend on the order, and there are at
+    most twice as many shifts as edges (the guard allows four times as a
+    diagnostic margin).  With `avoid` set, the rotation with that vector
+    (`Rotation.key()`) is never applied and the route stops once nothing else
+    is applicable.  `rng` (a random.Random) picks among simultaneously
+    applicable rotations; by default the first, by smallest vertex id.
+    """
+    x = full_assignment(inst, start)
+    states = [x]
+    steps: list[tuple[Rotation, Fraction]] = []
+    guard = 4 * len(inst.edges)
+    while True:
+        act, options = applicable_rotations(inst, x)
+        if not options:
+            assert not act.active_edges(), "active edges left but no sink component"
+        if avoid is not None:
+            options = [r for r in options if r.key() != avoid]
+        if not options:
+            break
+        rot = options[0] if rng is None else rng.choice(options)
+        x = apply_shift(inst, x, [rot], [rot.tau], verify=False)
+        states.append(x)
+        steps.append((rot, rot.tau))
+        if len(steps) > guard:
+            raise AssertionError(f"route exceeded {guard} shifts")
+    if avoid is None:
+        assert len(steps) <= 2 * len(inst.edges), "route longer than twice the edge count"
+    return Route(states=states, steps=steps)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .choice import choose
+from .choice import ChoiceOutcome, choose
 from .model import Instance, InstanceError, full_assignment, validate_assignment, vertex_load
 
 
@@ -16,12 +16,7 @@ class StabilityReport:
     blocking_edges: list[str]          # canonical edge-id order
     fully_filled: frozenset[str]       # vertices with load exactly at quota
     deficit: frozenset[str]
-
-    def fully_filled_firms(self, inst: Instance) -> frozenset[str]:
-        return self.fully_filled & inst.firm_set
-
-    def fully_filled_workers(self, inst: Instance) -> frozenset[str]:
-        return self.fully_filled & inst.worker_set
+    outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at x
 
 
 def stability_report(inst: Instance, x: Mapping[str, Fraction]) -> StabilityReport:
@@ -74,6 +69,7 @@ def stability_report(inst: Instance, x: Mapping[str, Fraction]) -> StabilityRepo
         blocking_edges=blocking,
         fully_filled=fully,
         deficit=frozenset(inst.vertices()) - fully,
+        outcomes=outcomes,
     )
 
 

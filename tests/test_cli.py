@@ -1,6 +1,7 @@
 """Command-line interface round-trips and exit codes."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from smp import serialize_assignment, serialize_instance
 from smp.cli import main
 
-from gen import SIX_CYCLE_STABLE_ODD, six_cycle_instance, triangle_instance
+from gen import SIX_CYCLE_STABLE_ODD, rand_marriage, six_cycle_instance, triangle_instance
 
 
 @pytest.fixture()
@@ -171,6 +172,26 @@ def test_missing_file_is_a_domain_error(capsys):
     code, out = run_cli(capsys, "check", "/nonexistent.json", "/also-missing.json")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_round_cap_is_a_solver_limit_error(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "m4.json"
+    inst = rand_marriage(random.Random(1), 4, cap=2, tie_prob=0.3)
+    path.write_text(json.dumps(serialize_instance(inst)))
+    monkeypatch.setenv("SMP_MAX_STEPS", "1")
+    code, out = run_cli(capsys, "solve", str(path))
+    assert code == 3
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert "no stable point within 1 rounds" in doc["error"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+def test_bad_round_cap_is_a_domain_error(capsys, monkeypatch, triangle_file, value):
+    monkeypatch.setenv("SMP_MAX_STEPS", value)
+    code, out = run_cli(capsys, "solve", triangle_file)
+    assert code == 1
+    assert "must be a positive integer" in json.loads(out)["error"]
 
 
 def test_usage_error_exits_2(capsys):

@@ -50,7 +50,7 @@ def test_triangle_poset_is_a_single_rotation():
 
 def test_route_states_are_all_stable():
     inst = triangle_instance(F(8), F(15))
-    route = run_route(inst)
+    route = run_route(inst, solve_xmin(inst))
     assert len(route.steps) == 1
     assert route.non_expensive
     for state in route.states:

@@ -1,6 +1,7 @@
 """Active structure, rotation extraction, maximal shift weights, routing."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from smp import (
     full_assignment,
     max_weight,
     maximal_components,
-    route_to_terminal,
+    run_route,
     solve_xmin,
     stability_report,
 )
@@ -114,20 +115,43 @@ def test_full_shift_exhausts_the_triangle_rotation():
     assert compare_stable(inst, y, x, side="workers").holds
 
 
-def test_route_to_terminal_is_order_invariant():
+def test_run_route_is_order_invariant():
     for seed in range(8):
         inst = rand_marriage(random.Random(f"route{seed}"), 4, cap=2, tie_prob=0.3)
         start = solve_xmin(inst)
         baseline = None
         for order_seed in range(3):
-            end, steps = route_to_terminal(
-                inst, start, rng=random.Random(order_seed), verify_each=True
-            )
-            omega = sorted((rot.key(), rot.tau) for rot in steps)
+            route = run_route(inst, start, rng=random.Random(order_seed))
+            # every shift lands on a stable point strictly worse for the firms
+            for prev, nxt in zip(route.states, route.states[1:]):
+                assert stability_report(inst, nxt).stable
+                assert compare_stable(inst, prev, nxt, side="firms").holds
+                assert nxt != prev
+            omega = sorted((rot.key(), tau) for rot, tau in route.steps)
             if baseline is None:
-                baseline = (end, omega)
+                baseline = (route.states[-1], omega)
             else:
-                assert (end, omega) == baseline
+                assert (route.states[-1], omega) == baseline
+
+
+def test_build_active_structure_chooses_once_per_vertex(monkeypatch):
+    import smp.choice
+
+    real = smp.choice.choose
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    # patch every module that bound `choose` by name
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "smp" and getattr(mod, "choose", None) is real:
+            monkeypatch.setattr(mod, "choose", counting)
+    inst, x, _, _ = triangle_setup(F(8), F(15))
+    calls.clear()
+    build_active_structure(inst, x)
+    assert sorted(calls) == sorted(inst.vertices())
 
 
 def test_rotation_invariants_on_random_marriage_instances():
