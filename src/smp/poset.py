@@ -71,9 +71,17 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     is re-verified directly: at the assignment realizing all of ρ's strict
     predecessors except ρ, the successor ρ' is not applicable, but it becomes
     applicable after the full shift along ρ.
+
+    The avoidance run for the i-th base-route rotation starts at the base
+    route's i-th state: before it the base route applied other rotations,
+    each first in line, so the run from x_min would repeat that prefix.  The
+    base route, the avoidance runs and the Hasse checks share one state cache
+    (see `applicable_rotations`), so each distinct state is analysed once per
+    call; the cache is dropped when the call returns.
     """
     xmin = full_assignment(inst, xmin if xmin is not None else solve_xmin(inst))
-    base = run_route(inst, xmin)
+    cache: dict = {}
+    base = run_route(inst, xmin, cache=cache)
     rotations: list[Rotation] = []
     keys: list[RotationKey] = []
     for rot, _ in base.steps:
@@ -86,8 +94,8 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
 
     upsets: dict[int, frozenset[int]] = {}
     for i, key in enumerate(keys):
-        partial = run_route(inst, xmin, avoid=key)
-        applied = {rot.key() for rot, _ in partial.steps}
+        partial = run_route(inst, base.states[i], avoid=key, cache=cache)
+        applied = set(keys[:i]) | {rot.key() for rot, _ in partial.steps}
         unapplied = frozenset(j for j, k in enumerate(keys) if k not in applied)
         assert i in unapplied
         upsets[i] = unapplied
@@ -107,21 +115,23 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
         rotations=rotations, tau=tau, less=less, hasse=hasse, xmin=xmin, xmax=xmax
     )
     for (a, b) in hasse:
-        _verify_hasse_edge(inst, poset, a, b)
+        _verify_hasse_edge(inst, poset, a, b, cache)
     return poset
 
 
-def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int) -> None:
+def _verify_hasse_edge(
+    inst: Instance, poset: RotationPoset, a: int, b: int, cache: Optional[dict] = None
+) -> None:
     """Direct witness that ρ_a immediately precedes ρ_b."""
     ideal = poset.downset(b) - {a, b}
     assert all(poset.downset(c) - {c} <= ideal for c in ideal), "witness set not an ideal"
     lam = {c: poset.tau[c] for c in ideal}
     x = gamma(inst, poset, ClosedFunction(lam), verify=False)
-    here = {r.key() for r in applicable_rotations(inst, x)[1]}
+    here = {r.key() for r in applicable_rotations(inst, x, cache)[1]}
     assert poset.rotations[a].key() in here, "predecessor not applicable at witness state"
     assert poset.rotations[b].key() not in here, "successor applicable too early"
     x2 = apply_shift(inst, x, [poset.rotations[a]], [poset.tau[a]], verify=False)
-    there = {r.key() for r in applicable_rotations(inst, x2)[1]}
+    there = {r.key() for r in applicable_rotations(inst, x2, cache)[1]}
     assert poset.rotations[b].key() in there, "successor not enabled by predecessor"
 
 

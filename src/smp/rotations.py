@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .choice import ChoiceOutcome
 from .linalg import gaussian_solve
 from .model import Instance, InstanceError, full_assignment
-from .stability import stability_report
+from .stability import compare_stable, stability_report
 
 
 @dataclass
@@ -300,8 +301,6 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
     for w, edges in rot.drop_edges.items():
         vals = {rot.values[e] for e in edges}
         assert len(vals) == 1 and vals.pop() < 0, f"rotation not aligned at worker {w!r}"
-    from math import gcd
-
     g = 0
     for v in rot.values.values():
         assert v.denominator == 1
@@ -386,8 +385,6 @@ def apply_shift(
             if v:
                 xp[e] = xp[e] + l * v
     if verify:
-        from .stability import compare_stable
-
         assert stability_report(inst, xp).stable, "shift broke stability"
         cmp = compare_stable(inst, x, xp, side="firms")
         assert cmp.holds and xp != x, "shift is not a strict firm-side descent"
@@ -406,12 +403,26 @@ class Route:
 
 
 def applicable_rotations(
-    inst: Instance, x: Mapping[str, Fraction]
+    inst: Instance,
+    x: Mapping[str, Fraction],
+    cache: Optional[dict] = None,
 ) -> tuple[ActiveStructure, list[Rotation]]:
-    """The active structure at stable x and one rotation per sink component."""
+    """The active structure at stable x and one rotation per sink component.
+
+    `cache`, when given, maps a state (its values in edge-id order) to the
+    result computed there, so a caller that revisits states builds each one
+    once.  It must not outlive one instance; `build_poset` makes one per call.
+    """
+    if cache is not None:
+        key = tuple(full_assignment(inst, x).values())
+        if key in cache:
+            return cache[key]
     act = build_active_structure(inst, x)
     comps = maximal_components(inst, act)
-    return act, [extract_rotation(inst, x, c, act) for c in comps]
+    result = act, [extract_rotation(inst, x, c, act) for c in comps]
+    if cache is not None:
+        cache[key] = result
+    return result
 
 
 def run_route(
@@ -419,6 +430,7 @@ def run_route(
     start: Mapping[str, Fraction],
     rng=None,
     avoid: Optional[tuple] = None,
+    cache: Optional[dict] = None,
 ) -> Route:
     """Full-weight shifts from the stable assignment `start` to the end.
 
@@ -429,13 +441,14 @@ def run_route(
     (`Rotation.key()`) is never applied and the route stops once nothing else
     is applicable.  `rng` (a random.Random) picks among simultaneously
     applicable rotations; by default the first, by smallest vertex id.
+    `cache` is passed to `applicable_rotations` at every state.
     """
     x = full_assignment(inst, start)
     states = [x]
     steps: list[tuple[Rotation, Fraction]] = []
     guard = 4 * len(inst.edges)
     while True:
-        act, options = applicable_rotations(inst, x)
+        act, options = applicable_rotations(inst, x, cache)
         if not options:
             assert not act.active_edges(), "active edges left but no sink component"
         if avoid is not None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .choice import ChoiceOutcome, choose
+from .choice import ChoiceOutcome, choose, prefers
 from .model import Instance, InstanceError, full_assignment, validate_assignment, vertex_load
 
 
@@ -98,8 +98,6 @@ def compare_stable(
     for name, z in (("x", x), ("y", y)):
         if not stability_report(inst, z).stable:
             raise InstanceError(f"compare_stable: assignment {name} is not stable")
-    from .choice import prefers  # local import to keep module surface tidy
-
     vertices = inst.firms if side == "firms" else inst.workers
     per_vertex = {v: prefers(inst, v, x, y) for v in vertices}
     holds = all(per_vertex.values())

@@ -10,6 +10,7 @@ from smp import (
     InstanceError,
     build_poset,
     enumerate_fully_closed,
+    full_assignment,
     gamma,
     grid_sublattice,
     hull_membership,
@@ -22,7 +23,7 @@ from smp import (
     stable_meet_workers,
 )
 
-from gen import rand_marriage, triangle_instance
+from gen import chained_instance, rand_marriage, six_cycle_instance, triangle_instance
 
 
 def _marriage_posets(n_instances, n=4, cap=2, tie_prob=0.25, tag="poset"):
@@ -179,3 +180,88 @@ def test_poset_invariance_under_solver_start():
         assert [r.key() for r in again.rotations] == [r.key() for r in poset.rotations]
         assert again.less == poset.less
         assert again.hasse == poset.hasse
+
+
+def _reference_poset(inst, xmin):
+    """Keys, tau, order and Hasse diagram by the plain avoidance loop.
+
+    Every avoidance run starts from x_min and nothing is cached: the direct
+    reading of the definition, kept to cross-check `build_poset`.
+    """
+    base = run_route(inst, xmin)
+    keys = [rot.key() for rot, _ in base.steps]
+    tau = {i: rot.tau for i, (rot, _) in enumerate(base.steps)}
+    upsets = {}
+    for i, key in enumerate(keys):
+        applied = {rot.key() for rot, _ in run_route(inst, xmin, avoid=key).steps}
+        upsets[i] = {j for j, k in enumerate(keys) if k not in applied}
+    less = frozenset((i, j) for i, up in upsets.items() for j in up if j != i)
+    hasse = sorted(
+        (a, b)
+        for (a, b) in less
+        if not any((a, c) in less and (c, b) in less for c in range(len(keys)))
+    )
+    return keys, tau, less, hasse
+
+
+def _multi_rotation_marriages(n, count):
+    out = []
+    for seed in range(200):
+        inst = rand_marriage(random.Random(f"multi{n}.{seed}"), n, cap=1, tie_prob=0)
+        if len(build_poset(inst).rotations) >= 2:
+            out.append(inst)
+            if len(out) == count:
+                return out
+    raise AssertionError("generator failed to produce enough multi-rotation instances")
+
+
+def _differential_instances():
+    insts = [inst for inst, _ in _marriage_posets(6, tag="diff")]
+    for n in (5, 6, 7):
+        insts += _multi_rotation_marriages(n, 4)
+    for k in range(2, 6):
+        scale = 4 ** (k - 1)
+        insts.append(chained_instance(k, F(8 * scale), F(15 * scale)))
+    insts.append(six_cycle_instance())
+    return insts
+
+
+def test_build_poset_matches_uncached_avoidance_runs():
+    saw_order = False
+    for inst in _differential_instances():
+        xmin = solve_xmin(inst)
+        poset = build_poset(inst, xmin)
+        keys, tau, less, hasse = _reference_poset(inst, xmin)
+        assert [r.key() for r in poset.rotations] == keys
+        assert poset.tau == tau
+        assert poset.less == less
+        assert poset.hasse == hasse
+        saw_order = saw_order or bool(less)
+    assert saw_order, "no instance with a nontrivial precedence order"
+
+
+def test_build_poset_builds_each_state_once(monkeypatch):
+    import smp.rotations
+
+    real = smp.rotations.build_active_structure
+    built = []
+
+    def counting(inst, x):
+        built.append(tuple(full_assignment(inst, x).values()))
+        return real(inst, x)
+
+    monkeypatch.setattr(smp.rotations, "build_active_structure", counting)
+    insts = [triangle_instance(F(8), F(15))] + _multi_rotation_marriages(7, 1)
+    for inst in insts:
+        xmin = solve_xmin(inst)
+        built.clear()
+        poset = build_poset(inst, xmin)
+        first = list(built)
+        assert len(first) == len(set(first)), "a state's active structure was rebuilt"
+        route = run_route(inst, xmin)
+        assert {tuple(x.values()) for x in route.states} <= set(first)
+        # no cache outlives a call: the same call repeats the same builds
+        built.clear()
+        again = build_poset(inst, xmin)
+        assert built == first
+        assert [r.key() for r in again.rotations] == [r.key() for r in poset.rotations]
