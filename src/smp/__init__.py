@@ -22,6 +22,7 @@ from .model import (
     Edge,
     Instance,
     InstanceError,
+    InvariantError,
     SolverLimitError,
     format_rational,
     full_assignment,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (reported as a JSON body on stdout),
-2 usage error, 3 solver round cap reached (JSON body as for 1).  All output
-is deterministic JSON (or DOT with --dot).
+2 usage error, 3 solver round cap reached, 4 a checked solver invariant
+failed (JSON body as for 1 in both).  All output is deterministic JSON (or
+DOT with --dot).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .mincost import min_cost_stable
 from .model import (
     Instance,
     InstanceError,
+    InvariantError,
     SolverLimitError,
     format_rational,
     full_assignment,
@@ -267,6 +269,9 @@ def main(argv=None) -> int:
     except SolverLimitError as exc:
         _emit({"error": str(exc)})
         return 3
+    except InvariantError as exc:
+        _emit({"error": str(exc)})
+        return 4
 
 
 if __name__ == "__main__":

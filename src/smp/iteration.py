@@ -20,7 +20,15 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .choice import choose
-from .model import Edge, Instance, InstanceError, SolverLimitError, full_assignment, vertex_load
+from .model import (
+    Edge,
+    Instance,
+    InstanceError,
+    InvariantError,
+    SolverLimitError,
+    full_assignment,
+    vertex_load,
+)
 from .rotations import run_route
 from .simplex import LinearProgram, simplex_maximize
 from .stability import stability_report
@@ -168,7 +176,8 @@ def _build_big_lp(inst: Instance, state: IterationState) -> BigIterationLP:
         wh[w] = out.head
         critical[w] = out.critical_tie
         heights = {y[e] for e in out.head}
-        assert len(heights) == 1, f"head of {w!r} not level"
+        if len(heights) != 1:
+            raise InvariantError(f"head of {w!r} not level")
         height[w] = heights.pop()
     var = {v: i for i, v in enumerate(firms + workers)}
     n = len(var)
@@ -258,7 +267,8 @@ def _build_big_lp(inst: Instance, state: IterationState) -> BigIterationLP:
 def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     big = _build_big_lp(inst, state)
     res = simplex_maximize(big.lp)
-    assert res.status == "optimal", f"aggregation LP {res.status}"
+    if res.status != "optimal":
+        raise InvariantError(f"aggregation LP {res.status}")
     var = {v: i for i, v in enumerate(big.firms + big.workers)}
     phi = {f: res.solution[var[f]] for f in big.firms}
     psi = {w: res.solution[var[w]] for w in big.workers}
@@ -270,7 +280,8 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         for e in big.worker_head[w]:
             # firms raising into a filled worker's head are excluded by the
             # LP, so a cut edge can never simultaneously carry a raise
-            assert delta[e] == 0, f"edge {e!r} raised and cut at once"
+            if delta[e] != 0:
+                raise InvariantError(f"edge {e!r} raised and cut at once")
             delta[e] -= psi[w]
     yp = {eid: state.y[eid] + delta[eid] for eid in inst.edge_ids}
     if res.value > 0:
@@ -279,7 +290,8 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
             sum(a * v for a, v in zip(row, res.solution)) == rhs
             for row, rhs in zip(big.lp.a_le, big.lp.b_le)
         )
-        assert tight, "aggregation LP optimum leaves all inequalities slack"
+        if not tight:
+            raise InvariantError("aggregation LP optimum leaves all inequalities slack")
     bounds = dict(state.bounds)
     for w in big.workers:
         for e in big.worker_head[w]:

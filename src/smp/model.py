@@ -24,6 +24,10 @@ class SolverLimitError(RuntimeError):
     """Raised when a solver reaches its round cap without finishing."""
 
 
+class InvariantError(RuntimeError):
+    """Raised when a checked invariant of the algorithm does not hold."""
+
+
 RationalLike = Union[int, str, Fraction]
 
 

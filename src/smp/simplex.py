@@ -3,6 +3,16 @@
 Maximizes c·x subject to a mix of <= and == constraints and x >= 0.  Bland's
 smallest-index pivoting rule is used throughout, which guarantees termination
 without any tolerance machinery (everything is Fraction arithmetic).
+
+The program is solved in bounded form.  Every `<=` row with a single, positive
+coefficient and a nonnegative right-hand side is an upper bound on its
+variable; the tightest bound per variable becomes one slack row, and a zero
+bound fixes the variable at 0 and drops its column.  All-zero rows with a
+nonnegative right-hand side are dropped.  `<=` rows with a nonnegative
+right-hand side start with their slack basic, so artificial columns sit only
+on `==` rows and on `>=` rows (negated `<=` rows), and phase 1 runs only if
+there is one.  A pivot updates each row on the pivot row's nonzero columns
+only.
 """
 
 from __future__ import annotations
@@ -32,11 +42,15 @@ class LPResult:
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
     piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
+    if piv != 1:
+        tableau[row] = [v / piv if v else v for v in tableau[row]]
+    prow = tableau[row]
+    nonzero = [j for j, v in enumerate(prow) if v]
     for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, tableau[row])]
+        f = r[col]
+        if i != row and f:
+            for j in nonzero:
+                r[j] -= f * prow[j]
     basis[row] = col
 
 
@@ -61,67 +75,85 @@ def _optimize(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> st
 
 def simplex_maximize(lp: LinearProgram) -> LPResult:
     n = len(lp.objective)
-    rows: list[list[Fraction]] = []
-    kinds: list[str] = []
+    upper: list[Optional[Fraction]] = [None] * n
+    rows: list[tuple[list[Fraction], Fraction, str]] = []  # (a, b, "le"|"ge"|"eq")
     for a, b in zip(lp.a_le, lp.b_le):
-        rows.append([Fraction(v) for v in a] + [Fraction(b)])
-        kinds.append("le")
+        a, b = [Fraction(v) for v in a], Fraction(b)
+        if b < 0:
+            rows.append(([-v for v in a], -b, "ge"))
+            continue
+        nonzero = [j for j, v in enumerate(a) if v]
+        if len(nonzero) == 1 and a[nonzero[0]] > 0:
+            j = nonzero[0]
+            if upper[j] is None or b / a[j] < upper[j]:
+                upper[j] = b / a[j]
+        elif nonzero:
+            rows.append((a, b, "le"))
     for a, b in zip(lp.a_eq, lp.b_eq):
-        rows.append([Fraction(v) for v in a] + [Fraction(b)])
-        kinds.append("eq")
-    m = len(rows)
-    # normalize to nonnegative right-hand sides
-    for i in range(m):
-        if rows[i][-1] < 0:
-            rows[i] = [-v for v in rows[i]]
-            if kinds[i] == "le":
-                kinds[i] = "ge"
-    nslack = sum(1 for k in kinds if k != "eq")
-    nart = m  # one artificial per row keeps the bookkeeping simple
-    ncols = n + nslack + nart
+        a, b = [Fraction(v) for v in a], Fraction(b)
+        rows.append((a, b, "eq") if b >= 0 else ([-v for v in a], -b, "eq"))
+    zero = Fraction(0)
+    for j, u in enumerate(upper):
+        if u:  # a finite, nonzero bound is one slack row
+            a = [zero] * n
+            a[j] = Fraction(1)
+            rows.append((a, u, "le"))
+    # structural columns: the variables not fixed at 0 by a zero bound
+    cols = [j for j in range(n) if upper[j] != 0]
+    nvar = len(cols)
+    nslack = sum(1 for _, _, kind in rows if kind != "eq")
+    nart = sum(1 for _, _, kind in rows if kind != "le")
+    width = nvar + nslack + nart
     tableau: list[list[Fraction]] = []
     basis: list[int] = []
-    sidx = n
-    for i in range(m):
-        row = rows[i][:-1] + [Fraction(0)] * (nslack + nart) + [rows[i][-1]]
-        if kinds[i] == "le":
+    sidx, aidx = nvar, nvar + nslack
+    for a, b, kind in rows:
+        row = [a[j] for j in cols] + [zero] * (width - nvar) + [b]
+        if kind == "le":
             row[sidx] = Fraction(1)
+            basis.append(sidx)
             sidx += 1
-        elif kinds[i] == "ge":
-            row[sidx] = Fraction(-1)
-            sidx += 1
-        row[n + nslack + i] = Fraction(1)
-        basis.append(n + nslack + i)
+        else:
+            if kind == "ge":
+                row[sidx] = Fraction(-1)
+                sidx += 1
+            row[aidx] = Fraction(1)
+            basis.append(aidx)
+            aidx += 1
         tableau.append(row)
-    # phase 1: maximize -sum(artificials)
-    phase1 = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        phase1 = [a + b for a, b in zip(phase1, tableau[i])]
-    phase1 = [v if j < n + nslack else Fraction(0) for j, v in enumerate(phase1[:-1])] + [phase1[-1]]
-    tableau.append(phase1)
-    _optimize(tableau, basis, n + nslack)
-    if tableau[-1][-1] != 0:
-        return LPResult(status="infeasible")
-    tableau.pop()
-    # drive any artificial still basic out of the basis (degenerate rows)
-    for i in range(m):
-        if basis[i] >= n + nslack:
-            col = next((j for j in range(n + nslack) if tableau[i][j] != 0), None)
-            if col is not None:
-                _pivot(tableau, basis, i, col)
+    m = len(tableau)
+    real = nvar + nslack  # columns that may enter; artificials never re-enter
+    if nart:
+        # phase 1: maximize -sum(artificials)
+        phase1 = [zero] * (width + 1)
+        for i in range(m):
+            if basis[i] >= real:
+                phase1 = [p + v for p, v in zip(phase1, tableau[i])]
+        phase1[real:width] = [zero] * nart
+        tableau.append(phase1)
+        _optimize(tableau, basis, real)
+        if tableau[-1][-1] != 0:
+            return LPResult(status="infeasible")
+        tableau.pop()
+        # drive any artificial still basic out of the basis; one whose row is
+        # zero on every real column is redundant and stays basic at 0
+        for i in range(m):
+            if basis[i] >= real:
+                col = next((j for j in range(real) if tableau[i][j] != 0), None)
+                if col is not None:
+                    _pivot(tableau, basis, i, col)
     # phase 2
-    obj = [Fraction(c) for c in lp.objective] + [Fraction(0)] * (nslack + nart + 1)
+    obj = [Fraction(lp.objective[j]) for j in cols] + [zero] * (width - nvar + 1)
     for i in range(m):
-        if basis[i] < n and obj[basis[i]] != 0:
-            f = obj[basis[i]]
-            obj = [a - f * b for a, b in zip(obj, tableau[i])]
+        f = obj[basis[i]] if basis[i] < nvar else 0
+        if f:
+            obj = [c - f * v for c, v in zip(obj, tableau[i])]
     tableau.append(obj)
-    status = _optimize(tableau, basis, n + nslack)
-    if status == "unbounded":
+    if _optimize(tableau, basis, real) == "unbounded":
         return LPResult(status="unbounded")
-    solution = [Fraction(0)] * n
+    solution = [zero] * n
     for i in range(m):
-        if basis[i] < n:
-            solution[basis[i]] = tableau[i][-1]
-    value = sum((c * v for c, v in zip(lp.objective, solution)), Fraction(0))
+        if basis[i] < nvar:
+            solution[cols[basis[i]]] = tableau[i][-1]
+    value = sum((Fraction(c) * v for c, v in zip(lp.objective, solution)), zero)
     return LPResult(status="optimal", value=value, solution=solution)

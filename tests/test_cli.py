@@ -1,13 +1,20 @@
 """Command-line interface round-trips and exit codes."""
 
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import smp.iteration
 from smp import serialize_assignment, serialize_instance
 from smp.cli import main
+from smp.simplex import LPResult
 
 from gen import SIX_CYCLE_STABLE_ODD, rand_marriage, six_cycle_instance, triangle_instance
 
@@ -184,6 +191,65 @@ def test_round_cap_is_a_solver_limit_error(capsys, monkeypatch, tmp_path):
     doc = json.loads(out)
     assert list(doc) == ["error"]
     assert "no stable point within 1 rounds" in doc["error"]
+
+
+@pytest.fixture()
+def aggregating_file(tmp_path):
+    """An instance whose `solve` runs aggregation LPs."""
+    path = tmp_path / "tied.json"
+    inst = rand_marriage(random.Random(0), 4, cap=2, tie_prob=0.5)
+    path.write_text(json.dumps(serialize_instance(inst)))
+    return str(path)
+
+
+def test_failed_invariant_is_exit_4(capsys, monkeypatch, aggregating_file):
+    monkeypatch.setattr(smp.iteration, "simplex_maximize", lambda lp: LPResult("infeasible"))
+    code, out = run_cli(capsys, "solve", aggregating_file)
+    assert code == 4
+    assert json.loads(out) == {"error": "aggregation LP infeasible"}
+
+
+def test_failed_invariant_is_checked_under_optimize_flag(aggregating_file):
+    script = (
+        "import sys\n"
+        "import smp.iteration\n"
+        "from smp.cli import main\n"
+        "from smp.simplex import LPResult\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "smp.iteration.simplex_maximize = lambda lp: LPResult('infeasible')\n"
+        "sys.exit(main(['solve', sys.argv[1]]))\n"
+    )
+    src = str(Path(smp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, aggregating_file],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "aggregation LP infeasible"}
+
+
+# SHA-256 of `smp solve --trace` on aggregating rand_marriage(Random(seed), 4,
+# cap=2, tie_prob=0.5) instances; the trace prints each aggregated point, so
+# these pin the optimal vertex the aggregation LP returns.
+SOLVE_TRACE_DIGESTS = {
+    0: "dcd05adc48521b87fd9ddf1e4242932e9990841b546d52eddad8b3351c07c346",
+    4: "00389c3dbbbcee28304208eba359990c6420a4354503c70eca24dc6fd5d47ec7",
+    25: "45e41bd6c9f7fcc8788d0a1e220047e1da0217c9fc404c6faac9a539fe8018c6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SOLVE_TRACE_DIGESTS))
+def test_solve_trace_output_is_pinned(capsys, tmp_path, seed):
+    path = tmp_path / "tied.json"
+    inst = rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5)
+    path.write_text(json.dumps(serialize_instance(inst)))
+    code, out = run_cli(capsys, "solve", str(path), "--trace")
+    assert code == 0
+    assert any(step["kind"] == "aggregated" for step in json.loads(out)["trace"])
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_TRACE_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])

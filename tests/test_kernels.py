@@ -1,12 +1,19 @@
 """Exact numeric kernels: Gaussian elimination, simplex, max-flow/min-cut."""
 
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+import smp.iteration
+import smp.simplex
 from smp.flow import FlowNetwork, min_cut
+from smp.iteration import solve_xmin
 from smp.linalg import LinearSolution, _normalize_integer, gaussian_solve
-from smp.simplex import LinearProgram, simplex_maximize
+from smp.simplex import LinearProgram, LPResult, simplex_maximize
+
+from gen import rand_marriage
+from test_acceptance import sap_pool, sdp_pool, smp_pool
 
 
 # --- gaussian elimination ---------------------------------------------------
@@ -187,6 +194,238 @@ def test_simplex_negative_rhs_normalization():
     res = simplex_maximize(lp)
     assert res.status == "optimal"
     assert res.value == F(-2)
+
+
+def test_simplex_zero_bound_fixes_variable_at_zero():
+    # x0 <= 0 fixes x0; without it the optimum would put everything on x0
+    lp = LinearProgram(
+        objective=[F(2), F(1)],
+        a_le=[[F(1), F(0)], [F(1), F(1)]],
+        b_le=[F(0), F(3)],
+    )
+    res = simplex_maximize(lp)
+    assert res.status == "optimal"
+    assert res.solution == [F(0), F(3)]
+    assert res.value == F(3)
+
+
+def test_simplex_tightest_duplicate_bound_wins():
+    lp = LinearProgram(
+        objective=[F(1)],
+        a_le=[[F(1)], [F(2)], [F(1)], [F(3)]],
+        b_le=[F(5), F(4), F(3), F(9)],
+    )
+    res = simplex_maximize(lp)
+    assert res.status == "optimal"
+    assert res.solution == [F(2)]
+
+
+def test_simplex_single_variable_row_with_negative_rhs_is_infeasible():
+    lp = LinearProgram(objective=[F(1), F(1)], a_le=[[F(0), F(2)]], b_le=[F(-1)])
+    assert simplex_maximize(lp).status == "infeasible"
+
+
+def test_simplex_all_zero_row_with_negative_rhs_is_infeasible():
+    lp = LinearProgram(
+        objective=[F(1)],
+        a_le=[[F(1)], [F(0)]],
+        b_le=[F(1), F(-1)],
+    )
+    assert simplex_maximize(lp).status == "infeasible"
+    # with b >= 0 the same row is void
+    lp.b_le[1] = F(0)
+    assert simplex_maximize(lp).solution == [F(1)]
+
+
+def test_simplex_redundant_equality_keeps_artificial_basic_at_zero(monkeypatch):
+    # the second equality is twice the first: phase 1 cannot drive its
+    # artificial out of the basis, and phase 2 must still reach the optimum
+    calls = []
+    real = smp.simplex._optimize
+
+    def spy(tableau, basis, ncols):
+        calls.append((basis, ncols))
+        return real(tableau, basis, ncols)
+
+    monkeypatch.setattr(smp.simplex, "_optimize", spy)
+    lp = LinearProgram(
+        objective=[F(1), F(1)],
+        a_le=[[F(1), F(0)]],
+        b_le=[F(3)],
+        a_eq=[[F(1), F(-1)], [F(2), F(-2)]],
+        b_eq=[F(0), F(0)],
+    )
+    res = simplex_maximize(lp)
+    assert res.status == "optimal"
+    assert res.solution == [F(3), F(3)] and res.value == F(6)
+    basis, ncols = calls[-1]  # phase 2; columns from ncols on are artificial
+    assert any(col >= ncols for col in basis)
+
+
+def dense_two_phase_simplex(lp):
+    """Reference: the dense two-phase simplex with one artificial per row.
+
+    Every row keeps its own slack and artificial column, pivots rewrite whole
+    rows, and Bland's rule picks the entering column and leaving row.  The
+    optimal value must equal `simplex_maximize`'s; on the aggregation LPs
+    the solver builds, so must the optimal vertex.
+    """
+
+    def pivot(tableau, basis, row, col):
+        piv = tableau[row][col]
+        tableau[row] = [v / piv for v in tableau[row]]
+        for i, r in enumerate(tableau):
+            if i != row and r[col] != 0:
+                f = r[col]
+                tableau[i] = [a - f * b for a, b in zip(r, tableau[row])]
+        basis[row] = col
+
+    def optimize(tableau, basis, ncols):
+        obj = len(tableau) - 1
+        while True:
+            col = next((j for j in range(ncols) if tableau[obj][j] > 0), None)
+            if col is None:
+                return "optimal"
+            best = None
+            for i in range(obj):
+                if tableau[i][col] > 0:
+                    key = (tableau[i][-1] / tableau[i][col], basis[i], i)
+                    if best is None or key < best:
+                        best = key
+            if best is None:
+                return "unbounded"
+            pivot(tableau, basis, best[2], col)
+
+    n = len(lp.objective)
+    rows, kinds = [], []
+    for a, b in zip(lp.a_le, lp.b_le):
+        rows.append([F(v) for v in a] + [F(b)])
+        kinds.append("le")
+    for a, b in zip(lp.a_eq, lp.b_eq):
+        rows.append([F(v) for v in a] + [F(b)])
+        kinds.append("eq")
+    m = len(rows)
+    for i in range(m):
+        if rows[i][-1] < 0:
+            rows[i] = [-v for v in rows[i]]
+            if kinds[i] == "le":
+                kinds[i] = "ge"
+    nslack = sum(1 for k in kinds if k != "eq")
+    ncols = n + nslack + m
+    tableau, basis = [], []
+    sidx = n
+    for i in range(m):
+        row = rows[i][:-1] + [F(0)] * (nslack + m) + [rows[i][-1]]
+        if kinds[i] != "eq":
+            row[sidx] = F(1) if kinds[i] == "le" else F(-1)
+            sidx += 1
+        row[n + nslack + i] = F(1)
+        basis.append(n + nslack + i)
+        tableau.append(row)
+    phase1 = [F(0)] * (ncols + 1)
+    for i in range(m):
+        phase1 = [a + b for a, b in zip(phase1, tableau[i])]
+    phase1 = [v if j < n + nslack else F(0) for j, v in enumerate(phase1[:-1])] + [phase1[-1]]
+    tableau.append(phase1)
+    optimize(tableau, basis, n + nslack)
+    if tableau[-1][-1] != 0:
+        return LPResult(status="infeasible")
+    tableau.pop()
+    for i in range(m):
+        if basis[i] >= n + nslack:
+            col = next((j for j in range(n + nslack) if tableau[i][j] != 0), None)
+            if col is not None:
+                pivot(tableau, basis, i, col)
+    obj = [F(c) for c in lp.objective] + [F(0)] * (nslack + m + 1)
+    for i in range(m):
+        if basis[i] < n and obj[basis[i]] != 0:
+            f = obj[basis[i]]
+            obj = [a - f * b for a, b in zip(obj, tableau[i])]
+    tableau.append(obj)
+    if optimize(tableau, basis, n + nslack) == "unbounded":
+        return LPResult(status="unbounded")
+    solution = [F(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            solution[basis[i]] = tableau[i][-1]
+    value = sum((c * v for c, v in zip(lp.objective, solution)), F(0))
+    return LPResult(status="optimal", value=value, solution=solution)
+
+
+@st.composite
+def linear_programs(draw):
+    """Small LPs with bound rows (single-variable, duplicate, zero) and mixed signs."""
+    n = draw(st.integers(1, 6))
+    positive = st.one_of(st.integers(1, 4).map(F), st.builds(F, st.integers(1, 9), st.integers(1, 4)))
+    point = draw(st.lists(st.one_of(st.just(F(0)), positive), min_size=n, max_size=n))
+    feasible = draw(st.booleans())  # right-hand sides through a nonnegative point
+
+    def rhs(row, slack):
+        if feasible:
+            return sum((a * v for a, v in zip(row, point)), F(0)) + slack
+        return draw(entries)
+
+    a_le, b_le = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "single", "single", "zero", "copy", "all-zero"]))
+        if kind == "copy" and a_le:
+            row = list(draw(st.sampled_from(a_le)))
+        elif kind == "all-zero":
+            row = [F(0)] * n
+        elif kind in ("single", "zero"):
+            row = [F(0)] * n
+            row[draw(st.integers(0, n - 1))] = draw(positive if kind == "zero" else entries)
+        else:
+            row = draw(st.lists(entries, min_size=n, max_size=n))
+        a_le.append(row)
+        b_le.append(F(0) if kind == "zero" else rhs(row, draw(st.one_of(st.just(F(0)), positive))))
+    a_eq = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(draw(st.integers(0, 3)))]
+    b_eq = [rhs(row, F(0)) for row in a_eq]
+    objective = draw(st.lists(entries, min_size=n, max_size=n))
+    return LinearProgram(objective=objective, a_le=a_le, b_le=b_le, a_eq=a_eq, b_eq=b_eq)
+
+
+def _dot(row, x):
+    return sum((a * v for a, v in zip(row, x)), F(0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_programs())
+def test_simplex_matches_dense_reference(lp):
+    res = simplex_maximize(lp)
+    ref = dense_two_phase_simplex(lp)
+    assert (res.status, res.value) == (ref.status, ref.value)
+    if res.status == "optimal":
+        x = res.solution
+        assert len(x) == len(lp.objective) and all(v >= 0 for v in x)
+        assert all(_dot(a, x) <= b for a, b in zip(lp.a_le, lp.b_le))
+        assert all(_dot(a, x) == b for a, b in zip(lp.a_eq, lp.b_eq))
+        assert _dot(lp.objective, x) == res.value
+
+
+def test_simplex_matches_dense_reference_on_aggregation_lps(monkeypatch):
+    """Every aggregation LP the solver builds gets the reference's vertex.
+
+    `smp solve --trace` prints the aggregated point, so the optimal vertex,
+    not only the optimal value, must be the one the dense solver picks.
+    """
+    seen = []
+
+    def record(lp):
+        res = simplex_maximize(lp)
+        seen.append((lp, res))
+        return res
+
+    monkeypatch.setattr(smp.iteration, "simplex_maximize", record)
+    for pool in (smp_pool(), sap_pool(), sdp_pool()):
+        for inst in pool:
+            solve_xmin(inst)
+    for seed in range(40):
+        solve_xmin(rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5))
+    assert len(seen) >= 30
+    for lp, res in seen:
+        ref = dense_two_phase_simplex(lp)
+        assert (res.status, res.value, res.solution) == (ref.status, ref.value, ref.solution)
 
 
 # --- max-flow / min-cut -----------------------------------------------------
