@@ -46,19 +46,17 @@ def _cutting_height(values: list[Fraction], target: Fraction) -> Fraction:
     total = sum(values, Fraction(0))
     if target == total:
         return max(values)
-    # scan the breakpoints (the distinct values, ascending)
-    taken = Fraction(0)   # sum of values <= current breakpoint
-    below = 0             # how many values <= current breakpoint
+    # one pass over the values, ascending: for r up to the i-th value the sum
+    # is taken + (n - i) * r, taken being the sum of the first i values.  At
+    # a later copy of a value this sum at r = val equals the one at its first
+    # copy, so the test below passes first at a first copy, as a scan over
+    # the distinct values would find.
+    taken = Fraction(0)
     n = len(values)
-    for bp in sorted(set(values)):
-        # on [prev, bp] the sum is taken + (n - below) * r
-        at_bp = taken + (n - below) * bp
-        if at_bp >= target:
-            return (target - taken) / (n - below)
-        for val in values:
-            if val == bp:
-                taken += val
-                below += 1
+    for i, val in enumerate(sorted(values)):
+        if taken + (n - i) * val >= target:
+            return (target - taken) / (n - i)
+        taken += val
     raise AssertionError("target above total offer")  # pragma: no cover
 
 

@@ -10,6 +10,11 @@ Three routes are provided:
 * a combinatorial decision procedure for the special case where stable
   assignments fill every quota, via an auxiliary instance with two depot
   vertices absorbing all slack.
+
+A round calls `choose` once per vertex and keeps the outcomes of the fully
+filled vertices in `IterationState.outcomes`; the progress marker and the
+aggregation LP read their heads and critical ties from there instead of
+choosing again.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .choice import choose
+from .choice import ChoiceOutcome, choose
 from .model import (
     Edge,
     Instance,
@@ -53,12 +58,15 @@ def _step_cap(inst: Instance) -> int:
 class IterationState:
     round: int
     bounds: dict[str, Fraction]
-    x: dict[str, Fraction]
-    y: dict[str, Fraction]
+    x: dict[str, Fraction]   # the firms' choices from `bounds`
+    y: dict[str, Fraction]   # the workers' choices from `x`
     terminal: bool
+    # the vertices whose choice fills the quota, and that choice: a firm's
+    # from `bounds`, a worker's from `x`.  An aggregation step sets x = y to
+    # its point and keeps only the workers' choices, made from `y`.
     fully_firms: frozenset[str] = frozenset()
     fully_workers: frozenset[str] = frozenset()
-    reduced_edges: dict[str, frozenset[str]] = field(default_factory=dict)
+    outcomes: dict[str, ChoiceOutcome] = field(default_factory=dict)
 
 
 def initial_state(inst: Instance) -> IterationState:
@@ -77,57 +85,62 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
     firms cannot re-propose what was refused.
     """
     b = state.bounds
+    outcomes: dict[str, ChoiceOutcome] = {}
     x: dict[str, Fraction] = {}
     for f in inst.firms:
-        x.update(choose(inst, f, b).result)
+        outcomes[f] = choose(inst, f, b)
+        x.update(outcomes[f].result)
     y: dict[str, Fraction] = {}
     for w in inst.workers:
-        y.update(choose(inst, w, x).result)
-    orig = {e.id: e.capacity for e in inst.edges}
+        outcomes[w] = choose(inst, w, x)
+        y.update(outcomes[w].result)
     new_bounds = {
         eid: (b[eid] if y[eid] == x[eid] else y[eid]) for eid in inst.edge_ids
     }
     for eid in inst.edge_ids:
         assert b[eid] >= x[eid] >= y[eid] >= 0 and b[eid] >= new_bounds[eid]
-    fully_firms = frozenset(
-        f for f in inst.firms if vertex_load(inst, x, f) == inst.quota[f]
-    )
-    fully_workers = frozenset(
-        w for w in inst.workers if vertex_load(inst, y, w) == inst.quota[w]
-    )
-    reduced = {
-        f: frozenset(
-            e for e in inst.incident[f] if new_bounds[e] < orig[e]
-        )
-        for f in inst.firms
-    }
+    # a choice that is not in deficit sums to exactly the quota
+    kept = {v: out for v, out in outcomes.items() if not out.deficit}
     return IterationState(
         round=state.round + 1,
         bounds=new_bounds,
         x=x,
         y=y,
         terminal=(y == x),
-        fully_firms=fully_firms,
-        fully_workers=fully_workers,
-        reduced_edges=reduced,
+        fully_firms=frozenset(kept) & inst.firm_set,
+        fully_workers=frozenset(kept) & inst.worker_set,
+        outcomes=kept,
     )
 
 
+def _reduced_edges(inst: Instance, bounds: Mapping[str, Fraction], f: str) -> frozenset[str]:
+    """The edges at firm f whose bound is below the capacity."""
+    return frozenset(e for e in inst.incident[f] if bounds[e] < inst.edge_by_id[e].capacity)
+
+
 def _progress_marker(inst: Instance, state: IterationState):
-    """The monotone quantities whose growth makes a round 'productive'."""
-    orig = {e.id: e.capacity for e in inst.edges}
+    """The monotone quantities whose growth makes a round 'productive'.
+
+    A fully filled worker w is marked by the critical tie and head of its
+    choice from y.  After an aggregation step the stored outcome is that
+    choice.  In an ordinary state it is w's choice from x, with critical tie
+    c and height r, and choosing again from y|w gives the same tie, height
+    and head: y|w equals x before c, min(r, x_e) on c and 0 after c.  The
+    sums before c are unchanged and below the quota q, and c now sums to
+    exactly q minus them, so c is critical again.  The target is then the
+    whole of c, so the height is max_e min(r, x_e) = r, since the head
+    {e in c : x_e >= r} is nonempty; and the new head {e : min(r, x_e) >= r}
+    is the old one.
+    """
     stuck = {
-        f: frozenset(
-            e
-            for e in inst.incident[f]
-            if state.x[e] == orig[e] or e in state.reduced_edges[f]
-        )
+        f: frozenset(e for e in inst.incident[f] if state.x[e] == inst.edge_by_id[e].capacity)
+        | _reduced_edges(inst, state.bounds, f)
         for f in inst.firms
     }
-    worker_view = {}
-    for w in state.fully_workers:
-        out = choose(inst, w, state.y)
-        worker_view[w] = (out.critical_tie, out.head)
+    worker_view = {
+        w: (state.outcomes[w].critical_tie, state.outcomes[w].head)
+        for w in state.fully_workers
+    }
     return stuck, state.fully_workers, worker_view
 
 
@@ -146,58 +159,45 @@ def _is_productive(before, after) -> bool:
     return False
 
 
-@dataclass
-class BigIterationLP:
-    lp: LinearProgram
-    firms: tuple[str, ...]
-    workers: tuple[str, ...]
-    firm_head: dict[str, frozenset[str]]
-    worker_head: dict[str, frozenset[str]]
+def _lp_variables(state: IterationState) -> tuple[str, ...]:
+    """The aggregation LP's variables in column order: firms, then workers."""
+    return tuple(sorted(state.fully_firms)) + tuple(sorted(state.fully_workers))
 
 
-def _build_big_lp(inst: Instance, state: IterationState) -> BigIterationLP:
+def _build_big_lp(inst: Instance, state: IterationState) -> LinearProgram:
     """Aggregate a stalled tail of rounds into one linear program.
 
     Variables: a uniform raise φ_f on each fully filled firm's head, a uniform
     cut ψ_w on each fully filled worker's head.  Constraints keep the workers
     exactly filled, respect bounds/quotas, and keep every worker head a head.
     The objective pushes the total raise as far as the whole stalled tail
-    could ever have gone.
+    could ever have gone.  The heads and critical ties are those of the
+    ordinary round's choices; choosing again from x and y gives the same
+    ones (see `_progress_marker`).
     """
-    x, y = state.x, state.y
+    y, outcomes = state.y, state.outcomes
     firms = tuple(sorted(state.fully_firms))
     workers = tuple(sorted(state.fully_workers))
-    fh = {f: choose(inst, f, x).head for f in firms}
-    wh: dict[str, frozenset[str]] = {}
+    fh = {f: outcomes[f].head for f in firms}
+    wh = {w: outcomes[w].head for w in workers}
     height: dict[str, Fraction] = {}
-    critical: dict[str, int] = {}
     for w in workers:
-        out = choose(inst, w, y)
-        wh[w] = out.head
-        critical[w] = out.critical_tie
-        heights = {y[e] for e in out.head}
+        heights = {y[e] for e in wh[w]}
         if len(heights) != 1:
             raise InvariantError(f"head of {w!r} not level")
         height[w] = heights.pop()
-    var = {v: i for i, v in enumerate(firms + workers)}
+    var = {v: i for i, v in enumerate(_lp_variables(state))}
     n = len(var)
     obj = [Fraction(0)] * n
     for f in firms:
         obj[var[f]] = Fraction(len(fh[f]))
     lp = LinearProgram(objective=obj)
-
-    def firm_of(eid: str) -> str:
-        return inst.edge_by_id[eid].firm
-
-    def worker_of(eid: str) -> str:
-        return inst.edge_by_id[eid].worker
-
     for w in workers:  # keep w exactly filled
         row = [Fraction(0)] * n
         row[var[w]] = Fraction(len(wh[w]))
         for e in inst.incident[w]:
-            f = firm_of(e)
-            if f in var and e in fh[f]:
+            f = inst.edge_by_id[e].firm
+            if f in fh and e in fh[f]:
                 row[var[f]] -= 1
         lp.a_eq.append(row)
         lp.b_eq.append(Fraction(0))
@@ -209,9 +209,9 @@ def _build_big_lp(inst: Instance, state: IterationState) -> BigIterationLP:
     for f in firms:  # firm quota after raise minus the cuts it receives
         row = [Fraction(0)] * n
         row[var[f]] = Fraction(len(fh[f]))
-        for e in state.reduced_edges[f]:
-            w = worker_of(e)
-            if w in var and e in wh[w]:
+        for e in _reduced_edges(inst, state.bounds, f):
+            w = inst.edge_by_id[e].worker
+            if w in wh and e in wh[w]:
                 row[var[w]] -= 1
         lp.a_le.append(row)
         lp.b_le.append(inst.quota[f] - vertex_load(inst, y, f))
@@ -223,14 +223,14 @@ def _build_big_lp(inst: Instance, state: IterationState) -> BigIterationLP:
             lp.a_le.append(row)
             lp.b_le.append(cap - y[e])
     for w in workers:  # worker heads must remain heads
-        tie = inst.corteges[w][critical[w]]
+        tie = inst.corteges[w][outcomes[w].critical_tie]
         for e in tie:
             if e in wh[w]:
                 continue
-            f = firm_of(e)
+            f = inst.edge_by_id[e].firm
             row = [Fraction(0)] * n
             row[var[w]] = Fraction(1)
-            if f in var and e in fh[f]:
+            if f in fh and e in fh[f]:
                 row[var[f]] = Fraction(1)
             lp.a_le.append(row)
             lp.b_le.append(height[w] - y[e])
@@ -241,10 +241,10 @@ def _build_big_lp(inst: Instance, state: IterationState) -> BigIterationLP:
         # cannot happen in a stalled tail -- so such a firm cannot raise
         blocked = False
         for e in fh[f]:
-            w = worker_of(e)
+            w = inst.edge_by_id[e].worker
             if w not in wh:
                 continue
-            if e in wh[w] or inst.tie_index[(w, e)] > critical[w]:
+            if e in wh[w] or inst.tie_index[(w, e)] > outcomes[w].critical_tie:
                 blocked = True
                 break
         if blocked:
@@ -256,48 +256,48 @@ def _build_big_lp(inst: Instance, state: IterationState) -> BigIterationLP:
     for w in deficit_workers:  # raises must not overflow a deficit worker
         row = [Fraction(0)] * n
         for e in inst.incident[w]:
-            f = firm_of(e)
-            if f in var and e in fh[f]:
+            f = inst.edge_by_id[e].firm
+            if f in fh and e in fh[f]:
                 row[var[f]] += 1
         lp.a_le.append(row)
         lp.b_le.append(inst.quota[w] - vertex_load(inst, y, w))
-    return BigIterationLP(lp=lp, firms=firms, workers=workers, firm_head=fh, worker_head=wh)
+    return lp
 
 
 def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
-    big = _build_big_lp(inst, state)
-    res = simplex_maximize(big.lp)
+    lp = _build_big_lp(inst, state)
+    res = simplex_maximize(lp)
     if res.status != "optimal":
         raise InvariantError(f"aggregation LP {res.status}")
-    var = {v: i for i, v in enumerate(big.firms + big.workers)}
-    phi = {f: res.solution[var[f]] for f in big.firms}
-    psi = {w: res.solution[var[w]] for w in big.workers}
+    amount = dict(zip(_lp_variables(state), res.solution))
+    firm_head = {f: state.outcomes[f].head for f in sorted(state.fully_firms)}
+    worker_head = {w: state.outcomes[w].head for w in sorted(state.fully_workers)}
     delta = {eid: Fraction(0) for eid in inst.edge_ids}
-    for f in big.firms:
-        for e in big.firm_head[f]:
-            delta[e] += phi[f]
-    for w in big.workers:
-        for e in big.worker_head[w]:
+    for f, head in firm_head.items():
+        for e in head:
+            delta[e] += amount[f]
+    for w, head in worker_head.items():
+        for e in head:
             # firms raising into a filled worker's head are excluded by the
             # LP, so a cut edge can never simultaneously carry a raise
             if delta[e] != 0:
                 raise InvariantError(f"edge {e!r} raised and cut at once")
-            delta[e] -= psi[w]
+            delta[e] -= amount[w]
     yp = {eid: state.y[eid] + delta[eid] for eid in inst.edge_ids}
     if res.value > 0:
         # at least one inequality must be tight, otherwise the raise could grow
         tight = any(
             sum(a * v for a, v in zip(row, res.solution)) == rhs
-            for row, rhs in zip(big.lp.a_le, big.lp.b_le)
+            for row, rhs in zip(lp.a_le, lp.b_le)
         )
         if not tight:
             raise InvariantError("aggregation LP optimum leaves all inequalities slack")
     bounds = dict(state.bounds)
-    for w in big.workers:
-        for e in big.worker_head[w]:
+    for head in worker_head.values():
+        for e in head:
             bounds[e] = yp[e]
-    for f in big.firms:
-        for e in big.firm_head[f]:
+    for head in firm_head.values():
+        for e in head:
             bounds[e] = max(bounds[e], yp[e])
     return IterationState(
         round=state.round + 1,
@@ -307,12 +307,7 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         terminal=False,
         fully_firms=state.fully_firms,
         fully_workers=state.fully_workers,
-        reduced_edges={
-            f: frozenset(
-                e for e in inst.incident[f] if bounds[e] < inst.edge_by_id[e].capacity
-            )
-            for f in inst.firms
-        },
+        outcomes={w: choose(inst, w, yp) for w in worker_head},
     )
 
 
@@ -374,13 +369,10 @@ def solve_xmax(inst: Instance) -> dict[str, Fraction]:
 
 @dataclass
 class ExtendedInstance:
-    base: Instance
     ext: Instance
     depot_firm: str
-    depot_worker: str
     firm_side_edges: tuple[str, ...]   # depot-firm -> worker edges ("A")
     worker_side_edges: tuple[str, ...]  # firm -> depot-worker edges ("B")
-    root_edge: str
 
     def seed(self) -> dict[str, Fraction]:
         """The firm-optimal assignment of the extension: all slack at depots."""
@@ -426,13 +418,10 @@ def build_extended_instance(inst: Instance) -> ExtendedInstance:
         corteges=corteges,
     )
     return ExtendedInstance(
-        base=inst,
         ext=ext,
         depot_firm=f0,
-        depot_worker=w0,
         firm_side_edges=tuple(a_edges),
         worker_side_edges=tuple(b_edges),
-        root_edge=root,
     )
 
 

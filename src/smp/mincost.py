@@ -21,7 +21,6 @@ from .poset import ClosedFunction, RotationPoset, build_poset, gamma
 class CostedPoset:
     poset: RotationPoset
     costs: dict[str, Fraction]
-    rotation_cost: dict[int, Fraction]   # c·ρ per rotation
     zeta: dict[int, Fraction]            # τ(ρ)·(c·ρ)
 
 
@@ -39,14 +38,11 @@ def build_costed_poset(
         raise InstanceError(f"costs missing for edges: {sorted(missing)}")
     if poset is None:
         poset = build_poset(inst)
-    rotation_cost = {
-        i: sum((costs[e] * v for e, v in rot.values.items()), Fraction(0))
+    zeta = {
+        i: poset.tau[i] * sum((costs[e] * v for e, v in rot.values.items()), Fraction(0))
         for i, rot in enumerate(poset.rotations)
     }
-    zeta = {i: poset.tau[i] * rotation_cost[i] for i in rotation_cost}
-    return CostedPoset(
-        poset=poset, costs=dict(costs), rotation_cost=rotation_cost, zeta=zeta
-    )
+    return CostedPoset(poset=poset, costs=dict(costs), zeta=zeta)
 
 
 @dataclass

@@ -37,9 +37,6 @@ class RotationPoset:
                 return i
         return None
 
-    def upset(self, i: int) -> frozenset[int]:
-        return frozenset({i} | {j for (a, j) in self.less if a == i})
-
     def downset(self, i: int) -> frozenset[int]:
         return frozenset({i} | {a for (a, j) in self.less if j == i})
 

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 from .choice import ChoiceOutcome
 from .linalg import gaussian_solve
-from .model import Instance, InstanceError, full_assignment
+from .model import Instance, InstanceError, InvariantError, full_assignment
 from .stability import compare_stable, stability_report
 
 
@@ -31,7 +31,6 @@ class ActiveStructure:
     outcomes: dict[str, ChoiceOutcome]       # per-vertex choice at x
     potential_head: dict[str, frozenset[str]]  # f in F^= -> D_f
     head: dict[str, frozenset[str]]            # w in W^= -> H_w
-    singular: frozenset[str]                   # V0
     regular: frozenset[str]                    # V+ = V^= - V0
     regular_firms: frozenset[str]
     regular_workers: frozenset[str]
@@ -49,7 +48,6 @@ class ActiveStructure:
 class Component:
     firms: tuple[str, ...]
     workers: tuple[str, ...]
-    edges: tuple[str, ...]  # active edges inside the component
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -132,7 +130,6 @@ def build_active_structure(inst: Instance, x: Mapping[str, Fraction]) -> ActiveS
         outcomes=outcomes,
         potential_head=potential_head,
         head=head,
-        singular=frozenset(singular),
         regular=frozenset(regular),
         regular_firms=frozenset(regular) & inst.firm_set,
         regular_workers=frozenset(regular) & inst.worker_set,
@@ -211,13 +208,8 @@ def maximal_components(inst: Instance, act: ActiveStructure) -> list[Component]:
         if not firms or not workers:
             # an isolated vertex cannot arise: every regular vertex has an
             # outgoing active edge, so sink components are genuine cycles
-            raise AssertionError(f"degenerate sink component {sorted(comp)}")
-        edges = set()
-        for f in firms:
-            edges |= act.potential_head[f]
-        for w in workers:
-            edges |= act.head[w]
-        out.append(Component(firms=firms, workers=workers, edges=tuple(sorted(edges))))
+            raise InvariantError(f"degenerate sink component {sorted(comp)}")
+        out.append(Component(firms=firms, workers=workers))
     # supports of distinct sink components never share a vertex
     seen: set[str] = set()
     for comp in out:
@@ -266,7 +258,7 @@ def extract_rotation(
     sol = gaussian_solve(rows, [Fraction(0)] * len(rows))
     if sol.status != "underdetermined" or len(sol.nullspace) != 1:
         dim = len(sol.nullspace) if sol.nullspace else 0
-        raise AssertionError(f"balance system nullspace has dimension {dim}, expected 1")
+        raise InvariantError(f"balance system nullspace has dimension {dim}, expected 1")
     gen = sol.nullspace[0]
     if any(v < 0 for v in gen):
         gen = [-v for v in gen]
@@ -460,7 +452,7 @@ def run_route(
         states.append(x)
         steps.append((rot, rot.tau))
         if len(steps) > guard:
-            raise AssertionError(f"route exceeded {guard} shifts")
+            raise InvariantError(f"route exceeded {guard} shifts")
     if avoid is None:
         assert len(steps) <= 2 * len(inst.edges), "route longer than twice the edge count"
     return Route(states=states, steps=steps)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .choice import ChoiceOutcome, choose, prefers
-from .model import Instance, InstanceError, full_assignment, validate_assignment, vertex_load
+from .model import Instance, InstanceError, full_assignment, validate_assignment
 
 
 @dataclass
@@ -63,7 +63,9 @@ def stability_report(inst: Instance, x: Mapping[str, Fraction]) -> StabilityRepo
         if in_both_tails:
             blocking.append(eid)
 
-    fully = frozenset(v for v in inst.vertices() if vertex_load(inst, x, v) == inst.quota[v])
+    # x is stationary, so each load is the size of the vertex's choice: the
+    # quota exactly unless the choice is in deficit
+    fully = frozenset(v for v in inst.vertices() if not outcomes[v].deficit)
     return StabilityReport(
         stable=not blocking,
         blocking_edges=blocking,

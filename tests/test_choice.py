@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smp import Edge, Instance, choose, interesting_edges, prefers
+from smp.choice import _cutting_height
 
 from gen import random_instance, six_cycle_instance, triangle_instance
 
@@ -97,6 +98,41 @@ def test_prefers_is_reflexive_and_orders_offers():
     worst = {"f1w1": F(0), "f3w1": F(0), "f2w1": F(24)}
     assert prefers(inst, "w1", best, worst)
     assert not prefers(inst, "w1", worst, best)
+
+
+def breakpoint_cutting_height(values, target):
+    """Reference: scan the distinct values ascending, recounting at each one."""
+    total = sum(values, F(0))
+    if target == total:
+        return max(values)
+    taken = F(0)
+    below = 0
+    n = len(values)
+    for bp in sorted(set(values)):
+        at_bp = taken + (n - below) * bp
+        if at_bp >= target:
+            return (target - taken) / (n - below)
+        for val in values:
+            if val == bp:
+                taken += val
+                below += 1
+    raise AssertionError("target above total offer")
+
+
+@st.composite
+def cut_cases(draw):
+    small = st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3]))
+    values = draw(st.lists(small, min_size=1, max_size=8).filter(lambda v: sum(v) > 0))
+    total = sum(values, F(0))
+    fraction = draw(st.builds(F, st.integers(1, 12), st.just(12)))
+    return values, total * fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_cases())
+def test_cutting_height_matches_breakpoint_reference(case):
+    values, target = case
+    assert _cutting_height(values, target) == breakpoint_cutting_height(values, target)
 
 
 # --- property-based axioms --------------------------------------------------

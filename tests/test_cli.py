@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import smp.iteration
+import smp.rotations
 from smp import serialize_assignment, serialize_instance
 from smp.cli import main
+from smp.linalg import LinearSolution
 from smp.simplex import LPResult
 
 from gen import SIX_CYCLE_STABLE_ODD, rand_marriage, six_cycle_instance, triangle_instance
@@ -230,6 +232,18 @@ def test_failed_invariant_is_checked_under_optimize_flag(aggregating_file):
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": "aggregation LP infeasible"}
 
+
+def test_failed_rotation_invariant_is_exit_4(capsys, monkeypatch, six_cycle_file):
+    # a balance system with a unique solution has no rotation to extract
+    def unique(rows, rhs):
+        return LinearSolution("unique", [F(0)] * len(rows[0]))
+
+    monkeypatch.setattr(smp.rotations, "gaussian_solve", unique)
+    code, out = run_cli(capsys, "poset", six_cycle_file)
+    assert code == 4
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert "nullspace has dimension 0" in doc["error"]
 
 # SHA-256 of `smp solve --trace` on aggregating rand_marriage(Random(seed), 4,
 # cap=2, tie_prob=0.5) instances; the trace prints each aggregated point, so

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import smp.iteration
 from smp import (
     InstanceError,
     build_extended_instance,
@@ -16,7 +18,9 @@ from smp import (
     solve_xmin,
     solve_xmin_modified,
     stability_report,
+    vertex_load,
 )
+from smp.choice import choose
 from smp.bruteforce import oracle_enumerate_stable
 
 from gen import (
@@ -161,3 +165,65 @@ def test_solver_respects_step_cap_env(monkeypatch):
     inst = triangle_instance(F(8), F(15))
     monkeypatch.setenv("SMP_MAX_STEPS", "50")
     assert solve_xmin_modified(inst) == {e: F(8) for e in inst.edge_ids}
+
+
+def _recorded_rounds(monkeypatch):
+    """Record (kind, state before, state after) for every round the solver runs."""
+    rounds = []
+    for name, kind in (("ordinary_iteration_step", "ordinary"), ("_big_iteration", "aggregated")):
+        step = getattr(smp.iteration, name)
+
+        def record(inst, state, step=step, kind=kind):
+            after = step(inst, state)
+            rounds.append((kind, state, after))
+            return after
+
+        monkeypatch.setattr(smp.iteration, name, record)
+    return rounds
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), tied=st.booleans())
+def test_stored_outcomes_match_fresh_choices(seed, tied):
+    if tied:
+        inst = rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5)
+    else:
+        inst = rand_marriage(random.Random(seed), 5, cap=1)
+    with pytest.MonkeyPatch.context() as mp:
+        rounds = _recorded_rounds(mp)
+        solve_xmin_modified(inst)
+    ordinary = [after for kind, _, after in rounds if kind == "ordinary"]
+    assert ordinary
+    for state in ordinary:
+        assert state.fully_firms == {
+            f for f in inst.firms if vertex_load(inst, state.x, f) == inst.quota[f]
+        }
+        assert state.fully_workers == {
+            w for w in inst.workers if vertex_load(inst, state.y, w) == inst.quota[w]
+        }
+        assert set(state.outcomes) == state.fully_firms | state.fully_workers
+        for f in state.fully_firms:
+            assert state.outcomes[f].head == choose(inst, f, state.x).head
+        for w in state.fully_workers:
+            fresh = choose(inst, w, state.y)
+            stored = state.outcomes[w]
+            assert (stored.head, stored.critical_tie) == (fresh.head, fresh.critical_tie)
+
+
+def test_one_choose_per_vertex_per_round(monkeypatch):
+    """Ordinary rounds choose at every vertex once, an aggregation step only at
+    the fully filled workers it carries over, and nothing else chooses again."""
+    inst = rand_marriage(random.Random(0), 4, cap=2, tie_prob=0.5)
+    calls = []
+
+    def counting_choose(inst, v, z):
+        calls.append(v)
+        return choose(inst, v, z)
+
+    monkeypatch.setattr(smp.iteration, "choose", counting_choose)
+    rounds = _recorded_rounds(monkeypatch)
+    solve_xmin_modified(inst)
+    carried = [len(after.fully_workers) for kind, _, after in rounds if kind == "aggregated"]
+    ordinary = len(rounds) - len(carried)
+    assert carried
+    assert len(calls) == ordinary * len(inst.vertices()) + sum(carried)
