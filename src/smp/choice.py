@@ -7,6 +7,12 @@ is truncated at a common cutting height r.  The edges of the critical tie that
 hit the height form the *head*; the better ties together with the rest of the
 critical tie form the *tail*.  The head/tail split drives everything else:
 stability, the active digraph, rotations.
+
+Value contract: an offer maps edge ids to exact rationals, a missing edge
+reading as 0.  A `Fraction` value passes through untouched and any other value
+(an int, say) is converted once on entry, so every `result` value and every
+`height` of a `ChoiceOutcome` is a `Fraction`.  Quotas are `Fraction`s by the
+`Instance` contract.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .model import Instance
+from .model import ZERO, Instance, InvariantError
 
 
 @dataclass(frozen=True)
@@ -29,11 +35,15 @@ class ChoiceOutcome:
 
     @property
     def size(self) -> Fraction:
-        return sum(self.result.values(), Fraction(0))
+        return sum(self.result.values(), ZERO)
 
 
 def _restrict(inst: Instance, v: str, z: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    return {e: Fraction(z.get(e, 0)) for e in inst.incident[v]}
+    zv = {}
+    for e in inst.incident[v]:
+        val = z.get(e, ZERO)
+        zv[e] = val if type(val) is Fraction else Fraction(val)
+    return zv
 
 
 def _cutting_height(values: list[Fraction], target: Fraction) -> Fraction:
@@ -43,7 +53,7 @@ def _cutting_height(values: list[Fraction], target: Fraction) -> Fraction:
     r >= max(values) works; the maximum value is returned so that the edges
     attaining it form a nonempty head.
     """
-    total = sum(values, Fraction(0))
+    total = sum(values)
     if target == total:
         return max(values)
     # one pass over the values, ascending: for r up to the i-th value the sum
@@ -51,13 +61,13 @@ def _cutting_height(values: list[Fraction], target: Fraction) -> Fraction:
     # a later copy of a value this sum at r = val equals the one at its first
     # copy, so the test below passes first at a first copy, as a scan over
     # the distinct values would find.
-    taken = Fraction(0)
+    taken = 0
     n = len(values)
     for i, val in enumerate(sorted(values)):
         if taken + (n - i) * val >= target:
             return (target - taken) / (n - i)
         taken += val
-    raise AssertionError("target above total offer")  # pragma: no cover
+    raise InvariantError("target above total offer")  # pragma: no cover
 
 
 def choose(inst: Instance, v: str, z: Mapping[str, Fraction]) -> ChoiceOutcome:
@@ -66,7 +76,7 @@ def choose(inst: Instance, v: str, z: Mapping[str, Fraction]) -> ChoiceOutcome:
     if any(val < 0 for val in zv.values()):
         raise ValueError(f"negative offer at {v!r}")
     q = inst.quota[v]
-    size = sum(zv.values(), Fraction(0))
+    size = sum(zv.values())
     if size < q:
         return ChoiceOutcome(
             result=zv,
@@ -77,23 +87,25 @@ def choose(inst: Instance, v: str, z: Mapping[str, Fraction]) -> ChoiceOutcome:
             deficit=True,
         )
     ties = inst.corteges[v]
-    prefix = Fraction(0)
+    prefix = 0
     critical = None
     for i, tie in enumerate(ties):
-        tie_sum = sum((zv[e] for e in tie), Fraction(0))
+        tie_sum = sum(zv[e] for e in tie)
         if prefix < q <= prefix + tie_sum:
             critical = i
             break
         prefix += tie_sum
-    assert critical is not None, "quota not reached despite sufficient offer"
+    if critical is None:
+        raise InvariantError(f"quota of {v!r} not reached despite sufficient offer")
     tie = ties[critical]
     r = _cutting_height([zv[e] for e in tie], q - prefix)
     result = dict(zv)
-    for i, t in enumerate(ties):
-        if i < critical:
-            continue
+    for e in tie:
+        if zv[e] > r:
+            result[e] = r
+    for t in ties[critical + 1:]:
         for e in t:
-            result[e] = min(r, zv[e]) if i == critical else Fraction(0)
+            result[e] = ZERO
     head = frozenset(e for e in tie if zv[e] >= r)
     better = [e for t in ties[:critical] for e in t]
     tail = frozenset(better) | (frozenset(tie) - head)
@@ -115,8 +127,8 @@ def prefers(inst: Instance, v: str, z: Mapping[str, Fraction], zp: Mapping[str, 
     anything else the two characterizations below genuinely diverge.
 
     Two independent characterizations are evaluated — choosing from the join
-    must return z, and z must dominate zp on the tail of z — and they are
-    asserted to agree.
+    must return z, and z must dominate zp on the tail of z — and checked to
+    agree (`InvariantError` otherwise).
     """
     zv = _restrict(inst, v, z)
     zpv = _restrict(inst, v, zp)
@@ -130,9 +142,10 @@ def prefers(inst: Instance, v: str, z: Mapping[str, Fraction], zp: Mapping[str, 
     via_join = choose(inst, v, join).result == zv
     tail = choose(inst, v, zv).tail
     via_tail = all(zv[e] >= zpv[e] for e in tail)
-    assert via_join == via_tail, (
-        f"preference characterizations disagree at {v!r}: join={via_join} tail={via_tail}"
-    )
+    if via_join != via_tail:
+        raise InvariantError(
+            f"preference characterizations disagree at {v!r}: join={via_join} tail={via_tail}"
+        )
     return via_join
 
 

@@ -11,10 +11,10 @@ Three routes are provided:
   assignments fill every quota, via an auxiliary instance with two depot
   vertices absorbing all slack.
 
-A round calls `choose` once per vertex and keeps the outcomes of the fully
-filled vertices in `IterationState.outcomes`; the progress marker and the
-aggregation LP read their heads and critical ties from there instead of
-choosing again.
+A round keeps every vertex's choice outcome in `IterationState.outcomes` and
+calls `choose` again only at the vertices whose input changed since the
+previous round; the progress marker and the aggregation LP read their heads
+and critical ties from there instead of choosing again.
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ def _step_cap(inst: Instance) -> int:
 @dataclass
 class IterationState:
     round: int
-    bounds: dict[str, Fraction]
-    x: dict[str, Fraction]   # the firms' choices from `bounds`
+    bounds: dict[str, Fraction]  # the next round's input bounds
+    x: dict[str, Fraction]   # the firms' choices from the round's input bounds
     y: dict[str, Fraction]   # the workers' choices from `x`
     terminal: bool
-    # the vertices whose choice fills the quota, and that choice: a firm's
-    # from `bounds`, a worker's from `x`.  An aggregation step sets x = y to
-    # its point and keeps only the workers' choices, made from `y`.
+    # the vertices whose choice fills the quota, and every vertex's choice: a
+    # firm's from the round's input bounds (the previous state's `bounds`), a
+    # worker's from `x`.  An aggregation step sets x = y to its point and keeps
+    # only the fully filled workers' choices, made from `y`.
     fully_firms: frozenset[str] = frozenset()
     fully_workers: frozenset[str] = frozenset()
     outcomes: dict[str, ChoiceOutcome] = field(default_factory=dict)
@@ -78,6 +79,27 @@ def initial_state(inst: Instance) -> IterationState:
     )
 
 
+def _rechoose(
+    inst: Instance,
+    vertices: tuple[str, ...],
+    z: Mapping[str, Fraction],
+    prev: Mapping[str, ChoiceOutcome],
+    changed: set[str],
+) -> dict[str, ChoiceOutcome]:
+    """Each vertex's choice from z, reusing its stored outcome where it can.
+
+    `prev[v]`, where present, is v's choice from an input that equals z on
+    every edge at v unless v is in `changed`.  A choice depends on nothing but
+    the vertex's input, so an equal input gives an equal outcome; a vertex
+    that changed or has no stored outcome chooses afresh.
+    """
+    out = {}
+    for v in vertices:
+        old = prev.get(v)
+        out[v] = old if old is not None and v not in changed else choose(inst, v, z)
+    return out
+
+
 def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationState:
     """One proposal/cut round: firms take up to the bounds, workers cut back.
 
@@ -85,31 +107,38 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
     firms cannot re-propose what was refused.
     """
     b = state.bounds
-    outcomes: dict[str, ChoiceOutcome] = {}
+    edge = inst.edge_by_id
+    # The stored firm choices were made from the previous round's bounds, and
+    # that round lowered a bound exactly where y != x (y <= x <= b, so y < b
+    # there).  A firm with no such edge sees the same bounds as before.
+    lowered = {edge[e].firm for e in inst.edge_ids if state.y[e] != state.x[e]}
+    outcomes = _rechoose(inst, inst.firms, b, state.outcomes, lowered)
     x: dict[str, Fraction] = {}
     for f in inst.firms:
-        outcomes[f] = choose(inst, f, b)
         x.update(outcomes[f].result)
+    # the stored worker choices were made from the previous x
+    moved = {edge[e].worker for e in inst.edge_ids if x[e] != state.x[e]}
+    outcomes.update(_rechoose(inst, inst.workers, x, state.outcomes, moved))
     y: dict[str, Fraction] = {}
     for w in inst.workers:
-        outcomes[w] = choose(inst, w, x)
         y.update(outcomes[w].result)
     new_bounds = {
         eid: (b[eid] if y[eid] == x[eid] else y[eid]) for eid in inst.edge_ids
     }
     for eid in inst.edge_ids:
-        assert b[eid] >= x[eid] >= y[eid] >= 0 and b[eid] >= new_bounds[eid]
+        if not (b[eid] >= x[eid] >= y[eid] >= 0 and b[eid] >= new_bounds[eid]):
+            raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {eid!r}")
     # a choice that is not in deficit sums to exactly the quota
-    kept = {v: out for v, out in outcomes.items() if not out.deficit}
+    full = frozenset(v for v, out in outcomes.items() if not out.deficit)
     return IterationState(
         round=state.round + 1,
         bounds=new_bounds,
         x=x,
         y=y,
         terminal=(y == x),
-        fully_firms=frozenset(kept) & inst.firm_set,
-        fully_workers=frozenset(kept) & inst.worker_set,
-        outcomes=kept,
+        fully_firms=full & inst.firm_set,
+        fully_workers=full & inst.worker_set,
+        outcomes=outcomes,
     )
 
 

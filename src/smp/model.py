@@ -30,6 +30,8 @@ class InvariantError(RuntimeError):
 
 RationalLike = Union[int, str, Fraction]
 
+ZERO = Fraction(0)
+
 
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from a bare int or a 'p/q' / 'p' string."""
@@ -284,12 +286,19 @@ def serialize_assignment(x: Mapping[str, Fraction]) -> dict:
 
 
 def full_assignment(inst: Instance, x: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """Normalize to a dict with a value for every edge (absent ids -> 0)."""
-    return {eid: Fraction(x.get(eid, 0)) for eid in inst.edge_ids}
+    """Normalize to a dict with a value for every edge (absent ids -> 0).
+
+    `Fraction` values pass through; any other value is converted.
+    """
+    out = {}
+    for eid in inst.edge_ids:
+        val = x.get(eid, ZERO)
+        out[eid] = val if type(val) is Fraction else Fraction(val)
+    return out
 
 
 def vertex_load(inst: Instance, x: Mapping[str, Fraction], v: str) -> Fraction:
-    return sum((x.get(e, Fraction(0)) for e in inst.incident[v]), Fraction(0))
+    return sum((x.get(e, ZERO) for e in inst.incident[v]), ZERO)
 
 
 @dataclass
@@ -307,7 +316,7 @@ def validate_assignment(inst: Instance, x: Mapping[str, Fraction]) -> Membership
     violations = []
     in_box = True
     for e in inst.edges:
-        val = x.get(e.id, Fraction(0))
+        val = x.get(e.id, ZERO)
         if val < 0:
             in_box = False
             violations.append(f"edge {e.id}: negative value {val}")

@@ -7,7 +7,13 @@ from fractions import Fraction
 from typing import Mapping
 
 from .choice import ChoiceOutcome, choose, prefers
-from .model import Instance, InstanceError, full_assignment, validate_assignment
+from .model import (
+    Instance,
+    InstanceError,
+    InvariantError,
+    full_assignment,
+    validate_assignment,
+)
 
 
 @dataclass
@@ -26,7 +32,7 @@ def stability_report(inst: Instance, x: Mapping[str, Fraction]) -> StabilityRepo
     choice at *both* endpoints.  An equivalent formulation — every
     below-capacity edge must have a fully filled endpoint that keeps it in its
     head or strictly below its critical tie — is evaluated independently and
-    the two are asserted to agree.
+    the two are checked to agree (`InvariantError` otherwise).
     """
     x = full_assignment(inst, x)
     report = validate_assignment(inst, x)
@@ -57,9 +63,8 @@ def stability_report(inst: Instance, x: Mapping[str, Fraction]) -> StabilityRepo
                 tie = inst.tie_index[(v, eid)]
                 if tie > out.critical_tie:
                     excused = True
-        assert in_both_tails == (not excused), (
-            f"blocking characterizations disagree on edge {eid!r}"
-        )
+        if in_both_tails == excused:
+            raise InvariantError(f"blocking characterizations disagree on edge {eid!r}")
         if in_both_tails:
             blocking.append(eid)
 
@@ -90,7 +95,7 @@ def compare_stable(
     """Does every vertex on `side` weakly prefer x to y?
 
     Both assignments must be stable.  When the comparison holds, the converse
-    relation on the opposite side is asserted (preferring more on one side
+    relation on the opposite side is checked (preferring more on one side
     means conceding on the other).
     """
     if side not in ("firms", "workers"):
@@ -105,7 +110,8 @@ def compare_stable(
     holds = all(per_vertex.values())
     if holds:
         other = inst.workers if side == "firms" else inst.firms
-        assert all(prefers(inst, v, y, x) for v in other), (
-            "polarity violated: opposite side does not prefer the other assignment"
-        )
+        if not all(prefers(inst, v, y, x) for v in other):
+            raise InvariantError(
+                "polarity violated: opposite side does not prefer the other assignment"
+            )
     return Comparison(holds=holds, per_vertex=per_vertex)

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smp import Edge, Instance, choose, interesting_edges, prefers
-from smp.choice import _cutting_height
+from smp import Edge, Instance, choose, full_assignment, interesting_edges, prefers
+from smp.choice import ChoiceOutcome, _cutting_height
 
 from gen import random_instance, six_cycle_instance, triangle_instance
 
@@ -133,6 +133,73 @@ def cut_cases(draw):
 def test_cutting_height_matches_breakpoint_reference(case):
     values, target = case
     assert _cutting_height(values, target) == breakpoint_cutting_height(values, target)
+
+
+def reference_choose(inst, v, z):
+    """Reference: the kernel as it was, converting every value with Fraction()."""
+    zv = {e: F(z.get(e, 0)) for e in inst.incident[v]}
+    q = inst.quota[v]
+    size = sum(zv.values(), F(0))
+    if size < q:
+        return ChoiceOutcome(zv, frozenset(), frozenset(inst.incident[v]), None, None, True)
+    ties = inst.corteges[v]
+    prefix = F(0)
+    critical = None
+    for i, tie in enumerate(ties):
+        tie_sum = sum((zv[e] for e in tie), F(0))
+        if prefix < q <= prefix + tie_sum:
+            critical = i
+            break
+        prefix += tie_sum
+    assert critical is not None, "quota not reached despite sufficient offer"
+    tie = ties[critical]
+    r = breakpoint_cutting_height([zv[e] for e in tie], q - prefix)
+    result = dict(zv)
+    for i, t in enumerate(ties):
+        if i < critical:
+            continue
+        for e in t:
+            result[e] = min(r, zv[e]) if i == critical else F(0)
+    head = frozenset(e for e in tie if zv[e] >= r)
+    better = [e for t in ties[:critical] for e in t]
+    tail = frozenset(better) | (frozenset(tie) - head)
+    return ChoiceOutcome(result, head, tail, critical, r, False)
+
+
+@st.composite
+def star_offers(draw):
+    """A star with random ties, capacities and quota, and an offer mixing
+    Fractions, ints and missing edges."""
+    names = "abcdef"[: draw(st.integers(1, 6))]
+    ranks = {e: draw(st.integers(0, 3)) for e in names}
+    ties = [[e for e in names if ranks[e] == r] for r in sorted(set(ranks.values()))]
+    caps = {e: F(draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 3]))) for e in names}
+    quota = F(draw(st.integers(1, 20)), draw(st.sampled_from([1, 2, 4])))
+    offer = {}
+    for e in names:
+        kind = draw(st.sampled_from(["fraction", "int", "missing"]))
+        if kind == "fraction":
+            offer[e] = F(draw(st.integers(0, 12)), draw(st.sampled_from([1, 2, 3])))
+        elif kind == "int":
+            offer[e] = draw(st.integers(0, 8))
+    return star_instance(quota, ties, caps), offer
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_offers())
+def test_choose_matches_reference_kernel(case):
+    inst, z = case
+    out = choose(inst, "f", z)
+    assert out == reference_choose(inst, "f", z)
+    assert all(type(val) is F for val in out.result.values())
+    assert out.height is None or type(out.height) is F
+
+
+def test_full_assignment_returns_fractions():
+    inst = star_instance(F(5), [["a"], ["b", "c"]], {e: F(5) for e in "abc"})
+    x = full_assignment(inst, {"a": 2, "b": F(1, 2)})
+    assert x == {"a": F(2), "b": F(1, 2), "c": F(0)}
+    assert all(type(val) is F for val in x.values())
 
 
 # --- property-based axioms --------------------------------------------------

@@ -233,6 +233,40 @@ def test_failed_invariant_is_checked_under_optimize_flag(aggregating_file):
     assert json.loads(proc.stdout) == {"error": "aggregation LP infeasible"}
 
 
+def test_failed_stability_invariant_is_checked_under_optimize_flag(tmp_path, six_cycle_file):
+    # at the zero assignment every vertex is in deficit and every edge blocks;
+    # a choice that drops an edge from its tail makes the two blocking
+    # characterizations of stability_report disagree
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"values": {}}))
+    script = (
+        "import dataclasses, sys\n"
+        "import smp.stability\n"
+        "from smp.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "choose = smp.stability.choose\n"
+        "def drop_one(inst, v, z):\n"
+        "    out = choose(inst, v, z)\n"
+        "    if not out.tail:\n"
+        "        return out\n"
+        "    return dataclasses.replace(out, tail=out.tail - {min(out.tail)})\n"
+        "smp.stability.choose = drop_one\n"
+        "sys.exit(main(['check', sys.argv[1], sys.argv[2]]))\n"
+    )
+    src = str(Path(smp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, six_cycle_file, str(zero)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 4, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert list(doc) == ["error"]
+    assert "blocking characterizations disagree" in doc["error"]
+
+
 def test_failed_rotation_invariant_is_exit_4(capsys, monkeypatch, six_cycle_file):
     # a balance system with a unique solution has no rotation to extract
     def unique(rows, rhs):

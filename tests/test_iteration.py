@@ -192,16 +192,26 @@ def test_stored_outcomes_match_fresh_choices(seed, tied):
     with pytest.MonkeyPatch.context() as mp:
         rounds = _recorded_rounds(mp)
         solve_xmin_modified(inst)
-    ordinary = [after for kind, _, after in rounds if kind == "ordinary"]
-    assert ordinary
-    for state in ordinary:
+    assert any(kind == "ordinary" for kind, _, _ in rounds)
+    for kind, before, state in rounds:
+        if kind == "aggregated":
+            assert set(state.outcomes) == state.fully_workers
+            for w in state.fully_workers:
+                assert state.outcomes[w] == choose(inst, w, state.y)
+            continue
         assert state.fully_firms == {
             f for f in inst.firms if vertex_load(inst, state.x, f) == inst.quota[f]
         }
         assert state.fully_workers == {
             w for w in inst.workers if vertex_load(inst, state.y, w) == inst.quota[w]
         }
-        assert set(state.outcomes) == state.fully_firms | state.fully_workers
+        # every vertex's stored outcome is, in every field, a fresh choice from
+        # its input: the round's input bounds for a firm, x for a worker
+        assert set(state.outcomes) == set(inst.vertices())
+        for f in inst.firms:
+            assert state.outcomes[f] == choose(inst, f, before.bounds)
+        for w in inst.workers:
+            assert state.outcomes[w] == choose(inst, w, state.x)
         for f in state.fully_firms:
             assert state.outcomes[f].head == choose(inst, f, state.x).head
         for w in state.fully_workers:
@@ -210,20 +220,40 @@ def test_stored_outcomes_match_fresh_choices(seed, tied):
             assert (stored.head, stored.critical_tie) == (fresh.head, fresh.critical_tie)
 
 
-def test_one_choose_per_vertex_per_round(monkeypatch):
-    """Ordinary rounds choose at every vertex once, an aggregation step only at
-    the fully filled workers it carries over, and nothing else chooses again."""
+def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
+    """An ordinary round chooses at the vertices whose input changed since their
+    stored choice or that have none, an aggregation step at the fully filled
+    workers it carries over, and nothing else chooses."""
     inst = rand_marriage(random.Random(0), 4, cap=2, tie_prob=0.5)
-    calls = []
+    rounds = _recorded_rounds(monkeypatch)
+    calls = []  # the index of the round each call is made in
 
     def counting_choose(inst, v, z):
-        calls.append(v)
+        calls.append(len(rounds))
         return choose(inst, v, z)
 
     monkeypatch.setattr(smp.iteration, "choose", counting_choose)
-    rounds = _recorded_rounds(monkeypatch)
     solve_xmin_modified(inst)
+    expected = []
+    firm_input = None  # the bounds the stored firm choices were made from
+    for kind, before, after in rounds:
+        if kind == "aggregated":
+            expected.append(len(after.fully_workers))
+            firm_input = None
+            continue
+        stale = [
+            f for f in inst.firms
+            if f not in before.outcomes
+            or any(before.bounds[e] != firm_input[e] for e in inst.incident[f])
+        ] + [
+            w for w in inst.workers
+            if w not in before.outcomes
+            or any(after.x[e] != before.x[e] for e in inst.incident[w])
+        ]
+        expected.append(len(stale))
+        firm_input = before.bounds
+    assert [calls.count(i) for i in range(len(rounds) + 1)] == expected + [0]
     carried = [len(after.fully_workers) for kind, _, after in rounds if kind == "aggregated"]
     ordinary = len(rounds) - len(carried)
     assert carried
-    assert len(calls) == ordinary * len(inst.vertices()) + sum(carried)
+    assert len(calls) < ordinary * len(inst.vertices()) + sum(carried)
