@@ -13,13 +13,19 @@ reading as 0.  A `Fraction` value passes through untouched and any other value
 (an int, say) is converted once on entry, so every `result` value and every
 `height` of a `ChoiceOutcome` is a `Fraction`.  Quotas are `Fraction`s by the
 `Instance` contract.
+
+A choice reads only the vertex's incident edges, quota and ties (which
+`Instance.swapped` keeps) and the offer on its edges, so an outcome stays
+valid for as long as that offer does.  `_rechoose` is the one place that
+decides between a stored outcome and a fresh `choose`; the proposal rounds,
+`stability_report` and the routes all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from .model import ZERO, Instance, InvariantError
 
@@ -117,6 +123,28 @@ def choose(inst: Instance, v: str, z: Mapping[str, Fraction]) -> ChoiceOutcome:
         height=r,
         deficit=False,
     )
+
+
+def _rechoose(
+    inst: Instance,
+    vertices: Iterable[str],
+    z: Mapping[str, Fraction],
+    prev: Mapping[str, ChoiceOutcome],
+    changed: Collection[str] = (),
+) -> dict[str, ChoiceOutcome]:
+    """Each vertex's choice from z, reusing its stored outcome where it can.
+
+    `prev[v]`, where present, is v's choice from an input that equals z on
+    every edge at v unless v is in `changed`.  A choice reads nothing but the
+    vertex's incident edges, quota and ties and its input there, so an equal
+    input gives an equal outcome; a vertex that changed or has no stored
+    outcome chooses afresh.
+    """
+    out = {}
+    for v in vertices:
+        old = prev.get(v)
+        out[v] = old if old is not None and v not in changed else choose(inst, v, z)
+    return out
 
 
 def prefers(inst: Instance, v: str, z: Mapping[str, Fraction], zp: Mapping[str, Fraction]) -> bool:

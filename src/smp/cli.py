@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .iteration import solve_quota_filling, solve_xmin_modified
+from .iteration import solve_quota_filling, solve_xmax, solve_xmin_modified
 from .mincost import min_cost_stable
 from .model import (
     Instance,
@@ -77,10 +77,10 @@ def _cmd_solve(args) -> int:
         x = res.assignment
         if args.side == "firms":
             x = full_assignment(inst, run_route(inst.swapped(), x).states[-1])
+    elif args.side == "workers":
+        x = solve_xmax(inst, trace=trace)
     else:
         x = solve_xmin_modified(inst, trace=trace)
-        if args.side == "workers":
-            x = run_route(inst, x).states[-1]
     doc = serialize_assignment(x)
     if args.trace:
         doc["trace"] = [

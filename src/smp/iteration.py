@@ -13,8 +13,25 @@ Three routes are provided:
 
 A round keeps every vertex's choice outcome in `IterationState.outcomes` and
 calls `choose` again only at the vertices whose input changed since the
-previous round; the progress marker and the aggregation LP read their heads
-and critical ties from there instead of choosing again.
+previous round (`choice._rechoose`); the progress marker and the aggregation
+LP read their heads and critical ties from there instead of choosing again.
+
+The outcomes travel on past the rounds, each time by an equal-input argument
+(the same three as in `rotations`):
+
+(a) At a terminal ordinary round y = x, so a worker's stored choice, made
+    from x, is its choice at x.  A firm's was made from the bounds b, and
+    choosing again from x|f gives the same outcome in every field: the
+    `_progress_marker` argument with y replaced by x.  After an aggregation
+    step the stability test at y is built from the workers' choices made
+    there, and its report holds every choice at y.  Either set starts the
+    route that normalises the point in `inst.swapped()`: `choose` reads only
+    `incident`, `quota` and `corteges`, which `swapped()` keeps.
+(b) That route's outcomes at its end are the choices at x_min; `solve_xmax`,
+    `smp solve --side workers` and `build_poset`'s base route start from
+    them (`_solve_xmin`).
+(c) Along every route a shift changes x only on the rotation's support, so
+    only the support's endpoints choose again.
 """
 
 from __future__ import annotations
@@ -24,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .choice import ChoiceOutcome, choose
+from .choice import ChoiceOutcome, _rechoose, choose
 from .model import (
     Edge,
     Instance,
@@ -77,27 +94,6 @@ def initial_state(inst: Instance) -> IterationState:
     return IterationState(
         round=-1, bounds=bounds, x=dict(bounds), y=dict(bounds), terminal=False
     )
-
-
-def _rechoose(
-    inst: Instance,
-    vertices: tuple[str, ...],
-    z: Mapping[str, Fraction],
-    prev: Mapping[str, ChoiceOutcome],
-    changed: set[str],
-) -> dict[str, ChoiceOutcome]:
-    """Each vertex's choice from z, reusing its stored outcome where it can.
-
-    `prev[v]`, where present, is v's choice from an input that equals z on
-    every edge at v unless v is in `changed`.  A choice depends on nothing but
-    the vertex's input, so an equal input gives an equal outcome; a vertex
-    that changed or has no stored outcome chooses afresh.
-    """
-    out = {}
-    for v in vertices:
-        old = prev.get(v)
-        out[v] = old if old is not None and v not in changed else choose(inst, v, z)
-    return out
 
 
 def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationState:
@@ -340,31 +336,29 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     )
 
 
-def _is_stable(inst: Instance, x: Mapping[str, Fraction]) -> bool:
-    try:
-        return stability_report(inst, x).stable
-    except InstanceError:
-        return False
-
-
-def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[str, Fraction]:
-    """The firm-optimal stable assignment, guaranteed finite.
+def _solve_xmin(
+    inst: Instance, trace: Optional[list] = None
+) -> tuple[dict[str, Fraction], dict[str, ChoiceOutcome]]:
+    """The firm-optimal stable assignment and every vertex's choice there.
 
     Ordinary rounds run as long as they are productive; a stalled round is
     followed by one LP aggregation step.  The raw stable output is then
     normalized to the firm-optimal point by exhausting rotations in the
-    swapped orientation.
+    swapped orientation.  That route starts from the outcomes the rounds
+    already hold at the raw point (module docstring, (a)), and its outcomes
+    at its end are returned with x_min.
     """
     cap = _step_cap(inst)
     state = initial_state(inst)
     result: Optional[dict[str, Fraction]] = None
+    known: dict[str, ChoiceOutcome] = {}
     marker = None
     while state.round < cap:
         state = ordinary_iteration_step(inst, state)
         if trace is not None:
             trace.append(("ordinary", state.round, dict(state.y)))
         if state.terminal:
-            result = state.x
+            result, known = state.x, state.outcomes
             break
         new_marker = _progress_marker(inst, state)
         if marker is not None and not _is_productive(marker, new_marker):
@@ -372,8 +366,12 @@ def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[st
             if trace is not None:
                 trace.append(("aggregated", state.round, dict(state.y)))
             new_marker = _progress_marker(inst, state)
-            if _is_stable(inst, state.y):
-                result = state.y
+            try:
+                report = stability_report(inst, state.y, state.outcomes)
+            except InstanceError:  # not admissible or not stationary
+                report = None
+            if report is not None and report.stable:
+                result, known = state.y, report.outcomes
                 break
         marker = new_marker
     if result is None:
@@ -383,17 +381,27 @@ def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[st
     # normalize: in the swapped orientation the routes descend toward the
     # firm-optimal end of the original instance; the route's first active
     # structure rejects an unstable result (stability is side-symmetric)
-    xmin = run_route(inst.swapped(), result).states[-1]
-    return full_assignment(inst, xmin)
+    route = run_route(inst.swapped(), result, known=known)
+    return full_assignment(inst, route.states[-1]), route.outcomes
+
+
+def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[str, Fraction]:
+    """The firm-optimal stable assignment, guaranteed finite (`_solve_xmin`)."""
+    return _solve_xmin(inst, trace)[0]
 
 
 def solve_xmin(inst: Instance) -> dict[str, Fraction]:
     return solve_xmin_modified(inst)
 
 
-def solve_xmax(inst: Instance) -> dict[str, Fraction]:
-    """The worker-optimal stable assignment (terminal point of any route)."""
-    return run_route(inst, solve_xmin(inst)).states[-1]
+def solve_xmax(inst: Instance, trace: Optional[list] = None) -> dict[str, Fraction]:
+    """The worker-optimal stable assignment (terminal point of any route).
+
+    The route from x_min starts from the choices known there (module
+    docstring, (b)).  `trace` collects the rounds as in `solve_xmin_modified`.
+    """
+    xmin, known = _solve_xmin(inst, trace)
+    return run_route(inst, xmin, known=known).states[-1]
 
 
 @dataclass

@@ -122,9 +122,6 @@ class Instance:
     def vertices(self) -> tuple[str, ...]:
         return self.firms + self.workers
 
-    def is_firm(self, v: str) -> bool:
-        return v in self.firm_set
-
     def swapped(self) -> "Instance":
         """The same instance with the two sides exchanged.
 
@@ -231,12 +228,14 @@ def parse_instance(data) -> Instance:
     quota = {str(v): parse_rational(q) for v, q in raw_quotas.items()}
     corteges = {}
     for v, ties in raw_prefs.items():
-        if not isinstance(ties, list):
+        if not (isinstance(ties, list) and all(isinstance(tie, list) for tie in ties)):
             raise InstanceError(f"preferences of {v!r} must be a list of ties")
         corteges[str(v)] = [[str(eid) for eid in tie] for tie in ties]
     costs = None
     if "costs" in data and data["costs"] is not None:
-        costs = {str(eid): parse_rational(c) for eid, c in dict(data["costs"]).items()}
+        if not isinstance(data["costs"], dict):
+            raise InstanceError('"costs" must be an object mapping edge ids to rationals')
+        costs = {str(eid): parse_rational(c) for eid, c in data["costs"].items()}
     return Instance(firms, workers, edges, quota, corteges, costs)
 
 
@@ -273,8 +272,10 @@ def parse_assignment(data, inst: Instance) -> dict[str, Fraction]:
             raise InstanceError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict) or "values" not in data:
         raise InstanceError('assignment document must be {"values": {...}}')
+    if not isinstance(data["values"], dict):
+        raise InstanceError('"values" must be an object mapping edge ids to rationals')
     values = {}
-    for eid, val in dict(data["values"]).items():
+    for eid, val in data["values"].items():
         if eid not in inst.edge_by_id:
             raise InstanceError(f"unknown edge id {eid!r} in assignment")
         values[str(eid)] = parse_rational(val)

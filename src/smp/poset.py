@@ -14,9 +14,15 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .choice import choose
-from .iteration import solve_xmin
+from .iteration import _solve_xmin
 from .model import Instance, InstanceError, full_assignment
-from .rotations import Rotation, applicable_rotations, apply_shift, run_route
+from .rotations import (
+    Rotation,
+    _carried_outcomes,
+    applicable_rotations,
+    apply_shift,
+    run_route,
+)
 from .stability import stability_report
 
 RotationKey = tuple  # sorted (edge id, value) pairs — the vector identity
@@ -74,11 +80,17 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     each first in line, so the run from x_min would repeat that prefix.  The
     base route, the avoidance runs and the Hasse checks share one state cache
     (see `applicable_rotations`), so each distinct state is analysed once per
-    call; the cache is dropped when the call returns.
+    call; the cache is dropped when the call returns.  Without a given
+    `xmin`, the base route starts from the choices the solver already made
+    at x_min, and every route and Hasse witness carries them past each shift
+    (`rotations` module docstring, (b) and (c)).
     """
-    xmin = full_assignment(inst, xmin if xmin is not None else solve_xmin(inst))
+    known = None
+    if xmin is None:
+        xmin, known = _solve_xmin(inst)
+    xmin = full_assignment(inst, xmin)
     cache: dict = {}
-    base = run_route(inst, xmin, cache=cache)
+    base = run_route(inst, xmin, cache=cache, known=known)
     rotations: list[Rotation] = []
     keys: list[RotationKey] = []
     for rot, _ in base.steps:
@@ -124,11 +136,13 @@ def _verify_hasse_edge(
     assert all(poset.downset(c) - {c} <= ideal for c in ideal), "witness set not an ideal"
     lam = {c: poset.tau[c] for c in ideal}
     x = gamma(inst, poset, ClosedFunction(lam), verify=False)
-    here = {r.key() for r in applicable_rotations(inst, x, cache)[1]}
+    act, rots = applicable_rotations(inst, x, cache)
+    here = {r.key() for r in rots}
     assert poset.rotations[a].key() in here, "predecessor not applicable at witness state"
     assert poset.rotations[b].key() not in here, "successor applicable too early"
     x2 = apply_shift(inst, x, [poset.rotations[a]], [poset.tau[a]], verify=False)
-    there = {r.key() for r in applicable_rotations(inst, x2, cache)[1]}
+    known = _carried_outcomes(inst, act.outcomes, x, x2)
+    there = {r.key() for r in applicable_rotations(inst, x2, cache, known)[1]}
     assert poset.rotations[b].key() in there, "successor not enabled by predecessor"
 
 

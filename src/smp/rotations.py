@@ -10,6 +10,20 @@ balanced circulation — the rotation.  Shifting x by λ·ρ for 0 < λ ≤ τ y
 a new stable assignment strictly worse for firms, better for workers.
 Repeating full-weight shifts down to the worker optimum is a route
 (`run_route`).
+
+Every state of a route is analysed from choice outcomes, and a vertex
+chooses again only where its input may have changed.  Three equal-input
+arguments say where it has not:
+
+(a) the last proposal round's outcomes are the choices at the stable point
+    it returns (see `iteration`), and they start the route that normalises
+    that point in the swapped instance — a choice reads only the incident
+    edges, quota and ties, which `Instance.swapped` keeps;
+(b) the outcomes at the end of that route are the choices at x_min, so the
+    routes from x_min (`solve_xmax`, the base route of `build_poset`) start
+    from them;
+(c) a shift changes x only on the rotation's support, so the next state
+    keeps every outcome off the support's endpoints (`_carried_outcomes`).
 """
 
 from __future__ import annotations
@@ -70,10 +84,17 @@ class Rotation:
         return tuple(sorted((e, v) for e, v in self.values.items() if v != 0))
 
 
-def build_active_structure(inst: Instance, x: Mapping[str, Fraction]) -> ActiveStructure:
-    """Heads, potential heads and the cleaned regular vertex set at stable x."""
+def build_active_structure(
+    inst: Instance,
+    x: Mapping[str, Fraction],
+    known: Optional[Mapping[str, ChoiceOutcome]] = None,
+) -> ActiveStructure:
+    """Heads, potential heads and the cleaned regular vertex set at stable x.
+
+    `known` holds choice outcomes already known at x; see `stability_report`.
+    """
     x = full_assignment(inst, x)
-    report = stability_report(inst, x)
+    report = stability_report(inst, x, known)
     if not report.stable:
         raise InstanceError(f"assignment is not stable (blocking: {report.blocking_edges})")
     outcomes = report.outcomes
@@ -262,14 +283,16 @@ def extract_rotation(
     gen = sol.nullspace[0]
     if any(v < 0 for v in gen):
         gen = [-v for v in gen]
-    assert all(v > 0 for v in gen), "balance solution not strictly positive on the component"
+    if not all(v > 0 for v in gen):
+        raise InvariantError("balance solution not strictly positive on the component")
     values = {e: Fraction(0) for e in inst.edge_ids}
     for f in firms:
         for e in raise_edges[f]:
             values[e] = gen[var_index[f]]
     for w in workers:
         for e in drop_edges[w]:
-            assert values[e] == 0, f"edge {e!r} active on both sides"
+            if values[e] != 0:
+                raise InvariantError(f"edge {e!r} active on both sides")
             values[e] = -gen[var_index[w]]
     rot = Rotation(
         values=values,
@@ -286,18 +309,23 @@ def extract_rotation(
 def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
     for v in inst.vertices():
         total = sum((rot.values[e] for e in inst.incident[v]), Fraction(0))
-        assert total == 0, f"rotation not conserved at {v!r}"
+        if total != 0:
+            raise InvariantError(f"rotation not conserved at {v!r}")
     for f, edges in rot.raise_edges.items():
         vals = {rot.values[e] for e in edges}
-        assert len(vals) == 1 and vals.pop() > 0, f"rotation not aligned at firm {f!r}"
+        if not (len(vals) == 1 and vals.pop() > 0):
+            raise InvariantError(f"rotation not aligned at firm {f!r}")
     for w, edges in rot.drop_edges.items():
         vals = {rot.values[e] for e in edges}
-        assert len(vals) == 1 and vals.pop() < 0, f"rotation not aligned at worker {w!r}"
+        if not (len(vals) == 1 and vals.pop() < 0):
+            raise InvariantError(f"rotation not aligned at worker {w!r}")
     g = 0
-    for v in rot.values.values():
-        assert v.denominator == 1
+    for e, v in rot.values.items():
+        if v.denominator != 1:
+            raise InvariantError(f"rotation value on edge {e!r} not an integer")
         g = gcd(g, abs(int(v)))
-    assert g == 1, "rotation values not coprime"
+    if g != 1:
+        raise InvariantError("rotation values not coprime")
     # support connectivity
     support = rot.support()
     if support:
@@ -315,7 +343,8 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
                 edge = inst.edge_by_id[e]
                 if v in (edge.firm, edge.worker):
                     stack.append(edge.other(v))
-        assert seen == verts, "rotation support is disconnected"
+        if seen != verts:
+            raise InvariantError("rotation support is disconnected")
 
 
 def max_weight(
@@ -345,7 +374,8 @@ def max_weight(
                     (x[e] - x[ep]) / (abs(rot.values[e]) + rot.values[ep])
                 )
     tau = min(candidates)
-    assert tau > 0, "maximal admissible weight must be positive"
+    if tau <= 0:
+        raise InvariantError("maximal admissible weight must be positive")
     return tau
 
 
@@ -387,6 +417,7 @@ def apply_shift(
 class Route:
     states: list[dict[str, Fraction]]
     steps: list[tuple[Rotation, Fraction]]
+    outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at the last state
 
     @property
     def non_expensive(self) -> bool:
@@ -398,23 +429,48 @@ def applicable_rotations(
     inst: Instance,
     x: Mapping[str, Fraction],
     cache: Optional[dict] = None,
+    known: Optional[Mapping[str, ChoiceOutcome]] = None,
 ) -> tuple[ActiveStructure, list[Rotation]]:
     """The active structure at stable x and one rotation per sink component.
 
     `cache`, when given, maps a state (its values in edge-id order) to the
     result computed there, so a caller that revisits states builds each one
     once.  It must not outlive one instance; `build_poset` makes one per call.
+    `known` holds choice outcomes already known at x (see `stability_report`);
+    a cached state needs none.
     """
     if cache is not None:
         key = tuple(full_assignment(inst, x).values())
         if key in cache:
             return cache[key]
-    act = build_active_structure(inst, x)
+    act = build_active_structure(inst, x, known)
     comps = maximal_components(inst, act)
     result = act, [extract_rotation(inst, x, c, act) for c in comps]
     if cache is not None:
         cache[key] = result
     return result
+
+
+def _carried_outcomes(
+    inst: Instance,
+    outcomes: Mapping[str, ChoiceOutcome],
+    x: Mapping[str, Fraction],
+    xp: Mapping[str, Fraction],
+) -> dict[str, ChoiceOutcome]:
+    """The outcomes at x that stay valid at xp.
+
+    A vertex's choice reads only its incident edges, so it carries over
+    unless some edge at it has a different value in xp.  After a shift those
+    are the endpoints of the rotation's support; the analysis at xp chooses
+    again there and nowhere else.
+    """
+    moved = set()
+    for e in inst.edge_ids:
+        if x[e] != xp[e]:
+            edge = inst.edge_by_id[e]
+            moved.add(edge.firm)
+            moved.add(edge.worker)
+    return {v: out for v, out in outcomes.items() if v not in moved}
 
 
 def run_route(
@@ -423,6 +479,7 @@ def run_route(
     rng=None,
     avoid: Optional[tuple] = None,
     cache: Optional[dict] = None,
+    known: Optional[Mapping[str, ChoiceOutcome]] = None,
 ) -> Route:
     """Full-weight shifts from the stable assignment `start` to the end.
 
@@ -434,13 +491,19 @@ def run_route(
     is applicable.  `rng` (a random.Random) picks among simultaneously
     applicable rotations; by default the first, by smallest vertex id.
     `cache` is passed to `applicable_rotations` at every state.
+
+    `known` holds choice outcomes already known at `start`.  A shift changes
+    x only on the rotation's support, so each later state is analysed with
+    the previous state's outcomes carried over everywhere else
+    (`_carried_outcomes`); `choose` runs again only at the support's
+    endpoints.  `Route.outcomes` are the outcomes at the last state.
     """
     x = full_assignment(inst, start)
     states = [x]
     steps: list[tuple[Rotation, Fraction]] = []
     guard = 4 * len(inst.edges)
     while True:
-        act, options = applicable_rotations(inst, x, cache)
+        act, options = applicable_rotations(inst, x, cache, known)
         if not options:
             assert not act.active_edges(), "active edges left but no sink component"
         if avoid is not None:
@@ -448,11 +511,13 @@ def run_route(
         if not options:
             break
         rot = options[0] if rng is None else rng.choice(options)
-        x = apply_shift(inst, x, [rot], [rot.tau], verify=False)
+        xp = apply_shift(inst, x, [rot], [rot.tau], verify=False)
+        known = _carried_outcomes(inst, act.outcomes, x, xp)
+        x = xp
         states.append(x)
         steps.append((rot, rot.tau))
         if len(steps) > guard:
             raise InvariantError(f"route exceeded {guard} shifts")
     if avoid is None:
         assert len(steps) <= 2 * len(inst.edges), "route longer than twice the edge count"
-    return Route(states=states, steps=steps)
+    return Route(states=states, steps=steps, outcomes=act.outcomes)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
-from .choice import ChoiceOutcome, choose, prefers
+from .choice import ChoiceOutcome, _rechoose, prefers
 from .model import (
     Instance,
     InstanceError,
@@ -25,7 +25,11 @@ class StabilityReport:
     outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at x
 
 
-def stability_report(inst: Instance, x: Mapping[str, Fraction]) -> StabilityReport:
+def stability_report(
+    inst: Instance,
+    x: Mapping[str, Fraction],
+    known: Optional[Mapping[str, ChoiceOutcome]] = None,
+) -> StabilityReport:
     """Blocking-edge analysis of an admissible, stationary assignment.
 
     An edge blocks when it is below capacity and sits in the tail of the
@@ -33,12 +37,21 @@ def stability_report(inst: Instance, x: Mapping[str, Fraction]) -> StabilityRepo
     below-capacity edge must have a fully filled endpoint that keeps it in its
     head or strictly below its critical tie — is evaluated independently and
     the two are checked to agree (`InvariantError` otherwise).
+
+    `known` holds choice outcomes already known at x, `choose(inst, v, x)` for
+    each vertex v it names; only the other vertices choose.  The solvers pass
+    three kinds, each resting on an equal input: (a) the last proposal
+    round's outcomes at the point it returns; (b) the outcomes at the end of
+    the route that normalises that point, valid in either orientation since a
+    choice reads nothing `Instance.swapped` changes; (c) after a rotation
+    shift, the previous state's outcomes at every vertex off the shifted
+    edges.  Every check below runs on known outcomes as on fresh ones.
     """
     x = full_assignment(inst, x)
     report = validate_assignment(inst, x)
     if not (report.in_box and report.quota_feasible):
         raise InstanceError("assignment not admissible: " + "; ".join(report.violations))
-    outcomes = {v: choose(inst, v, x) for v in inst.vertices()}
+    outcomes = _rechoose(inst, inst.vertices(), x, known or {})
     for v, out in outcomes.items():
         xv = {e: x[e] for e in inst.incident[v]}
         if out.result != xv:

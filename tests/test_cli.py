@@ -241,17 +241,17 @@ def test_failed_stability_invariant_is_checked_under_optimize_flag(tmp_path, six
     zero.write_text(json.dumps({"values": {}}))
     script = (
         "import dataclasses, sys\n"
-        "import smp.stability\n"
+        "import smp.choice\n"
         "from smp.cli import main\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
-        "choose = smp.stability.choose\n"
+        "choose = smp.choice.choose\n"
         "def drop_one(inst, v, z):\n"
         "    out = choose(inst, v, z)\n"
         "    if not out.tail:\n"
         "        return out\n"
         "    return dataclasses.replace(out, tail=out.tail - {min(out.tail)})\n"
-        "smp.stability.choose = drop_one\n"
+        "smp.choice.choose = drop_one\n"
         "sys.exit(main(['check', sys.argv[1], sys.argv[2]]))\n"
     )
     src = str(Path(smp.__file__).resolve().parent.parent)
@@ -278,6 +278,67 @@ def test_failed_rotation_invariant_is_exit_4(capsys, monkeypatch, six_cycle_file
     doc = json.loads(out)
     assert list(doc) == ["error"]
     assert "nullspace has dimension 0" in doc["error"]
+
+def test_failed_rotation_check_is_exit_4_under_optimize_flag(six_cycle_file):
+    # a balance solve that returns twice the generator plants a rotation whose
+    # values are not coprime; the check must fire with assertions stripped
+    script = (
+        "import sys\n"
+        "import smp.rotations\n"
+        "from smp.cli import main\n"
+        "from smp.linalg import LinearSolution\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "solve = smp.rotations.gaussian_solve\n"
+        "def doubled(rows, rhs):\n"
+        "    sol = solve(rows, rhs)\n"
+        "    return LinearSolution(sol.status, sol.solution, [[2 * v for v in vec] for vec in sol.nullspace])\n"
+        "smp.rotations.gaussian_solve = doubled\n"
+        "sys.exit(main(['poset', sys.argv[1]]))\n"
+    )
+    src = str(Path(smp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, six_cycle_file],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "rotation values not coprime"}
+
+
+@pytest.mark.parametrize("values", [[1, 2], "e1", 3])
+def test_non_object_assignment_values_are_a_domain_error(capsys, tmp_path, triangle_file, values):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"values": values}))
+    code, out = run_cli(capsys, "check", triangle_file, str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": '"values" must be an object mapping edge ids to rationals'}
+
+
+@pytest.mark.parametrize("costs", [[1, 2], "e1", 3])
+@pytest.mark.parametrize("command", ["check", "solve", "rotations", "poset", "mincost", "enumerate", "verify"])
+def test_non_object_instance_costs_are_a_domain_error(capsys, tmp_path, command, costs):
+    doc = serialize_instance(triangle_instance(F(8), F(15)))
+    doc["costs"] = costs
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"values": {}}))
+    code, out = run_cli(capsys, command, str(path), *([str(x)] if command == "check" else []))
+    assert code == 1
+    assert json.loads(out) == {"error": '"costs" must be an object mapping edge ids to rationals'}
+
+def test_non_list_tie_is_a_domain_error(capsys, tmp_path):
+    doc = serialize_instance(triangle_instance(F(8), F(15)))
+    first = sorted(doc["preferences"])[0]
+    doc["preferences"][first] = [7]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": f"preferences of {first!r} must be a list of ties"}
+
 
 # SHA-256 of `smp solve --trace` on aggregating rand_marriage(Random(seed), 4,
 # cap=2, tie_prob=0.5) instances; the trace prints each aggregated point, so

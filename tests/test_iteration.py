@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smp.choice
 import smp.iteration
 from smp import (
     InstanceError,
@@ -223,16 +224,33 @@ def test_stored_outcomes_match_fresh_choices(seed, tied):
 def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
     """An ordinary round chooses at the vertices whose input changed since their
     stored choice or that have none, an aggregation step at the fully filled
-    workers it carries over, and nothing else chooses."""
+    workers it carries over, and nothing else chooses outside the stability
+    tests and the normalising route (their calls are tagged apart; the carry
+    tests in test_poset.py count them)."""
     inst = rand_marriage(random.Random(0), 4, cap=2, tie_prob=0.5)
     rounds = _recorded_rounds(monkeypatch)
     calls = []  # the index of the round each call is made in
+    analysing = []
 
     def counting_choose(inst, v, z):
-        calls.append(len(rounds))
+        calls.append("analysis" if analysing else len(rounds))
         return choose(inst, v, z)
 
+    def tagged(fn):
+        def run(*args, **kwargs):
+            analysing.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                analysing.pop()
+
+        return run
+
+    # the rounds choose through `choice._rechoose`, the aggregation step directly
+    monkeypatch.setattr(smp.choice, "choose", counting_choose)
     monkeypatch.setattr(smp.iteration, "choose", counting_choose)
+    for name in ("stability_report", "run_route"):
+        monkeypatch.setattr(smp.iteration, name, tagged(getattr(smp.iteration, name)))
     solve_xmin_modified(inst)
     expected = []
     firm_input = None  # the bounds the stored firm choices were made from
@@ -256,4 +274,5 @@ def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
     carried = [len(after.fully_workers) for kind, _, after in rounds if kind == "aggregated"]
     ordinary = len(rounds) - len(carried)
     assert carried
-    assert len(calls) < ordinary * len(inst.vertices()) + sum(carried)
+    rounds_calls = len(calls) - calls.count("analysis")
+    assert rounds_calls < ordinary * len(inst.vertices()) + sum(carried)

@@ -1,10 +1,17 @@
 """Rotation poset, closed weight functions and the lattice of stable points."""
 
 import random
+import sys
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import smp.choice
+import smp.iteration
+import smp.poset
+import smp.rotations
 from smp import (
     ClosedFunction,
     InstanceError,
@@ -17,11 +24,13 @@ from smp import (
     is_closed,
     omega,
     run_route,
+    solve_xmax,
     solve_xmin,
     stability_report,
     stable_join_workers,
     stable_meet_workers,
 )
+from smp.choice import choose
 
 from gen import chained_instance, rand_marriage, six_cycle_instance, triangle_instance
 
@@ -246,9 +255,9 @@ def test_build_poset_builds_each_state_once(monkeypatch):
     real = smp.rotations.build_active_structure
     built = []
 
-    def counting(inst, x):
+    def counting(inst, x, known=None):
         built.append(tuple(full_assignment(inst, x).values()))
-        return real(inst, x)
+        return real(inst, x, known)
 
     monkeypatch.setattr(smp.rotations, "build_active_structure", counting)
     insts = [triangle_instance(F(8), F(15))] + _multi_rotation_marriages(7, 1)
@@ -265,3 +274,124 @@ def test_build_poset_builds_each_state_once(monkeypatch):
         again = build_poset(inst, xmin)
         assert built == first
         assert [r.key() for r in again.rotations] == [r.key() for r in poset.rotations]
+
+
+# -- choice outcomes carried along solve -> route -> poset ---------------------
+
+
+def _carry_instance(kind, seed, k):
+    if kind == "chain":
+        scale = 4 ** (k - 1)
+        return chained_instance(k, F(8 * scale), F(15 * scale))
+    if kind == "tied":
+        return rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5)
+    return rand_marriage(random.Random(seed), 6, cap=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["tied", "strict", "chain"]),
+    seed=st.integers(0, 10**6),
+    k=st.integers(2, 5),
+)
+def test_carried_outcomes_equal_fresh_choices(kind, seed, k):
+    """Every state the solver, the poset's routes and Hasse witnesses and
+    solve_xmax analyse is analysed from outcomes equal to fresh choices."""
+    inst = _carry_instance(kind, seed, k)
+    carried = []  # per analysis: how many outcomes were known beforehand
+
+    def checked(real):
+        def report(inst, x, known=None):
+            out = real(inst, x, known)
+            x = full_assignment(inst, x)
+            assert out.outcomes == {v: choose(inst, v, x) for v in inst.vertices()}
+            carried.append(len(known or {}))
+            return out
+
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (smp.iteration, smp.rotations):
+            mp.setattr(mod, "stability_report", checked(mod.stability_report))
+        build_poset(inst)
+        solve_xmax(inst)
+    assert any(carried)
+
+
+def _record_choose(mp, calls):
+    """Append (vertex, offer in edge-id order) for every `choose` call."""
+    real = smp.choice.choose
+
+    def counting(inst, v, z):
+        calls.append((v, tuple(z.get(e, 0) for e in inst.edge_ids)))
+        return real(inst, v, z)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "smp" and getattr(mod, "choose", None) is real:
+            mp.setattr(mod, "choose", counting)
+
+
+def _carry_count_instances():
+    return (
+        [triangle_instance(F(8), F(15)), chained_instance(3, F(8 * 16), F(15 * 16))]
+        + _multi_rotation_marriages(6, 2)
+        + [rand_marriage(random.Random(0), 4, cap=2, tie_prob=0.5)]
+    )
+
+
+def test_build_poset_does_not_choose_again_at_xmin():
+    """The base route starts from the solver's choices at x_min, and outside
+    its rounds the solver chooses at x_min at most once per vertex."""
+    for inst in _carry_count_instances():
+        calls, rounds, poset_start = [], [], []
+        with pytest.MonkeyPatch.context() as mp:
+            _record_choose(mp, calls)
+            for name in ("ordinary_iteration_step", "_big_iteration"):
+
+                def in_round(inst, state, step=getattr(smp.iteration, name)):
+                    start = len(calls)
+                    after = step(inst, state)
+                    rounds.extend(range(start, len(calls)))
+                    return after
+
+                mp.setattr(smp.iteration, name, in_round)
+
+            def poset_route(*args, route=smp.poset.run_route, **kwargs):
+                if not poset_start:
+                    poset_start.append(len(calls))
+                return route(*args, **kwargs)
+
+            mp.setattr(smp.poset, "run_route", poset_route)
+            poset = build_poset(inst)
+        key = tuple(poset.xmin[e] for e in inst.edge_ids)
+        at_xmin = [i for i, (v, z) in enumerate(calls) if z == key and i not in set(rounds)]
+        assert [calls[i][0] for i in at_xmin if i >= poset_start[0]] == []
+        solver = [calls[i][0] for i in at_xmin if i < poset_start[0]]
+        assert len(solver) == len(set(solver))
+
+
+def test_route_step_chooses_only_on_the_rotation_support():
+    """A route chooses at its start where nothing is known, and after each
+    shift exactly once at each endpoint of the applied rotation's support."""
+    partial = False
+    insts = _carry_count_instances()
+    for with_known in (False, True):
+        for inst in insts:
+            xmin = solve_xmin(inst)
+            known = stability_report(inst, xmin).outcomes if with_known else None
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                _record_choose(mp, calls)
+                route = run_route(inst, xmin, **({"known": known} if known else {}))
+            chosen = defaultdict(list)
+            for v, z in calls:
+                chosen[z].append(v)
+            keys = [tuple(x.values()) for x in route.states]
+            assert set(chosen) <= set(keys)
+            assert sorted(chosen[keys[0]]) == ([] if known else sorted(inst.vertices()))
+            for key, (rot, _) in zip(keys[1:], route.steps):
+                edges = [inst.edge_by_id[e] for e in rot.support()]
+                ends = {e.firm for e in edges} | {e.worker for e in edges}
+                assert sorted(chosen[key]) == sorted(ends)
+                partial |= ends != set(inst.vertices())
+    assert partial, "no rotation left a vertex untouched"

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from smp import (
+    InvariantError,
     apply_shift,
     build_active_structure,
     compare_stable,
@@ -169,3 +170,13 @@ def test_rotation_invariants_on_random_marriage_instances():
                     (rot.values.get(e, F(0)) for e in inst.incident[v]), F(0)
                 )
                 assert change == 0, "rotation must preserve every vertex load"
+
+
+def test_nonpositive_max_weight_is_an_invariant_error():
+    # a rotation dropping on an edge that carries nothing admits no shift
+    inst, x, act, comps = triangle_setup(F(8), F(15))
+    rot = extract_rotation(inst, x, comps[0], act)
+    dropped = next(e for e, v in rot.values.items() if v < 0)
+    y = dict(full_assignment(inst, x), **{dropped: F(0)})
+    with pytest.raises(InvariantError, match="maximal admissible weight must be positive"):
+        max_weight(inst, y, rot, act)
