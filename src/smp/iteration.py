@@ -16,6 +16,30 @@ calls `choose` again only at the vertices whose input changed since the
 previous round (`choice._rechoose`); the progress marker and the aggregation
 LP read their heads and critical ties from there instead of choosing again.
 
+A round also touches only the edges at the vertices that choose again.  It
+starts from copies of the previous x, y and bounds and writes each fresh
+outcome into them.  A vertex that does not choose again keeps its stored
+outcome, whose result its edges already hold: the previous round built x
+and y from those results.  After an aggregation step no firm outcome is
+stored, so every firm chooses again and every edge is touched; each stored
+worker outcome is a choice from y at a worker the LP keeps exactly filled,
+and a choice from an offer that sums to the quota returns the offer.  Then:
+
+* The firms to choose again are those of the previous round's cut edges
+  (`IterationState.cut`, the edges with y != x), since a bound dropped
+  exactly there; the workers are those at which a fresh firm moved x.
+* A worker that did not choose again has y = x on all its edges, so every
+  cut edge lies at a fresh worker.  An edge cut in the previous round had
+  its bound lowered to y < x, so its firm chose again and x dropped below
+  the old value there, and its worker chose again too.  A worker with no
+  such edge had y = x on its edges before, and neither side moved.
+* b, x and y change only at fresh vertices' edges, so the check
+  b >= x >= y >= 0 runs there; every other edge keeps values that already
+  passed it.  `terminal` is still the full compare y == x, cross-checked
+  against an empty cut.
+* The progress marker marks again only the firms at which x or the bounds
+  changed (`IterationState.changed_firms`).
+
 The outcomes travel on past the rounds, each time by an equal-input argument
 (the same three as in `rotations`):
 
@@ -85,6 +109,10 @@ class IterationState:
     fully_firms: frozenset[str] = frozenset()
     fully_workers: frozenset[str] = frozenset()
     outcomes: dict[str, ChoiceOutcome] = field(default_factory=dict)
+    # the edges with y != x, and the firms at which x or the bounds differ
+    # from the previous state's
+    cut: frozenset[str] = frozenset()
+    changed_firms: frozenset[str] = frozenset()
 
 
 def initial_state(inst: Instance) -> IterationState:
@@ -100,30 +128,47 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
     """One proposal/cut round: firms take up to the bounds, workers cut back.
 
     Wherever the workers' cut bites, the bound drops to the cut value, so
-    firms cannot re-propose what was refused.
+    firms cannot re-propose what was refused.  The round touches only the
+    edges at the vertices that choose again (module docstring).
     """
     b = state.bounds
     edge = inst.edge_by_id
+    prev = state.outcomes
     # The stored firm choices were made from the previous round's bounds, and
-    # that round lowered a bound exactly where y != x (y <= x <= b, so y < b
-    # there).  A firm with no such edge sees the same bounds as before.
-    lowered = {edge[e].firm for e in inst.edge_ids if state.y[e] != state.x[e]}
-    outcomes = _rechoose(inst, inst.firms, b, state.outcomes, lowered)
-    x: dict[str, Fraction] = {}
-    for f in inst.firms:
-        x.update(outcomes[f].result)
+    # that round lowered a bound exactly on its cut edges.  A firm with no
+    # such edge sees the same bounds as before.
+    lowered = {edge[e].firm for e in state.cut}
+    outcomes = _rechoose(inst, inst.firms, b, prev, lowered)
+    fresh_firms = [f for f in inst.firms if outcomes[f] is not prev.get(f)]
+    x = dict(state.x)
+    moved: set[str] = set()  # the workers at which x changed
+    changed: set[str] = set()  # the firms at which x or the bounds changed
+    for f in fresh_firms:
+        for e, val in outcomes[f].result.items():
+            if val != x[e]:
+                x[e] = val
+                moved.add(edge[e].worker)
+                changed.add(f)
     # the stored worker choices were made from the previous x
-    moved = {edge[e].worker for e in inst.edge_ids if x[e] != state.x[e]}
-    outcomes.update(_rechoose(inst, inst.workers, x, state.outcomes, moved))
-    y: dict[str, Fraction] = {}
-    for w in inst.workers:
+    outcomes.update(_rechoose(inst, inst.workers, x, prev, moved))
+    fresh_workers = [w for w in inst.workers if outcomes[w] is not prev.get(w)]
+    y = dict(state.y)
+    for w in fresh_workers:
         y.update(outcomes[w].result)
-    new_bounds = {
-        eid: (b[eid] if y[eid] == x[eid] else y[eid]) for eid in inst.edge_ids
-    }
-    for eid in inst.edge_ids:
+    cut = frozenset(e for w in fresh_workers for e in inst.incident[w] if y[e] != x[e])
+    new_bounds = dict(b)
+    for e in cut:
+        new_bounds[e] = y[e]
+        changed.add(edge[e].firm)
+    # b, x and y can have changed only here; every other edge keeps values
+    # that passed this check in an earlier round
+    touched = {e for v in fresh_firms + fresh_workers for e in inst.incident[v]}
+    for eid in touched:
         if not (b[eid] >= x[eid] >= y[eid] >= 0 and b[eid] >= new_bounds[eid]):
             raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {eid!r}")
+    terminal = y == x
+    if terminal != (not cut):
+        raise InvariantError("round's cut edges disagree with y != x")
     # a choice that is not in deficit sums to exactly the quota
     full = frozenset(v for v, out in outcomes.items() if not out.deficit)
     return IterationState(
@@ -131,10 +176,12 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
         bounds=new_bounds,
         x=x,
         y=y,
-        terminal=(y == x),
+        terminal=terminal,
         fully_firms=full & inst.firm_set,
         fully_workers=full & inst.worker_set,
         outcomes=outcomes,
+        cut=cut,
+        changed_firms=frozenset(changed),
     )
 
 
@@ -143,8 +190,13 @@ def _reduced_edges(inst: Instance, bounds: Mapping[str, Fraction], f: str) -> fr
     return frozenset(e for e in inst.incident[f] if bounds[e] < inst.edge_by_id[e].capacity)
 
 
-def _progress_marker(inst: Instance, state: IterationState):
+def _progress_marker(inst: Instance, state: IterationState, prev=None):
     """The monotone quantities whose growth makes a round 'productive'.
+
+    A firm f is marked by the edges where x reaches the capacity or the bound
+    is below it.  Given `prev`, the marker of the previous state, only the
+    firms in `state.changed_firms` are marked again; the others keep their
+    sets, since their x and bounds did not change.
 
     A fully filled worker w is marked by the critical tie and head of its
     choice from y.  After an aggregation step the stored outcome is that
@@ -157,11 +209,11 @@ def _progress_marker(inst: Instance, state: IterationState):
     {e in c : x_e >= r} is nonempty; and the new head {e : min(r, x_e) >= r}
     is the old one.
     """
-    stuck = {
-        f: frozenset(e for e in inst.incident[f] if state.x[e] == inst.edge_by_id[e].capacity)
-        | _reduced_edges(inst, state.bounds, f)
-        for f in inst.firms
-    }
+    stuck = {} if prev is None else dict(prev[0])
+    for f in inst.firms if prev is None else state.changed_firms:
+        stuck[f] = frozenset(
+            e for e in inst.incident[f] if state.x[e] == inst.edge_by_id[e].capacity
+        ) | _reduced_edges(inst, state.bounds, f)
     worker_view = {
         w: (state.outcomes[w].critical_tie, state.outcomes[w].head)
         for w in state.fully_workers
@@ -333,6 +385,7 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         fully_firms=state.fully_firms,
         fully_workers=state.fully_workers,
         outcomes={w: choose(inst, w, yp) for w in worker_head},
+        changed_firms=inst.firm_set,
     )
 
 
@@ -360,12 +413,12 @@ def _solve_xmin(
         if state.terminal:
             result, known = state.x, state.outcomes
             break
-        new_marker = _progress_marker(inst, state)
+        new_marker = _progress_marker(inst, state, marker)
         if marker is not None and not _is_productive(marker, new_marker):
             state = _big_iteration(inst, state)
             if trace is not None:
                 trace.append(("aggregated", state.round, dict(state.y)))
-            new_marker = _progress_marker(inst, state)
+            new_marker = _progress_marker(inst, state, new_marker)
             try:
                 report = stability_report(inst, state.y, state.outcomes)
             except InstanceError:  # not admissible or not stationary
@@ -481,12 +534,14 @@ def solve_quota_filling(inst: Instance) -> QuotaFillingResult:
     extended = build_extended_instance(inst)
     ext = extended.ext
     y0 = extended.seed()
-    assert stability_report(ext, y0).stable, "depot seed unexpectedly unstable"
+    if not stability_report(ext, y0).stable:
+        raise InvariantError("depot seed unexpectedly unstable")
     ymax = run_route(ext, y0).states[-1]
     side = extended.firm_side_edges + extended.worker_side_edges
     if any(ymax[e] != 0 for e in side):
         return QuotaFillingResult(quota_filling=False, assignment=None)
     x = {eid: ymax[eid] for eid in inst.edge_ids}
     report = stability_report(inst, x)
-    assert report.stable and report.deficit == frozenset()
+    if not (report.stable and report.deficit == frozenset()):
+        raise InvariantError("restricted worker optimum not stable and quota filling")
     return QuotaFillingResult(quota_filling=True, assignment=x)

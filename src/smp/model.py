@@ -9,6 +9,7 @@ float.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import dataclass, field
@@ -127,16 +128,16 @@ class Instance:
 
         Edge ids, capacities, quotas and corteges are untouched; only the
         firm/worker roles flip.  Used to run the rotation machinery "in
-        reverse" (toward the firm-optimal end).
+        reverse" (toward the firm-optimal end).  Every validated table that
+        does not name a side (quotas, ties, costs, incidence, tie indices,
+        the canonical edge order) is shared, so nothing is validated again.
         """
-        return Instance(
-            firms=self.workers,
-            workers=self.firms,
-            edges=[Edge(e.id, e.worker, e.firm, e.capacity) for e in self.edges],
-            quota=self.quota,
-            corteges=self.corteges,
-            costs=self.costs,
-        )
+        other = copy.copy(self)
+        other.firms, other.workers = self.workers, self.firms
+        other.firm_set, other.worker_set = self.worker_set, self.firm_set
+        other.edges = tuple(Edge(e.id, e.worker, e.firm, e.capacity) for e in self.edges)
+        other.edge_by_id = {e.id: e for e in other.edges}
+        return other
 
     def _validate(self) -> None:
         firms, workers = set(self.firms), set(self.workers)

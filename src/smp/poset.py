@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 from .choice import choose
 from .iteration import _solve_xmin
-from .model import Instance, InstanceError, full_assignment
+from .model import Instance, InstanceError, InvariantError, full_assignment
 from .rotations import (
     Rotation,
     _carried_outcomes,
@@ -133,17 +133,22 @@ def _verify_hasse_edge(
 ) -> None:
     """Direct witness that ρ_a immediately precedes ρ_b."""
     ideal = poset.downset(b) - {a, b}
-    assert all(poset.downset(c) - {c} <= ideal for c in ideal), "witness set not an ideal"
+    if not all(poset.downset(c) - {c} <= ideal for c in ideal):
+        raise InvariantError("witness set not an ideal")
     lam = {c: poset.tau[c] for c in ideal}
     x = gamma(inst, poset, ClosedFunction(lam), verify=False)
     act, rots = applicable_rotations(inst, x, cache)
     here = {r.key() for r in rots}
-    assert poset.rotations[a].key() in here, "predecessor not applicable at witness state"
-    assert poset.rotations[b].key() not in here, "successor applicable too early"
-    x2 = apply_shift(inst, x, [poset.rotations[a]], [poset.tau[a]], verify=False)
-    known = _carried_outcomes(inst, act.outcomes, x, x2)
+    pred, succ = poset.rotations[a], poset.rotations[b]
+    if pred.key() not in here:
+        raise InvariantError("predecessor not applicable at witness state")
+    if succ.key() in here:
+        raise InvariantError("successor applicable too early")
+    x2 = apply_shift(inst, x, [pred], [poset.tau[a]], verify=False)
+    known = _carried_outcomes(inst, act.outcomes, pred.support())
     there = {r.key() for r in applicable_rotations(inst, x2, cache, known)[1]}
-    assert poset.rotations[b].key() in there, "successor not enabled by predecessor"
+    if succ.key() not in there:
+        raise InvariantError("successor not enabled by predecessor")
 
 
 def gamma(

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .choice import ChoiceOutcome
 from .linalg import gaussian_solve
@@ -454,22 +454,20 @@ def applicable_rotations(
 def _carried_outcomes(
     inst: Instance,
     outcomes: Mapping[str, ChoiceOutcome],
-    x: Mapping[str, Fraction],
-    xp: Mapping[str, Fraction],
+    support: Iterable[str],
 ) -> dict[str, ChoiceOutcome]:
-    """The outcomes at x that stay valid at xp.
+    """The outcomes at x that stay valid after a shift on `support`.
 
     A vertex's choice reads only its incident edges, so it carries over
-    unless some edge at it has a different value in xp.  After a shift those
-    are the endpoints of the rotation's support; the analysis at xp chooses
-    again there and nowhere else.
+    unless some edge at it changed value.  A shift by a positive weight
+    changes x exactly on the rotation's support; the analysis after it
+    chooses again at the support's endpoints and nowhere else.
     """
     moved = set()
-    for e in inst.edge_ids:
-        if x[e] != xp[e]:
-            edge = inst.edge_by_id[e]
-            moved.add(edge.firm)
-            moved.add(edge.worker)
+    for e in support:
+        edge = inst.edge_by_id[e]
+        moved.add(edge.firm)
+        moved.add(edge.worker)
     return {v: out for v, out in outcomes.items() if v not in moved}
 
 
@@ -512,7 +510,7 @@ def run_route(
             break
         rot = options[0] if rng is None else rng.choice(options)
         xp = apply_shift(inst, x, [rot], [rot.tau], verify=False)
-        known = _carried_outcomes(inst, act.outcomes, x, xp)
+        known = _carried_outcomes(inst, act.outcomes, rot.support())
         x = xp
         states.append(x)
         steps.append((rot, rot.tau))

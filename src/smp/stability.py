@@ -13,6 +13,7 @@ from .model import (
     InvariantError,
     full_assignment,
     validate_assignment,
+    vertex_load,
 )
 
 
@@ -46,15 +47,25 @@ def stability_report(
     choice reads nothing `Instance.swapped` changes; (c) after a rotation
     shift, the previous state's outcomes at every vertex off the shifted
     edges.  Every check below runs on known outcomes as on fresh ones.
+
+    Admissibility with `known`: a choice never exceeds the quota, so a
+    vertex whose known outcome equals x on its edges (stationarity, checked
+    below) is quota-feasible.  The box is screened per edge and loads are
+    summed only at the vertices that choose afresh; a vertex whose known
+    outcome is not stationary may hide an overload, so any failure, of
+    admissibility or of stationarity, runs the full `validate_assignment`
+    first and reports exactly what a call without `known` reports.  Without
+    `known` the full validation runs up front, before any choice.
     """
     x = full_assignment(inst, x)
-    report = validate_assignment(inst, x)
-    if not (report.in_box and report.quota_feasible):
-        raise InstanceError("assignment not admissible: " + "; ".join(report.violations))
+    if not (known and _screen_admissible(inst, x, known)):
+        _require_admissible(inst, x)
     outcomes = _rechoose(inst, inst.vertices(), x, known or {})
     for v, out in outcomes.items():
         xv = {e: x[e] for e in inst.incident[v]}
         if out.result != xv:
+            if known:
+                _require_admissible(inst, x)
             raise InstanceError(f"assignment not stationary at vertex {v!r}")
 
     blocking = []
@@ -91,6 +102,26 @@ def stability_report(
         deficit=frozenset(inst.vertices()) - fully,
         outcomes=outcomes,
     )
+
+
+def _require_admissible(inst: Instance, x: Mapping[str, Fraction]) -> None:
+    report = validate_assignment(inst, x)
+    if not (report.in_box and report.quota_feasible):
+        raise InstanceError("assignment not admissible: " + "; ".join(report.violations))
+
+
+def _screen_admissible(
+    inst: Instance, x: Mapping[str, Fraction], known: Mapping[str, ChoiceOutcome]
+) -> bool:
+    """x lies in the box, and no vertex missing from `known` is overloaded."""
+    for e in inst.edges:
+        val = x[e.id]
+        if val < 0 or (e.capacity is not None and val > e.capacity):
+            return False
+    for v in inst.vertices():
+        if v not in known and vertex_load(inst, x, v) > inst.quota[v]:
+            return False
+    return True
 
 
 @dataclass

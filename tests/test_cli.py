@@ -211,6 +211,17 @@ def test_failed_invariant_is_exit_4(capsys, monkeypatch, aggregating_file):
     assert json.loads(out) == {"error": "aggregation LP infeasible"}
 
 
+def _run_optimized(script, *args):
+    """Run `script` under `python -O` with this checkout's `smp` importable."""
+    src = str(Path(smp.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def test_failed_invariant_is_checked_under_optimize_flag(aggregating_file):
     script = (
         "import sys\n"
@@ -222,13 +233,7 @@ def test_failed_invariant_is_checked_under_optimize_flag(aggregating_file):
         "smp.iteration.simplex_maximize = lambda lp: LPResult('infeasible')\n"
         "sys.exit(main(['solve', sys.argv[1]]))\n"
     )
-    src = str(Path(smp.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, aggregating_file],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = _run_optimized(script, aggregating_file)
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": "aggregation LP infeasible"}
 
@@ -254,13 +259,7 @@ def test_failed_stability_invariant_is_checked_under_optimize_flag(tmp_path, six
         "smp.choice.choose = drop_one\n"
         "sys.exit(main(['check', sys.argv[1], sys.argv[2]]))\n"
     )
-    src = str(Path(smp.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, six_cycle_file, str(zero)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = _run_optimized(script, six_cycle_file, str(zero))
     assert proc.returncode == 4, proc.stderr
     doc = json.loads(proc.stdout)
     assert list(doc) == ["error"]
@@ -296,15 +295,80 @@ def test_failed_rotation_check_is_exit_4_under_optimize_flag(six_cycle_file):
         "smp.rotations.gaussian_solve = doubled\n"
         "sys.exit(main(['poset', sys.argv[1]]))\n"
     )
-    src = str(Path(smp.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, six_cycle_file],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = _run_optimized(script, six_cycle_file)
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": "rotation values not coprime"}
+
+
+@pytest.mark.parametrize(
+    "planted, message",
+    [
+        ("'__depot_firm' in inst.quota", "depot seed unexpectedly unstable"),
+        ("'__depot_firm' not in inst.quota", "restricted worker optimum not stable and quota filling"),
+    ],
+    ids=["depot seed", "restriction"],
+)
+def test_quota_filling_checks_fire_under_optimize_flag(tmp_path, planted, message):
+    # a stability report that calls the depot seed, or the restriction of the
+    # extension's worker optimum, unstable must stop the solve with exit 4
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps(serialize_instance(rand_marriage(random.Random(2), 3, cap=1))))
+    script = (
+        "import dataclasses, sys\n"
+        "import smp.iteration\n"
+        "from smp.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "report = smp.iteration.stability_report\n"
+        "def planted(inst, x, known=None):\n"
+        "    out = report(inst, x, known)\n"
+        f"    return dataclasses.replace(out, stable=False) if {planted} else out\n"
+        "smp.iteration.stability_report = planted\n"
+        "sys.exit(main(['solve', sys.argv[1], '--method', 'quota-filling']))\n"
+    )
+    proc = _run_optimized(script, str(path))
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout) == {"error": message}
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        # no rotation applicable at the witness state
+        ("smp.poset.applicable_rotations = lambda *a, **k: (real(*a, **k)[0], [])",
+         "predecessor not applicable at witness state"),
+        # the witness state also offers every rotation one shift further on
+        ("def early(inst, x, cache=None, known=None):\n"
+         "    act, rots = real(inst, x, cache, known)\n"
+         "    if known is not None:  # the state after the predecessor's shift\n"
+         "        return act, rots\n"
+         "    shifted = [smp.poset.apply_shift(inst, x, [r], [r.tau], verify=False) for r in rots]\n"
+         "    return act, rots + [s for y in shifted for s in real(inst, y)[1]]\n"
+         "smp.poset.applicable_rotations = early",
+         "successor applicable too early"),
+        # the shift along the predecessor leaves the witness state unchanged
+        ("smp.poset.apply_shift = lambda inst, x, *a, **k: dict(x)",
+         "successor not enabled by predecessor"),
+    ],
+    ids=["predecessor applicable", "successor too early", "successor enabled"],
+)
+def test_hasse_witness_checks_fire_under_optimize_flag(tmp_path, plant, message):
+    path = tmp_path / "m4.json"
+    # a strict 4 x 4 marriage whose poset has the Hasse edge (0, 1)
+    path.write_text(json.dumps(serialize_instance(rand_marriage(random.Random(4), 4, cap=1))))
+    script = (
+        "import sys\n"
+        "import smp.poset\n"
+        "from smp.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "real = smp.poset.applicable_rotations\n"
+        f"{plant}\n"
+        "sys.exit(main(['poset', sys.argv[1]]))\n"
+    )
+    proc = _run_optimized(script, str(path))
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout) == {"error": message}
 
 
 @pytest.mark.parametrize("values", [[1, 2], "e1", 3])

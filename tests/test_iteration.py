@@ -1,5 +1,6 @@
 """Side-optimal solvers: proposal/cut rounds, LP aggregation, quota filling."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -21,12 +22,15 @@ from smp import (
     stability_report,
     vertex_load,
 )
-from smp.choice import choose
+from smp.choice import _rechoose, choose
 from smp.bruteforce import oracle_enumerate_stable
+from smp.iteration import IterationState, _reduced_edges
+from smp.model import InvariantError
 
 from gen import (
     SIX_CYCLE_STABLE_EVEN,
     SIX_CYCLE_STABLE_ODD,
+    chained_instance,
     rand_marriage,
     random_instance,
     six_cycle_instance,
@@ -276,3 +280,139 @@ def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
     assert carried
     rounds_calls = len(calls) - calls.count("analysis")
     assert rounds_calls < ordinary * len(inst.vertices()) + sum(carried)
+
+
+def reference_step(inst, state):
+    """The dense round body that `ordinary_iteration_step` replaced.
+
+    It scans every edge for the lowered firms, the moved workers, the new
+    bounds and the b >= x >= y >= 0 check, and rebuilds x and y from every
+    vertex's outcome.  It sets no `cut` or `changed_firms`.
+    """
+    b = state.bounds
+    edge = inst.edge_by_id
+    lowered = {edge[e].firm for e in inst.edge_ids if state.y[e] != state.x[e]}
+    outcomes = _rechoose(inst, inst.firms, b, state.outcomes, lowered)
+    x = {}
+    for f in inst.firms:
+        x.update(outcomes[f].result)
+    moved = {edge[e].worker for e in inst.edge_ids if x[e] != state.x[e]}
+    outcomes.update(_rechoose(inst, inst.workers, x, state.outcomes, moved))
+    y = {}
+    for w in inst.workers:
+        y.update(outcomes[w].result)
+    new_bounds = {
+        eid: (b[eid] if y[eid] == x[eid] else y[eid]) for eid in inst.edge_ids
+    }
+    for eid in inst.edge_ids:
+        if not (b[eid] >= x[eid] >= y[eid] >= 0 and b[eid] >= new_bounds[eid]):
+            raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {eid!r}")
+    full = frozenset(v for v, out in outcomes.items() if not out.deficit)
+    return IterationState(
+        round=state.round + 1,
+        bounds=new_bounds,
+        x=x,
+        y=y,
+        terminal=(y == x),
+        fully_firms=full & inst.firm_set,
+        fully_workers=full & inst.worker_set,
+        outcomes=outcomes,
+    )
+
+
+def reference_marker(inst, state):
+    """The progress marker with every firm's set computed afresh."""
+    stuck = {
+        f: frozenset(e for e in inst.incident[f] if state.x[e] == inst.edge_by_id[e].capacity)
+        | _reduced_edges(inst, state.bounds, f)
+        for f in inst.firms
+    }
+    worker_view = {
+        w: (state.outcomes[w].critical_tie, state.outcomes[w].head)
+        for w in state.fully_workers
+    }
+    return stuck, state.fully_workers, worker_view
+
+
+REFERENCE_FIELDS = ("round", "bounds", "x", "y", "terminal", "fully_firms", "fully_workers", "outcomes")
+
+
+def _family_instance(family, seed):
+    if family == "tied":
+        return rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5)
+    if family == "strict":
+        return rand_marriage(random.Random(seed), 6, cap=1)
+    k = 3 + seed % 3
+    r = 1 + seed % 2
+    return chained_instance(k, F(r * 8 * 4 ** (k - 1)), F(r * 15 * 4 ** (k - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), family=st.sampled_from(["tied", "strict", "chain"]))
+def test_sparse_rounds_match_the_dense_reference(seed, family):
+    inst = _family_instance(family, seed)
+    markers = []
+    marker = smp.iteration._progress_marker
+
+    def recorded_marker(inst, state, prev=None):
+        out = marker(inst, state, prev)
+        markers.append((state, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        rounds = _recorded_rounds(mp)
+        mp.setattr(smp.iteration, "_progress_marker", recorded_marker)
+        solve_xmin_modified(inst)
+    assert any(kind == "ordinary" for kind, _, _ in rounds)
+    for kind, before, after in rounds:
+        if kind == "aggregated":
+            assert after.cut == frozenset() and after.changed_firms == inst.firm_set
+            continue
+        ref = reference_step(inst, before)
+        for name in REFERENCE_FIELDS:
+            assert getattr(after, name) == getattr(ref, name), name
+        assert after.cut == {e for e in inst.edge_ids if after.y[e] != after.x[e]}
+        assert after.changed_firms == {
+            f for f in inst.firms
+            if any(
+                after.x[e] != before.x[e] or after.bounds[e] != before.bounds[e]
+                for e in inst.incident[f]
+            )
+        }
+    # every round but a terminal one is marked
+    assert len(markers) >= len(rounds) - 1
+    for state, out in markers:
+        assert out == reference_marker(inst, state)
+
+
+def test_round_check_covers_the_edges_of_fresh_workers(monkeypatch):
+    """A worker choice above its offer breaks x >= y on an edge whose firm did
+    not choose again this round; the round itself must reject it."""
+    inst = rand_marriage(random.Random(1), 6, cap=1)
+    real = smp.choice.choose
+    seen = {"firms": set(), "last": None, "planted": None}
+
+    def planted(inst, v, z):
+        out = real(inst, v, z)
+        if v in inst.firm_set:
+            if seen["planted"] is not None:
+                pytest.fail(f"round with a raised choice on {seen['planted']!r} was accepted")
+            if seen["last"] == "worker":
+                seen["firms"] = set()  # a new round starts
+            seen["firms"].add(v)
+            seen["last"] = "firm"
+            return out
+        seen["last"] = "worker"
+        if seen["planted"] is None:
+            for e in inst.incident[v]:
+                if inst.edge_by_id[e].firm not in seen["firms"]:
+                    seen["planted"] = e
+                    result = dict(out.result)
+                    result[e] = z[e] + 1
+                    return dataclasses.replace(out, result=result)
+        return out
+
+    monkeypatch.setattr(smp.choice, "choose", planted)
+    with pytest.raises(InvariantError, match="round breaks b >= x >= y >= 0") as exc:
+        solve_xmin_modified(inst)
+    assert seen["planted"] is not None and repr(seen["planted"]) in str(exc.value)

@@ -1,5 +1,6 @@
 """Data model: rational parsing, instance validation, JSON round-trips."""
 
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -21,7 +22,7 @@ from smp import (
     vertex_load,
 )
 
-from gen import six_cycle_instance, triangle_instance
+from gen import chained_instance, rand_marriage, six_cycle_instance, triangle_instance
 
 
 def test_parse_rational_accepts_ints_and_strings():
@@ -75,6 +76,31 @@ def test_swapped_flips_sides_only():
     back = sw.swapped()
     assert back.firms == inst.workers or set(back.firms) == set(inst.firms)
     assert set(back.firms) == set(inst.firms)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        rand_marriage(random.Random(3), 4, cap=2, tie_prob=0.5),
+        rand_marriage(random.Random(3), 6, cap=1),
+        chained_instance(3, F(8 * 16), F(15 * 16)),
+    ],
+    ids=["tied", "strict", "chain"],
+)
+def test_swapped_equals_a_validated_rebuild(inst):
+    """`swapped` shares the side-free tables instead of validating again, and
+    every field equals that of an instance built and validated anew."""
+    sw = inst.swapped()
+    rebuilt = Instance(
+        firms=inst.workers,
+        workers=inst.firms,
+        edges=[Edge(e.id, e.worker, e.firm, e.capacity) for e in inst.edges],
+        quota=inst.quota,
+        corteges=inst.corteges,
+        costs=inst.costs,
+    )
+    assert vars(sw) == vars(rebuilt)
+    assert vars(sw.swapped()) == vars(inst)
 
 
 def _base_kwargs():

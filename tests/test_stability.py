@@ -5,11 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from smp import InstanceError, compare_stable, full_assignment, stability_report
+import smp.choice
+
+from smp import InstanceError, compare_stable, full_assignment, solve_xmin, stability_report
+from smp.choice import choose
 
 from gen import (
     SIX_CYCLE_STABLE_EVEN,
     SIX_CYCLE_STABLE_ODD,
+    rand_marriage,
     random_instance,
     six_cycle_instance,
     triangle_instance,
@@ -106,3 +110,44 @@ def test_dual_route_blocking_check_on_random_assignments():
         except InstanceError:
             continue
     assert count > 10  # enough admissible, stationary samples actually ran
+
+
+def _rejection(inst, x, known=None):
+    with pytest.raises(InstanceError) as exc:
+        stability_report(inst, x, known)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("flaw", ["overflow", "negative", "over capacity"])
+@pytest.mark.parametrize("known_at", ["every vertex", "firms", "workers", "one endpoint"])
+def test_known_outcomes_reject_like_a_full_validation(monkeypatch, flaw, known_at):
+    """Admissibility derived from known outcomes rejects exactly what the full
+    validation rejects, with the same message.  An overflow within the box
+    is not stationary at a known endpoint (its choice truncates) and fails
+    the load sum at a fresh one; a point outside the box, or overloaded at a
+    fresh vertex, is rejected before any choice."""
+    inst = rand_marriage(random.Random(3), 4, cap=2, tie_prob=0.5)
+    x = solve_xmin(inst)
+    e = min(eid for eid in inst.edge_ids if x[eid] == 0)
+    edge = inst.edge_by_id[e]
+    x[e] = {"overflow": F(1), "negative": F(-1), "over capacity": F(3)}[flaw]
+    vertices = {
+        "every vertex": inst.vertices(),
+        "firms": inst.firms,
+        "workers": inst.workers,
+        "one endpoint": [edge.firm],
+    }[known_at]
+    # a choice is defined only on nonnegative offers
+    choosable = [v for v in vertices if flaw != "negative" or e not in inst.incident[v]]
+    known = {v: choose(inst, v, x) for v in choosable}
+    expected = _rejection(inst, x)
+    assert expected.startswith("assignment not admissible: ")
+    calls = []
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: calls.append(v) or choose(inst, v, z))
+    assert _rejection(inst, x, known) == expected
+    fresh_overload = any(
+        v not in known and sum(x[e] for e in inst.incident[v]) > inst.quota[v]
+        for v in inst.vertices()
+    )
+    if flaw != "overflow" or fresh_overload:
+        assert calls == []
