@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain error (reported as a JSON body on stdout),
 2 usage error, 3 solver round cap reached, 4 a checked solver invariant
 failed (JSON body as for 1 in both).  All output is deterministic JSON (or
-DOT with --dot).
+DOT with --dot).  The checks of `smp verify` also run under `python -O`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _emit(doc) -> None:
 def _rotation_doc(rot) -> dict:
     return {
         "component": list(rot.component.vertices),
-        "values": {e: format_rational(v) for e, v in sorted(rot.values.items()) if v},
+        "values": {e: format_rational(v) for e, v in sorted(rot.values.items())},
         "tau": format_rational(rot.tau),
     }
 
@@ -183,15 +183,17 @@ def _cmd_verify(args) -> int:
     state = {}
 
     def roundtrip():
-        assert parse_instance(serialize_instance(inst)).edge_ids == inst.edge_ids
+        if parse_instance(serialize_instance(inst)).edge_ids != inst.edge_ids:
+            raise InvariantError("serialized instance parses to other edges")
 
     def solve():
         state["xmin"] = solve_xmin_modified(inst)
-        assert stability_report(inst, state["xmin"]).stable
+        if not stability_report(inst, state["xmin"]).stable:
+            raise InvariantError("x_min is not stable")
 
     def route():
-        state["route"] = run_route(inst, state["xmin"])
-        assert len(state["route"].steps) <= 2 * len(inst.edges)
+        # run_route raises InvariantError past 2·|E| shifts
+        run_route(inst, state["xmin"])
 
     def poset_checks():
         state["poset"] = build_poset(inst, state["xmin"])
@@ -200,7 +202,9 @@ def _cmd_verify(args) -> int:
         poset = state["poset"]
         for lam in enumerate_fully_closed(poset):
             x = gamma(inst, poset, lam)
-            assert omega(inst, poset, x).key() == lam.key()
+            if omega(inst, poset, x).key() != lam.key():
+                ideal = sorted(i for i, w in lam.weights.items() if w)
+                raise InvariantError(f"omega does not invert gamma on the ideal {ideal}")
 
     run("parse_roundtrip", roundtrip)
     run("solve_stable", solve)

@@ -46,14 +46,13 @@ class FlowNetwork:
 class CutResult:
     value: Optional[Fraction]  # None = unbounded flow
     source_side: frozenset     # min cut nearest the source (residual reach)
-    flow: dict[tuple[Node, Node], Fraction]
 
 
 def min_cut(net: FlowNetwork) -> CutResult:
     """Max flow and the unique minimal min cut of `net`.
 
-    Returns the flow value (None if unbounded), the set of nodes reachable
-    from the source in the final residual network, and the flow itself.
+    Returns the flow value (None if unbounded) and the set of nodes
+    reachable from the source in the final residual network.
     """
     flow: dict[tuple[Node, Node], Fraction] = {k: Fraction(0) for k in net.capacity}
 
@@ -77,7 +76,7 @@ def min_cut(net: FlowNetwork) -> CutResult:
                         parent[v] = u
                         queue.append(v)
         if net.sink not in parent:
-            return CutResult(value=total, source_side=frozenset(parent), flow=flow)
+            return CutResult(value=total, source_side=frozenset(parent))
         # bottleneck along the path
         bottleneck: Optional[Fraction] = None
         v = net.sink
@@ -87,7 +86,7 @@ def min_cut(net: FlowNetwork) -> CutResult:
                 bottleneck = r
             v = parent[v]
         if bottleneck is None:
-            return CutResult(value=None, source_side=frozenset(), flow=flow)
+            return CutResult(value=None, source_side=frozenset())
         v = net.sink
         while v != net.source:
             u = parent[v]

@@ -460,7 +460,6 @@ def solve_xmax(inst: Instance, trace: Optional[list] = None) -> dict[str, Fracti
 @dataclass
 class ExtendedInstance:
     ext: Instance
-    depot_firm: str
     firm_side_edges: tuple[str, ...]   # depot-firm -> worker edges ("A")
     worker_side_edges: tuple[str, ...]  # firm -> depot-worker edges ("B")
 
@@ -509,7 +508,6 @@ def build_extended_instance(inst: Instance) -> ExtendedInstance:
     )
     return ExtendedInstance(
         ext=ext,
-        depot_firm=f0,
         firm_side_edges=tuple(a_edges),
         worker_side_edges=tuple(b_edges),
     )

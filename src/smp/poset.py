@@ -97,7 +97,6 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
         assert rot.key() not in keys, "full-shift route repeated a rotation"
         rotations.append(rot)
         keys.append(rot.key())
-    assert len(rotations) <= 2 * len(inst.edges)
     tau = {i: rot.tau for i, rot in enumerate(rotations)}
     xmax = base.states[-1]
 
@@ -145,7 +144,7 @@ def _verify_hasse_edge(
     if succ.key() in here:
         raise InvariantError("successor applicable too early")
     x2 = apply_shift(inst, x, [pred], [poset.tau[a]], verify=False)
-    known = _carried_outcomes(inst, act.outcomes, pred.support())
+    known = _carried_outcomes(inst, act.outcomes, pred.values)
     there = {r.key() for r in applicable_rotations(inst, x2, cache, known)[1]}
     if succ.key() not in there:
         raise InvariantError("successor not enabled by predecessor")
@@ -165,8 +164,7 @@ def gamma(
         l = lam.weights.get(i, Fraction(0))
         if l:
             for e, v in rot.values.items():
-                if v:
-                    x[e] += l * v
+                x[e] += l * v
     if verify:
         assert stability_report(inst, x).stable, "closed function image not stable"
     return x

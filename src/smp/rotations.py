@@ -70,18 +70,15 @@ class Component:
 
 @dataclass
 class Rotation:
-    values: dict[str, Fraction]        # edge id -> integer-valued Fraction
+    values: dict[str, Fraction]        # support edge id -> nonzero integer Fraction
     component: Component
     tau: Fraction
     raise_edges: dict[str, frozenset[str]]  # f -> D_f restriction (positive side)
     drop_edges: dict[str, frozenset[str]]   # w -> H_w restriction (negative side)
 
-    def support(self) -> frozenset[str]:
-        return frozenset(e for e, v in self.values.items() if v != 0)
-
     def key(self) -> tuple:
         """Identity of the rotation: its exact integer vector over the edges."""
-        return tuple(sorted((e, v) for e, v in self.values.items() if v != 0))
+        return tuple(sorted(self.values.items()))
 
 
 def build_active_structure(
@@ -251,7 +248,8 @@ def extract_rotation(
     Per firm f the increase is a single unknown φ_f spread over D_f; per
     worker w the decrease is ψ_w spread over H_w.  Conservation at every
     vertex gives a homogeneous system whose solution space must be a line;
-    its positive integer generator with gcd 1 defines the rotation values.
+    its positive integer generator with gcd 1 defines the rotation values,
+    stored on the support only (the edges of the D_f and H_w).
     """
     x = full_assignment(inst, x)
     firms, workers = comp.firms, comp.workers
@@ -285,13 +283,13 @@ def extract_rotation(
         gen = [-v for v in gen]
     if not all(v > 0 for v in gen):
         raise InvariantError("balance solution not strictly positive on the component")
-    values = {e: Fraction(0) for e in inst.edge_ids}
+    values: dict[str, Fraction] = {}
     for f in firms:
         for e in raise_edges[f]:
             values[e] = gen[var_index[f]]
     for w in workers:
         for e in drop_edges[w]:
-            if values[e] != 0:
+            if e in values:
                 raise InvariantError(f"edge {e!r} active on both sides")
             values[e] = -gen[var_index[w]]
     rot = Rotation(
@@ -307,9 +305,14 @@ def extract_rotation(
 
 
 def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
+    # a vertex off the support has net change 0
+    net: dict[str, Fraction] = {}
+    for e, v in rot.values.items():
+        edge = inst.edge_by_id[e]
+        net[edge.firm] = net.get(edge.firm, 0) + v
+        net[edge.worker] = net.get(edge.worker, 0) + v
     for v in inst.vertices():
-        total = sum((rot.values[e] for e in inst.incident[v]), Fraction(0))
-        if total != 0:
+        if net.get(v, 0) != 0:
             raise InvariantError(f"rotation not conserved at {v!r}")
     for f, edges in rot.raise_edges.items():
         vals = {rot.values[e] for e in edges}
@@ -321,30 +324,26 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
             raise InvariantError(f"rotation not aligned at worker {w!r}")
     g = 0
     for e, v in rot.values.items():
-        if v.denominator != 1:
-            raise InvariantError(f"rotation value on edge {e!r} not an integer")
+        if v.denominator != 1 or v == 0:
+            raise InvariantError(f"rotation value on edge {e!r} not a nonzero integer")
         g = gcd(g, abs(int(v)))
     if g != 1:
         raise InvariantError("rotation values not coprime")
-    # support connectivity
-    support = rot.support()
-    if support:
-        verts = {inst.edge_by_id[e].firm for e in support} | {
-            inst.edge_by_id[e].worker for e in support
-        }
-        seen = set()
-        stack = [next(iter(sorted(verts)))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for e in support:
-                edge = inst.edge_by_id[e]
-                if v in (edge.firm, edge.worker):
-                    stack.append(edge.other(v))
-        if seen != verts:
-            raise InvariantError("rotation support is disconnected")
+    # support connectivity; `net` is keyed by the support's endpoints, and
+    # the support is not empty (an empty one has no gcd 1)
+    seen = set()
+    stack = [min(net)]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        for e in rot.values:
+            edge = inst.edge_by_id[e]
+            if v in (edge.firm, edge.worker):
+                stack.append(edge.other(v))
+    if seen != set(net):
+        raise InvariantError("rotation support is disconnected")
 
 
 def max_weight(
@@ -371,7 +370,7 @@ def max_weight(
         for e in act.head[w]:
             for ep in others:
                 candidates.append(
-                    (x[e] - x[ep]) / (abs(rot.values[e]) + rot.values[ep])
+                    (x[e] - x[ep]) / (abs(rot.values[e]) + rot.values.get(ep, 0))
                 )
     tau = min(candidates)
     if tau <= 0:
@@ -404,8 +403,7 @@ def apply_shift(
     xp = dict(x)
     for rot, l in zip(rotations, lam):
         for e, v in rot.values.items():
-            if v:
-                xp[e] = xp[e] + l * v
+            xp[e] = xp[e] + l * v
     if verify:
         assert stability_report(inst, xp).stable, "shift broke stability"
         cmp = compare_stable(inst, x, xp, side="firms")
@@ -483,10 +481,10 @@ def run_route(
 
     Without `avoid` the route ends at the worker optimum; the rotations
     applied and their weights do not depend on the order, and there are at
-    most twice as many shifts as edges (the guard allows four times as a
-    diagnostic margin).  With `avoid` set, the rotation with that vector
-    (`Rotation.key()`) is never applied and the route stops once nothing else
-    is applicable.  `rng` (a random.Random) picks among simultaneously
+    most twice as many shifts as edges; a longer route raises
+    `InvariantError`, with or without `avoid`.  With `avoid` set, the
+    rotation with that vector (`Rotation.key()`) is never applied and the
+    route stops once nothing else is applicable.  `rng` (a random.Random) picks among simultaneously
     applicable rotations; by default the first, by smallest vertex id.
     `cache` is passed to `applicable_rotations` at every state.
 
@@ -499,23 +497,21 @@ def run_route(
     x = full_assignment(inst, start)
     states = [x]
     steps: list[tuple[Rotation, Fraction]] = []
-    guard = 4 * len(inst.edges)
+    bound = 2 * len(inst.edges)
     while True:
         act, options = applicable_rotations(inst, x, cache, known)
-        if not options:
-            assert not act.active_edges(), "active edges left but no sink component"
+        if not options and act.active_edges():
+            raise InvariantError("active edges left but no sink component")
         if avoid is not None:
             options = [r for r in options if r.key() != avoid]
         if not options:
             break
         rot = options[0] if rng is None else rng.choice(options)
         xp = apply_shift(inst, x, [rot], [rot.tau], verify=False)
-        known = _carried_outcomes(inst, act.outcomes, rot.support())
+        known = _carried_outcomes(inst, act.outcomes, rot.values)
         x = xp
         states.append(x)
         steps.append((rot, rot.tau))
-        if len(steps) > guard:
-            raise InvariantError(f"route exceeded {guard} shifts")
-    if avoid is None:
-        assert len(steps) <= 2 * len(inst.edges), "route longer than twice the edge count"
+        if len(steps) > bound:
+            raise InvariantError(f"route exceeded {bound} shifts")
     return Route(states=states, steps=steps, outcomes=act.outcomes)

@@ -111,8 +111,7 @@ def sdp_pool():
 def posets_for(pool_name):
     key = f"posets-{pool_name}"
     if key not in _CACHE:
-        pool = _CACHE[pool_name] if pool_name in _CACHE else None
-        assert pool is not None
+        pool = {"smp": smp_pool, "sap": sap_pool}[pool_name]()
         _CACHE[key] = [(inst, build_poset(inst)) for inst in pool]
     return _CACHE[key]
 
@@ -262,7 +261,7 @@ def test_criterion_06_strict_order_specialization():
     oracle_checked = 0
     for inst, poset in posets_for("sap"):
         for rot in poset.rotations:
-            support = sorted(e for e, v in rot.values.items() if v)
+            support = sorted(rot.values)
             assert all(rot.values[e] in (F(1), F(-1)) for e in support)
             # simple cycle: every touched vertex meets exactly two support edges
             degree: dict[str, int] = {}

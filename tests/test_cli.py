@@ -278,26 +278,97 @@ def test_failed_rotation_invariant_is_exit_4(capsys, monkeypatch, six_cycle_file
     assert list(doc) == ["error"]
     assert "nullspace has dimension 0" in doc["error"]
 
+
+ROTATION_PLANTS = [
+    # a balance solve that returns twice the generator: values not coprime
+    ("solve = smp.rotations.gaussian_solve\n"
+     "def doubled(rows, rhs):\n"
+     "    sol = solve(rows, rhs)\n"
+     "    return LinearSolution(sol.status, sol.solution, [[2 * v for v in vec] for vec in sol.nullspace])\n"
+     "smp.rotations.gaussian_solve = doubled",
+     "rotation values not coprime"),
+    # a zero stored on the first edge off the support of the first rotation
+    # extracted, {a, e1, e5, e6}
+    ("check = smp.rotations._check_rotation_invariants\n"
+     "def with_zero(inst, rot):\n"
+     "    rot.values[next(e for e in inst.edge_ids if e not in rot.values)] = Fraction(0)\n"
+     "    check(inst, rot)\n"
+     "smp.rotations._check_rotation_invariants = with_zero",
+     "rotation value on edge 'e2' not a nonzero integer"),
+]
+
+
 def test_failed_rotation_check_is_exit_4_under_optimize_flag(six_cycle_file):
-    # a balance solve that returns twice the generator plants a rotation whose
-    # values are not coprime; the check must fire with assertions stripped
+    # each planted rotation must fail its check with assertions stripped
+    for plant, message in ROTATION_PLANTS:
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "import smp.rotations\n"
+            "from smp.cli import main\n"
+            "from smp.linalg import LinearSolution\n"
+            "if __debug__:\n"
+            "    sys.exit('assertions are enabled')\n"
+            f"{plant}\n"
+            "sys.exit(main(['poset', sys.argv[1]]))\n"
+        )
+        proc = _run_optimized(script, six_cycle_file)
+        assert proc.returncode == 4, proc.stderr
+        assert json.loads(proc.stdout) == {"error": message}
+
+
+def test_route_guard_is_exit_4_under_optimize_flag(six_cycle_file):
+    # an analysis that offers its first rotation at every later state makes
+    # every route run on past 2·|E| = 14 shifts
     script = (
         "import sys\n"
         "import smp.rotations\n"
         "from smp.cli import main\n"
-        "from smp.linalg import LinearSolution\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
-        "solve = smp.rotations.gaussian_solve\n"
-        "def doubled(rows, rhs):\n"
-        "    sol = solve(rows, rhs)\n"
-        "    return LinearSolution(sol.status, sol.solution, [[2 * v for v in vec] for vec in sol.nullspace])\n"
-        "smp.rotations.gaussian_solve = doubled\n"
+        "real = smp.rotations.applicable_rotations\n"
+        "first = []\n"
+        "def stuck(inst, x, cache=None, known=None):\n"
+        "    if not first:\n"
+        "        act, rots = real(inst, x, cache, known)\n"
+        "        if not rots:\n"
+        "            return act, rots\n"
+        "        first.append((act, rots))\n"
+        "    return first[0]\n"
+        "smp.rotations.applicable_rotations = stuck\n"
         "sys.exit(main(['poset', sys.argv[1]]))\n"
     )
     proc = _run_optimized(script, six_cycle_file)
     assert proc.returncode == 4, proc.stderr
-    assert json.loads(proc.stdout) == {"error": "rotation values not coprime"}
+    assert json.loads(proc.stdout) == {"error": "route exceeded 14 shifts"}
+
+
+@pytest.mark.parametrize(
+    "plant, failing, message",
+    [
+        ("smp.cli.omega = lambda inst, poset, x: ClosedFunction({})",
+         "closed_function_bijection", "omega does not invert gamma on the ideal []"),
+        ("smp.cli.stability_report = lambda inst, x: StabilityReport(False, [], frozenset(), frozenset(), {})",
+         "solve_stable", "x_min is not stable"),
+    ],
+    ids=["omega", "stability"],
+)
+def test_verify_checks_run_under_optimize_flag(six_cycle_file, plant, failing, message):
+    script = (
+        "import sys\n"
+        "import smp.cli\n"
+        "from smp.poset import ClosedFunction\n"
+        "from smp.stability import StabilityReport\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        f"{plant}\n"
+        "sys.exit(smp.cli.main(['verify', sys.argv[1]]))\n"
+    )
+    proc = _run_optimized(script, six_cycle_file)
+    assert proc.returncode == 1, proc.stderr
+    ledger = json.loads(proc.stdout)
+    assert ledger[failing] == f"fail: {message}"
+    assert all(v == "pass" for k, v in ledger.items() if k != failing)
 
 
 @pytest.mark.parametrize(

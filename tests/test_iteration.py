@@ -159,7 +159,7 @@ def test_extended_instance_layout():
     for w in inst.workers:
         assert ext.corteges[w][-1] == (f"__a_{w}",)
     # depot quotas absorb the whole opposite side
-    assert ext.quota[extended.depot_firm] == sum(
+    assert ext.quota["__depot_firm"] == sum(
         (inst.quota[w] for w in inst.workers), F(0)
     )
     seed = extended.seed()

@@ -390,7 +390,7 @@ def test_route_step_chooses_only_on_the_rotation_support():
             assert set(chosen) <= set(keys)
             assert sorted(chosen[keys[0]]) == ([] if known else sorted(inst.vertices()))
             for key, (rot, _) in zip(keys[1:], route.steps):
-                edges = [inst.edge_by_id[e] for e in rot.support()]
+                edges = [inst.edge_by_id[e] for e in rot.values]
                 ends = {e.firm for e in edges} | {e.worker for e in edges}
                 assert sorted(chosen[key]) == sorted(ends)
                 partial |= ends != set(inst.vertices())

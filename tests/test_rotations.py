@@ -6,10 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
+import smp.rotations
 from smp import (
     InvariantError,
     apply_shift,
     build_active_structure,
+    build_poset,
     compare_stable,
     extract_rotation,
     full_assignment,
@@ -19,12 +21,14 @@ from smp import (
     solve_xmin,
     stability_report,
 )
+from smp.rotations import ActiveStructure
 
 from gen import (
     TRIANGLE_ROTATION,
     chained_instance,
     chained_rotation,
     rand_marriage,
+    six_cycle_instance,
     triangle_instance,
 )
 
@@ -180,3 +184,38 @@ def test_nonpositive_max_weight_is_an_invariant_error():
     y = dict(full_assignment(inst, x), **{dropped: F(0)})
     with pytest.raises(InvariantError, match="maximal admissible weight must be positive"):
         max_weight(inst, y, rot, act)
+
+
+def test_rotation_values_hold_exactly_the_support():
+    # the raise side D_f and the drop side H_w of each vertex are the support
+    insts = [six_cycle_instance()]
+    insts += [rand_marriage(random.Random(s), 5, cap=1) for s in (2, 6, 7)]
+    for inst in insts:
+        rotations = build_poset(inst).rotations
+        assert len(rotations) >= 2
+        for rot in rotations:
+            assert all(v != 0 for v in rot.values.values())
+            sides = set().union(*rot.raise_edges.values(), *rot.drop_edges.values())
+            assert set(rot.values) == sides
+            assert len(rot.values) < len(inst.edges)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at the bound", "past the bound"])
+def test_route_guard_is_twice_the_edge_count(monkeypatch, extra):
+    # a planted analysis offers the same rotation 2·|E| + extra times
+    inst, x, act, comps = triangle_setup(F(8), F(15))
+    rot = extract_rotation(inst, x, comps[0], act)
+    bound = 2 * len(inst.edges)
+    idle = ActiveStructure({}, {}, {}, frozenset(), frozenset(), frozenset())
+    calls = []
+
+    def planted(inst, x, cache=None, known=None):
+        calls.append(x)
+        return (act, [rot]) if len(calls) <= bound + extra else (idle, [])
+
+    monkeypatch.setattr(smp.rotations, "applicable_rotations", planted)
+    if extra:
+        with pytest.raises(InvariantError, match=f"route exceeded {bound} shifts"):
+            run_route(inst, x)
+    else:
+        assert len(run_route(inst, x).steps) == bound
