@@ -14,6 +14,16 @@ reading as 0.  A `Fraction` value passes through untouched and any other value
 `height` of a `ChoiceOutcome` is a `Fraction`.  Quotas are `Fraction`s by the
 `Instance` contract.
 
+Integer kernel: `choose` scales the vertex's offer and quota to integers over
+the lcm D of their denominators, and does the negativity check, the sums, the
+critical-tie search and the cutting-height pass in `int`s.  Like `linalg`'s
+fraction-free elimination it is exact and uses no floats.  The height r is
+kept as rn / rd, so an edge with scaled offer a is in the head when
+a·rd >= rn and is cut to r when a·rd > rn.  `Fraction`s are made only at the
+kernel's boundary: the one height `Fraction(rn, rd·D)`, and `result`, which
+holds the input `Fraction`s (the same objects) on every edge kept whole, the
+height on every cut edge and 0 after the critical tie.
+
 A choice reads only the vertex's incident edges, quota and ties (which
 `Instance.swapped` keeps) and the offer on its edges, so an outcome stays
 valid for as long as that offer does.  `_rechoose` is the one place that
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Collection, Iterable, Mapping, Optional
 
 from .model import ZERO, Instance, InvariantError
@@ -52,16 +63,16 @@ def _restrict(inst: Instance, v: str, z: Mapping[str, Fraction]) -> dict[str, Fr
     return zv
 
 
-def _cutting_height(values: list[Fraction], target: Fraction) -> Fraction:
-    """Smallest r with sum(min(r, val) for val in values) == target.
+def _cutting_height(values: list[int], target: int) -> tuple[int, int]:
+    """Smallest r = rn/rd with sum(min(r, val) for val in values) == target.
 
     Requires 0 < target <= sum(values).  If target equals the full sum every
-    r >= max(values) works; the maximum value is returned so that the edges
+    r >= max(values) works; the maximum value is returned so that the values
     attaining it form a nonempty head.
     """
     total = sum(values)
     if target == total:
-        return max(values)
+        return max(values), 1
     # one pass over the values, ascending: for r up to the i-th value the sum
     # is taken + (n - i) * r, taken being the sum of the first i values.  At
     # a later copy of a value this sum at r = val equals the one at its first
@@ -71,19 +82,31 @@ def _cutting_height(values: list[Fraction], target: Fraction) -> Fraction:
     n = len(values)
     for i, val in enumerate(sorted(values)):
         if taken + (n - i) * val >= target:
-            return (target - taken) / (n - i)
+            return target - taken, n - i
         taken += val
     raise InvariantError("target above total offer")  # pragma: no cover
 
 
 def choose(inst: Instance, v: str, z: Mapping[str, Fraction]) -> ChoiceOutcome:
-    """Apply v's choice function to the offer z (restricted to E_v)."""
+    """Apply v's choice function to the offer z (restricted to E_v).
+
+    The kernel runs on the offer and the quota scaled to integers over the
+    lcm `den` of their denominators (module docstring).
+    """
     zv = _restrict(inst, v, z)
-    if any(val < 0 for val in zv.values()):
-        raise ValueError(f"negative offer at {v!r}")
     q = inst.quota[v]
-    size = sum(zv.values())
-    if size < q:
+    den = q.denominator
+    ratios = []
+    for e, val in zv.items():
+        n, d = val.as_integer_ratio()
+        if n < 0:
+            raise ValueError(f"negative offer at {v!r}")
+        if den % d:
+            den = lcm(den, d)
+        ratios.append((e, n, d))
+    a = {e: n * (den // d) for e, n, d in ratios}
+    quota = q.numerator * (den // q.denominator)
+    if sum(a.values()) < quota:
         return ChoiceOutcome(
             result=zv,
             head=frozenset(),
@@ -96,29 +119,34 @@ def choose(inst: Instance, v: str, z: Mapping[str, Fraction]) -> ChoiceOutcome:
     prefix = 0
     critical = None
     for i, tie in enumerate(ties):
-        tie_sum = sum(zv[e] for e in tie)
-        if prefix < q <= prefix + tie_sum:
+        tie_sum = sum([a[e] for e in tie])
+        if prefix < quota <= prefix + tie_sum:
             critical = i
             break
         prefix += tie_sum
     if critical is None:
         raise InvariantError(f"quota of {v!r} not reached despite sufficient offer")
     tie = ties[critical]
-    r = _cutting_height([zv[e] for e in tie], q - prefix)
+    rn, rd = _cutting_height([a[e] for e in tie], quota - prefix)
+    r = Fraction(rn, rd * den)
     result = dict(zv)
+    head = []
+    tail = [e for t in ties[:critical] for e in t]
     for e in tie:
-        if zv[e] > r:
-            result[e] = r
+        scaled = a[e] * rd
+        if scaled < rn:
+            tail.append(e)
+        else:
+            head.append(e)
+            if scaled > rn:
+                result[e] = r
     for t in ties[critical + 1:]:
         for e in t:
             result[e] = ZERO
-    head = frozenset(e for e in tie if zv[e] >= r)
-    better = [e for t in ties[:critical] for e in t]
-    tail = frozenset(better) | (frozenset(tie) - head)
     return ChoiceOutcome(
         result=result,
-        head=head,
-        tail=tail,
+        head=frozenset(head),
+        tail=frozenset(tail),
         critical_tie=critical,
         height=r,
         deficit=False,

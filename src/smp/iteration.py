@@ -161,10 +161,18 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
         new_bounds[e] = y[e]
         changed.add(edge[e].firm)
     # b, x and y can have changed only here; every other edge keeps values
-    # that passed this check in an earlier round
+    # that passed this check in an earlier round.  A choice passes the values
+    # it keeps through as the same objects, so `is` settles most comparisons
+    # exactly.
     touched = {e for v in fresh_firms + fresh_workers for e in inst.incident[v]}
     for eid in touched:
-        if not (b[eid] >= x[eid] >= y[eid] >= 0 and b[eid] >= new_bounds[eid]):
+        be, xe, ye, ne = b[eid], x[eid], y[eid], new_bounds[eid]
+        if not (
+            (be is xe or be >= xe)
+            and (xe is ye or xe >= ye)
+            and ye.numerator >= 0
+            and (ne is be or ne is ye or be >= ne)
+        ):
             raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {eid!r}")
     terminal = y == x
     if terminal != (not cut):
@@ -349,18 +357,21 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     amount = dict(zip(_lp_variables(state), res.solution))
     firm_head = {f: state.outcomes[f].head for f in sorted(state.fully_firms)}
     worker_head = {w: state.outcomes[w].head for w in sorted(state.fully_workers)}
-    delta = {eid: Fraction(0) for eid in inst.edge_ids}
+    # the change of y, on the heads only: an edge has one firm and one worker
+    delta: dict[str, Fraction] = {}
     for f, head in firm_head.items():
         for e in head:
-            delta[e] += amount[f]
+            delta[e] = amount[f]
     for w, head in worker_head.items():
         for e in head:
             # firms raising into a filled worker's head are excluded by the
             # LP, so a cut edge can never simultaneously carry a raise
-            if delta[e] != 0:
+            if delta.get(e, 0) != 0:
                 raise InvariantError(f"edge {e!r} raised and cut at once")
-            delta[e] -= amount[w]
-    yp = {eid: state.y[eid] + delta[eid] for eid in inst.edge_ids}
+            delta[e] = -amount[w]
+    yp = {eid: state.y[eid] for eid in inst.edge_ids}
+    for e, d in delta.items():
+        yp[e] += d
     if res.value > 0:
         # at least one inequality must be tight, otherwise the raise could grow
         tight = any(

@@ -98,8 +98,9 @@ def build_active_structure(
     fully = report.fully_filled
 
     def unsaturated(eid: str) -> bool:
-        cap = inst.edge_by_id[eid].capacity
-        return cap is None or x[eid] < cap
+        # capacities are positive, so 0 is below one and the capacity is not
+        cap, val = inst.edge_by_id[eid].capacity, x[eid]
+        return cap is None or not val.numerator or (val is not cap and val < cap)
 
     head = {w: outcomes[w].head for w in inst.workers if w in fully}
 
@@ -431,14 +432,17 @@ def applicable_rotations(
 ) -> tuple[ActiveStructure, list[Rotation]]:
     """The active structure at stable x and one rotation per sink component.
 
-    `cache`, when given, maps a state (its values in edge-id order) to the
-    result computed there, so a caller that revisits states builds each one
-    once.  It must not outlive one instance; `build_poset` makes one per call.
+    `cache`, when given, maps a state to the result computed there, so a
+    caller that revisits states builds each one once.  The key lists each
+    value's numerator and denominator in lowest terms, in edge-id order: equal
+    exactly when the states are, and flat ints, so no `Fraction` is hashed.
+    It must not outlive one instance; `build_poset` makes one per call.
     `known` holds choice outcomes already known at x (see `stability_report`);
     a cached state needs none.
     """
     if cache is not None:
-        key = tuple(full_assignment(inst, x).values())
+        values = full_assignment(inst, x).values()
+        key = tuple(itertools.chain.from_iterable(map(Fraction.as_integer_ratio, values)))
         if key in cache:
             return cache[key]
     act = build_active_structure(inst, x, known)

@@ -115,8 +115,10 @@ def _screen_admissible(
 ) -> bool:
     """x lies in the box, and no vertex missing from `known` is overloaded."""
     for e in inst.edges:
-        val = x[e.id]
-        if val < 0 or (e.capacity is not None and val > e.capacity):
+        # capacities are positive, so 0 and the capacity itself are in the box
+        val, cap = x[e.id], e.capacity
+        n = val.numerator
+        if n < 0 or (n and cap is not None and val is not cap and val > cap):
             return False
     for v in inst.vertices():
         if v not in known and vertex_load(inst, x, v) > inst.quota[v]:

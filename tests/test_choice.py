@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,9 +72,41 @@ def test_fractional_cut():
 
 
 def test_negative_offer_rejected():
-    inst = star_instance(F(2), [["a"]], {"a": F(5)})
-    with pytest.raises(ValueError, match="negative"):
-        choose(inst, "f", {"a": F(-1)})
+    # the same error in the deficit branch (the offer sums to 2, below the
+    # quota 10) and in the quota branch (it sums to 8/21, above 1/5)
+    for quota, offer in [
+        (F(10), {"a": F(-1), "b": F(3)}),
+        (F(1, 5), {"a": F(5, 7), "b": F(-1, 3)}),
+    ]:
+        inst = star_instance(quota, [["a"], ["b"]], {"a": F(5), "b": F(5)})
+        with pytest.raises(ValueError, match="^negative offer at 'f'$"):
+            choose(inst, "f", offer)
+
+
+def test_edge_at_the_height_is_head_but_not_cut():
+    # 1/3 + 2r = 11/3 puts the height at b's offer 5/3 exactly
+    inst = star_instance(F(11, 3), [["a", "b", "c"]], {e: F(5) for e in "abc"})
+    z = {"a": F(1, 3), "b": F(5, 3), "c": F(5, 2)}
+    out = choose(inst, "f", z)
+    assert out.height == F(5, 3)
+    assert out.head == frozenset({"b", "c"})
+    assert out.tail == frozenset({"a"})
+    assert out.result == {"a": F(1, 3), "b": F(5, 3), "c": F(5, 3)}
+    assert out.result["b"] is z["b"]
+    assert out == reference_choose(inst, "f", z)
+
+
+def test_target_equal_to_full_tie_sum():
+    # the better tie takes 1/2, and the critical tie sums to the other 19/6
+    inst = star_instance(F(11, 3), [["a"], ["b", "c"], ["d"]], {e: F(5) for e in "abcd"})
+    z = {"a": F(1, 2), "b": F(7, 5), "c": F(53, 30), "d": F(1)}
+    out = choose(inst, "f", z)
+    assert out.critical_tie == 1
+    assert out.height == F(53, 30)
+    assert out.head == frozenset({"c"})
+    assert out.tail == frozenset({"a", "b"})
+    assert out.result == {"a": F(1, 2), "b": F(7, 5), "c": F(53, 30), "d": F(0)}
+    assert out == reference_choose(inst, "f", z)
 
 
 def test_interesting_edges_are_unsaturated_tail():
@@ -131,8 +164,12 @@ def cut_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(cut_cases())
 def test_cutting_height_matches_breakpoint_reference(case):
+    # the kernel's search runs on the values and target scaled to integers
+    # over their common denominator D and returns the height as rn / rd
     values, target = case
-    assert _cutting_height(values, target) == breakpoint_cutting_height(values, target)
+    den = lcm(target.denominator, *[val.denominator for val in values])
+    rn, rd = _cutting_height([int(val * den) for val in values], int(target * den))
+    assert F(rn, rd * den) == breakpoint_cutting_height(values, target)
 
 
 def reference_choose(inst, v, z):
@@ -166,22 +203,32 @@ def reference_choose(inst, v, z):
     return ChoiceOutcome(result, head, tail, critical, r, False)
 
 
+# pairwise coprime denominators, the last a large prime, so that the common
+# denominator of an offer and its quota grows with every distinct one drawn
+DENOMINATORS = [1, 2, 3, 5, 7, 11, 13, 2**31 - 1]
+
+
 @st.composite
 def star_offers(draw):
     """A star with random ties, capacities and quota, and an offer mixing
-    Fractions, ints and missing edges."""
+    Fractions on coprime denominators, ints and missing edges; the quota's
+    denominator is one that no Fraction of the offer uses."""
     names = "abcdef"[: draw(st.integers(1, 6))]
     ranks = {e: draw(st.integers(0, 3)) for e in names}
     ties = [[e for e in names if ranks[e] == r] for r in sorted(set(ranks.values()))]
     caps = {e: F(draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 3]))) for e in names}
-    quota = F(draw(st.integers(1, 20)), draw(st.sampled_from([1, 2, 4])))
     offer = {}
+    used = set()
     for e in names:
         kind = draw(st.sampled_from(["fraction", "int", "missing"]))
         if kind == "fraction":
-            offer[e] = F(draw(st.integers(0, 12)), draw(st.sampled_from([1, 2, 3])))
+            den = draw(st.sampled_from(DENOMINATORS))
+            used.add(den)
+            offer[e] = F(draw(st.integers(0, 12 * den)), den)
         elif kind == "int":
             offer[e] = draw(st.integers(0, 8))
+    qden = draw(st.sampled_from([d for d in DENOMINATORS if d not in used]))
+    quota = F(draw(st.integers(qden, 20 * qden)), qden)
     return star_instance(quota, ties, caps), offer
 
 

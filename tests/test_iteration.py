@@ -416,3 +416,46 @@ def test_round_check_covers_the_edges_of_fresh_workers(monkeypatch):
     with pytest.raises(InvariantError, match="round breaks b >= x >= y >= 0") as exc:
         solve_xmin_modified(inst)
     assert seen["planted"] is not None and repr(seen["planted"]) in str(exc.value)
+
+
+@pytest.mark.parametrize("plant", ["x above b", "y above x", "negative y"])
+def test_round_check_compares_values_past_the_identity_shortcut(monkeypatch, plant):
+    """The round check settles b >= x and x >= y by identity where a choice
+    kept its input.  A firm choice above its bound, a worker choice above x
+    on an edge where the firm kept its bound (b and x one object), or a
+    negative worker choice must still fail the value comparisons."""
+    inst = rand_marriage(random.Random(1), 6, cap=1)
+    real = smp.iteration._rechoose
+    seen = {"bounds": None, "planted": None}
+
+    def plant_at(out, vertices, prev, pick, value):
+        for v in vertices:
+            if seen["planted"] is not None or out[v] is prev.get(v):
+                continue
+            for e in inst.incident[v]:
+                if pick(e):
+                    result = dict(out[v].result)
+                    result[e] = value(e)
+                    out[v] = dataclasses.replace(out[v], result=result)
+                    seen["planted"] = e
+                    return
+
+    def planted(inst, vertices, z, prev, changed=()):
+        out = real(inst, vertices, z, prev, changed)
+        if vertices is inst.firms:  # a round starts: z is its input bounds
+            if seen["planted"] is not None:
+                pytest.fail(f"round with a planted choice on {seen['planted']!r} was accepted")
+            seen["bounds"] = z
+            if plant == "x above b":
+                plant_at(out, vertices, prev, lambda e: True, lambda e: z[e] + 1)
+        elif plant == "y above x":
+            b = seen["bounds"]
+            plant_at(out, vertices, prev, lambda e: z[e] is b[e], lambda e: z[e] + 1)
+        elif plant == "negative y":
+            plant_at(out, vertices, prev, lambda e: True, lambda e: F(-1))
+        return out
+
+    monkeypatch.setattr(smp.iteration, "_rechoose", planted)
+    with pytest.raises(InvariantError, match="round breaks b >= x >= y >= 0") as exc:
+        solve_xmin_modified(inst)
+    assert seen["planted"] is not None and repr(seen["planted"]) in str(exc.value)

@@ -1,5 +1,6 @@
 """Stability reports and side-wise comparison of stable assignments."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -151,3 +152,25 @@ def test_known_outcomes_reject_like_a_full_validation(monkeypatch, flaw, known_a
     )
     if flaw != "overflow" or fresh_overload:
         assert calls == []
+
+
+@pytest.mark.parametrize("flaw", ["negative", "over capacity"])
+def test_box_screen_compares_values_past_the_identity_shortcut(flaw):
+    """The box screen takes a value that is the capacity object as in the box;
+    a negative value, or one above a capacity it is not, must still be
+    rejected with the full validation's message, even where every known
+    outcome is planted as stationary so that nothing else catches it."""
+    inst = rand_marriage(random.Random(3), 4, cap=2, tie_prob=0.5)
+    x = solve_xmin(inst)
+    report = stability_report(inst, x)
+    e = min(eid for eid in inst.edge_ids if x[eid] == 0)
+    cap = inst.edge_by_id[e].capacity
+    x[e] = {"negative": F(-1), "over capacity": cap + 1}[flaw]
+    assert x[e] is not cap
+    known = {
+        v: dataclasses.replace(out, result={eid: x[eid] for eid in inst.incident[v]})
+        for v, out in report.outcomes.items()
+    }
+    expected = _rejection(inst, x)
+    assert expected.startswith("assignment not admissible: ")
+    assert _rejection(inst, x, known) == expected
