@@ -49,7 +49,6 @@ from .poset import (
 )
 from .rotations import (
     ActiveStructure,
-    Component,
     Rotation,
     Route,
     applicable_rotations,

@@ -22,7 +22,6 @@ from .model import (
     InvariantError,
     SolverLimitError,
     format_rational,
-    full_assignment,
     parse_assignment,
     parse_instance,
     parse_rational,
@@ -30,7 +29,7 @@ from .model import (
     serialize_instance,
 )
 from .poset import build_poset, grid_sublattice, enumerate_fully_closed, gamma, omega
-from .rotations import applicable_rotations, run_route
+from .rotations import applicable_rotations, endpoints, run_route
 from .stability import stability_report
 
 
@@ -43,9 +42,9 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _rotation_doc(rot) -> dict:
+def _rotation_doc(inst: Instance, rot) -> dict:
     return {
-        "component": list(rot.component.vertices),
+        "component": endpoints(inst, rot.values),
         "values": {e: format_rational(v) for e, v in sorted(rot.values.items())},
         "tau": format_rational(rot.tau),
     }
@@ -76,7 +75,7 @@ def _cmd_solve(args) -> int:
             return 0
         x = res.assignment
         if args.side == "firms":
-            x = full_assignment(inst, run_route(inst.swapped(), x).states[-1])
+            x = run_route(inst.swapped(), x).states[-1]
     elif args.side == "workers":
         x = solve_xmax(inst, trace=trace)
     else:
@@ -102,16 +101,14 @@ def _cmd_rotations(args) -> int:
         lines = ["digraph active {"]
         for v in sorted(act.regular):
             lines.append(f'  "{v}";')
-        for f in sorted(act.regular_firms):
-            for e in sorted(act.potential_head[f]):
-                lines.append(f'  "{f}" -> "{inst.edge_by_id[e].other(f)}" [label="{e}"];')
-        for w in sorted(act.regular_workers):
-            for e in sorted(act.head[w]):
-                lines.append(f'  "{w}" -> "{inst.edge_by_id[e].other(w)}" [label="{e}"];')
+        # firms first, then workers
+        for v in sorted(act.regular, key=lambda v: (v in inst.worker_set, v)):
+            for e in sorted(act.heads[v]):
+                lines.append(f'  "{v}" -> "{inst.edge_by_id[e].other(v)}" [label="{e}"];')
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
-    _emit([_rotation_doc(r) for r in rots])
+    _emit([_rotation_doc(inst, r) for r in rots])
     return 0
 
 
@@ -129,7 +126,7 @@ def _cmd_poset(args) -> int:
         return 0
     _emit(
         {
-            "rotations": [_rotation_doc(r) for r in poset.rotations],
+            "rotations": [_rotation_doc(inst, r) for r in poset.rotations],
             "tau": {str(i): format_rational(t) for i, t in poset.tau.items()},
             "hasse_edges": [[a, b] for (a, b) in poset.hasse],
         }

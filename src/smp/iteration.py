@@ -72,7 +72,6 @@ from .model import (
     InstanceError,
     InvariantError,
     SolverLimitError,
-    full_assignment,
     vertex_load,
 )
 from .rotations import run_route
@@ -446,7 +445,7 @@ def _solve_xmin(
     # firm-optimal end of the original instance; the route's first active
     # structure rejects an unstable result (stability is side-symmetric)
     route = run_route(inst.swapped(), result, known=known)
-    return full_assignment(inst, route.states[-1]), route.outcomes
+    return route.states[-1], route.outcomes
 
 
 def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[str, Fraction]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .flow import FlowNetwork, min_cut
-from .model import Instance, InstanceError, full_assignment
+from .model import Instance, InstanceError
 from .poset import ClosedFunction, RotationPoset, build_poset, gamma
 
 
@@ -99,6 +99,6 @@ def min_cost_stable(
     )
     x = gamma(inst, poset, lam)
     cost = assignment_cost(cp.costs, x)
-    base = assignment_cost(cp.costs, full_assignment(inst, poset.xmin))
+    base = assignment_cost(cp.costs, poset.xmin)
     assert cost == base + zeta_ideal, "cost decomposition mismatch"
     return MinCostResult(assignment=x, cost=cost, ideal=ideal)

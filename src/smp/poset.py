@@ -25,8 +25,6 @@ from .rotations import (
 )
 from .stability import stability_report
 
-RotationKey = tuple  # sorted (edge id, value) pairs — the vector identity
-
 
 @dataclass
 class RotationPoset:
@@ -36,12 +34,6 @@ class RotationPoset:
     hasse: list[tuple[int, int]]         # transitive reduction of `less`
     xmin: dict[str, Fraction]
     xmax: dict[str, Fraction]
-
-    def index_of(self, key: RotationKey) -> Optional[int]:
-        for i, rot in enumerate(self.rotations):
-            if rot.key() == key:
-                return i
-        return None
 
     def downset(self, i: int) -> frozenset[int]:
         return frozenset({i} | {a for (a, j) in self.less if j == i})
@@ -92,7 +84,7 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     cache: dict = {}
     base = run_route(inst, xmin, cache=cache, known=known)
     rotations: list[Rotation] = []
-    keys: list[RotationKey] = []
+    keys: list[tuple] = []
     for rot, _ in base.steps:
         assert rot.key() not in keys, "full-shift route repeated a rotation"
         rotations.append(rot)
@@ -180,9 +172,10 @@ def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> Cl
     x = full_assignment(inst, x)
     rest = run_route(inst, x)
     assert rest.states[-1] == poset.xmax, "route from x did not reach the worker optimum"
+    index = {rot.key(): i for i, rot in enumerate(poset.rotations)}
     used: dict[int, Fraction] = {i: Fraction(0) for i in range(len(poset.rotations))}
     for rot, weight in rest.steps:
-        i = poset.index_of(rot.key())
+        i = index.get(rot.key())
         assert i is not None, "route used a rotation outside the poset"
         used[i] += weight
     lam = ClosedFunction({i: poset.tau[i] - used[i] for i in used})

@@ -3,12 +3,15 @@
 Given a stable assignment x, each fully filled worker w can only concede by
 decreasing uniformly on its head H_w, and each fully filled firm f can only
 gain by increasing uniformly on a "potential head" D_f (the best tie holding
-an unsaturated edge that its worker would welcome).  After a cleaning pass
-removes vertices pinned by deficit neighbours, the remaining active edges form
-a digraph whose sink strong components each carry a unique (up to scale)
-balanced circulation — the rotation.  Shifting x by λ·ρ for 0 < λ ≤ τ yields
-a new stable assignment strictly worse for firms, better for workers.
-Repeating full-weight shifts down to the worker optimum is a route
+an unsaturated edge that its worker would welcome).  `ActiveStructure.heads`
+holds both.  After a cleaning pass removes vertices pinned by deficit
+neighbours, the remaining active edges form a digraph whose sink strong
+components each carry a unique (up to scale) balanced circulation — the
+rotation.  A rotation is its vector on the edges and its maximal weight τ:
+the vector is positive on the D_f and negative on the H_w of its component,
+whose vertices are the endpoints of its support.  Shifting x by λ·ρ for
+0 < λ ≤ τ yields a new stable assignment strictly worse for firms, better for
+workers.  Repeating full-weight shifts down to the worker optimum is a route
 (`run_route`).
 
 Every state of a route is analysed from choice outcomes, and a vertex
@@ -42,43 +45,38 @@ from .stability import compare_stable, stability_report
 
 @dataclass
 class ActiveStructure:
-    outcomes: dict[str, ChoiceOutcome]       # per-vertex choice at x
-    potential_head: dict[str, frozenset[str]]  # f in F^= -> D_f
-    head: dict[str, frozenset[str]]            # w in W^= -> H_w
-    regular: frozenset[str]                    # V+ = V^= - V0
-    regular_firms: frozenset[str]
-    regular_workers: frozenset[str]
+    """The analysis of a stable x that rotations are built from.
 
-    def active_edges(self) -> frozenset[str]:
-        out: set[str] = set()
-        for f in self.regular_firms:
-            out |= self.potential_head[f]
-        for w in self.regular_workers:
-            out |= self.head[w]
-        return frozenset(out)
+    `heads` maps each fully filled firm f to D_f, possibly empty, and each
+    fully filled worker w to H_w; the active digraph has an arc v -> u for
+    every edge vu in `heads[v]`, v regular.
+    """
 
-
-@dataclass
-class Component:
-    firms: tuple[str, ...]
-    workers: tuple[str, ...]
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self.firms + self.workers))
+    outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at x
+    heads: dict[str, frozenset[str]]    # F^= -> D_f, W^= -> H_w
+    regular: frozenset[str]             # V+ = V^= - V0
 
 
 @dataclass
 class Rotation:
-    values: dict[str, Fraction]        # support edge id -> nonzero integer Fraction
-    component: Component
+    """A rotation: positive on the D_f and negative on the H_w of its component."""
+
+    values: dict[str, Fraction]  # support edge id -> nonzero integer Fraction
     tau: Fraction
-    raise_edges: dict[str, frozenset[str]]  # f -> D_f restriction (positive side)
-    drop_edges: dict[str, frozenset[str]]   # w -> H_w restriction (negative side)
 
     def key(self) -> tuple:
         """Identity of the rotation: its exact integer vector over the edges."""
         return tuple(sorted(self.values.items()))
+
+
+def endpoints(inst: Instance, edges: Iterable[str]) -> list[str]:
+    """The sorted vertices incident to `edges`; of a support, its component."""
+    out = set()
+    for e in edges:
+        edge = inst.edge_by_id[e]
+        out.add(edge.firm)
+        out.add(edge.worker)
+    return sorted(out)
 
 
 def build_active_structure(
@@ -86,7 +84,7 @@ def build_active_structure(
     x: Mapping[str, Fraction],
     known: Optional[Mapping[str, ChoiceOutcome]] = None,
 ) -> ActiveStructure:
-    """Heads, potential heads and the cleaned regular vertex set at stable x.
+    """The heads D_f and H_w and the cleaned regular vertex set at stable x.
 
     `known` holds choice outcomes already known at x; see `stability_report`.
     """
@@ -102,13 +100,11 @@ def build_active_structure(
         cap, val = inst.edge_by_id[eid].capacity, x[eid]
         return cap is None or not val.numerator or (val is not cap and val < cap)
 
-    head = {w: outcomes[w].head for w in inst.workers if w in fully}
-
-    potential_head: dict[str, frozenset[str]] = {}
+    heads = {w: outcomes[w].head for w in inst.workers if w in fully}
     for f in inst.firms:
         if f not in fully:
             continue
-        potential_head[f] = frozenset()
+        heads[f] = frozenset()
         for tie in inst.corteges[f]:
             # a tie holding an unsaturated edge to a deficit worker blocks
             # this tie and every worse one from being a potential head
@@ -122,37 +118,30 @@ def build_active_structure(
                 if unsaturated(e) and e in outcomes[inst.edge_by_id[e].other(f)].tail
             )
             if candidates:
-                potential_head[f] = candidates
+                heads[f] = candidates
                 break
 
-    # cleaning: remove vertices whose head leads (transitively) to a vertex
-    # where no change of x is possible
+    # cleaning: remove vertices whose head is empty or leads (transitively)
+    # to a vertex where no change of x is possible; a worker's head is never
+    # empty (quotas are positive) and a firm's leads to fully filled workers
     singular: set[str] = set()
-    pending = [w for w in head if any(inst.edge_by_id[e].other(w) not in fully for e in head[w])]
-    pending += [f for f in potential_head if not potential_head[f]]
-    own_head = {**head, **potential_head}
+    pending = [
+        v for v, edges in heads.items()
+        if not edges or any(inst.edge_by_id[e].other(v) not in fully for e in edges)
+    ]
     while pending:
         v = pending.pop()
         if v in singular:
             continue
         singular.add(v)
-        for u, edges in own_head.items():
+        for u, edges in heads.items():
             if u not in singular and any(inst.edge_by_id[e].other(u) == v for e in edges):
                 pending.append(u)
-    regular = fully - singular
-    for f in regular & inst.firm_set:
-        assert potential_head[f], f"regular firm {f!r} with empty potential head"
-        assert all(inst.edge_by_id[e].other(f) in regular for e in potential_head[f])
-    for w in regular & inst.worker_set:
-        assert all(inst.edge_by_id[e].other(w) in regular for e in head[w])
-    return ActiveStructure(
-        outcomes=outcomes,
-        potential_head=potential_head,
-        head=head,
-        regular=frozenset(regular),
-        regular_firms=frozenset(regular) & inst.firm_set,
-        regular_workers=frozenset(regular) & inst.worker_set,
-    )
+    regular = frozenset(fully - singular)
+    for v in regular:
+        assert heads[v], f"regular vertex {v!r} with empty head"
+        assert all(inst.edge_by_id[e].other(v) in regular for e in heads[v])
+    return ActiveStructure(outcomes=outcomes, heads=heads, regular=regular)
 
 
 def _tarjan_scc(vertices: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[set[str]]:
@@ -202,46 +191,42 @@ def _tarjan_scc(vertices: Sequence[str], succ: Mapping[str, Sequence[str]]) -> l
 
 
 def _active_digraph(inst: Instance, act: ActiveStructure) -> dict[str, list[str]]:
-    succ: dict[str, list[str]] = {}
-    for f in sorted(act.regular_firms):
-        succ[f] = sorted(inst.edge_by_id[e].other(f) for e in act.potential_head[f])
-    for w in sorted(act.regular_workers):
-        succ[w] = sorted(inst.edge_by_id[e].other(w) for e in act.head[w])
-    return succ
+    return {
+        v: sorted(inst.edge_by_id[e].other(v) for e in act.heads[v])
+        for v in sorted(act.regular)
+    }
 
 
-def maximal_components(inst: Instance, act: ActiveStructure) -> list[Component]:
-    """Sink strong components of the active digraph, by smallest vertex id."""
+def maximal_components(inst: Instance, act: ActiveStructure) -> list[tuple[str, ...]]:
+    """Sink strong components of the active digraph, by smallest vertex id.
+
+    Each component is the sorted tuple of its vertex ids.
+    """
     succ = _active_digraph(inst, act)
-    vertices = sorted(succ)
-    comps = _tarjan_scc(vertices, succ)
+    comps = _tarjan_scc(list(succ), succ)
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    maximal = []
-    for i, comp in enumerate(comps):
-        if all(comp_of[u] == i for v in comp for u in succ[v]):
-            maximal.append(comp)
     out = []
-    for comp in sorted(maximal, key=min):
-        firms = tuple(sorted(comp & inst.firm_set))
-        workers = tuple(sorted(comp & inst.worker_set))
-        if not firms or not workers:
+    for i, comp in enumerate(comps):
+        if any(comp_of[u] != i for v in comp for u in succ[v]):
+            continue
+        if comp <= inst.firm_set or comp <= inst.worker_set:
             # an isolated vertex cannot arise: every regular vertex has an
             # outgoing active edge, so sink components are genuine cycles
             raise InvariantError(f"degenerate sink component {sorted(comp)}")
-        out.append(Component(firms=firms, workers=workers))
+        out.append(tuple(sorted(comp)))
     # supports of distinct sink components never share a vertex
     seen: set[str] = set()
     for comp in out:
-        overlap = seen & set(comp.vertices)
+        overlap = seen & set(comp)
         assert not overlap, f"sink components share vertices {sorted(overlap)}"
-        seen |= set(comp.vertices)
-    return out
+        seen |= set(comp)
+    return sorted(out)
 
 
 def extract_rotation(
     inst: Instance,
     x: Mapping[str, Fraction],
-    comp: Component,
+    comp: Sequence[str],
     act: ActiveStructure,
 ) -> Rotation:
     """Solve the balance system on a sink component and assemble the rotation.
@@ -252,54 +237,36 @@ def extract_rotation(
     its positive integer generator with gcd 1 defines the rotation values,
     stored on the support only (the edges of the D_f and H_w).
     """
-    x = full_assignment(inst, x)
-    firms, workers = comp.firms, comp.workers
-    var_index = {v: i for i, v in enumerate(firms + workers)}
-    nvars = len(var_index)
-    raise_edges = {f: act.potential_head[f] for f in firms}
-    drop_edges = {w: act.head[w] for w in workers}
+    # firms first, then workers, each in the component's (sorted) order
+    order = [v for v in comp if v in inst.firm_set]
+    nfirms = len(order)
+    order += [v for v in comp if v not in inst.firm_set]
+    var_index = {v: i for i, v in enumerate(order)}
     rows: list[list[Fraction]] = []
-    for f in firms:
-        row = [Fraction(0)] * nvars
-        row[var_index[f]] = Fraction(len(raise_edges[f]))
-        for e in inst.incident[f]:
-            w = inst.edge_by_id[e].other(f)
-            if w in drop_edges and e in drop_edges[w]:
-                row[var_index[w]] -= 1
-        rows.append(row)
-    for w in workers:
-        row = [Fraction(0)] * nvars
-        row[var_index[w]] = Fraction(len(drop_edges[w]))
-        for e in inst.incident[w]:
-            f = inst.edge_by_id[e].other(w)
-            if f in raise_edges and e in raise_edges[f]:
-                row[var_index[f]] -= 1
+    for v in order:
+        row = [Fraction(0)] * len(order)
+        row[var_index[v]] = Fraction(len(act.heads[v]))
+        for e in inst.incident[v]:
+            u = inst.edge_by_id[e].other(v)
+            if u in var_index and e in act.heads[u]:
+                row[var_index[u]] -= 1
         rows.append(row)
     sol = gaussian_solve(rows, [Fraction(0)] * len(rows))
     if sol.status != "underdetermined" or len(sol.nullspace) != 1:
         dim = len(sol.nullspace) if sol.nullspace else 0
         raise InvariantError(f"balance system nullspace has dimension {dim}, expected 1")
     gen = sol.nullspace[0]
-    if any(v < 0 for v in gen):
+    if any(v.numerator < 0 for v in gen):
         gen = [-v for v in gen]
-    if not all(v > 0 for v in gen):
+    if not all(v.numerator > 0 for v in gen):
         raise InvariantError("balance solution not strictly positive on the component")
     values: dict[str, Fraction] = {}
-    for f in firms:
-        for e in raise_edges[f]:
-            values[e] = gen[var_index[f]]
-    for w in workers:
-        for e in drop_edges[w]:
+    for i, v in enumerate(order):
+        for e in act.heads[v]:
             if e in values:
                 raise InvariantError(f"edge {e!r} active on both sides")
-            values[e] = -gen[var_index[w]]
-    rot = Rotation(
-        values=values,
-        component=comp,
-        tau=Fraction(0),  # filled in below
-        raise_edges=raise_edges,
-        drop_edges=drop_edges,
-    )
+            values[e] = gen[i] if i < nfirms else -gen[i]
+    rot = Rotation(values=values, tau=Fraction(0))  # tau filled in below
     _check_rotation_invariants(inst, rot)
     rot.tau = max_weight(inst, x, rot, act)
     return rot
@@ -315,19 +282,27 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
     for v in inst.vertices():
         if net.get(v, 0) != 0:
             raise InvariantError(f"rotation not conserved at {v!r}")
-    for f, edges in rot.raise_edges.items():
-        vals = {rot.values[e] for e in edges}
-        if not (len(vals) == 1 and vals.pop() > 0):
+    # one value on each D_f (the positive edges at f) and on each H_w (the
+    # negative edges at w); a zero is left to the integrality check below
+    raised: dict[str, set[Fraction]] = {}
+    dropped: dict[str, set[Fraction]] = {}
+    for e, v in rot.values.items():
+        edge = inst.edge_by_id[e]
+        if v.numerator > 0:
+            raised.setdefault(edge.firm, set()).add(v)
+        elif v.numerator < 0:
+            dropped.setdefault(edge.worker, set()).add(v)
+    for f, vals in raised.items():
+        if len(vals) != 1:
             raise InvariantError(f"rotation not aligned at firm {f!r}")
-    for w, edges in rot.drop_edges.items():
-        vals = {rot.values[e] for e in edges}
-        if not (len(vals) == 1 and vals.pop() < 0):
+    for w, vals in dropped.items():
+        if len(vals) != 1:
             raise InvariantError(f"rotation not aligned at worker {w!r}")
     g = 0
     for e, v in rot.values.items():
-        if v.denominator != 1 or v == 0:
+        if v.denominator != 1 or not v.numerator:
             raise InvariantError(f"rotation value on edge {e!r} not a nonzero integer")
-        g = gcd(g, abs(int(v)))
+        g = gcd(g, v.numerator)
     if g != 1:
         raise InvariantError("rotation values not coprime")
     # support connectivity; `net` is keyed by the support's endpoints, and
@@ -356,25 +331,21 @@ def max_weight(
     """Largest λ for which x + λ·rot stays stable."""
     x = full_assignment(inst, x)
     candidates: list[Fraction] = []
-    for w, edges in rot.drop_edges.items():
-        for e in edges:
-            candidates.append(x[e] / abs(rot.values[e]))
-    for f, edges in rot.raise_edges.items():
-        for e in edges:
-            cap = inst.edge_by_id[e].capacity
-            if cap is not None:
-                candidates.append((cap - x[e]) / rot.values[e])
-    for w in rot.component.workers:
-        out = act.outcomes[w]
-        critical = inst.corteges[w][out.critical_tie]
-        others = [e for e in critical if e not in out.head]
-        for e in act.head[w]:
-            for ep in others:
-                candidates.append(
-                    (x[e] - x[ep]) / (abs(rot.values[e]) + rot.values.get(ep, 0))
-                )
+    for e, v in rot.values.items():
+        edge = inst.edge_by_id[e]
+        if v.numerator > 0:
+            if edge.capacity is not None:
+                candidates.append((edge.capacity - x[e]) / v)
+            continue
+        # e is in H_w: the shift stops where x[e] runs out or falls to an
+        # edge of w's critical tie outside the head
+        candidates.append(x[e] / -v)
+        out = act.outcomes[edge.worker]
+        for ep in inst.corteges[edge.worker][out.critical_tie]:
+            if ep not in out.head:
+                candidates.append((x[e] - x[ep]) / (rot.values.get(ep, 0) - v))
     tau = min(candidates)
-    if tau <= 0:
+    if tau.numerator <= 0:
         raise InvariantError("maximal admissible weight must be positive")
     return tau
 
@@ -397,7 +368,7 @@ def apply_shift(
     for rot, l in zip(rotations, lam):
         if not (0 < l <= rot.tau):
             raise ValueError(f"weight {l} outside (0, {rot.tau}]")
-        verts = set(rot.component.vertices)
+        verts = set(endpoints(inst, rot.values))
         if seen & verts:
             raise ValueError("simultaneous rotations must be vertex-disjoint")
         seen |= verts
@@ -465,11 +436,7 @@ def _carried_outcomes(
     changes x exactly on the rotation's support; the analysis after it
     chooses again at the support's endpoints and nowhere else.
     """
-    moved = set()
-    for e in support:
-        edge = inst.edge_by_id[e]
-        moved.add(edge.firm)
-        moved.add(edge.worker)
+    moved = set(endpoints(inst, support))
     return {v: out for v, out in outcomes.items() if v not in moved}
 
 
@@ -504,7 +471,7 @@ def run_route(
     bound = 2 * len(inst.edges)
     while True:
         act, options = applicable_rotations(inst, x, cache, known)
-        if not options and act.active_edges():
+        if not options and act.regular:
             raise InvariantError("active edges left but no sink component")
         if avoid is not None:
             options = [r for r in options if r.key() != avoid]

@@ -181,7 +181,7 @@ def test_criterion_02_reference_rotation():
     act = build_active_structure(inst, xmin)
     comps = maximal_components(inst, act)
     assert len(comps) == 1
-    assert set(comps[0].vertices) == set(inst.vertices())  # spans all 6 vertices
+    assert set(comps[0]) == set(inst.vertices())  # spans all 6 vertices
     rot = extract_rotation(inst, xmin, comps[0], act)
     assert rot.values["f2w1"] == F(-8)
     assert rot.values["f1w3"] == rot.values["f3w3"] == F(-2)

@@ -485,6 +485,38 @@ SOLVE_TRACE_DIGESTS = {
 }
 
 
+# SHA-256 of `smp rotations` and `smp rotations --dot` at x_min: the six-cycle,
+# the triangle (heads of three edges) and two rand_marriage(Random(seed), n)
+# instances with two rotations applicable at x_min.
+ROTATIONS_INSTANCES = {
+    "six_cycle": six_cycle_instance,
+    "triangle": lambda: triangle_instance(F(8), F(15)),
+    "marriage_5_38": lambda: rand_marriage(random.Random(38), 5),
+    "marriage_6_35": lambda: rand_marriage(random.Random(35), 6),
+}
+ROTATIONS_DIGESTS = {
+    ("six_cycle", "json"): "5953dc56bc2d725d5e8c829d0b4ed83a00f55d9d098f5bb2f942de1cb3c592be",
+    ("six_cycle", "dot"): "8ff523da8b8b77075e4d8ff5e4066503871ffcc29055e16424ed2215ebb34181",
+    ("triangle", "json"): "f3a52c301115d513d088a30f9d8dac63d7579957361e90600477dc761df63bf2",
+    ("triangle", "dot"): "2604b120976ee58fb54a10c84fd29f2e652384d647a781bbe95c4794bcac8e4e",
+    ("marriage_5_38", "json"): "84648a05e343a2fa16688013bf4a025a27d63fa7de4b673c31f76ca0917eb1ea",
+    ("marriage_5_38", "dot"): "fd9e4b93ed7ad65ef4c0bdd881e3872c4bf0f96c21676b6f5650b428cd339299",
+    ("marriage_6_35", "json"): "571db019bd7c141e39b91be35c0e79567a3a94ce23369a4db21c7ef30379790a",
+    ("marriage_6_35", "dot"): "caea556f6186dd0c56689d290ea1d3796e77b1a0fd8516468f1a3f6f12c094da",
+}
+
+
+@pytest.mark.parametrize("name,form", sorted(ROTATIONS_DIGESTS))
+def test_rotations_output_is_pinned(capsys, tmp_path, name, form):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(serialize_instance(ROTATIONS_INSTANCES[name]())))
+    code, out = run_cli(capsys, "rotations", str(path), *(["--dot"] if form == "dot" else []))
+    assert code == 0
+    if form == "json" and name.startswith("marriage"):
+        assert len(json.loads(out)) == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == ROTATIONS_DIGESTS[name, form]
+
+
 @pytest.mark.parametrize("seed", sorted(SOLVE_TRACE_DIGESTS))
 def test_solve_trace_output_is_pinned(capsys, tmp_path, seed):
     path = tmp_path / "tied.json"

@@ -21,7 +21,7 @@ from smp import (
     solve_xmin,
     stability_report,
 )
-from smp.rotations import ActiveStructure
+from smp.rotations import ActiveStructure, Rotation, _check_rotation_invariants, endpoints
 
 from gen import (
     TRIANGLE_ROTATION,
@@ -44,7 +44,7 @@ def triangle_setup(a, b):
 def test_triangle_active_structure_spans_all_vertices():
     inst, x, act, comps = triangle_setup(F(8), F(15))
     assert len(comps) == 1
-    assert set(comps[0].vertices) == set(inst.vertices())
+    assert set(comps[0]) == set(inst.vertices())
 
 
 def test_triangle_rotation_matches_frozen_vector():
@@ -169,7 +169,7 @@ def test_rotation_invariants_on_random_marriage_instances():
             rot = extract_rotation(inst, x, comp, act)
             assert rot.tau > 0
             assert all(v.denominator == 1 for v in rot.values.values())
-            for v in comp.vertices:
+            for v in comp:
                 change = sum(
                     (rot.values.get(e, F(0)) for e in inst.incident[v]), F(0)
                 )
@@ -195,9 +195,56 @@ def test_rotation_values_hold_exactly_the_support():
         assert len(rotations) >= 2
         for rot in rotations:
             assert all(v != 0 for v in rot.values.values())
-            sides = set().union(*rot.raise_edges.values(), *rot.drop_edges.values())
-            assert set(rot.values) == sides
             assert len(rot.values) < len(inst.edges)
+        # at every state of the base route, each rotation's support is the
+        # union of the heads over its sink component, and the support's
+        # endpoints are that component
+        for x in run_route(inst, solve_xmin(inst)).states:
+            act = build_active_structure(inst, x)
+            for comp in maximal_components(inst, act):
+                rot = extract_rotation(inst, x, comp, act)
+                assert set(rot.values) == set().union(*(act.heads[v] for v in comp))
+                assert endpoints(inst, rot.values) == list(comp)
+
+
+# Hand-built vectors on the complete 4x4 graph (edge "fiwj" joins f_i and
+# w_j), each breaking one rotation invariant, with the check's exact message.
+SIX_CYCLE = {"f0w0": 1, "f1w0": -1, "f1w1": 1, "f2w1": -1, "f2w2": 1, "f0w2": -1}
+BROKEN_ROTATIONS = {
+    "conservation": ({"f0w0": 1}, "rotation not conserved at 'f0'"),
+    # f0 raises by 1 and by 2
+    "firm alignment": (
+        {"f0w0": 1, "f0w1": 2, "f0w2": -3, "f1w0": -1, "f1w1": -2, "f1w2": 3},
+        "rotation not aligned at firm 'f0'",
+    ),
+    # w0 drops by 1 and by 2
+    "worker alignment": (
+        {"f0w0": -1, "f1w0": -2, "f2w0": 3, "f0w1": 1, "f1w1": 2, "f2w1": -3},
+        "rotation not aligned at worker 'w0'",
+    ),
+    # a zero between f0, which raises, and w1, which drops: no side takes it
+    "zero value": (
+        {**SIX_CYCLE, "f0w1": 0},
+        "rotation value on edge 'f0w1' not a nonzero integer",
+    ),
+    "connectivity": (
+        {"f0w0": 1, "f0w1": -1, "f1w1": 1, "f1w0": -1,
+         "f2w2": 1, "f2w3": -1, "f3w3": 1, "f3w2": -1},
+        "rotation support is disconnected",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_ROTATIONS))
+def test_rotation_checks_name_the_broken_invariant(name):
+    # the checks raise InvariantError, so they hold under `python -O` too
+    inst = rand_marriage(random.Random(0), 4)
+    _check_rotation_invariants(inst, Rotation({e: F(v) for e, v in SIX_CYCLE.items()}, F(1)))
+    values, message = BROKEN_ROTATIONS[name]
+    rot = Rotation({e: F(v) for e, v in values.items()}, F(1))
+    with pytest.raises(InvariantError) as exc:
+        _check_rotation_invariants(inst, rot)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["at the bound", "past the bound"])
@@ -206,7 +253,7 @@ def test_route_guard_is_twice_the_edge_count(monkeypatch, extra):
     inst, x, act, comps = triangle_setup(F(8), F(15))
     rot = extract_rotation(inst, x, comps[0], act)
     bound = 2 * len(inst.edges)
-    idle = ActiveStructure({}, {}, {}, frozenset(), frozenset(), frozenset())
+    idle = ActiveStructure({}, {}, frozenset())
     calls = []
 
     def planted(inst, x, cache=None, known=None):
