@@ -35,7 +35,6 @@ from .model import (
     vertex_load,
 )
 from .poset import (
-    ClosedFunction,
     RotationPoset,
     build_poset,
     enumerate_fully_closed,

@@ -26,8 +26,8 @@ def oracle_enumerate_stable(inst: Instance) -> list[dict[str, Fraction]]:
         if any(len(t) != 1 for t in ties):
             raise InstanceError(f"vertex {v!r} has a tie; oracle needs strict orders")
     for e in inst.edges:
-        if e.capacity is None or e.capacity.denominator != 1:
-            raise InstanceError(f"edge {e.id!r}: oracle needs finite integral capacity")
+        if e.capacity.denominator != 1:
+            raise InstanceError(f"edge {e.id!r}: oracle needs integral capacity")
     for v, q in inst.quota.items():
         if q.denominator != 1:
             raise InstanceError(f"vertex {v!r}: oracle needs integral quota")
@@ -60,7 +60,6 @@ def oracle_min_cost_ideal(
         if any(b in subset and a not in subset for (a, b) in less):
             continue
         weight = sum((zeta[i] for i in subset), Fraction(0))
-        key = (weight, sorted(subset))
         if best is None or weight < best[0]:
             best = (weight, subset)
     assert best is not None

@@ -213,9 +213,4 @@ def interesting_edges(inst: Instance, v: str, z: Mapping[str, Fraction]) -> froz
     """
     zv = _restrict(inst, v, z)
     tail = choose(inst, v, zv).tail
-    out = set()
-    for e in tail:
-        cap = inst.edge_by_id[e].capacity
-        if cap is None or zv[e] < cap:
-            out.add(e)
-    return frozenset(out)
+    return frozenset(e for e in tail if zv[e] < inst.edge_by_id[e].capacity)

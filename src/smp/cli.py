@@ -118,7 +118,7 @@ def _cmd_poset(args) -> int:
     if args.dot:
         lines = ["digraph poset {"]
         for i, rot in enumerate(poset.rotations):
-            lines.append(f'  r{i} [label="r{i} (tau={format_rational(poset.tau[i])})"];')
+            lines.append(f'  r{i} [label="r{i} (tau={format_rational(rot.tau)})"];')
         for (a, b) in poset.hasse:
             lines.append(f"  r{a} -> r{b};")
         lines.append("}")
@@ -127,7 +127,7 @@ def _cmd_poset(args) -> int:
     _emit(
         {
             "rotations": [_rotation_doc(inst, r) for r in poset.rotations],
-            "tau": {str(i): format_rational(t) for i, t in poset.tau.items()},
+            "tau": {str(i): format_rational(rot.tau) for i, rot in enumerate(poset.rotations)},
             "hasse_edges": [[a, b] for (a, b) in poset.hasse],
         }
     )
@@ -199,8 +199,8 @@ def _cmd_verify(args) -> int:
         poset = state["poset"]
         for lam in enumerate_fully_closed(poset):
             x = gamma(inst, poset, lam)
-            if omega(inst, poset, x).key() != lam.key():
-                ideal = sorted(i for i, w in lam.weights.items() if w)
+            if omega(inst, poset, x) != lam:
+                ideal = sorted(i for i, w in lam.items() if w)
                 raise InvariantError(f"omega does not invert gamma on the ideal {ideal}")
 
     run("parse_roundtrip", roundtrip)

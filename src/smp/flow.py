@@ -14,7 +14,6 @@ from typing import Hashable, Optional
 
 
 Node = Hashable
-INF = None  # capacity sentinel
 
 
 @dataclass

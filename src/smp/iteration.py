@@ -1,12 +1,14 @@
 """Computing the side-optimal stable assignments.
 
-Three routes are provided:
+Two routes are provided:
 
-* the classical deferred-acceptance style iteration (firms propose up to the
-  current bounds, workers cut back, bounds shrink) — may fail to terminate on
-  instances with ties because the per-round progress can shrink geometrically;
-* the finite variant, which detects rounds that make no combinatorial
-  progress and aggregates the whole stalled tail into one exact LP step;
+* the finite variant of the classical deferred-acceptance style iteration
+  (firms propose up to the current bounds, workers cut back, bounds shrink).
+  The classical iteration may fail to terminate on instances with ties,
+  because the per-round progress can shrink geometrically; the variant
+  detects rounds that make no combinatorial progress and aggregates the
+  whole stalled tail into one exact LP step.  No function runs the classical
+  iteration alone: `solve_xmin` is an alias of `solve_xmin_modified`;
 * a combinatorial decision procedure for the special case where stable
   assignments fill every quota, via an auxiliary instance with two depot
   vertices absorbing all slack.
@@ -115,8 +117,6 @@ class IterationState:
 
 
 def initial_state(inst: Instance) -> IterationState:
-    if any(e.capacity is None for e in inst.edges):
-        raise InstanceError("iteration requires finite capacities")
     bounds = {e.id: e.capacity for e in inst.edges}
     return IterationState(
         round=-1, bounds=bounds, x=dict(bounds), y=dict(bounds), terminal=False
@@ -495,10 +495,17 @@ def build_extended_instance(inst: Instance) -> ExtendedInstance:
         eid = f"__b_{f}"
         edges.append(Edge(eid, f, w0, inst.quota[f]))
         b_edges.append(eid)
-    root = "__root"
-    edges.append(Edge(root, f0, w0, None))
     q_w = sum((inst.quota[w] for w in inst.workers), Fraction(0))
     q_f = sum((inst.quota[f] for f in inst.firms), Fraction(0))
+    # The root edge gets capacity C = q_w + q_f and acts as if unbounded.
+    # Its value x_root is at most min(q_w, q_f) < C, the depot quotas, so it
+    # is never saturated.  A shift that raises the root by v lowers the depot
+    # firm's other edges by at least v in total.  Those hold at most
+    # q_w - x_root, the depot firm's quota less the root, so some drop
+    # candidate is at most (q_w - x_root) / v < (C - x_root) / v: the root's
+    # capacity never sets τ.
+    root = "__root"
+    edges.append(Edge(root, f0, w0, q_w + q_f))
     quota = dict(inst.quota)
     quota[f0] = q_w
     quota[w0] = q_f

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .flow import FlowNetwork, min_cut
-from .model import Instance, InstanceError
-from .poset import ClosedFunction, RotationPoset, build_poset, gamma
+from .model import Instance, InstanceError, InvariantError
+from .poset import RotationPoset, _fully_closed, build_poset, gamma
 
 
 @dataclass
@@ -39,7 +39,7 @@ def build_costed_poset(
     if poset is None:
         poset = build_poset(inst)
     zeta = {
-        i: poset.tau[i] * sum((costs[e] * v for e, v in rot.values.items()), Fraction(0))
+        i: rot.tau * sum((costs[e] * v for e, v in rot.values.items()), Fraction(0))
         for i, rot in enumerate(poset.rotations)
     }
     return CostedPoset(poset=poset, costs=dict(costs), zeta=zeta)
@@ -85,20 +85,19 @@ def min_cost_stable(
     for (a, b) in poset.hasse:
         net.add_edge(a, b, None)
     cut = min_cut(net)
-    assert cut.value is not None, "cut network cannot be unbounded"
+    if cut.value is None:
+        raise InvariantError("cut network cannot be unbounded")
     source_side = cut.source_side
     ideal = frozenset(i for i in range(n) if i not in source_side)
-    # closure check: no covering arc may leave the source side
-    for (a, b) in poset.hasse:
-        assert not (a in source_side and b not in source_side)
+    if any(a in source_side and b not in source_side for (a, b) in poset.hasse):
+        raise InvariantError("a covering arc leaves the source side of the cut")
     zeta_neg = sum((z for z in cp.zeta.values() if z < 0), Fraction(0))
     zeta_ideal = sum((cp.zeta[i] for i in ideal), Fraction(0))
-    assert zeta_ideal == cut.value + zeta_neg, "cut capacity does not match ideal weight"
-    lam = ClosedFunction(
-        {i: (poset.tau[i] if i in ideal else Fraction(0)) for i in range(n)}
-    )
-    x = gamma(inst, poset, lam)
+    if zeta_ideal != cut.value + zeta_neg:
+        raise InvariantError("cut capacity does not match ideal weight")
+    x = gamma(inst, poset, _fully_closed(poset, ideal))
     cost = assignment_cost(cp.costs, x)
     base = assignment_cost(cp.costs, poset.xmin)
-    assert cost == base + zeta_ideal, "cost decomposition mismatch"
+    if cost != base + zeta_ideal:
+        raise InvariantError("cost decomposition mismatch")
     return MinCostResult(assignment=x, cost=cost, ideal=ideal)

@@ -1,10 +1,10 @@
 """Problem instance data model, validation and the on-disk JSON format.
 
 An instance is a bipartite graph between firms and workers.  Every edge has a
-rational capacity, every vertex a rational quota and an ordered partition of
-its incident edges into indifference classes ("ties"), best tie first.  All
-numeric data are `fractions.Fraction`; nothing in the core ever touches a
-float.
+finite positive rational capacity, every vertex a rational quota and an
+ordered partition of its incident edges into indifference classes ("ties"),
+best tie first.  All numeric data are `fractions.Fraction`; nothing in the
+core ever touches a float.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class Edge:
     id: str
     firm: str
     worker: str
-    capacity: Optional[Fraction]  # None = unbounded (internal sentinel only)
+    capacity: Fraction  # finite and positive (`Instance` checks)
 
     def other(self, vertex: str) -> str:
         return self.worker if vertex == self.firm else self.firm
@@ -160,7 +160,11 @@ class Instance:
                     f"parallel edges between {e.firm!r} and {e.worker!r} are forbidden"
                 )
             seen_pairs.add((e.firm, e.worker))
-            if e.capacity is not None and e.capacity <= 0:
+            # every capacity is finite: the rounds start from the capacities,
+            # and the saturation tests and τ compare against them
+            if not isinstance(e.capacity, (int, Fraction)):
+                raise InstanceError(f"edge {e.id!r}: capacity must be a finite rational")
+            if e.capacity <= 0:
                 raise InstanceError(f"edge {e.id!r}: capacity must be positive")
         for v in self.vertices():
             q = self.quota.get(v)
@@ -322,7 +326,7 @@ def validate_assignment(inst: Instance, x: Mapping[str, Fraction]) -> Membership
         if val < 0:
             in_box = False
             violations.append(f"edge {e.id}: negative value {val}")
-        elif e.capacity is not None and val > e.capacity:
+        elif val > e.capacity:
             in_box = False
             violations.append(f"edge {e.id}: value {val} exceeds capacity {e.capacity}")
     quota_feasible = True

@@ -5,6 +5,9 @@ worker-optimal one always consumes the same set of rotations with the same
 weights, regardless of order.  Imposing "ρ must be applied before ρ'" gives a
 partial order whose ideals — equivalently, the closed weight functions λ —
 are in bijection with the stable assignments via x = x_min + Σ λ(ρ)·ρ.
+
+A closed function is a plain dict from rotation id to λ in [0, τ]; a
+missing id reads as 0.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .stability import stability_report
 @dataclass
 class RotationPoset:
     rotations: list[Rotation]            # canonical representatives, stable ids 0..n-1
-    tau: dict[int, Fraction]
     less: frozenset[tuple[int, int]]     # (i, j) with ρ_i strictly before ρ_j
     hasse: list[tuple[int, int]]         # transitive reduction of `less`
     xmin: dict[str, Fraction]
@@ -39,22 +41,19 @@ class RotationPoset:
         return frozenset({i} | {a for (a, j) in self.less if j == i})
 
 
-@dataclass
-class ClosedFunction:
-    weights: dict[int, Fraction]  # rotation id -> λ in [0, τ]
-
-    def key(self) -> tuple:
-        return tuple(sorted(self.weights.items()))
-
-
 def is_closed(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
-    for i in range(len(poset.rotations)):
-        if not (0 <= lam.get(i, Fraction(0)) <= poset.tau[i]):
+    for i, rot in enumerate(poset.rotations):
+        if not (0 <= lam.get(i, Fraction(0)) <= rot.tau):
             return False
     for (a, b) in poset.less:
-        if lam.get(b, Fraction(0)) > 0 and lam.get(a, Fraction(0)) != poset.tau[a]:
+        if lam.get(b, Fraction(0)) > 0 and lam.get(a, Fraction(0)) != poset.rotations[a].tau:
             return False
     return True
+
+
+def _fully_closed(poset: RotationPoset, ideal: frozenset[int]) -> dict[int, Fraction]:
+    """The closed function with λ = τ on `ideal` and 0 elsewhere."""
+    return {i: (rot.tau if i in ideal else Fraction(0)) for i, rot in enumerate(poset.rotations)}
 
 
 def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -> RotationPoset:
@@ -83,19 +82,17 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     xmin = full_assignment(inst, xmin)
     cache: dict = {}
     base = run_route(inst, xmin, cache=cache, known=known)
-    rotations: list[Rotation] = []
+    rotations = base.steps
     keys: list[tuple] = []
-    for rot, _ in base.steps:
+    for rot in rotations:
         assert rot.key() not in keys, "full-shift route repeated a rotation"
-        rotations.append(rot)
         keys.append(rot.key())
-    tau = {i: rot.tau for i, rot in enumerate(rotations)}
     xmax = base.states[-1]
 
     upsets: dict[int, frozenset[int]] = {}
     for i, key in enumerate(keys):
         partial = run_route(inst, base.states[i], avoid=key, cache=cache)
-        applied = set(keys[:i]) | {rot.key() for rot, _ in partial.steps}
+        applied = set(keys[:i]) | {rot.key() for rot in partial.steps}
         unapplied = frozenset(j for j, k in enumerate(keys) if k not in applied)
         assert i in unapplied
         upsets[i] = unapplied
@@ -111,9 +108,7 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
         for (a, b) in less
         if not any((a, c) in less and (c, b) in less for c in range(len(keys)))
     )
-    poset = RotationPoset(
-        rotations=rotations, tau=tau, less=less, hasse=hasse, xmin=xmin, xmax=xmax
-    )
+    poset = RotationPoset(rotations=rotations, less=less, hasse=hasse, xmin=xmin, xmax=xmax)
     for (a, b) in hasse:
         _verify_hasse_edge(inst, poset, a, b, cache)
     return poset
@@ -126,8 +121,7 @@ def _verify_hasse_edge(
     ideal = poset.downset(b) - {a, b}
     if not all(poset.downset(c) - {c} <= ideal for c in ideal):
         raise InvariantError("witness set not an ideal")
-    lam = {c: poset.tau[c] for c in ideal}
-    x = gamma(inst, poset, ClosedFunction(lam), verify=False)
+    x = gamma(inst, poset, _fully_closed(poset, ideal), verify=False)
     act, rots = applicable_rotations(inst, x, cache)
     here = {r.key() for r in rots}
     pred, succ = poset.rotations[a], poset.rotations[b]
@@ -135,7 +129,7 @@ def _verify_hasse_edge(
         raise InvariantError("predecessor not applicable at witness state")
     if succ.key() in here:
         raise InvariantError("successor applicable too early")
-    x2 = apply_shift(inst, x, [pred], [poset.tau[a]], verify=False)
+    x2 = apply_shift(inst, x, [pred], [pred.tau], verify=False)
     known = _carried_outcomes(inst, act.outcomes, pred.values)
     there = {r.key() for r in applicable_rotations(inst, x2, cache, known)[1]}
     if succ.key() not in there:
@@ -145,24 +139,24 @@ def _verify_hasse_edge(
 def gamma(
     inst: Instance,
     poset: RotationPoset,
-    lam: ClosedFunction,
+    lam: Mapping[int, Fraction],
     verify: bool = True,
 ) -> dict[str, Fraction]:
     """Stable assignment realizing the closed weight function λ."""
-    if not is_closed(poset, lam.weights):
+    if not is_closed(poset, lam):
         raise InstanceError("weight function is not closed")
     x = dict(poset.xmin)
     for i, rot in enumerate(poset.rotations):
-        l = lam.weights.get(i, Fraction(0))
+        l = lam.get(i, Fraction(0))
         if l:
             for e, v in rot.values.items():
                 x[e] += l * v
-    if verify:
-        assert stability_report(inst, x).stable, "closed function image not stable"
+    if verify and not stability_report(inst, x).stable:
+        raise InvariantError("closed function image not stable")
     return x
 
 
-def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> ClosedFunction:
+def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> dict[int, Fraction]:
     """Closed weight function of a stable assignment (inverse of gamma).
 
     Computed by routing x the rest of the way to the worker optimum: the
@@ -171,16 +165,19 @@ def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> Cl
     """
     x = full_assignment(inst, x)
     rest = run_route(inst, x)
-    assert rest.states[-1] == poset.xmax, "route from x did not reach the worker optimum"
+    if rest.states[-1] != poset.xmax:
+        raise InvariantError("route from x did not reach the worker optimum")
     index = {rot.key(): i for i, rot in enumerate(poset.rotations)}
-    used: dict[int, Fraction] = {i: Fraction(0) for i in range(len(poset.rotations))}
-    for rot, weight in rest.steps:
+    lam = {i: rot.tau for i, rot in enumerate(poset.rotations)}
+    for rot in rest.steps:
         i = index.get(rot.key())
-        assert i is not None, "route used a rotation outside the poset"
-        used[i] += weight
-    lam = ClosedFunction({i: poset.tau[i] - used[i] for i in used})
-    assert is_closed(poset, lam.weights), "recovered weights are not closed"
-    assert gamma(inst, poset, lam, verify=False) == x, "weights do not reproduce x"
+        if i is None:
+            raise InvariantError("route used a rotation outside the poset")
+        lam[i] -= rot.tau
+    if not is_closed(poset, lam):
+        raise InvariantError("recovered weights are not closed")
+    if gamma(inst, poset, lam, verify=False) != x:
+        raise InvariantError("weights do not reproduce x")
     return lam
 
 
@@ -200,7 +197,7 @@ def _ideals(preds: dict[int, set[int]], elements: frozenset[int]) -> list[frozen
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-def enumerate_fully_closed(poset: RotationPoset, cap: int = 20) -> list[ClosedFunction]:
+def enumerate_fully_closed(poset: RotationPoset, cap: int = 20) -> list[dict[int, Fraction]]:
     """One fully closed function (λ ∈ {0, τ} with downward-closed support) per ideal."""
     n = len(poset.rotations)
     if n > cap:
@@ -209,10 +206,8 @@ def enumerate_fully_closed(poset: RotationPoset, cap: int = 20) -> list[ClosedFu
     ideals = _ideals(preds, frozenset(range(n)))
     out = []
     for ideal in ideals:
-        lam = ClosedFunction(
-            {i: (poset.tau[i] if i in ideal else Fraction(0)) for i in range(n)}
-        )
-        assert is_closed(poset, lam.weights)
+        lam = _fully_closed(poset, ideal)
+        assert is_closed(poset, lam)
         out.append(lam)
     return out
 
@@ -220,41 +215,31 @@ def enumerate_fully_closed(poset: RotationPoset, cap: int = 20) -> list[ClosedFu
 def grid_sublattice(
     inst: Instance, poset: RotationPoset, k: int, cap: int = 10**6
 ) -> list[dict[str, Fraction]]:
-    """Stable assignments whose weights sit on a k-point grid per rotation."""
+    """Stable assignments whose weights sit on a k-point grid per rotation.
+
+    τ > 0, so a rotation's k grid points differ, and so do the combinations:
+    no assignment repeats.
+    """
     if k < 2:
         raise InstanceError("grid needs k >= 2")
     n = len(poset.rotations)
     if k**n > cap:
         raise InstanceError(f"grid size {k}^{n} exceeds cap {cap}")
-    grids = {
-        i: [poset.tau[i] * j / (k - 1) for j in range(k)] for i in range(n)
-    }
-    out = []
     combos: list[dict[int, Fraction]] = [{}]
-    for i in range(n):
-        combos = [{**c, i: v} for c in combos for v in grids[i]]
-    seen = set()
-    for weights in combos:
-        if not is_closed(poset, weights):
-            continue
-        lam = ClosedFunction(weights)
-        if lam.key() in seen:
-            continue
-        seen.add(lam.key())
-        out.append(gamma(inst, poset, lam))
-    return out
+    for i, rot in enumerate(poset.rotations):
+        combos = [{**c, i: rot.tau * j / (k - 1)} for c in combos for j in range(k)]
+    return [gamma(inst, poset, lam) for lam in combos if is_closed(poset, lam)]
 
 
 def hull_membership(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
     """Whether λ lies in the convex hull of the closed functions."""
-    n = len(poset.rotations)
-    for i in range(n):
-        v = lam.get(i, Fraction(0))
-        if not (0 <= v <= poset.tau[i]):
+    tau = [rot.tau for rot in poset.rotations]
+    for i, t in enumerate(tau):
+        if not (0 <= lam.get(i, Fraction(0)) <= t):
             return False
     for (a, b) in poset.less:
         # the fraction of ρ_b consumed can never exceed that of ρ_a
-        if lam.get(b, Fraction(0)) / poset.tau[b] > lam.get(a, Fraction(0)) / poset.tau[a]:
+        if lam.get(b, Fraction(0)) / tau[b] > lam.get(a, Fraction(0)) / tau[a]:
             return False
     return True
 

@@ -98,7 +98,7 @@ def build_active_structure(
     def unsaturated(eid: str) -> bool:
         # capacities are positive, so 0 is below one and the capacity is not
         cap, val = inst.edge_by_id[eid].capacity, x[eid]
-        return cap is None or not val.numerator or (val is not cap and val < cap)
+        return not val.numerator or (val is not cap and val < cap)
 
     heads = {w: outcomes[w].head for w in inst.workers if w in fully}
     for f in inst.firms:
@@ -334,8 +334,7 @@ def max_weight(
     for e, v in rot.values.items():
         edge = inst.edge_by_id[e]
         if v.numerator > 0:
-            if edge.capacity is not None:
-                candidates.append((edge.capacity - x[e]) / v)
+            candidates.append((edge.capacity - x[e]) / v)
             continue
         # e is in H_w: the shift stops where x[e] runs out or falls to an
         # edge of w's critical tie outside the head
@@ -386,12 +385,12 @@ def apply_shift(
 @dataclass
 class Route:
     states: list[dict[str, Fraction]]
-    steps: list[tuple[Rotation, Fraction]]
+    steps: list[Rotation]  # each shifted by its full weight τ
     outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at the last state
 
     @property
     def non_expensive(self) -> bool:
-        keys = [rot.key() for rot, _ in self.steps]
+        keys = [rot.key() for rot in self.steps]
         return len(keys) == len(set(keys))
 
 
@@ -467,7 +466,7 @@ def run_route(
     """
     x = full_assignment(inst, start)
     states = [x]
-    steps: list[tuple[Rotation, Fraction]] = []
+    steps: list[Rotation] = []
     bound = 2 * len(inst.edges)
     while True:
         act, options = applicable_rotations(inst, x, cache, known)
@@ -482,7 +481,7 @@ def run_route(
         known = _carried_outcomes(inst, act.outcomes, rot.values)
         x = xp
         states.append(x)
-        steps.append((rot, rot.tau))
+        steps.append(rot)
         if len(steps) > bound:
             raise InvariantError(f"route exceeded {bound} shifts")
     return Route(states=states, steps=steps, outcomes=act.outcomes)

@@ -71,7 +71,7 @@ def stability_report(
     blocking = []
     for eid in inst.edge_ids:
         e = inst.edge_by_id[eid]
-        if e.capacity is not None and x[eid] >= e.capacity:
+        if x[eid] >= e.capacity:
             continue
         in_both_tails = eid in outcomes[e.firm].tail and eid in outcomes[e.worker].tail
         # second route: some endpoint is fully filled and holds the edge in
@@ -118,7 +118,7 @@ def _screen_admissible(
         # capacities are positive, so 0 and the capacity itself are in the box
         val, cap = x[e.id], e.capacity
         n = val.numerator
-        if n < 0 or (n and cap is not None and val is not cap and val > cap):
+        if n < 0 or (n and val is not cap and val > cap):
             return False
     for v in inst.vertices():
         if v not in known and vertex_load(inst, x, v) > inst.quota[v]:

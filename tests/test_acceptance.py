@@ -10,7 +10,6 @@ import random
 from fractions import Fraction as F
 
 from smp import (
-    ClosedFunction,
     apply_shift,
     assignment_cost,
     build_active_structure,
@@ -120,7 +119,7 @@ def _random_closed(poset, rng):
     """A random closed weight function: a random ideal, optionally one
     fractional weight on a maximal element of the ideal."""
     lams = enumerate_fully_closed(poset)
-    lam = dict(rng.choice(lams).weights)
+    lam = dict(rng.choice(lams))
     support = [i for i, v in lam.items() if v]
     maximal = [
         i
@@ -129,10 +128,9 @@ def _random_closed(poset, rng):
     ]
     if maximal and rng.random() < 0.5:
         i = rng.choice(maximal)
-        lam[i] = poset.tau[i] * F(rng.randint(1, 3), 3)
-    cf = ClosedFunction(lam)
-    assert is_closed(poset, cf.weights)
-    return cf
+        lam[i] = poset.rotations[i].tau * F(rng.randint(1, 3), 3)
+    assert is_closed(poset, lam)
+    return lam
 
 
 # --- criterion 1: choice-function axioms ------------------------------------
@@ -234,7 +232,7 @@ def test_criterion_04_route_bounds_and_invariance():
             route = run_route(inst, xmin, rng=random.Random(seed))
             assert len(route.steps) <= 2 * len(inst.edges)
             omega_multiset = sorted(
-                (rot.key(), weight) for rot, weight in route.steps
+                (rot.key(), rot.tau) for rot in route.steps
             )
             if baseline is None:
                 baseline = (route.states[-1], omega_multiset)
@@ -316,7 +314,7 @@ def test_criterion_08_bijection_and_lattice():
         # the closed-function <-> stable-assignment bijection on all ideals
         for lam in enumerate_fully_closed(poset):
             x = gamma(inst, poset, lam)
-            assert omega(inst, poset, x).key() == lam.key()
+            assert omega(inst, poset, x) == lam
         # Hasse reachability reproduces the avoidance-run order
         reach = set(poset.hasse)
         changed = True
@@ -338,18 +336,8 @@ def test_criterion_08_bijection_and_lattice():
             lam2 = _random_closed(poset, rng)
             x = gamma(inst, poset, lam1)
             y = gamma(inst, poset, lam2)
-            up = ClosedFunction(
-                {
-                    i: max(lam1.weights.get(i, F(0)), lam2.weights.get(i, F(0)))
-                    for i in range(n)
-                }
-            )
-            dn = ClosedFunction(
-                {
-                    i: min(lam1.weights.get(i, F(0)), lam2.weights.get(i, F(0)))
-                    for i in range(n)
-                }
-            )
+            up = {i: max(lam1.get(i, F(0)), lam2.get(i, F(0))) for i in range(n)}
+            dn = {i: min(lam1.get(i, F(0)), lam2.get(i, F(0))) for i in range(n)}
             assert stable_join_workers(inst, x, y) == gamma(inst, poset, up)
             assert stable_meet_workers(inst, x, y) == gamma(inst, poset, dn)
 

@@ -13,7 +13,7 @@ import pytest
 
 import smp.iteration
 import smp.rotations
-from smp import serialize_assignment, serialize_instance
+from smp import Edge, Instance, serialize_assignment, serialize_instance
 from smp.cli import main
 from smp.linalg import LinearSolution
 from smp.simplex import LPResult
@@ -343,21 +343,45 @@ def test_route_guard_is_exit_4_under_optimize_flag(six_cycle_file):
     assert json.loads(proc.stdout) == {"error": "route exceeded 14 shifts"}
 
 
+def _omega_route_plant(change):
+    """A plant that alters omega's route, the one `smp.poset` route without a cache."""
+    return (
+        "real = smp.poset.run_route\n"
+        "def planted(inst, start, **kw):\n"
+        "    route = real(inst, start, **kw)\n"
+        f"    return route if 'cache' in kw else dataclasses.replace(route, {change})\n"
+        "smp.poset.run_route = planted"
+    )
+
+
 @pytest.mark.parametrize(
     "plant, failing, message",
     [
-        ("smp.cli.omega = lambda inst, poset, x: ClosedFunction({})",
+        ("smp.cli.omega = lambda inst, poset, x: {}",
          "closed_function_bijection", "omega does not invert gamma on the ideal []"),
         ("smp.cli.stability_report = lambda inst, x: StabilityReport(False, [], frozenset(), frozenset(), {})",
          "solve_stable", "x_min is not stable"),
+        (_omega_route_plant("states=route.states[:1]"),
+         "closed_function_bijection", "route from x did not reach the worker optimum"),
+        (_omega_route_plant(
+            "steps=[Rotation({e: 2 * v for e, v in r.values.items()}, r.tau) for r in route.steps]"),
+         "closed_function_bijection", "route used a rotation outside the poset"),
+        (_omega_route_plant("steps=route.steps * 2"),
+         "closed_function_bijection", "recovered weights are not closed"),
+        (_omega_route_plant("steps=[]"),
+         "closed_function_bijection", "weights do not reproduce x"),
+        ("smp.poset.stability_report = lambda inst, x, known=None: StabilityReport(False, [], frozenset(), frozenset(), {})",
+         "closed_function_bijection", "closed function image not stable"),
     ],
-    ids=["omega", "stability"],
+    ids=["omega", "stability", "omega route unfinished", "omega foreign rotation",
+         "omega weights not closed", "omega weights not reproducing", "gamma image"],
 )
 def test_verify_checks_run_under_optimize_flag(six_cycle_file, plant, failing, message):
     script = (
-        "import sys\n"
+        "import dataclasses, sys\n"
         "import smp.cli\n"
-        "from smp.poset import ClosedFunction\n"
+        "import smp.poset\n"
+        "from smp.rotations import Rotation\n"
         "from smp.stability import StabilityReport\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
@@ -369,6 +393,48 @@ def test_verify_checks_run_under_optimize_flag(six_cycle_file, plant, failing, m
     ledger = json.loads(proc.stdout)
     assert ledger[failing] == f"fail: {message}"
     assert all(v == "pass" for k, v in ledger.items() if k != failing)
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        ("smp.mincost.min_cut = lambda net: CutResult(None, frozenset())",
+         "cut network cannot be unbounded"),
+        # the six-cycle's Hasse edge (0, 1) crosses this cut
+        ("smp.mincost.min_cut = lambda net: CutResult(real_cut(net).value, frozenset({'s', 0}))",
+         "a covering arc leaves the source side of the cut"),
+        ("smp.mincost.min_cut = lambda net: CutResult(real_cut(net).value + 1, real_cut(net).source_side)",
+         "cut capacity does not match ideal weight"),
+        # the first call prices the chosen assignment, the second x_min
+        ("calls = []\n"
+         "def planted(costs, x):\n"
+         "    calls.append(x)\n"
+         "    return real_cost(costs, x) + (1 if len(calls) == 1 else 0)\n"
+         "smp.mincost.assignment_cost = planted",
+         "cost decomposition mismatch"),
+    ],
+    ids=["unbounded cut", "cut closure", "cut capacity", "cost decomposition"],
+)
+def test_mincost_checks_fire_under_optimize_flag(tmp_path, plant, message):
+    inst = six_cycle_instance()
+    doc = serialize_instance(inst)
+    doc["costs"] = {e: i for i, e in enumerate(inst.edge_ids)}
+    path = tmp_path / "six_costs.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "import smp.mincost\n"
+        "from smp.cli import main\n"
+        "from smp.flow import CutResult\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "real_cut, real_cost = smp.mincost.min_cut, smp.mincost.assignment_cost\n"
+        f"{plant}\n"
+        "sys.exit(main(['mincost', sys.argv[1]]))\n"
+    )
+    proc = _run_optimized(script, str(path))
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout) == {"error": message}
 
 
 @pytest.mark.parametrize(
@@ -515,6 +581,93 @@ def test_rotations_output_is_pinned(capsys, tmp_path, name, form):
     if form == "json" and name.startswith("marriage"):
         assert len(json.loads(out)) == 2
     assert hashlib.sha256(out.encode()).hexdigest() == ROTATIONS_DIGESTS[name, form]
+
+
+def _six_cycle_with_deficit_pair():
+    """The six-cycle plus a disjoint unit edge whose endpoints have quota 2."""
+    inst = six_cycle_instance()
+    return Instance(
+        inst.firms + ("g",),
+        inst.workers + ("h",),
+        inst.edges + (Edge("gh", "g", "h", F(1)),),
+        {**inst.quota, "g": F(2), "h": F(2)},
+        {**inst.corteges, "g": [["gh"]], "h": [["gh"]]},
+    )
+
+
+# SHA-256 of the lattice and quota-filling forms, which the benchmark never
+# runs, on the rotations instances, a tied marriage with 4 rotations and 3
+# Hasse edges, and one instance that is not quota filling.
+LATTICE_INSTANCES = {
+    **ROTATIONS_INSTANCES,
+    "marriage_4_tied": lambda: rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3),
+    "six_cycle_deficit": _six_cycle_with_deficit_pair,
+}
+LATTICE_FORMS = {
+    "poset": ["poset"],
+    "poset_dot": ["poset", "--dot"],
+    "enumerate": ["enumerate"],
+    "enumerate_grid_3": ["enumerate", "--grid", "3"],
+    "verify": ["verify"],
+    "quota_filling_firms": ["solve", "--method", "quota-filling", "--side", "firms"],
+    "quota_filling_workers": ["solve", "--method", "quota-filling", "--side", "workers"],
+}
+LATTICE_DIGESTS = {
+    ("marriage_4_tied", "enumerate"): "a388b56ff7561cdb72c035f67166c71f6edae26272c0a6ca971f6dc6fb3a67aa",
+    ("marriage_4_tied", "enumerate_grid_3"): "033e79b1f659a63a5ec43ebee7b4ff0e884fd903a96f683908070543ed581f22",
+    ("marriage_4_tied", "poset"): "e067a244a2cb7e04bd842c54756fa144ceb88ce420c0686662f432c401ba13ff",
+    ("marriage_4_tied", "poset_dot"): "dcb785e79f06dd35d61b35557f122aa6014d15be342e06912117243704fc5289",
+    ("marriage_4_tied", "quota_filling_firms"): "59b6c21d79d3eb9e2af7eb20dc702b8973461bd717f76ef752244f6a01e53890",
+    ("marriage_4_tied", "quota_filling_workers"): "f3d71e7fb333db2c7b0f63435efc7346c5a10c92b0300c661fcfe487cceee2b0",
+    ("marriage_4_tied", "verify"): "3ac72bd31ba42c936819bd97e74c663b462b0d77e3f84015807541aa2488ffcd",
+    ("marriage_5_38", "enumerate"): "f9978df986f23c01013481aafa5124ed8d0240b6b1ba08406d2e9fc92e11448d",
+    ("marriage_5_38", "enumerate_grid_3"): "eca80d10d258dabc8574a72f6de1e824e8b5bc437fc5ef6bafc3fb412559c125",
+    ("marriage_5_38", "poset"): "394176e150ecb6817d05508ae793a47caa7b904181284a9ccda892619f4ee7ee",
+    ("marriage_5_38", "poset_dot"): "c6d8cf0505ebead809ee3b32d81a79f78c3c61a3c376dd6a7114a89d8ecc61da",
+    ("marriage_5_38", "quota_filling_firms"): "4a984540300740f089b2e71a9c185699feae600d35f0f4b651d1e83f9e3d212e",
+    ("marriage_5_38", "quota_filling_workers"): "01068206e49f1040435b40c65507168d3f95c72685a337e2f0990d70d13184ac",
+    ("marriage_5_38", "verify"): "3ac72bd31ba42c936819bd97e74c663b462b0d77e3f84015807541aa2488ffcd",
+    ("marriage_6_35", "enumerate"): "4662da544fa14e99db5889c0b9e4e8a27ad2ef596b24ecf8524d9fb91bc71c6b",
+    ("marriage_6_35", "enumerate_grid_3"): "e07dcde8292545ebe6e13c59bd43a73b5bed7362a41ae31a7b9e3547abc5c6d6",
+    ("marriage_6_35", "poset"): "0f002d9c60dcff86bf756d4ae10613e9daad6e257f1e3e3cee565cf08108db58",
+    ("marriage_6_35", "poset_dot"): "c6d8cf0505ebead809ee3b32d81a79f78c3c61a3c376dd6a7114a89d8ecc61da",
+    ("marriage_6_35", "quota_filling_firms"): "317a21b441fa09318a4964d12c3d63c3456794aee1f29cbac3d43d4a8620c39b",
+    ("marriage_6_35", "quota_filling_workers"): "15192f0d230549713a2f267c6b5dc4e1f76a79c04400ef5363d17987ecbe0945",
+    ("marriage_6_35", "verify"): "3ac72bd31ba42c936819bd97e74c663b462b0d77e3f84015807541aa2488ffcd",
+    ("six_cycle", "enumerate"): "bb8973cd061114ab254d409350de81e0241b76fe0af96d0e2f5f65b34e5d64bf",
+    ("six_cycle", "enumerate_grid_3"): "90e2cea1142713652415ca5634c0e93ecb0d0ebbd7ef2bfb7e0844e7f0eeaaa4",
+    ("six_cycle", "poset"): "059a93c060e168d265c9ffb49cd57953cfd57772679121dbc258a00c1dfa8fa1",
+    ("six_cycle", "poset_dot"): "c1d8c30f80fca88c338a042c6b9adba3151aa6a56faa70d027e68a143213d1ae",
+    ("six_cycle", "quota_filling_firms"): "78de574d5dd5787eca3a905d99da317acc37cad4432093a75aeadff119cf7b0d",
+    ("six_cycle", "quota_filling_workers"): "fd96b79e94df6c95e54e72359ae81677fe7ee678a2d9e8270d02965c9231add9",
+    ("six_cycle", "verify"): "3ac72bd31ba42c936819bd97e74c663b462b0d77e3f84015807541aa2488ffcd",
+    ("six_cycle_deficit", "enumerate"): "7d7c24d63e67fe0210173f9d8cc935d329957e1eb7d732f75a2acc44a13c7094",
+    ("six_cycle_deficit", "enumerate_grid_3"): "f1bdb6d7b40cd4eac47f403431db86b1bee11226c1a5158b674e1e993751104f",
+    ("six_cycle_deficit", "poset"): "059a93c060e168d265c9ffb49cd57953cfd57772679121dbc258a00c1dfa8fa1",
+    ("six_cycle_deficit", "poset_dot"): "c1d8c30f80fca88c338a042c6b9adba3151aa6a56faa70d027e68a143213d1ae",
+    ("six_cycle_deficit", "quota_filling_firms"): "442134634ed06b44a8695bc7457352476dd0ffa0db52ca5cf7dfd94db37a6a11",
+    ("six_cycle_deficit", "quota_filling_workers"): "442134634ed06b44a8695bc7457352476dd0ffa0db52ca5cf7dfd94db37a6a11",
+    ("six_cycle_deficit", "verify"): "3ac72bd31ba42c936819bd97e74c663b462b0d77e3f84015807541aa2488ffcd",
+    ("triangle", "enumerate"): "b3f0252bd03bbb43585f1795b9421f59739ed3453ecd3a6a91e243022cad4e2d",
+    ("triangle", "enumerate_grid_3"): "c024bdf81839fcc80bda736c2738350f7df2f6af231e05f6b97e161ce9f9d0d8",
+    ("triangle", "poset"): "e0cf7a00175e0fb0ded5aacee0e75a9b65f70d3efe167cb7151716925d160d5c",
+    ("triangle", "poset_dot"): "c200808e842aed8b6288ae85cfeee40ccb7beb78aabd484fd7d76ccc2fe9c2b6",
+    ("triangle", "quota_filling_firms"): "d9252957e43313d3356e866cce23def7a617af44ad587c152222a9bb5586433e",
+    ("triangle", "quota_filling_workers"): "42c7e3a5ed04e821628379afeb673205e0aa16eb9adc4fd75c318ac1eb46acaf",
+    ("triangle", "verify"): "3ac72bd31ba42c936819bd97e74c663b462b0d77e3f84015807541aa2488ffcd",
+}
+
+
+@pytest.mark.parametrize("name,form", sorted(LATTICE_DIGESTS))
+def test_lattice_output_is_pinned(capsys, tmp_path, name, form):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(serialize_instance(LATTICE_INSTANCES[name]())))
+    command, *options = LATTICE_FORMS[form]
+    code, out = run_cli(capsys, command, str(path), *options)
+    assert code == 0
+    if name == "six_cycle_deficit" and form.startswith("quota_filling"):
+        assert json.loads(out) == {"quota_filling": False}
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_DIGESTS[name, form]
 
 
 @pytest.mark.parametrize("seed", sorted(SOLVE_TRACE_DIGESTS))

@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 import smp.choice
 import smp.iteration
 from smp import (
+    Edge,
+    Instance,
     InstanceError,
     build_extended_instance,
     compare_stable,
     initial_state,
     ordinary_iteration_step,
+    run_route,
     solve_quota_filling,
     solve_xmax,
     solve_xmin,
@@ -100,12 +103,37 @@ def test_solver_handles_ties_families():
         assert stability_report(inst, xmin).stable
 
 
-def test_initial_state_requires_finite_capacities():
-    # only the internal depot construction ever creates an unbounded edge,
-    # so reuse it to exercise the guard
-    ext = build_extended_instance(six_cycle_instance()).ext
+def test_instance_rejects_a_none_capacity():
+    # every capacity is finite, so the rounds and every saturation test can
+    # read it without a guard
     with pytest.raises(InstanceError, match="finite"):
-        initial_state(ext)
+        Instance(
+            firms=["f"],
+            workers=["w"],
+            edges=[Edge("e", "f", "w", None)],
+            quota={"f": F(1), "w": F(1)},
+            corteges={"f": [["e"]], "w": [["e"]]},
+        )
+
+
+def test_depot_root_edge_acts_as_unbounded():
+    # the root edge's capacity q_w + q_f is never reached on a quota-filling
+    # route, and where a shift raises the root, its capacity candidate in
+    # max_weight, (capacity - x_root) / v, is never the shift's τ
+    insts = [rand_marriage(random.Random(f"root{s}"), 3, cap=2, tie_prob=0.3) for s in range(12)]
+    insts += [random_instance(random.Random(f"root{s}"), max_edges=8) for s in range(12)]
+    raised = 0
+    for inst in insts:
+        extended = build_extended_instance(inst)
+        cap = extended.ext.edge_by_id["__root"].capacity
+        route = run_route(extended.ext, extended.seed())
+        assert all(x["__root"] < cap for x in route.states)
+        for x, rot in zip(route.states, route.steps):
+            v = rot.values.get("__root", F(0))
+            if v > 0:
+                raised += 1
+                assert (cap - x["__root"]) / v > rot.tau
+    assert raised, "no shift raised the root edge"
 
 
 def test_trace_records_rounds():

@@ -13,7 +13,6 @@ import smp.iteration
 import smp.poset
 import smp.rotations
 from smp import (
-    ClosedFunction,
     InstanceError,
     build_poset,
     enumerate_fully_closed,
@@ -54,7 +53,7 @@ def test_triangle_poset_is_a_single_rotation():
     assert len(poset.rotations) == 1
     assert poset.less == frozenset()
     assert poset.hasse == []
-    assert poset.tau[0] == F(1)
+    assert poset.rotations[0].tau == F(1)
     assert poset.xmin == {e: F(8) for e in inst.edge_ids}
 
 
@@ -81,7 +80,7 @@ def test_gamma_rejects_non_closed_weights():
     inst = triangle_instance(F(8), F(15))
     poset = build_poset(inst)
     with pytest.raises(InstanceError, match="not closed"):
-        gamma(inst, poset, ClosedFunction({0: F(5)}))
+        gamma(inst, poset, {0: F(5)})
 
 
 def test_gamma_omega_inverse_on_fully_closed_functions():
@@ -89,32 +88,30 @@ def test_gamma_omega_inverse_on_fully_closed_functions():
         for lam in enumerate_fully_closed(poset):
             x = gamma(inst, poset, lam)
             assert stability_report(inst, x).stable
-            assert omega(inst, poset, x).key() == lam.key()
+            assert omega(inst, poset, x) == lam
 
 
 def test_omega_of_endpoints():
     for inst, poset in _marriage_posets(3, tag="ends"):
         n = len(poset.rotations)
-        assert omega(inst, poset, poset.xmin).key() == ClosedFunction(
-            {i: F(0) for i in range(n)}
-        ).key()
-        assert omega(inst, poset, poset.xmax).key() == ClosedFunction(
-            {i: poset.tau[i] for i in range(n)}
-        ).key()
+        assert omega(inst, poset, poset.xmin) == {i: F(0) for i in range(n)}
+        assert omega(inst, poset, poset.xmax) == {
+            i: rot.tau for i, rot in enumerate(poset.rotations)
+        }
 
 
 def test_fully_closed_count_matches_ideal_structure():
     for inst, poset in _marriage_posets(4, tag="ideals"):
         lams = enumerate_fully_closed(poset)
         # distinct, each closed, and at least bottom and top are present
-        keys = {lam.key() for lam in lams}
+        keys = {tuple(sorted(lam.items())) for lam in lams}
         assert len(keys) == len(lams)
         n = len(poset.rotations)
-        assert ClosedFunction({i: F(0) for i in range(n)}).key() in keys
-        assert ClosedFunction({i: poset.tau[i] for i in range(n)}).key() in keys
+        assert {i: F(0) for i in range(n)} in lams
+        assert {i: rot.tau for i, rot in enumerate(poset.rotations)} in lams
         # supports are downward closed
         for lam in lams:
-            support = {i for i, v in lam.weights.items() if v}
+            support = {i for i, v in lam.items() if v}
             for (a, b) in poset.less:
                 assert not (b in support and a not in support)
         if not poset.less:
@@ -149,8 +146,9 @@ def test_hull_membership():
         if not poset.less:
             continue
         (a, b) = sorted(poset.less)[0]
-        good = {a: poset.tau[a], b: poset.tau[b] / 2}
-        bad = {a: poset.tau[a] / 3, b: poset.tau[b] / 2}
+        tau_a, tau_b = poset.rotations[a].tau, poset.rotations[b].tau
+        good = {a: tau_a, b: tau_b / 2}
+        bad = {a: tau_a / 3, b: tau_b / 2}
         assert hull_membership(poset, good)
         assert not hull_membership(poset, bad)
 
@@ -166,18 +164,8 @@ def test_join_and_meet_realize_weightwise_max_and_min():
             y = gamma(inst, poset, lam2)
             join = stable_join_workers(inst, x, y)
             meet = stable_meet_workers(inst, x, y)
-            up = ClosedFunction(
-                {
-                    i: max(lam1.weights.get(i, F(0)), lam2.weights.get(i, F(0)))
-                    for i in range(n)
-                }
-            )
-            dn = ClosedFunction(
-                {
-                    i: min(lam1.weights.get(i, F(0)), lam2.weights.get(i, F(0)))
-                    for i in range(n)
-                }
-            )
+            up = {i: max(lam1.get(i, F(0)), lam2.get(i, F(0))) for i in range(n)}
+            dn = {i: min(lam1.get(i, F(0)), lam2.get(i, F(0))) for i in range(n)}
             assert join == gamma(inst, poset, up)
             assert meet == gamma(inst, poset, dn)
 
@@ -198,11 +186,11 @@ def _reference_poset(inst, xmin):
     reading of the definition, kept to cross-check `build_poset`.
     """
     base = run_route(inst, xmin)
-    keys = [rot.key() for rot, _ in base.steps]
-    tau = {i: rot.tau for i, (rot, _) in enumerate(base.steps)}
+    keys = [rot.key() for rot in base.steps]
+    tau = {i: rot.tau for i, rot in enumerate(base.steps)}
     upsets = {}
     for i, key in enumerate(keys):
-        applied = {rot.key() for rot, _ in run_route(inst, xmin, avoid=key).steps}
+        applied = {rot.key() for rot in run_route(inst, xmin, avoid=key).steps}
         upsets[i] = {j for j, k in enumerate(keys) if k not in applied}
     less = frozenset((i, j) for i, up in upsets.items() for j in up if j != i)
     hasse = sorted(
@@ -242,7 +230,7 @@ def test_build_poset_matches_uncached_avoidance_runs():
         poset = build_poset(inst, xmin)
         keys, tau, less, hasse = _reference_poset(inst, xmin)
         assert [r.key() for r in poset.rotations] == keys
-        assert poset.tau == tau
+        assert {i: rot.tau for i, rot in enumerate(poset.rotations)} == tau
         assert poset.less == less
         assert poset.hasse == hasse
         saw_order = saw_order or bool(less)
@@ -389,7 +377,7 @@ def test_route_step_chooses_only_on_the_rotation_support():
             keys = [tuple(x.values()) for x in route.states]
             assert set(chosen) <= set(keys)
             assert sorted(chosen[keys[0]]) == ([] if known else sorted(inst.vertices()))
-            for key, (rot, _) in zip(keys[1:], route.steps):
+            for key, rot in zip(keys[1:], route.steps):
                 edges = [inst.edge_by_id[e] for e in rot.values]
                 ends = {e.firm for e in edges} | {e.worker for e in edges}
                 assert sorted(chosen[key]) == sorted(ends)

@@ -132,7 +132,7 @@ def test_run_route_is_order_invariant():
                 assert stability_report(inst, nxt).stable
                 assert compare_stable(inst, prev, nxt, side="firms").holds
                 assert nxt != prev
-            omega = sorted((rot.key(), tau) for rot, tau in route.steps)
+            omega = sorted((rot.key(), rot.tau) for rot in route.steps)
             if baseline is None:
                 baseline = (route.states[-1], omega)
             else:
