@@ -3,7 +3,9 @@
 Every stable assignment is x_min plus a closed combination of rotations, so
 its cost is c·x_min plus the summed rotation weights ζ(ρ) = τ(ρ)·(c·ρ) over a
 downward-closed set of rotations.  Minimizing a node-weight sum over closed
-sets is the classical project-selection min-cut.
+sets is the classical project-selection min-cut.  Every arc of the cut
+network has a finite capacity: a covering arc gets one above the total
+positive weight, which no flow reaches (see `min_cost_stable`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def min_cost_stable(
 
     Network: source feeds each positive-ζ rotation with capacity ζ, each
     negative-ζ rotation drains |ζ| to the sink, and each covering relation
-    ρ ⋖ ρ' carries an infinite arc ρ → ρ'.  A finite source-side cut A is then
+    ρ ⋖ ρ' carries an arc ρ → ρ' that no cut of minimal capacity crosses
+    (see the bound below).  The minimal cut's source side A is then
     up-closed, so its complement X is an ideal, and the cut capacity equals
     ζ(X) minus the (constant) total negative weight — minimal cut, minimal
     ideal weight.  Ties are broken deterministically by taking A = the nodes
@@ -82,11 +85,18 @@ def min_cost_stable(
             net.add_edge("s", i, z)
         elif z < 0:
             net.add_edge(i, "t", -z)
+    # A covering arc gets capacity C = 1 + Σζ⁺ and acts as if unbounded.  The
+    # network is a DAG, so the flow on any arc is at most the total flow
+    # F ≤ Σζ⁺ < C: a covering arc is never saturated, and BFS sees a positive
+    # residual on it exactly where it would on an unbounded arc.  Every
+    # augmenting path starts with a source arc of residual at most Σζ⁺ − F,
+    # below any covering arc's C − F, so a covering arc never sets the
+    # bottleneck.  The cut value and its source side are therefore those of
+    # the network with unbounded covering arcs.
+    cover = sum((z for z in cp.zeta.values() if z > 0), Fraction(1))
     for (a, b) in poset.hasse:
-        net.add_edge(a, b, None)
+        net.add_edge(a, b, cover)
     cut = min_cut(net)
-    if cut.value is None:
-        raise InvariantError("cut network cannot be unbounded")
     source_side = cut.source_side
     ideal = frozenset(i for i in range(n) if i not in source_side)
     if any(a in source_side and b not in source_side for (a, b) in poset.hasse):

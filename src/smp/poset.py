@@ -82,11 +82,10 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     xmin = full_assignment(inst, xmin)
     cache: dict = {}
     base = run_route(inst, xmin, cache=cache, known=known)
+    if not base.non_expensive:
+        raise InvariantError("full-shift route repeated a rotation")
     rotations = base.steps
-    keys: list[tuple] = []
-    for rot in rotations:
-        assert rot.key() not in keys, "full-shift route repeated a rotation"
-        keys.append(rot.key())
+    keys = [rot.key() for rot in rotations]
     xmax = base.states[-1]
 
     upsets: dict[int, frozenset[int]] = {}

@@ -38,7 +38,7 @@ from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .choice import ChoiceOutcome
-from .linalg import gaussian_solve
+from .linalg import integer_nullspace
 from .model import Instance, InstanceError, InvariantError, full_assignment
 from .stability import compare_stable, stability_report
 
@@ -242,30 +242,26 @@ def extract_rotation(
     nfirms = len(order)
     order += [v for v in comp if v not in inst.firm_set]
     var_index = {v: i for i, v in enumerate(order)}
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, int]] = []
     for v in order:
-        row = [Fraction(0)] * len(order)
-        row[var_index[v]] = Fraction(len(act.heads[v]))
+        row = {var_index[v]: len(act.heads[v])}
         for e in inst.incident[v]:
             u = inst.edge_by_id[e].other(v)
             if u in var_index and e in act.heads[u]:
-                row[var_index[u]] -= 1
+                row[var_index[u]] = row.get(var_index[u], 0) - 1
         rows.append(row)
-    sol = gaussian_solve(rows, [Fraction(0)] * len(rows))
-    if sol.status != "underdetermined" or len(sol.nullspace) != 1:
-        dim = len(sol.nullspace) if sol.nullspace else 0
-        raise InvariantError(f"balance system nullspace has dimension {dim}, expected 1")
-    gen = sol.nullspace[0]
-    if any(v.numerator < 0 for v in gen):
-        gen = [-v for v in gen]
-    if not all(v.numerator > 0 for v in gen):
+    basis = integer_nullspace(rows, len(order))
+    if len(basis) != 1:
+        raise InvariantError(f"balance system nullspace has dimension {len(basis)}, expected 1")
+    gen = basis[0]
+    if not all(v > 0 for v in gen):
         raise InvariantError("balance solution not strictly positive on the component")
     values: dict[str, Fraction] = {}
     for i, v in enumerate(order):
         for e in act.heads[v]:
             if e in values:
                 raise InvariantError(f"edge {e!r} active on both sides")
-            values[e] = gen[i] if i < nfirms else -gen[i]
+            values[e] = Fraction(gen[i] if i < nfirms else -gen[i])
     rot = Rotation(values=values, tau=Fraction(0))  # tau filled in below
     _check_rotation_invariants(inst, rot)
     rot.tau = max_weight(inst, x, rot, act)

@@ -15,10 +15,16 @@ import smp.iteration
 import smp.rotations
 from smp import Edge, Instance, serialize_assignment, serialize_instance
 from smp.cli import main
-from smp.linalg import LinearSolution
+from smp.mincost import build_costed_poset
 from smp.simplex import LPResult
 
-from gen import SIX_CYCLE_STABLE_ODD, rand_marriage, six_cycle_instance, triangle_instance
+from gen import (
+    SIX_CYCLE_STABLE_ODD,
+    chained_instance,
+    rand_marriage,
+    six_cycle_instance,
+    triangle_instance,
+)
 
 
 @pytest.fixture()
@@ -268,10 +274,7 @@ def test_failed_stability_invariant_is_checked_under_optimize_flag(tmp_path, six
 
 def test_failed_rotation_invariant_is_exit_4(capsys, monkeypatch, six_cycle_file):
     # a balance system with a unique solution has no rotation to extract
-    def unique(rows, rhs):
-        return LinearSolution("unique", [F(0)] * len(rows[0]))
-
-    monkeypatch.setattr(smp.rotations, "gaussian_solve", unique)
+    monkeypatch.setattr(smp.rotations, "integer_nullspace", lambda rows, n: [])
     code, out = run_cli(capsys, "poset", six_cycle_file)
     assert code == 4
     doc = json.loads(out)
@@ -281,11 +284,10 @@ def test_failed_rotation_invariant_is_exit_4(capsys, monkeypatch, six_cycle_file
 
 ROTATION_PLANTS = [
     # a balance solve that returns twice the generator: values not coprime
-    ("solve = smp.rotations.gaussian_solve\n"
-     "def doubled(rows, rhs):\n"
-     "    sol = solve(rows, rhs)\n"
-     "    return LinearSolution(sol.status, sol.solution, [[2 * v for v in vec] for vec in sol.nullspace])\n"
-     "smp.rotations.gaussian_solve = doubled",
+    ("solve = smp.rotations.integer_nullspace\n"
+     "def doubled(rows, n):\n"
+     "    return [[2 * v for v in vec] for vec in solve(rows, n)]\n"
+     "smp.rotations.integer_nullspace = doubled",
      "rotation values not coprime"),
     # a zero stored on the first edge off the support of the first rotation
     # extracted, {a, e1, e5, e6}
@@ -306,7 +308,6 @@ def test_failed_rotation_check_is_exit_4_under_optimize_flag(six_cycle_file):
             "from fractions import Fraction\n"
             "import smp.rotations\n"
             "from smp.cli import main\n"
-            "from smp.linalg import LinearSolution\n"
             "if __debug__:\n"
             "    sys.exit('assertions are enabled')\n"
             f"{plant}\n"
@@ -341,6 +342,28 @@ def test_route_guard_is_exit_4_under_optimize_flag(six_cycle_file):
     proc = _run_optimized(script, six_cycle_file)
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": "route exceeded 14 shifts"}
+
+
+def test_repeated_base_route_rotation_is_exit_4_under_optimize_flag(six_cycle_file):
+    # a base route that applies its first rotation again at its end
+    script = (
+        "import dataclasses, sys\n"
+        "import smp.poset\n"
+        "from smp.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "real = smp.poset.run_route\n"
+        "def planted(inst, start, **kw):\n"
+        "    route = real(inst, start, **kw)\n"
+        "    if 'avoid' in kw:\n"
+        "        return route\n"
+        "    return dataclasses.replace(route, steps=route.steps + route.steps[:1])\n"
+        "smp.poset.run_route = planted\n"
+        "sys.exit(main(['poset', sys.argv[1]]))\n"
+    )
+    proc = _run_optimized(script, six_cycle_file)
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "full-shift route repeated a rotation"}
 
 
 def _omega_route_plant(change):
@@ -398,8 +421,6 @@ def test_verify_checks_run_under_optimize_flag(six_cycle_file, plant, failing, m
 @pytest.mark.parametrize(
     "plant, message",
     [
-        ("smp.mincost.min_cut = lambda net: CutResult(None, frozenset())",
-         "cut network cannot be unbounded"),
         # the six-cycle's Hasse edge (0, 1) crosses this cut
         ("smp.mincost.min_cut = lambda net: CutResult(real_cut(net).value, frozenset({'s', 0}))",
          "a covering arc leaves the source side of the cut"),
@@ -413,7 +434,7 @@ def test_verify_checks_run_under_optimize_flag(six_cycle_file, plant, failing, m
          "smp.mincost.assignment_cost = planted",
          "cost decomposition mismatch"),
     ],
-    ids=["unbounded cut", "cut closure", "cut capacity", "cost decomposition"],
+    ids=["cut closure", "cut capacity", "cost decomposition"],
 )
 def test_mincost_checks_fire_under_optimize_flag(tmp_path, plant, message):
     inst = six_cycle_instance()
@@ -679,6 +700,57 @@ def test_solve_trace_output_is_pinned(capsys, tmp_path, seed):
     assert code == 0
     assert any(step["kind"] == "aggregated" for step in json.loads(out)["trace"])
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_TRACE_DIGESTS[seed]
+
+
+# SHA-256 of `smp poset` and `smp mincost --costs` on the inputs that work the
+# exact kernels hardest: chained_instance(k, 8·4^(k-1), 15·4^(k-1)), whose
+# single rotation has generator entries up to 4^(k-1), and two tied marriages
+# with at least two Hasse edges and rotation weights ζ of both signs, so that
+# the cut network has source, sink and covering arcs.  Each case draws its
+# costs in -9..9 from the generator it was built with, after the instance.
+KERNEL_CASES = {
+    **{
+        f"chain_{k}": (k, lambda rng, k=k: chained_instance(k, F(8 * 4 ** (k - 1)), F(15 * 4 ** (k - 1))))
+        for k in range(2, 7)
+    },
+    "marriage_5_tied_2": (2, lambda rng: rand_marriage(rng, 5, cap=2, tie_prob=0.5)),
+    "marriage_5_tied_54": (54, lambda rng: rand_marriage(rng, 5, cap=2, tie_prob=0.5)),
+}
+KERNEL_DIGESTS = {
+    ("chain_2", "poset"): "3d36d60133e7e317b7a7290ab80173960713a6c2573891aa16079e6f524355e9",
+    ("chain_2", "mincost"): "097a1115bb91f0e6168bd403a8edaef540ff20759c852ce1999a6bbdc59fdaba",
+    ("chain_3", "poset"): "bb030d677430a3ac7e20d9145c5eaf79744097920a0b68a1a5724efb68b443c9",
+    ("chain_3", "mincost"): "bfb5dc4ad0f06513a91e02e39e222de6b13676b44ef59030a814c93a5cde97b3",
+    ("chain_4", "poset"): "2716d4e1f9bf771da6564304af2ab6f0334cbcb42f649c356ee65e31876b4c3e",
+    ("chain_4", "mincost"): "d097036118662e24f357499b39161fd0b82e657b6d2ef32599b89528bf69c90d",
+    ("chain_5", "poset"): "40437629c0aba8114eb4199f3d04a93fa771e5a9fc7f40b742f80381f4dfeb61",
+    ("chain_5", "mincost"): "7fda56a44ac6df1d329bbb5db905bc4f6a808a07aeaf1872846ce600be23239c",
+    ("chain_6", "poset"): "15fe3e12aeb8a6417960034f703f22a678bad27a8aa71d33f4c5453f4f76cc1c",
+    ("chain_6", "mincost"): "fe57ed6261185a84956b91b240143c89b25adfe46f643ced8c49a871f497c335",
+    ("marriage_5_tied_2", "poset"): "cd65a1d505fc2f8010a193e6a6abb3a8731e30626a3938a66f69d86ca9418c14",
+    ("marriage_5_tied_2", "mincost"): "f879116bd2c9a569c91a9900ec24756f562570afce26a981c8364655e5fadee2",
+    ("marriage_5_tied_54", "poset"): "6c42058e1b7a5cb6ff31d3b79401c8a747b72abd84c7aa9e2d3fb92b2a4d7855",
+    ("marriage_5_tied_54", "mincost"): "54745af9680fe129c46367fd5c0cf9d1d3240ca3acc2f5e621c5dd25d26b685c",
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(KERNEL_DIGESTS))
+def test_kernel_output_is_pinned(capsys, tmp_path, name, command):
+    seed, make = KERNEL_CASES[name]
+    rng = random.Random(seed)
+    inst = make(rng)
+    costs = {e: rng.randint(-9, 9) for e in inst.edge_ids}
+    path, costs_path = tmp_path / f"{name}.json", tmp_path / f"{name}.costs.json"
+    path.write_text(json.dumps(serialize_instance(inst)))
+    costs_path.write_text(json.dumps(costs))
+    options = ["--costs", str(costs_path)] if command == "mincost" else []
+    code, out = run_cli(capsys, command, str(path), *options)
+    assert code == 0
+    if name.startswith("marriage"):
+        costed = build_costed_poset(inst, {e: F(c) for e, c in costs.items()})
+        assert len(costed.poset.hasse) >= 2
+        assert min(costed.zeta.values()) < 0 < max(costed.zeta.values())
+    assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_DIGESTS[name, command]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])

@@ -1,7 +1,8 @@
-"""Exact numeric kernels: Gaussian elimination, simplex, max-flow/min-cut."""
+"""Exact numeric kernels: integer nullspace, simplex, max-flow/min-cut."""
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,26 +10,27 @@ import smp.iteration
 import smp.simplex
 from smp.flow import FlowNetwork, min_cut
 from smp.iteration import solve_xmin
-from smp.linalg import LinearSolution, _normalize_integer, gaussian_solve
+from smp.linalg import integer_nullspace
 from smp.simplex import LinearProgram, LPResult, simplex_maximize
 
 from gen import rand_marriage
 from test_acceptance import sap_pool, sdp_pool, smp_pool
 
 
-# --- gaussian elimination ---------------------------------------------------
+# --- integer nullspace ------------------------------------------------------
 
 
-def dense_gauss_jordan(matrix, rhs):
+def dense_nullspace(matrix, n):
     """Reference: dense Gauss-Jordan elimination on Fractions.
 
-    Pivots on the first remaining row with a nonzero in each column; the
-    result must equal `gaussian_solve`'s, since the reduced row echelon form
-    is unique.
+    Pivots on the first remaining row with a nonzero in each column and
+    completes each free column's unit vector through the reduced rows, then
+    scales it to integers with gcd 1 and first nonzero entry positive.  The
+    result must equal `integer_nullspace`'s on the rows scaled to integers,
+    since the reduced row echelon form is unique.
     """
     m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    rows = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    rows = [[F(v) for v in row] for row in matrix]
     pivot_cols = []
     r = 0
     for c in range(n):
@@ -46,23 +48,33 @@ def dense_gauss_jordan(matrix, rhs):
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return LinearSolution(status="infeasible")
-    particular = [F(0)] * n
-    for i, c in enumerate(pivot_cols):
-        particular[c] = rows[i][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    if not free_cols:
-        return LinearSolution(status="unique", solution=particular)
     basis = []
-    for fc in free_cols:
+    for fc in range(n):
+        if fc in pivot_cols:
+            continue
         vec = [F(0)] * n
         vec[fc] = F(1)
         for i, c in enumerate(pivot_cols):
             vec[c] = -rows[i][fc]
-        basis.append(_normalize_integer(vec))
-    return LinearSolution(status="underdetermined", solution=particular, nullspace=basis)
+        scale = lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        g = gcd(*ints)
+        sign = 1 if next(v for v in ints if v) > 0 else -1
+        basis.append([sign * v // g for v in ints])
+    return basis
+
+
+def integer_rows(matrix):
+    """Each rational row scaled by the lcm of its denominators, as {column: int}."""
+    out = []
+    for row in matrix:
+        scale = lcm(*(v.denominator for v in row))
+        out.append({c: int(v * scale) for c, v in enumerate(row) if v})
+    return out
+
+
+def _in_kernel(rows, vec):
+    return all(sum(a * vec[c] for c, a in row.items()) == 0 for row in rows)
 
 
 # small signed rationals, zero-heavy so that rows are sparse
@@ -75,7 +87,7 @@ entries = st.one_of(
 
 @st.composite
 def rational_systems(draw):
-    """Wide, tall and square systems with zero, duplicate and dependent rows."""
+    """Wide, tall and square matrices with zero, duplicate and dependent rows."""
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 8))
     rows = []
@@ -92,54 +104,41 @@ def rational_systems(draw):
         else:
             row = draw(st.lists(entries, min_size=n, max_size=n))
         rows.append(row)
-    if draw(st.booleans()):
-        # consistent right-hand side through a random point
-        x0 = draw(st.lists(entries, min_size=n, max_size=n))
-        rhs = [sum((a * v for a, v in zip(row, x0)), F(0)) for row in rows]
-    else:
-        # arbitrary right-hand side, usually inconsistent on dependent rows
-        rhs = draw(st.lists(entries, min_size=m, max_size=m))
-    return rows, rhs
+    return rows, n
 
 
 @settings(max_examples=500, deadline=None)
 @given(rational_systems())
-def test_gaussian_solve_matches_dense_reference(system):
-    matrix, rhs = system
-    assert gaussian_solve(matrix, rhs) == dense_gauss_jordan(matrix, rhs)
-
-
-def test_gaussian_unique_solution():
-    sol = gaussian_solve([[F(2), F(1)], [F(1), F(-1)]], [F(5), F(1)])
-    assert sol.status == "unique"
-    assert sol.solution == [F(2), F(1)]
-
-
-def test_gaussian_infeasible():
-    sol = gaussian_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
-    assert sol.status == "infeasible"
+def test_integer_nullspace_matches_dense_reference(system):
+    matrix, n = system
+    rows = integer_rows(matrix)
+    basis = integer_nullspace(rows, n)
+    assert basis == dense_nullspace(matrix, n)
+    assert all(_in_kernel(rows, vec) for vec in basis)
+    assert rows == integer_rows(matrix)  # the input is left as it was
 
 
 def test_gaussian_one_dimensional_nullspace_is_normalized():
-    # x - (2/3) y = 0 has kernel spanned by (2, 3) after integer normalization
-    sol = gaussian_solve([[F(1), F(-2, 3)]], [F(0)])
-    assert sol.status == "underdetermined"
-    assert sol.nullspace == [[F(2), F(3)]]
+    # 3x - 2y = 0 has kernel spanned by (2, 3)
+    assert integer_nullspace([{0: 3, 1: -2}], 2) == [[2, 3]]
     # first nonzero entry positive, gcd 1
-    sol = gaussian_solve([[F(-3), F(-6)]], [F(0)])
-    assert sol.nullspace == [[F(2), F(-1)]]
+    assert integer_nullspace([{0: -3, 1: -6}], 2) == [[2, -1]]
+    # x = -(3/2) y: the pivot's reduced denominator scales the vector to (-3, 2)
+    assert integer_nullspace([{0: 4, 1: 6}], 2) == [[3, -2]]
+    # a leading zero entry
+    assert integer_nullspace([{0: 5}], 2) == [[0, 1]]
 
 
 def test_gaussian_nullspace_vectors_lie_in_kernel():
-    a = [[F(1), F(2), F(3), F(0)], [F(0), F(1), F(1), F(1)]]
-    sol = gaussian_solve(a, [F(4), F(2)])
-    assert sol.status == "underdetermined"
-    for vec in sol.nullspace:
-        for row in a:
-            assert sum((r * v for r, v in zip(row, vec)), F(0)) == 0
-    # the particular solution satisfies the system
-    for row, b in zip(a, [F(4), F(2)]):
-        assert sum((r * v for r, v in zip(row, sol.solution)), F(0)) == b
+    rows = [{0: 2, 1: 4, 2: 3}, {1: 3, 2: 1, 3: 2}]
+    basis = integer_nullspace(rows, 4)
+    assert len(basis) == 2
+    for vec in basis:
+        assert _in_kernel(rows, vec)
+    # one vector per free column, in column order
+    assert integer_nullspace([{0: 5}], 3) == [[0, 1, 0], [0, 0, 1]]
+    # a full-rank square system has only the zero solution
+    assert integer_nullspace([{0: 2, 1: 1}, {0: 1, 1: -1}], 2) == []
 
 
 # --- simplex ----------------------------------------------------------------
@@ -463,21 +462,16 @@ def test_min_cut_residual_source_side_is_minimal():
     assert cut.source_side == frozenset({"s", "m"})
 
 
-def test_min_cut_infinite_edge_never_crosses():
+def test_min_cut_arc_above_source_capacity_never_crosses():
+    # a->b can carry more than the source sends, so no minimal cut
+    # separates a from b
     net = FlowNetwork("s", "t")
     net.add_edge("s", "a", F(4))
-    net.add_edge("a", "b", None)  # unbounded
+    net.add_edge("a", "b", F(5))
     net.add_edge("b", "t", F(1))
     cut = min_cut(net)
     assert cut.value == F(1)
-    assert not ("a" in cut.source_side and "b" not in cut.source_side)
-
-
-def test_min_cut_unbounded_path():
-    net = FlowNetwork("s", "t")
-    net.add_edge("s", "a", None)
-    net.add_edge("a", "t", None)
-    assert min_cut(net).value is None
+    assert cut.source_side == frozenset({"s", "a", "b"})
 
 
 def test_min_cut_disconnected():
