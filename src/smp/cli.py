@@ -259,9 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The parser is static configuration and `parse_args` keeps no state between
+# calls, so one parser serves every `main` call in the process.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (InstanceError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:

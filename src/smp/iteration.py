@@ -144,7 +144,7 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
     changed: set[str] = set()  # the firms at which x or the bounds changed
     for f in fresh_firms:
         for e, val in outcomes[f].result.items():
-            if val != x[e]:
+            if val is not x[e] and val != x[e]:
                 x[e] = val
                 moved.add(edge[e].worker)
                 changed.add(f)
@@ -154,7 +154,9 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
     y = dict(state.y)
     for w in fresh_workers:
         y.update(outcomes[w].result)
-    cut = frozenset(e for w in fresh_workers for e in inst.incident[w] if y[e] != x[e])
+    cut = frozenset(
+        e for w in fresh_workers for e in inst.incident[w] if y[e] is not x[e] and y[e] != x[e]
+    )
     new_bounds = dict(b)
     for e in cut:
         new_bounds[e] = y[e]
@@ -218,9 +220,14 @@ def _progress_marker(inst: Instance, state: IterationState, prev=None):
     """
     stuck = {} if prev is None else dict(prev[0])
     for f in inst.firms if prev is None else state.changed_firms:
-        stuck[f] = frozenset(
-            e for e in inst.incident[f] if state.x[e] == inst.edge_by_id[e].capacity
-        ) | _reduced_edges(inst, state.bounds, f)
+        full = set()
+        for e in inst.incident[f]:
+            # x is at most the capacity, which is positive: the capacity
+            # object itself is reached and 0 is not
+            val, cap = state.x[e], inst.edge_by_id[e].capacity
+            if val is cap or (val.numerator and val == cap):
+                full.add(e)
+        stuck[f] = frozenset(full) | _reduced_edges(inst, state.bounds, f)
     worker_view = {
         w: (state.outcomes[w].critical_tie, state.outcomes[w].head)
         for w in state.fully_workers

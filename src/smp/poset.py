@@ -93,15 +93,17 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
         partial = run_route(inst, base.states[i], avoid=key, cache=cache)
         applied = set(keys[:i]) | {rot.key() for rot in partial.steps}
         unapplied = frozenset(j for j, k in enumerate(keys) if k not in applied)
-        assert i in unapplied
+        if i not in unapplied:
+            raise InvariantError(f"avoidance run applied the avoided rotation {i}")
         upsets[i] = unapplied
+    # every (i, j) has i < j, since the base route's first i keys count as
+    # applied and the keys are distinct: the order is antisymmetric as built
     less = frozenset(
         (i, j) for i, up in upsets.items() for j in up if j != i
     )
-    # strict partial order sanity
     for (a, b) in less:
-        assert (b, a) not in less, "precedence not antisymmetric"
-        assert upsets[b] <= upsets[a], "precedence not transitive"
+        if not upsets[b] <= upsets[a]:
+            raise InvariantError(f"precedence not transitive at rotations {a} < {b}")
     hasse = sorted(
         (a, b)
         for (a, b) in less

@@ -71,7 +71,10 @@ def stability_report(
     blocking = []
     for eid in inst.edge_ids:
         e = inst.edge_by_id[eid]
-        if x[eid] >= e.capacity:
+        # x is in the box and capacities are positive: the capacity object
+        # itself is saturated and 0 is not; other values compare by value
+        val, cap = x[eid], e.capacity
+        if val is cap or (val.numerator and val >= cap):
             continue
         in_both_tails = eid in outcomes[e.firm].tail and eid in outcomes[e.worker].tail
         # second route: some endpoint is fully filled and holds the edge in

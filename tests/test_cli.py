@@ -1,5 +1,6 @@
 """Command-line interface round-trips and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import smp.iteration
 import smp.rotations
 from smp import Edge, Instance, serialize_assignment, serialize_instance
-from smp.cli import main
+from smp.cli import build_parser, main
 from smp.mincost import build_costed_poset
 from smp.simplex import LPResult
 
@@ -217,15 +218,20 @@ def test_failed_invariant_is_exit_4(capsys, monkeypatch, aggregating_file):
     assert json.loads(out) == {"error": "aggregation LP infeasible"}
 
 
-def _run_optimized(script, *args):
-    """Run `script` under `python -O` with this checkout's `smp` importable."""
+def _run_python(flags, script, *args):
+    """Run `script` in a new interpreter with this checkout's `smp` importable."""
     src = str(Path(smp.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-O", "-c", script, *args],
+        [sys.executable, *flags, "-c", script, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def _run_optimized(script, *args):
+    """Run `script` under `python -O`."""
+    return _run_python(["-O"], script, *args)
 
 
 def test_failed_invariant_is_checked_under_optimize_flag(aggregating_file):
@@ -364,6 +370,49 @@ def test_repeated_base_route_rotation_is_exit_4_under_optimize_flag(six_cycle_fi
     proc = _run_optimized(script, six_cycle_file)
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": "full-shift route repeated a rotation"}
+
+
+AVOIDANCE_PLANTS = [
+    # every avoidance run routes on without avoiding, so it applies the
+    # avoided rotation, the base route's next one
+    ("    return real(inst, start, cache=kw['cache'])",
+     "avoidance run applied the avoided rotation 0"),
+    # avoiding rotation 0 leaves 0 and 1 unapplied, avoiding 1 leaves 1 and
+    # every later one: 0 < 1, but 2 is above 1 and not above 0
+    ("    route = real(inst, start, **kw)\n"
+     "    i = [r.key() for r in base[0]].index(kw['avoid'])\n"
+     "    steps = {0: base[0][2:], 1: []}.get(i, route.steps)\n"
+     "    return dataclasses.replace(route, steps=steps)",
+     "precedence not transitive at rotations 0 < 1"),
+]
+
+
+@pytest.mark.parametrize("plant, message", AVOIDANCE_PLANTS, ids=["avoided", "transitive"])
+def test_avoidance_checks_fire_under_optimize_flag(tmp_path, plant, message):
+    path = tmp_path / "m4.json"
+    # a tied 4 x 4 marriage whose poset is the chain of its 4 rotations
+    inst = rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3)
+    path.write_text(json.dumps(serialize_instance(inst)))
+    script = (
+        "import dataclasses, sys\n"
+        "import smp.poset\n"
+        "from smp.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "real = smp.poset.run_route\n"
+        "base = []\n"
+        "def planted(inst, start, **kw):\n"
+        "    if 'avoid' not in kw:\n"
+        "        route = real(inst, start, **kw)\n"
+        "        base.append(route.steps)\n"
+        "        return route\n"
+        f"{plant}\n"
+        "smp.poset.run_route = planted\n"
+        "sys.exit(main(['poset', sys.argv[1]]))\n"
+    )
+    proc = _run_optimized(script, str(path))
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout) == {"error": message}
 
 
 def _omega_route_plant(change):
@@ -765,3 +814,54 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--side", "aliens"])
     assert exc.value.code == 2
+
+
+def _fresh_run(argv):
+    """Exit code, stdout and stderr of `main(argv)` in a new interpreter."""
+    script = "import sys\nfrom smp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = _run_python([], script, *argv)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys, monkeypatch, triangle_file):
+    # help and usage text wrap at the terminal width, here and in the
+    # interpreters that `_fresh_run` starts
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["solve", triangle_file, "--trace"],
+        ["solve", triangle_file],
+        ["solve", triangle_file, "--bogus"],
+        ["frobnicate", triangle_file],
+        ["--help"],
+        ["solve", triangle_file],
+    ]
+    runs = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        runs.append((code, out.out, out.err))
+    assert [code for code, _, _ in runs] == [0, 0, 2, 2, 0, 0]
+    assert "trace" in json.loads(runs[0][1]) and "trace" not in json.loads(runs[1][1])
+    assert runs[5] == runs[1]
+    for argv, run in zip(sequence, runs):
+        assert run == _fresh_run(argv), argv
+
+
+def test_main_constructs_no_parser(capsys, monkeypatch, triangle_file):
+    # `main` parses with the parser built once, when `smp.cli` was imported;
+    # building it constructs 8 parsers, the top level and 7 subcommands
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["solve", triangle_file]) == 0
+    assert built == []
+    build_parser()
+    assert len(built) == 8

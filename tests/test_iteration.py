@@ -413,6 +413,46 @@ def test_sparse_rounds_match_the_dense_reference(seed, family):
         assert out == reference_marker(inst, state)
 
 
+def _other_objects(values):
+    """Equal values as objects distinct from the given ones."""
+    return {e: F(v.numerator, v.denominator) for e, v in values.items()}
+
+
+@pytest.mark.parametrize("family", ["tied", "strict", "chain"])
+def test_rounds_compare_values_past_the_identity_shortcut(monkeypatch, family):
+    """A round settles a firm's fresh choice against x, and y against x, by
+    identity where a choice passed one object through, and the progress
+    marker settles x against the capacity the same way.  On a state whose
+    x, y and bounds hold equal values as other objects, the round, its
+    choices and the marker must come out the same by value."""
+    inst = _family_instance(family, 1)
+    calls = []
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: calls.append(v) or choose(inst, v, z))
+
+    def step(state):
+        calls.clear()
+        return ordinary_iteration_step(inst, state), list(calls)
+
+    state = initial_state(inst)
+    for _ in range(30):
+        copied = dataclasses.replace(
+            state,
+            bounds=_other_objects(state.bounds),
+            x=_other_objects(state.x),
+            y=_other_objects(state.y),
+        )
+        assert smp.iteration._progress_marker(inst, copied) == reference_marker(inst, state)
+        after, chosen = step(state)
+        again, chosen_again = step(copied)
+        assert chosen_again == chosen
+        for name in REFERENCE_FIELDS + ("cut", "changed_firms"):
+            assert getattr(again, name) == getattr(after, name), name
+        if after.terminal:
+            break
+        state = after
+    assert after.terminal
+
+
 def test_round_check_covers_the_edges_of_fresh_workers(monkeypatch):
     """A worker choice above its offer breaks x >= y on an edge whose firm did
     not choose again this round; the round itself must reject it."""

@@ -8,7 +8,15 @@ import pytest
 
 import smp.choice
 
-from smp import InstanceError, compare_stable, full_assignment, solve_xmin, stability_report
+from smp import (
+    Edge,
+    Instance,
+    InstanceError,
+    compare_stable,
+    full_assignment,
+    solve_xmin,
+    stability_report,
+)
 from smp.choice import choose
 
 from gen import (
@@ -174,3 +182,20 @@ def test_box_screen_compares_values_past_the_identity_shortcut(flaw):
     expected = _rejection(inst, x)
     assert expected.startswith("assignment not admissible: ")
     assert _rejection(inst, x, known) == expected
+
+
+def test_saturation_compares_values_past_the_identity_shortcut():
+    """An edge at its capacity cannot block, also where its value is not the
+    capacity object: both endpoints of this one edge have room to spare, so
+    the edge sits in both tails and only its saturation excuses it."""
+    cap = F(7, 2)
+    inst = Instance(
+        ["f"], ["w"], [Edge("e", "f", "w", cap)], {"f": F(5), "w": F(5)}, {"f": [["e"]], "w": [["e"]]}
+    )
+    x = {"e": F(7, 2)}
+    assert x["e"] is not inst.edge_by_id["e"].capacity
+    report = stability_report(inst, x)
+    assert report.stable and report.blocking_edges == []
+    assert report.deficit == {"f", "w"}
+    below = stability_report(inst, {"e": F(3)})
+    assert below.blocking_edges == ["e"]
