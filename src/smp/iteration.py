@@ -195,8 +195,16 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
 
 
 def _reduced_edges(inst: Instance, bounds: Mapping[str, Fraction], f: str) -> frozenset[str]:
-    """The edges at firm f whose bound is below the capacity."""
-    return frozenset(e for e in inst.incident[f] if bounds[e] < inst.edge_by_id[e].capacity)
+    """The edges at firm f whose bound is below the capacity.
+
+    A bound starts as the capacity object and is replaced only where a cut
+    lowers it, so identity settles most edges; the rest compare by value.
+    """
+    edge = inst.edge_by_id
+    return frozenset(
+        e for e in inst.incident[f]
+        if bounds[e] is not edge[e].capacity and bounds[e] < edge[e].capacity
+    )
 
 
 def _progress_marker(inst: Instance, state: IterationState, prev=None):

@@ -34,24 +34,32 @@ RationalLike = Union[int, str, Fraction]
 ZERO = Fraction(0)
 
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _exact(value) -> Optional[Fraction]:
+    """`value` as a `Fraction` if it is an `int` (never a `bool`) or a
+    `Fraction`, else None."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    return None
+
+
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from a bare int or a 'p/q' / 'p' string."""
-    if isinstance(value, bool):
-        raise InstanceError(f"not a rational: {value!r}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         # 'p' or 'p/q' only; Fraction() would also take decimals like '1.5',
         # which the exact format forbids
-        if not re.fullmatch(r"[+-]?\d+(/\d+)?", value.strip()):
-            raise InstanceError(f"not a rational: {value!r}")
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceError(f"not a rational: {value!r}") from exc
-    # Floats are rejected on purpose: the format is exact.
+        if _RATIONAL.fullmatch(text):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InstanceError(f"not a rational: {value!r}") from exc
+    elif (exact := _exact(value)) is not None:  # no floats: the format is exact
+        return exact
     raise InstanceError(f"not a rational: {value!r}")
 
 
@@ -74,7 +82,9 @@ class Edge:
 
 
 class Instance:
-    """Immutable problem instance.
+    """Immutable problem instance, checked in one pass that builds each table
+    once.  A capacity, quota or cost may be given as an `int` (never a
+    `bool`) or a `Fraction`; it is stored as a `Fraction`.
 
     Attributes:
         firms, workers: vertex ids in input order.
@@ -96,29 +106,91 @@ class Instance:
     ):
         self.firms = tuple(firms)
         self.workers = tuple(workers)
-        self.edges = tuple(edges)
-        self.quota = dict(quota)
-        self.corteges = {
-            v: tuple(tuple(sorted(tie)) for tie in ties)
-            for v, ties in corteges.items()
-        }
-        self.costs = dict(costs) if costs is not None else None
-        self._validate()
-        self.edge_by_id = {e.id: e for e in self.edges}
-        self.edge_ids = tuple(sorted(self.edge_by_id))  # canonical order
         self.firm_set = frozenset(self.firms)
         self.worker_set = frozenset(self.workers)
-        incident: dict[str, list[str]] = {v: [] for v in self.vertices()}
-        for e in self.edges:
+        if len(self.firm_set) != len(self.firms) or len(self.worker_set) != len(self.workers):
+            raise InstanceError("duplicate vertex id within a part")
+        if self.firm_set & self.worker_set:
+            raise InstanceError(
+                f"vertex ids shared across parts: {sorted(self.firm_set & self.worker_set)}"
+            )
+        vertices = self.vertices()
+        incident: dict[str, list[str]] = {v: [] for v in vertices}
+        self.edge_by_id: dict[str, Edge] = {}
+        pairs: set[tuple[str, str]] = set()
+        for e in edges:
+            if e.id in self.edge_by_id:
+                raise InstanceError(f"duplicate edge id {e.id!r}")
+            if e.firm not in self.firm_set:
+                raise InstanceError(f"edge {e.id!r}: unknown firm {e.firm!r}")
+            if e.worker not in self.worker_set:
+                raise InstanceError(f"edge {e.id!r}: unknown worker {e.worker!r}")
+            if (e.firm, e.worker) in pairs:
+                raise InstanceError(
+                    f"parallel edges between {e.firm!r} and {e.worker!r} are forbidden"
+                )
+            pairs.add((e.firm, e.worker))
+            # every capacity is finite: the rounds start from the capacities,
+            # and the saturation tests and τ compare against them
+            cap = _exact(e.capacity)
+            if cap is None:
+                raise InstanceError(f"edge {e.id!r}: capacity must be a finite rational")
+            if cap.numerator <= 0:
+                raise InstanceError(f"edge {e.id!r}: capacity must be positive")
+            if cap is not e.capacity:
+                e = Edge(e.id, e.firm, e.worker, cap)
+            self.edge_by_id[e.id] = e
             incident[e.firm].append(e.id)
             incident[e.worker].append(e.id)
+        self.edges = tuple(self.edge_by_id.values())
+        self.edge_ids = tuple(sorted(self.edge_by_id))  # canonical order
         self.incident = {v: tuple(sorted(ids)) for v, ids in incident.items()}
-        # tie index of each edge at each endpoint
-        self.tie_index: dict[tuple[str, str], int] = {}
-        for v, ties in self.corteges.items():
-            for i, tie in enumerate(ties):
-                for eid in tie:
-                    self.tie_index[(v, eid)] = i
+        self.quota: dict[str, Fraction] = {}
+        for v in vertices:
+            q = quota.get(v)
+            if q is None:
+                raise InstanceError(f"missing quota for vertex {v!r}")
+            exact = _exact(q)
+            if exact is None:
+                raise InstanceError(f"vertex {v!r}: quota must be an int or a Fraction")
+            if exact.numerator <= 0:
+                raise InstanceError(f"vertex {v!r}: quota must be positive")
+            self.quota[v] = exact
+        if len(quota) > len(self.quota):
+            extra = sorted(set(quota) - set(vertices))
+            raise InstanceError(f"quota given for unknown vertices: {extra}")
+        # the cortege of each vertex must partition its incident edges exactly
+        self.corteges: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self.tie_index: dict[tuple[str, str], int] = {}  # per endpoint
+        for v in vertices:
+            ties = corteges.get(v)
+            if ties is None:
+                raise InstanceError(f"missing preferences for vertex {v!r}")
+            ties = tuple(tuple(sorted(tie)) for tie in ties)
+            if not all(ties):
+                raise InstanceError(f"vertex {v!r}: empty tie")
+            # as many ids as incident edges, and the same set: each listed once
+            listed = [eid for tie in ties for eid in tie]
+            if len(listed) != len(self.incident[v]) or set(listed) != set(self.incident[v]):
+                raise InstanceError(
+                    f"vertex {v!r}: tie partition mismatch (ties must partition the incident edges)"
+                )
+            self.corteges[v] = ties
+            self.tie_index.update(((v, eid), i) for i, tie in enumerate(ties) for eid in tie)
+        if len(corteges) > len(self.corteges):
+            extra = sorted(set(corteges) - set(vertices))
+            raise InstanceError(f"preferences given for unknown vertices: {extra}")
+        self.costs: Optional[dict[str, Fraction]] = None
+        if costs is not None:
+            unknown = set(costs) - self.edge_by_id.keys()
+            if unknown:
+                raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
+            self.costs = {}
+            for eid, c in costs.items():
+                exact = _exact(c)
+                if exact is None:
+                    raise InstanceError(f"edge {eid!r}: cost must be an int or a Fraction")
+                self.costs[eid] = exact
 
     def vertices(self) -> tuple[str, ...]:
         return self.firms + self.workers
@@ -138,66 +210,6 @@ class Instance:
         other.edges = tuple(Edge(e.id, e.worker, e.firm, e.capacity) for e in self.edges)
         other.edge_by_id = {e.id: e for e in other.edges}
         return other
-
-    def _validate(self) -> None:
-        firms, workers = set(self.firms), set(self.workers)
-        if len(firms) != len(self.firms) or len(workers) != len(self.workers):
-            raise InstanceError("duplicate vertex id within a part")
-        if firms & workers:
-            raise InstanceError(f"vertex ids shared across parts: {sorted(firms & workers)}")
-        seen_ids: set[str] = set()
-        seen_pairs: set[tuple[str, str]] = set()
-        for e in self.edges:
-            if e.id in seen_ids:
-                raise InstanceError(f"duplicate edge id {e.id!r}")
-            seen_ids.add(e.id)
-            if e.firm not in firms:
-                raise InstanceError(f"edge {e.id!r}: unknown firm {e.firm!r}")
-            if e.worker not in workers:
-                raise InstanceError(f"edge {e.id!r}: unknown worker {e.worker!r}")
-            if (e.firm, e.worker) in seen_pairs:
-                raise InstanceError(
-                    f"parallel edges between {e.firm!r} and {e.worker!r} are forbidden"
-                )
-            seen_pairs.add((e.firm, e.worker))
-            # every capacity is finite: the rounds start from the capacities,
-            # and the saturation tests and τ compare against them
-            if not isinstance(e.capacity, (int, Fraction)):
-                raise InstanceError(f"edge {e.id!r}: capacity must be a finite rational")
-            if e.capacity <= 0:
-                raise InstanceError(f"edge {e.id!r}: capacity must be positive")
-        for v in self.vertices():
-            q = self.quota.get(v)
-            if q is None:
-                raise InstanceError(f"missing quota for vertex {v!r}")
-            if q <= 0:
-                raise InstanceError(f"vertex {v!r}: quota must be positive")
-        extra = set(self.quota) - set(self.vertices())
-        if extra:
-            raise InstanceError(f"quota given for unknown vertices: {sorted(extra)}")
-        # cortege of each vertex must partition its incident edge set exactly
-        incident: dict[str, set[str]] = {v: set() for v in self.vertices()}
-        for e in self.edges:
-            incident[e.firm].add(e.id)
-            incident[e.worker].add(e.id)
-        for v in self.vertices():
-            ties = self.corteges.get(v)
-            if ties is None:
-                raise InstanceError(f"missing preferences for vertex {v!r}")
-            listed: list[str] = [eid for tie in ties for eid in tie]
-            if any(not tie for tie in ties):
-                raise InstanceError(f"vertex {v!r}: empty tie")
-            if len(set(listed)) != len(listed) or set(listed) != incident[v]:
-                raise InstanceError(
-                    f"vertex {v!r}: tie partition mismatch (ties must partition the incident edges)"
-                )
-        extra = set(self.corteges) - set(self.vertices())
-        if extra:
-            raise InstanceError(f"preferences given for unknown vertices: {sorted(extra)}")
-        if self.costs is not None:
-            unknown = set(self.costs) - seen_ids
-            if unknown:
-                raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
 
 
 def parse_instance(data) -> Instance:
@@ -267,7 +279,12 @@ def serialize_instance(inst: Instance) -> dict:
     return doc
 
 
-# An assignment is a plain dict: edge id -> Fraction (missing keys read as 0).
+# An assignment is a plain dict: edge id -> Fraction.  It is normalised where
+# a caller hands it in: the entry functions (`parse_assignment`,
+# `validate_assignment`, `stability_report`, `compare_stable`, `run_route`,
+# `build_poset`, `omega`, the worker-side join and meet) read a missing key as
+# 0 and an int as its Fraction.  The per-state functions of the rotation layer
+# take a full assignment, one Fraction per edge, as `full_assignment` makes.
 
 def parse_assignment(data, inst: Instance) -> dict[str, Fraction]:
     if isinstance(data, (bytes, str)):

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 from .choice import choose
 from .iteration import _solve_xmin
-from .model import Instance, InstanceError, InvariantError, full_assignment
+from .model import ZERO, Instance, InstanceError, InvariantError
 from .rotations import (
     Rotation,
     _carried_outcomes,
@@ -79,14 +79,13 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     known = None
     if xmin is None:
         xmin, known = _solve_xmin(inst)
-    xmin = full_assignment(inst, xmin)
     cache: dict = {}
     base = run_route(inst, xmin, cache=cache, known=known)
     if not base.non_expensive:
         raise InvariantError("full-shift route repeated a rotation")
     rotations = base.steps
     keys = [rot.key() for rot in rotations]
-    xmax = base.states[-1]
+    xmin, xmax = base.states[0], base.states[-1]
 
     upsets: dict[int, frozenset[int]] = {}
     for i, key in enumerate(keys):
@@ -164,7 +163,6 @@ def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> di
     weight still consumed on each rotation there is τ minus the weight already
     spent reaching x.
     """
-    x = full_assignment(inst, x)
     rest = run_route(inst, x)
     if rest.states[-1] != poset.xmax:
         raise InvariantError("route from x did not reach the worker optimum")
@@ -177,7 +175,7 @@ def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> di
         lam[i] -= rot.tau
     if not is_closed(poset, lam):
         raise InvariantError("recovered weights are not closed")
-    if gamma(inst, poset, lam, verify=False) != x:
+    if gamma(inst, poset, lam, verify=False) != rest.states[0]:
         raise InvariantError("weights do not reproduce x")
     return lam
 
@@ -252,14 +250,14 @@ def _choose_from_max(
     choosers: Sequence[str],
     name: str,
 ) -> dict[str, Fraction]:
-    x = full_assignment(inst, x)
-    y = full_assignment(inst, y)
-    top = {e: max(x[e], y[e]) for e in inst.edge_ids}
+    top = {e: max(x.get(e, ZERO), y.get(e, ZERO)) for e in inst.edge_ids}
+    # every edge has one endpoint among the choosers, so `out` is full
     out: dict[str, Fraction] = {}
     for v in choosers:
         out.update(choose(inst, v, top).result)
-    assert stability_report(inst, out).stable, f"worker-side {name} not stable"
-    return full_assignment(inst, out)
+    if not stability_report(inst, out).stable:
+        raise InvariantError(f"worker-side {name} not stable")
+    return out
 
 
 def stable_join_workers(

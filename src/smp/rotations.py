@@ -86,9 +86,9 @@ def build_active_structure(
 ) -> ActiveStructure:
     """The heads D_f and H_w and the cleaned regular vertex set at stable x.
 
+    x is a full assignment (one `Fraction` per edge, see `full_assignment`).
     `known` holds choice outcomes already known at x; see `stability_report`.
     """
-    x = full_assignment(inst, x)
     report = stability_report(inst, x, known)
     if not report.stable:
         raise InstanceError(f"assignment is not stable (blocking: {report.blocking_edges})")
@@ -139,8 +139,10 @@ def build_active_structure(
                 pending.append(u)
     regular = frozenset(fully - singular)
     for v in regular:
-        assert heads[v], f"regular vertex {v!r} with empty head"
-        assert all(inst.edge_by_id[e].other(v) in regular for e in heads[v])
+        if not heads[v]:
+            raise InvariantError(f"regular vertex {v!r} with empty head")
+        if any(inst.edge_by_id[e].other(v) not in regular for e in heads[v]):
+            raise InvariantError(f"head of regular vertex {v!r} leaves the regular set")
     return ActiveStructure(outcomes=outcomes, heads=heads, regular=regular)
 
 
@@ -235,7 +237,8 @@ def extract_rotation(
     worker w the decrease is ψ_w spread over H_w.  Conservation at every
     vertex gives a homogeneous system whose solution space must be a line;
     its positive integer generator with gcd 1 defines the rotation values,
-    stored on the support only (the edges of the D_f and H_w).
+    stored on the support only (the edges of the D_f and H_w).  x is a full
+    assignment.
     """
     # firms first, then workers, each in the component's (sorted) order
     order = [v for v in comp if v in inst.firm_set]
@@ -324,8 +327,7 @@ def max_weight(
     rot: Rotation,
     act: ActiveStructure,
 ) -> Fraction:
-    """Largest λ for which x + λ·rot stays stable."""
-    x = full_assignment(inst, x)
+    """Largest λ for which x + λ·rot stays stable; x is a full assignment."""
     candidates: list[Fraction] = []
     for e, v in rot.values.items():
         edge = inst.edge_by_id[e]
@@ -354,9 +356,9 @@ def apply_shift(
 ) -> dict[str, Fraction]:
     """x + Σ λ_i · ρ_i for vertex-disjoint rotations, 0 < λ_i ≤ τ_i.
 
-    The result is verified stable and strictly worse for the firm side.
+    x is a full assignment.  With `verify`, the result is checked stable and
+    strictly worse for the firm side (`InvariantError` otherwise).
     """
-    x = full_assignment(inst, x)
     if len(rotations) != len(lam):
         raise ValueError("one weight per rotation required")
     seen: set[str] = set()
@@ -372,9 +374,10 @@ def apply_shift(
         for e, v in rot.values.items():
             xp[e] = xp[e] + l * v
     if verify:
-        assert stability_report(inst, xp).stable, "shift broke stability"
-        cmp = compare_stable(inst, x, xp, side="firms")
-        assert cmp.holds and xp != x, "shift is not a strict firm-side descent"
+        if not stability_report(inst, xp).stable:
+            raise InvariantError("shift broke stability")
+        if not (compare_stable(inst, x, xp, side="firms").holds and xp != x):
+            raise InvariantError("shift is not a strict firm-side descent")
     return xp
 
 
@@ -396,7 +399,8 @@ def applicable_rotations(
     cache: Optional[dict] = None,
     known: Optional[Mapping[str, ChoiceOutcome]] = None,
 ) -> tuple[ActiveStructure, list[Rotation]]:
-    """The active structure at stable x and one rotation per sink component.
+    """The active structure at the stable, full assignment x and one rotation
+    per sink component.
 
     `cache`, when given, maps a state to the result computed there, so a
     caller that revisits states builds each one once.  The key lists each
@@ -407,8 +411,7 @@ def applicable_rotations(
     a cached state needs none.
     """
     if cache is not None:
-        values = full_assignment(inst, x).values()
-        key = tuple(itertools.chain.from_iterable(map(Fraction.as_integer_ratio, values)))
+        key = tuple(itertools.chain.from_iterable(x[e].as_integer_ratio() for e in inst.edge_ids))
         if key in cache:
             return cache[key]
     act = build_active_structure(inst, x, known)
@@ -444,6 +447,9 @@ def run_route(
     known: Optional[Mapping[str, ChoiceOutcome]] = None,
 ) -> Route:
     """Full-weight shifts from the stable assignment `start` to the end.
+
+    `start` may leave out zero edges (missing keys read as 0); every state of
+    the route is a full assignment.
 
     Without `avoid` the route ends at the worker optimum; the rotations
     applied and their weights do not depend on the order, and there are at

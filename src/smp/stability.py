@@ -149,8 +149,6 @@ def compare_stable(
     """
     if side not in ("firms", "workers"):
         raise ValueError(f"side must be 'firms' or 'workers', got {side!r}")
-    x = full_assignment(inst, x)
-    y = full_assignment(inst, y)
     for name, z in (("x", x), ("y", y)):
         if not stability_report(inst, z).stable:
             raise InstanceError(f"compare_stable: assignment {name} is not stable")

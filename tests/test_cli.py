@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -576,6 +577,79 @@ def test_hasse_witness_checks_fire_under_optimize_flag(tmp_path, plant, message)
     proc = _run_optimized(script, str(path))
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": message}
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # a vertex with an empty head is not marked singular
+        ("if not edges or any(", "if any(", r"regular vertex '\w+' with empty head"),
+        # a vertex whose head leads to a singular vertex is not marked either
+        ("pending.append(u)", "pass", r"head of regular vertex '\w+' leaves the regular set"),
+    ],
+    ids=["empty head", "head leaves"],
+)
+def test_active_structure_head_checks_fire_under_optimize_flag(six_cycle_file, old, new, message):
+    # the cleaning of build_active_structure, broken: at the end of every
+    # route each firm's potential head is empty, and the checks must see it
+    script = (
+        "import inspect, sys\n"
+        "import smp.rotations\n"
+        "from smp.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "source = inspect.getsource(smp.rotations.build_active_structure)\n"
+        "if sys.argv[2] not in source:\n"
+        "    sys.exit('no such text in build_active_structure')\n"
+        "exec(source.replace(sys.argv[2], sys.argv[3]), vars(smp.rotations))\n"
+        "sys.exit(main(['poset', sys.argv[1]]))\n"
+    )
+    proc = _run_optimized(script, six_cycle_file, old, new)
+    assert proc.returncode == 4, proc.stderr
+    assert re.fullmatch(message, json.loads(proc.stdout)["error"])
+
+
+@pytest.mark.parametrize(
+    "plant, call, message",
+    [
+        # a stability report that calls the shifted point unstable
+        ("smp.rotations.stability_report = unstable",
+         "apply_shift(inst, x, [rot], [rot.tau])", "shift broke stability"),
+        # the reversed rotation leads from y back up to x, a firm-side ascent
+        ("back = Rotation({e: -v for e, v in rot.values.items()}, rot.tau)",
+         "apply_shift(inst, y, [back], [rot.tau])", "shift is not a strict firm-side descent"),
+        # a stability report that calls the worker-side join or meet unstable
+        ("smp.poset.stability_report = unstable",
+         "stable_join_workers(inst, x, y)", "worker-side join not stable"),
+        ("smp.poset.stability_report = unstable",
+         "stable_meet_workers(inst, x, y)", "worker-side meet not stable"),
+    ],
+    ids=["shift stability", "shift descent", "join", "meet"],
+)
+def test_shift_and_lattice_checks_fire_under_optimize_flag(six_cycle_file, plant, call, message):
+    # x is x_min, rot its first rotation and y the point after the full shift
+    script = (
+        "import dataclasses, sys\n"
+        "import smp.poset, smp.rotations\n"
+        "from smp import *\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "inst = parse_instance(open(sys.argv[1]).read())\n"
+        "x = solve_xmin(inst)\n"
+        "rot = applicable_rotations(inst, x)[1][0]\n"
+        "y = apply_shift(inst, x, [rot], [rot.tau], verify=False)\n"
+        "report = smp.rotations.stability_report\n"
+        "def unstable(inst, x, known=None):\n"
+        "    return dataclasses.replace(report(inst, x, known), stable=False)\n"
+        f"{plant}\n"
+        "try:\n"
+        f"    {call}\n"
+        "except InvariantError as exc:\n"
+        "    sys.exit(str(exc))\n"
+    )
+    proc = _run_optimized(script, six_cycle_file)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.strip() == message
 
 
 @pytest.mark.parametrize("values", [[1, 2], "e1", 3])

@@ -453,6 +453,21 @@ def test_rounds_compare_values_past_the_identity_shortcut(monkeypatch, family):
     assert after.terminal
 
 
+def test_reduced_edges_compare_values_past_the_identity_shortcut():
+    """A bound is the capacity object until a cut lowers it, so identity
+    settles most edges; a bound equal to the capacity in value but another
+    object is not reduced either, and a lowered one is."""
+    inst = triangle_instance(F(8), F(15))
+    f = inst.firms[0]
+    kept, lowered = inst.incident[f][:2]
+    bounds = {e.id: e.capacity for e in inst.edges}
+    cap = bounds[kept]
+    bounds[kept] = F(cap.numerator, cap.denominator)
+    assert bounds[kept] is not cap
+    bounds[lowered] = bounds[lowered] / 2
+    assert _reduced_edges(inst, bounds, f) == {lowered}
+
+
 def test_round_check_covers_the_edges_of_fresh_workers(monkeypatch):
     """A worker choice above its offer breaks x >= y on an edge whose firm did
     not choose again this round; the round itself must reject it."""

@@ -185,6 +185,49 @@ def test_validation_costs_for_unknown_edges():
         Instance(**kw)
 
 
+def _with_number(kind, value):
+    """The base instance with its capacity, a quota or a cost set to `value`."""
+    kw = _base_kwargs()
+    if kind == "capacity":
+        kw["edges"] = [Edge("e", "f", "w", value)]
+    elif kind == "quota":
+        kw["quota"]["w"] = value
+    else:
+        kw["costs"] = {"e": value}
+    return kw
+
+
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [
+        ("capacity", True, "edge 'e': capacity must be a finite rational"),
+        ("quota", 1.5, "vertex 'w': quota must be an int or a Fraction"),
+        ("quota", "2", "vertex 'w': quota must be an int or a Fraction"),
+        ("cost", 1.5, "edge 'e': cost must be an int or a Fraction"),
+    ],
+    ids=["bool capacity", "float quota", "str quota", "float cost"],
+)
+def test_validation_rejects_numbers_that_are_not_exact(kind, value, message):
+    """A bool capacity and a float cost used to be kept as given, a float
+    quota passed and later broke `choose`, and a str quota made the sign
+    test raise TypeError."""
+    with pytest.raises(InstanceError) as exc:
+        Instance(**_with_number(kind, value))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", ["capacity", "quota", "cost"])
+def test_validation_stores_int_numbers_as_fractions(kind):
+    inst = Instance(**_with_number(kind, 3))
+    value = {
+        "capacity": inst.edges[0].capacity,
+        "quota": inst.quota["w"],
+        "cost": inst.costs and inst.costs["e"],
+    }[kind]
+    assert type(value) is F and value == 3
+    assert inst.edge_by_id["e"] is inst.edges[0]
+
+
 def test_parse_instance_rejects_malformed_documents():
     with pytest.raises(InstanceError, match="malformed JSON"):
         parse_instance("{not json")

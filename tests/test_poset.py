@@ -2,7 +2,7 @@
 
 import random
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import smp.choice
 import smp.iteration
+import smp.model
 import smp.poset
 import smp.rotations
 from smp import (
     InstanceError,
+    Route,
+    RotationPoset,
     build_poset,
+    compare_stable,
     enumerate_fully_closed,
     full_assignment,
     gamma,
@@ -22,12 +26,15 @@ from smp import (
     hull_membership,
     is_closed,
     omega,
+    parse_assignment,
     run_route,
+    serialize_assignment,
     solve_xmax,
     solve_xmin,
     stability_report,
     stable_join_workers,
     stable_meet_workers,
+    validate_assignment,
 )
 from smp.choice import choose
 
@@ -262,6 +269,95 @@ def test_build_poset_builds_each_state_once(monkeypatch):
         again = build_poset(inst, xmin)
         assert built == first
         assert [r.key() for r in again.rotations] == [r.key() for r in poset.rotations]
+
+
+# -- an assignment is normalised where it enters ------------------------------
+
+
+def _partial(x):
+    """x with its zeros dropped and its integral values as ints."""
+    return {e: int(v) if v.denominator == 1 else v for e, v in x.items() if v}
+
+
+# Each entry function on (inst, poset, xmin, x, y), with x and y stable.
+ENTRY_FUNCTIONS = {
+    "parse_assignment": lambda inst, poset, xmin, x, y: parse_assignment(serialize_assignment(x), inst),
+    "validate_assignment": lambda inst, poset, xmin, x, y: validate_assignment(inst, x),
+    "stability_report": lambda inst, poset, xmin, x, y: stability_report(inst, x),
+    "compare_stable": lambda inst, poset, xmin, x, y: compare_stable(inst, x, y),
+    "run_route": lambda inst, poset, xmin, x, y: run_route(inst, x),
+    "build_poset": lambda inst, poset, xmin, x, y: build_poset(inst, xmin),
+    "omega": lambda inst, poset, xmin, x, y: omega(inst, poset, y),
+    "stable_join_workers": lambda inst, poset, xmin, x, y: stable_join_workers(inst, x, y),
+    "stable_meet_workers": lambda inst, poset, xmin, x, y: stable_meet_workers(inst, x, y),
+}
+
+
+def _assignments(result):
+    if isinstance(result, dict):
+        return [result]
+    if isinstance(result, Route):
+        return result.states
+    if isinstance(result, RotationPoset):
+        return [result.xmin, result.xmax]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_FUNCTIONS))
+def test_entry_functions_read_missing_keys_as_zero(name):
+    """Every public function an assignment enters by gives the same result
+    on a partial dict (zeros dropped, integral values as ints) as on the
+    full one, and hands back `Fraction`s only."""
+    call = ENTRY_FUNCTIONS[name]
+    insts = [
+        rand_marriage(random.Random(4), 4, cap=1),
+        rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3),
+    ]
+    for inst in insts:
+        poset = build_poset(inst)
+        lams = enumerate_fully_closed(poset)
+        points = [poset.xmin, gamma(inst, poset, lams[1]), gamma(inst, poset, lams[-2])]
+        partials = [_partial(z) for z in points]
+        for z, pz in zip(points, partials):
+            assert len(pz) < len(z) and any(type(v) is int for v in pz.values())
+        full = call(inst, poset, *points)
+        partial = call(inst, poset, *partials)
+        assert partial == full
+        for z in _assignments(partial):
+            assert all(type(v) is F for v in z.values())
+
+
+def test_build_poset_normalises_at_route_starts_and_reports_only():
+    """`build_poset` copies an assignment over every edge at most once per
+    route start and once per analysed state (its `stability_report`); the
+    per-state functions of the rotation layer take the full states as they
+    are."""
+    insts = _carry_count_instances()
+    starts = [(inst, solve_xmin(inst)) for inst in insts]
+    counts = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        real = smp.model.full_assignment
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "smp" and getattr(mod, "full_assignment", None) is real:
+                mp.setattr(mod, "full_assignment", counted("full_assignment", real))
+        mp.setattr(smp.poset, "run_route", counted("route", smp.poset.run_route))
+        mp.setattr(
+            smp.rotations,
+            "build_active_structure",
+            counted("state", smp.rotations.build_active_structure),
+        )
+        for inst, xmin in starts:
+            counts.clear()
+            build_poset(inst, xmin)
+            assert 0 < counts["full_assignment"] <= counts["route"] + counts["state"], counts
 
 
 # -- choice outcomes carried along solve -> route -> poset ---------------------
