@@ -65,10 +65,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .choice import ChoiceOutcome, _rechoose, choose
 from .model import (
+    ZERO,
     Edge,
     Instance,
     InstanceError,
@@ -258,21 +260,26 @@ def _is_productive(before, after) -> bool:
     return False
 
 
-def _lp_variables(state: IterationState) -> tuple[str, ...]:
-    """The aggregation LP's variables in column order: firms, then workers."""
-    return tuple(sorted(state.fully_firms)) + tuple(sorted(state.fully_workers))
-
-
 def _build_big_lp(inst: Instance, state: IterationState) -> LinearProgram:
     """Aggregate a stalled tail of rounds into one linear program.
 
-    Variables: a uniform raise φ_f on each fully filled firm's head, a uniform
-    cut ψ_w on each fully filled worker's head.  Constraints keep the workers
-    exactly filled, respect bounds/quotas, and keep every worker head a head.
-    The objective pushes the total raise as far as the whole stalled tail
-    could ever have gone.  The heads and critical ties are those of the
+    Variables: a uniform raise φ_f on each fully filled firm's head H_f, in
+    sorted firm order.  A fully filled worker w cuts its head H_w uniformly by
+    ψ_w, and stays exactly filled: |H_w|·ψ_w = R_w, where R_w is the sum of
+    φ_f over the raised edges at w.  That balance is substituted out, so
+    ψ_w = R_w / |H_w| (`_big_iteration` recovers it), and a row that held ψ_w
+    is scaled by the lcm of the |H_w| it holds to keep integer coefficients.
+    The constraints respect bounds and quotas and keep every worker head a
+    head; the objective pushes the total raise as far as the whole stalled
+    tail could ever have gone.  The heads and critical ties are those of the
     ordinary round's choices; choosing again from x and y gives the same
     ones (see `_progress_marker`).
+
+    Every row is `<=`, and the round invariants b >= x >= y >= 0 make every
+    right-hand side nonnegative, so φ = 0 is feasible: |H_w| times a height,
+    a fully filled firm's quota minus its load at y <= x, a capacity minus y,
+    |H_w| times a height minus a tie value below it, 0, and a deficit worker's
+    quota minus its load.  A negative one raises `InvariantError`.
     """
     y, outcomes = state.y, state.outcomes
     firms = tuple(sorted(state.fully_firms))
@@ -285,81 +292,67 @@ def _build_big_lp(inst: Instance, state: IterationState) -> LinearProgram:
         if len(heights) != 1:
             raise InvariantError(f"head of {w!r} not level")
         height[w] = heights.pop()
-    var = {v: i for i, v in enumerate(_lp_variables(state))}
-    n = len(var)
-    obj = [Fraction(0)] * n
+    var = {f: i for i, f in enumerate(firms)}
+    n = len(firms)
+    # raised[w]: the firm column of each raised edge at worker w
+    raised: dict[str, list[int]] = {}
     for f in firms:
-        obj[var[f]] = Fraction(len(fh[f]))
-    lp = LinearProgram(objective=obj)
-    for w in workers:  # keep w exactly filled
-        row = [Fraction(0)] * n
-        row[var[w]] = Fraction(len(wh[w]))
-        for e in inst.incident[w]:
-            f = inst.edge_by_id[e].firm
-            if f in fh and e in fh[f]:
-                row[var[f]] -= 1
-        lp.a_eq.append(row)
-        lp.b_eq.append(Fraction(0))
-    for w in workers:  # cut cannot exceed the head level
-        row = [Fraction(0)] * n
-        row[var[w]] = Fraction(1)
+        for e in fh[f]:
+            raised.setdefault(inst.edge_by_id[e].worker, []).append(var[f])
+    lp = LinearProgram(objective=[len(fh[f]) for f in firms])
+
+    def add(row: list[int], rhs: Fraction) -> None:
+        if rhs < 0:
+            raise InvariantError("aggregation LP has a negative right-hand side")
         lp.a_le.append(row)
-        lp.b_le.append(height[w])
+        lp.b_le.append(rhs)
+
+    def unit(f: str, scale: int = 1) -> list[int]:
+        row = [0] * n
+        row[var[f]] = scale
+        return row
+
+    def add_raises(row: list[int], w: str, scale: int = 1) -> list[int]:
+        for j in raised.get(w, ()):
+            row[j] += scale
+        return row
+
+    for w in workers:  # cut cannot exceed the head level: ψ_w <= height
+        add(add_raises([0] * n, w), len(wh[w]) * height[w])
     for f in firms:  # firm quota after raise minus the cuts it receives
-        row = [Fraction(0)] * n
-        row[var[f]] = Fraction(len(fh[f]))
+        cuts = []  # the filled workers whose head holds a reduced edge of f
         for e in _reduced_edges(inst, state.bounds, f):
             w = inst.edge_by_id[e].worker
             if w in wh and e in wh[w]:
-                row[var[w]] -= 1
-        lp.a_le.append(row)
-        lp.b_le.append(inst.quota[f] - vertex_load(inst, y, f))
+                cuts.append(w)
+        scale = lcm(*(len(wh[w]) for w in cuts))
+        row = unit(f, scale * len(fh[f]))
+        for w in cuts:
+            add_raises(row, w, -(scale // len(wh[w])))
+        add(row, scale * (inst.quota[f] - vertex_load(inst, y, f)))
     for f in firms:  # raises stay under the original capacities
         for e in fh[f]:
-            cap = inst.edge_by_id[e].capacity
-            row = [Fraction(0)] * n
-            row[var[f]] = Fraction(1)
-            lp.a_le.append(row)
-            lp.b_le.append(cap - y[e])
-    for w in workers:  # worker heads must remain heads
-        tie = inst.corteges[w][outcomes[w].critical_tie]
-        for e in tie:
+            add(unit(f), inst.edge_by_id[e].capacity - y[e])
+    for w in workers:  # worker heads must remain heads: ψ_w + φ_f <= height - y_e
+        for e in inst.corteges[w][outcomes[w].critical_tie]:
             if e in wh[w]:
                 continue
             f = inst.edge_by_id[e].firm
-            row = [Fraction(0)] * n
-            row[var[w]] = Fraction(1)
-            if f in fh and e in fh[f]:
-                row[var[f]] = Fraction(1)
-            lp.a_le.append(row)
-            lp.b_le.append(height[w] - y[e])
+            row = unit(f, len(wh[w])) if f in fh and e in fh[f] else [0] * n
+            add(add_raises(row, w), len(wh[w]) * (height[w] - y[e]))
     for f in firms:
         # a raise lands uniformly on the whole head H_f; if any of those
         # edges sits in a filled worker's head or below its critical tie, the
         # worker would cut the raise right back (shrinking the bound), which
         # cannot happen in a stalled tail -- so such a firm cannot raise
-        blocked = False
         for e in fh[f]:
             w = inst.edge_by_id[e].worker
-            if w not in wh:
-                continue
-            if e in wh[w] or inst.tie_index[(w, e)] > outcomes[w].critical_tie:
-                blocked = True
+            if w in wh and (e in wh[w] or inst.tie_index[(w, e)] > outcomes[w].critical_tie):
+                add(unit(f), Fraction(0))
                 break
-        if blocked:
-            row = [Fraction(0)] * n
-            row[var[f]] = Fraction(1)
-            lp.a_le.append(row)
-            lp.b_le.append(Fraction(0))
-    deficit_workers = [w for w in inst.workers if w not in state.fully_workers]
-    for w in deficit_workers:  # raises must not overflow a deficit worker
-        row = [Fraction(0)] * n
-        for e in inst.incident[w]:
-            f = inst.edge_by_id[e].firm
-            if f in fh and e in fh[f]:
-                row[var[f]] += 1
-        lp.a_le.append(row)
-        lp.b_le.append(inst.quota[w] - vertex_load(inst, y, w))
+    for w in inst.workers:  # raises must not overflow a deficit worker
+        if w not in state.fully_workers:
+            add(add_raises([0] * n, w), inst.quota[w] - vertex_load(inst, y, w))
     return lp
 
 
@@ -368,21 +361,27 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     res = simplex_maximize(lp)
     if res.status != "optimal":
         raise InvariantError(f"aggregation LP {res.status}")
-    amount = dict(zip(_lp_variables(state), res.solution))
     firm_head = {f: state.outcomes[f].head for f in sorted(state.fully_firms)}
     worker_head = {w: state.outcomes[w].head for w in sorted(state.fully_workers)}
+    raise_of = dict(zip(firm_head, res.solution))
     # the change of y, on the heads only: an edge has one firm and one worker
     delta: dict[str, Fraction] = {}
     for f, head in firm_head.items():
         for e in head:
-            delta[e] = amount[f]
+            delta[e] = raise_of[f]
+    # ψ_w from the substituted balance |H_w|·ψ_w = Σ φ_f over the raises into w
+    inflow: dict[str, Fraction] = {}
+    for e, d in delta.items():
+        w = inst.edge_by_id[e].worker
+        inflow[w] = inflow.get(w, ZERO) + d
     for w, head in worker_head.items():
+        cut = inflow.get(w, ZERO) / len(head)
         for e in head:
             # firms raising into a filled worker's head are excluded by the
             # LP, so a cut edge can never simultaneously carry a raise
             if delta.get(e, 0) != 0:
                 raise InvariantError(f"edge {e!r} raised and cut at once")
-            delta[e] = -amount[w]
+            delta[e] = -cut
     yp = {eid: state.y[eid] for eid in inst.edge_ids}
     for e, d in delta.items():
         yp[e] += d

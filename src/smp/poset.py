@@ -206,7 +206,8 @@ def enumerate_fully_closed(poset: RotationPoset, cap: int = 20) -> list[dict[int
     out = []
     for ideal in ideals:
         lam = _fully_closed(poset, ideal)
-        assert is_closed(poset, lam)
+        if not is_closed(poset, lam):
+            raise InvariantError(f"fully closed function of ideal {sorted(ideal)} not closed")
         out.append(lam)
     return out
 
@@ -250,6 +251,9 @@ def _choose_from_max(
     choosers: Sequence[str],
     name: str,
 ) -> dict[str, Fraction]:
+    for arg, z in (("x", x), ("y", y)):
+        if not stability_report(inst, z).stable:
+            raise InstanceError(f"stable_{name}_workers: assignment {arg} is not stable")
     top = {e: max(x.get(e, ZERO), y.get(e, ZERO)) for e in inst.edge_ids}
     # every edge has one endpoint among the choosers, so `out` is full
     out: dict[str, Fraction] = {}
@@ -263,12 +267,18 @@ def _choose_from_max(
 def stable_join_workers(
     inst: Instance, x: Mapping[str, Fraction], y: Mapping[str, Fraction]
 ) -> dict[str, Fraction]:
-    """Worker-side join: each worker chooses from the edgewise maximum."""
+    """Worker-side join: each worker chooses from the edgewise maximum.
+
+    x and y must be stable (`InstanceError` otherwise).
+    """
     return _choose_from_max(inst, x, y, inst.workers, "join")
 
 
 def stable_meet_workers(
     inst: Instance, x: Mapping[str, Fraction], y: Mapping[str, Fraction]
 ) -> dict[str, Fraction]:
-    """Worker-side meet: each firm chooses from the edgewise maximum."""
+    """Worker-side meet: each firm chooses from the edgewise maximum.
+
+    x and y must be stable (`InstanceError` otherwise).
+    """
     return _choose_from_max(inst, x, y, inst.firms, "meet")

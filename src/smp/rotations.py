@@ -220,7 +220,8 @@ def maximal_components(inst: Instance, act: ActiveStructure) -> list[tuple[str, 
     seen: set[str] = set()
     for comp in out:
         overlap = seen & set(comp)
-        assert not overlap, f"sink components share vertices {sorted(overlap)}"
+        if overlap:
+            raise InvariantError(f"sink components share vertices {sorted(overlap)}")
         seen |= set(comp)
     return sorted(out)
 

@@ -1,18 +1,23 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact simplex on an integer tableau, for max c·x s.t. Ax <= b, x >= 0.
 
-Maximizes c·x subject to a mix of <= and == constraints and x >= 0.  Bland's
-smallest-index pivoting rule is used throughout, which guarantees termination
-without any tolerance machinery (everything is Fraction arithmetic).
+A and c are integers, b is rational and nonnegative; a negative entry of b
+raises `ValueError`.  Since b >= 0, x = 0 is feasible and the tableau starts
+from the slack basis: there is no phase 1 and no artificial column.  Bland's
+smallest-index rule picks the entering column and, among the rows that tie
+in the ratio test, the smallest basic variable, which guarantees termination.
 
-The program is solved in bounded form.  Every `<=` row with a single, positive
-coefficient and a nonnegative right-hand side is an upper bound on its
-variable; the tightest bound per variable becomes one slack row, and a zero
-bound fixes the variable at 0 and drops its column.  All-zero rows with a
-nonnegative right-hand side are dropped.  `<=` rows with a nonnegative
-right-hand side start with their slack basic, so artificial columns sit only
-on `==` rows and on `>=` rows (negated `<=` rows), and phase 1 runs only if
-there is one.  A pivot updates each row on the pivot row's nonzero columns
-only.
+The program is solved in bounded form.  Every row with a single, positive
+coefficient is an upper bound on its variable; the tightest bound per
+variable becomes one slack row, and a zero bound fixes the variable at 0 and
+drops its column.  All-zero rows are dropped.  Each row is scaled to integers
+by the denominator of its right-hand side.
+
+The tableau stays in integers by integer-preserving pivots (Edmonds 1967;
+Bareiss 1968): it holds the true tableau times d, the previous pivot, with
+d = 1 at the slack basis.  Pivoting on p = T[r][s] turns each other row i
+into (p·T[i] - T[i][s]·T[r]) // d, a division that is exact, and then sets
+d = p.  The ratio test compares T[i][-1] / T[i][s] by cross-multiplication.
+One `Fraction` per basic variable is built at the end.
 """
 
 from __future__ import annotations
@@ -24,136 +29,88 @@ from typing import Optional, Sequence
 
 @dataclass
 class LinearProgram:
-    """max objective·x  s.t.  A_le x <= b_le,  A_eq x == b_eq,  x >= 0."""
+    """max objective·x  s.t.  a_le x <= b_le,  x >= 0,  with b_le >= 0."""
 
-    objective: Sequence[Fraction]
-    a_le: list[Sequence[Fraction]] = field(default_factory=list)
+    objective: Sequence[int]
+    a_le: list[Sequence[int]] = field(default_factory=list)
     b_le: list[Fraction] = field(default_factory=list)
-    a_eq: list[Sequence[Fraction]] = field(default_factory=list)
-    b_eq: list[Fraction] = field(default_factory=list)
+    # always empty; perfbench/tracer.py's `_lp_counts` still reads it
+    a_eq: list = field(default_factory=list)
 
 
 @dataclass
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     value: Optional[Fraction] = None
     solution: Optional[list[Fraction]] = None
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    if piv != 1:
-        tableau[row] = [v / piv if v else v for v in tableau[row]]
-    prow = tableau[row]
-    nonzero = [j for j, v in enumerate(prow) if v]
-    for i, r in enumerate(tableau):
-        f = r[col]
-        if i != row and f:
-            for j in nonzero:
-                r[j] -= f * prow[j]
-    basis[row] = col
-
-
-def _optimize(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str:
-    """Run simplex on the tableau (last row = objective to maximize)."""
-    obj = len(tableau) - 1
-    while True:
-        col = next((j for j in range(ncols) if tableau[obj][j] > 0), None)
-        if col is None:
-            return "optimal"
-        best: Optional[tuple[Fraction, int, int]] = None
-        for i in range(obj):
-            if tableau[i][col] > 0:
-                ratio = tableau[i][-1] / tableau[i][col]
-                key = (ratio, basis[i], i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return "unbounded"
-        _pivot(tableau, basis, best[2], col)
+def _pivot(tableau: list[list[int]], r: int, col: int, d: int) -> None:
+    """Pivot on tableau[r][col] > 0, where d is the previous pivot."""
+    prow = tableau[r]
+    p = prow[col]
+    for i, row in enumerate(tableau):
+        if i != r:
+            f = row[col]
+            if f:
+                tableau[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+            elif p != d:
+                tableau[i] = [p * v // d for v in row]
 
 
 def simplex_maximize(lp: LinearProgram) -> LPResult:
     n = len(lp.objective)
     upper: list[Optional[Fraction]] = [None] * n
-    rows: list[tuple[list[Fraction], Fraction, str]] = []  # (a, b, "le"|"ge"|"eq")
+    rows: list[tuple[list[int], int]] = []  # (a, b) scaled to integers
     for a, b in zip(lp.a_le, lp.b_le):
-        a, b = [Fraction(v) for v in a], Fraction(b)
         if b < 0:
-            rows.append(([-v for v in a], -b, "ge"))
-            continue
+            raise ValueError(f"negative right-hand side {b}")
         nonzero = [j for j, v in enumerate(a) if v]
         if len(nonzero) == 1 and a[nonzero[0]] > 0:
             j = nonzero[0]
-            if upper[j] is None or b / a[j] < upper[j]:
-                upper[j] = b / a[j]
+            u = Fraction(b, a[j])
+            if upper[j] is None or u < upper[j]:
+                upper[j] = u
         elif nonzero:
-            rows.append((a, b, "le"))
-    for a, b in zip(lp.a_eq, lp.b_eq):
-        a, b = [Fraction(v) for v in a], Fraction(b)
-        rows.append((a, b, "eq") if b >= 0 else ([-v for v in a], -b, "eq"))
-    zero = Fraction(0)
+            rows.append(([v * b.denominator for v in a], b.numerator))
     for j, u in enumerate(upper):
-        if u:  # a finite, nonzero bound is one slack row
-            a = [zero] * n
-            a[j] = Fraction(1)
-            rows.append((a, u, "le"))
+        if u:  # a nonzero bound is one slack row
+            a = [0] * n
+            a[j] = u.denominator
+            rows.append((a, u.numerator))
     # structural columns: the variables not fixed at 0 by a zero bound
     cols = [j for j in range(n) if upper[j] != 0]
-    nvar = len(cols)
-    nslack = sum(1 for _, _, kind in rows if kind != "eq")
-    nart = sum(1 for _, _, kind in rows if kind != "le")
-    width = nvar + nslack + nart
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    sidx, aidx = nvar, nvar + nslack
-    for a, b, kind in rows:
-        row = [a[j] for j in cols] + [zero] * (width - nvar) + [b]
-        if kind == "le":
-            row[sidx] = Fraction(1)
-            basis.append(sidx)
-            sidx += 1
-        else:
-            if kind == "ge":
-                row[sidx] = Fraction(-1)
-                sidx += 1
-            row[aidx] = Fraction(1)
-            basis.append(aidx)
-            aidx += 1
+    nvar, m = len(cols), len(rows)
+    tableau = []
+    for i, (a, b) in enumerate(rows):
+        row = [a[j] for j in cols] + [0] * (m + 1)
+        row[nvar + i] = 1
+        row[-1] = b
         tableau.append(row)
-    m = len(tableau)
-    real = nvar + nslack  # columns that may enter; artificials never re-enter
-    if nart:
-        # phase 1: maximize -sum(artificials)
-        phase1 = [zero] * (width + 1)
-        for i in range(m):
-            if basis[i] >= real:
-                phase1 = [p + v for p, v in zip(phase1, tableau[i])]
-        phase1[real:width] = [zero] * nart
-        tableau.append(phase1)
-        _optimize(tableau, basis, real)
-        if tableau[-1][-1] != 0:
-            return LPResult(status="infeasible")
-        tableau.pop()
-        # drive any artificial still basic out of the basis; one whose row is
-        # zero on every real column is redundant and stays basic at 0
-        for i in range(m):
-            if basis[i] >= real:
-                col = next((j for j in range(real) if tableau[i][j] != 0), None)
-                if col is not None:
-                    _pivot(tableau, basis, i, col)
-    # phase 2
-    obj = [Fraction(lp.objective[j]) for j in cols] + [zero] * (width - nvar + 1)
-    for i in range(m):
-        f = obj[basis[i]] if basis[i] < nvar else 0
-        if f:
-            obj = [c - f * v for c, v in zip(obj, tableau[i])]
+    basis = list(range(nvar, nvar + m))
+    obj = [lp.objective[j] for j in cols] + [0] * (m + 1)
     tableau.append(obj)
-    if _optimize(tableau, basis, real) == "unbounded":
-        return LPResult(status="unbounded")
-    solution = [zero] * n
+    d = 1
+    while True:
+        col = next((j for j in range(nvar + m) if obj[j] > 0), None)
+        if col is None:
+            break
+        # the leaving row: least b / a over a > 0, ties to the least basic index
+        r = None
+        for i in range(m):
+            a, b = tableau[i][col], tableau[i][-1]
+            if a > 0 and (
+                r is None or b * ra < rb * a or (b * ra == rb * a and basis[i] < basis[r])
+            ):
+                r, ra, rb = i, a, b
+        if r is None:
+            return LPResult(status="unbounded")
+        _pivot(tableau, r, col, d)
+        obj = tableau[-1]
+        basis[r] = col
+        d = ra
+    solution = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < nvar:
-            solution[cols[basis[i]]] = tableau[i][-1]
-    value = sum((Fraction(c) * v for c, v in zip(lp.objective, solution)), zero)
-    return LPResult(status="optimal", value=value, solution=solution)
+            solution[cols[basis[i]]] = Fraction(tableau[i][-1], d)
+    return LPResult(status="optimal", value=Fraction(-obj[-1], d), solution=solution)

@@ -213,10 +213,19 @@ def aggregating_file(tmp_path):
 
 
 def test_failed_invariant_is_exit_4(capsys, monkeypatch, aggregating_file):
-    monkeypatch.setattr(smp.iteration, "simplex_maximize", lambda lp: LPResult("infeasible"))
+    monkeypatch.setattr(smp.iteration, "simplex_maximize", lambda lp: LPResult("unbounded"))
     code, out = run_cli(capsys, "solve", aggregating_file)
     assert code == 4
-    assert json.loads(out) == {"error": "aggregation LP infeasible"}
+    assert json.loads(out) == {"error": "aggregation LP unbounded"}
+
+
+def test_negative_aggregation_rhs_is_exit_4(capsys, monkeypatch, aggregating_file):
+    # a load above the quota makes the firm-quota rows' right-hand sides
+    # negative, so φ = 0 would not be feasible
+    monkeypatch.setattr(smp.iteration, "vertex_load", lambda inst, x, v: inst.quota[v] + 1)
+    code, out = run_cli(capsys, "solve", aggregating_file)
+    assert code == 4
+    assert json.loads(out) == {"error": "aggregation LP has a negative right-hand side"}
 
 
 def _run_python(flags, script, *args):
@@ -243,12 +252,12 @@ def test_failed_invariant_is_checked_under_optimize_flag(aggregating_file):
         "from smp.simplex import LPResult\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
-        "smp.iteration.simplex_maximize = lambda lp: LPResult('infeasible')\n"
+        "smp.iteration.simplex_maximize = lambda lp: LPResult('unbounded')\n"
         "sys.exit(main(['solve', sys.argv[1]]))\n"
     )
     proc = _run_optimized(script, aggregating_file)
     assert proc.returncode == 4, proc.stderr
-    assert json.loads(proc.stdout) == {"error": "aggregation LP infeasible"}
+    assert json.loads(proc.stdout) == {"error": "aggregation LP unbounded"}
 
 
 def test_failed_stability_invariant_is_checked_under_optimize_flag(tmp_path, six_cycle_file):
@@ -618,18 +627,31 @@ def test_active_structure_head_checks_fire_under_optimize_flag(six_cycle_file, o
         # the reversed rotation leads from y back up to x, a firm-side ascent
         ("back = Rotation({e: -v for e, v in rot.values.items()}, rot.tau)",
          "apply_shift(inst, y, [back], [rot.tau])", "shift is not a strict firm-side descent"),
-        # a stability report that calls the worker-side join or meet unstable
-        ("smp.poset.stability_report = unstable",
+        # a stability report that passes the two inputs and calls the
+        # worker-side join or meet unstable
+        ("smp.poset.stability_report = unstable_output",
          "stable_join_workers(inst, x, y)", "worker-side join not stable"),
-        ("smp.poset.stability_report = unstable",
+        ("smp.poset.stability_report = unstable_output",
          "stable_meet_workers(inst, x, y)", "worker-side meet not stable"),
+        # every ideal's function set to twice τ, above the box
+        ("poset = build_poset(inst)\n"
+         "smp.poset._fully_closed = "
+         "lambda poset, ideal: {i: 2 * r.tau for i, r in enumerate(poset.rotations)}",
+         "enumerate_fully_closed(poset)", "fully closed function of ideal [] not closed"),
+        # every sink component reported twice
+        ("source = inspect.getsource(smp.rotations.maximal_components)\n"
+         "old = 'out.append(tuple(sorted(comp)))'\n"
+         "if old not in source:\n"
+         "    sys.exit('no such text in maximal_components')\n"
+         "exec(source.replace(old, 'out += [tuple(sorted(comp))] * 2'), vars(smp.rotations))",
+         "applicable_rotations(inst, x)", "sink components share vertices ['v0', 'v1', 'v4', 'v5']"),
     ],
-    ids=["shift stability", "shift descent", "join", "meet"],
+    ids=["shift stability", "shift descent", "join", "meet", "not closed", "sink overlap"],
 )
 def test_shift_and_lattice_checks_fire_under_optimize_flag(six_cycle_file, plant, call, message):
     # x is x_min, rot its first rotation and y the point after the full shift
     script = (
-        "import dataclasses, sys\n"
+        "import dataclasses, inspect, sys\n"
         "import smp.poset, smp.rotations\n"
         "from smp import *\n"
         "if __debug__:\n"
@@ -641,6 +663,11 @@ def test_shift_and_lattice_checks_fire_under_optimize_flag(six_cycle_file, plant
         "report = smp.rotations.stability_report\n"
         "def unstable(inst, x, known=None):\n"
         "    return dataclasses.replace(report(inst, x, known), stable=False)\n"
+        "reports = []\n"
+        "def unstable_output(inst, z, known=None):\n"
+        "    # the first two reports are of the inputs x and y\n"
+        "    reports.append(z)\n"
+        "    return report(inst, z, known) if len(reports) <= 2 else unstable(inst, z)\n"
         f"{plant}\n"
         "try:\n"
         f"    {call}\n"

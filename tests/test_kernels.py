@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import smp.iteration
@@ -11,6 +13,7 @@ import smp.simplex
 from smp.flow import FlowNetwork, min_cut
 from smp.iteration import solve_xmin
 from smp.linalg import integer_nullspace
+from smp.model import vertex_load
 from smp.simplex import LinearProgram, LPResult, simplex_maximize
 
 from gen import rand_marriage
@@ -145,63 +148,51 @@ def test_gaussian_nullspace_vectors_lie_in_kernel():
 
 
 def test_simplex_box_optimum():
-    lp = LinearProgram(
-        objective=[F(1), F(1)],
-        a_le=[[F(1), F(0)], [F(0), F(1)]],
-        b_le=[F(2), F(3)],
-    )
+    lp = LinearProgram(objective=[1, 1], a_le=[[1, 0], [0, 1]], b_le=[F(2), F(3)])
     res = simplex_maximize(lp)
     assert res.status == "optimal"
     assert res.value == F(5)
     assert res.solution == [F(2), F(3)]
 
 
-def test_simplex_with_equalities_and_fractional_optimum():
-    # max 3x + 2y  s.t.  x + y == 4,  x - y <= 1/2
-    lp = LinearProgram(
-        objective=[F(3), F(2)],
-        a_le=[[F(1), F(-1)]],
-        b_le=[F(1, 2)],
-        a_eq=[[F(1), F(1)]],
-        b_eq=[F(4)],
-    )
+def test_simplex_fractional_optimum():
+    # max 3x + 2y  s.t.  x + y <= 4,  x - y <= 1/2: both rows tight
+    lp = LinearProgram(objective=[3, 2], a_le=[[1, 1], [1, -1]], b_le=[F(4), F(1, 2)])
     res = simplex_maximize(lp)
     assert res.status == "optimal"
     assert res.value == F(3) * F(9, 4) + F(2) * F(7, 4)
     assert res.solution == [F(9, 4), F(7, 4)]
 
 
-def test_simplex_infeasible():
-    lp = LinearProgram(
-        objective=[F(1)],
-        a_le=[[F(1)]],
-        b_le=[F(1)],
-        a_eq=[[F(1)]],
-        b_eq=[F(5)],
-    )
-    assert simplex_maximize(lp).status == "infeasible"
-
-
 def test_simplex_unbounded():
-    lp = LinearProgram(objective=[F(1), F(0)], a_le=[[F(0), F(1)]], b_le=[F(1)])
+    lp = LinearProgram(objective=[1, 0], a_le=[[0, 1]], b_le=[F(1)])
     assert simplex_maximize(lp).status == "unbounded"
 
 
-def test_simplex_negative_rhs_normalization():
-    # x >= 2 written as -x <= -2, maximize -x: optimum at x = 2
-    lp = LinearProgram(objective=[F(-1)], a_le=[[F(-1)]], b_le=[F(-2)])
-    res = simplex_maximize(lp)
-    assert res.status == "optimal"
-    assert res.value == F(-2)
+@pytest.mark.parametrize(
+    "a_le, b_le",
+    [
+        ([[-1]], [F(-2)]),  # x >= 2 written as -x <= -2
+        ([[0, 2]], [F(-1)]),  # a single-variable row
+        ([[1, 0], [0, 0]], [F(1), F(-1)]),  # an all-zero row
+    ],
+    ids=["negative-coefficient", "single-variable", "all-zero"],
+)
+def test_simplex_rejects_negative_rhs(a_le, b_le):
+    # x = 0 must be feasible: the tableau starts from the slack basis
+    lp = LinearProgram(objective=[1] * len(a_le[0]), a_le=a_le, b_le=b_le)
+    with pytest.raises(ValueError, match="negative right-hand side"):
+        simplex_maximize(lp)
+
+
+def test_simplex_all_zero_row_with_zero_rhs_is_void():
+    lp = LinearProgram(objective=[1], a_le=[[1], [0]], b_le=[F(1), F(0)])
+    assert simplex_maximize(lp).solution == [F(1)]
 
 
 def test_simplex_zero_bound_fixes_variable_at_zero():
     # x0 <= 0 fixes x0; without it the optimum would put everything on x0
-    lp = LinearProgram(
-        objective=[F(2), F(1)],
-        a_le=[[F(1), F(0)], [F(1), F(1)]],
-        b_le=[F(0), F(3)],
-    )
+    lp = LinearProgram(objective=[2, 1], a_le=[[1, 0], [1, 1]], b_le=[F(0), F(3)])
     res = simplex_maximize(lp)
     assert res.status == "optimal"
     assert res.solution == [F(0), F(3)]
@@ -210,64 +201,21 @@ def test_simplex_zero_bound_fixes_variable_at_zero():
 
 def test_simplex_tightest_duplicate_bound_wins():
     lp = LinearProgram(
-        objective=[F(1)],
-        a_le=[[F(1)], [F(2)], [F(1)], [F(3)]],
-        b_le=[F(5), F(4), F(3), F(9)],
+        objective=[1], a_le=[[1], [2], [1], [3]], b_le=[F(5), F(4), F(3), F(9)]
     )
     res = simplex_maximize(lp)
     assert res.status == "optimal"
     assert res.solution == [F(2)]
 
 
-def test_simplex_single_variable_row_with_negative_rhs_is_infeasible():
-    lp = LinearProgram(objective=[F(1), F(1)], a_le=[[F(0), F(2)]], b_le=[F(-1)])
-    assert simplex_maximize(lp).status == "infeasible"
-
-
-def test_simplex_all_zero_row_with_negative_rhs_is_infeasible():
-    lp = LinearProgram(
-        objective=[F(1)],
-        a_le=[[F(1)], [F(0)]],
-        b_le=[F(1), F(-1)],
-    )
-    assert simplex_maximize(lp).status == "infeasible"
-    # with b >= 0 the same row is void
-    lp.b_le[1] = F(0)
-    assert simplex_maximize(lp).solution == [F(1)]
-
-
-def test_simplex_redundant_equality_keeps_artificial_basic_at_zero(monkeypatch):
-    # the second equality is twice the first: phase 1 cannot drive its
-    # artificial out of the basis, and phase 2 must still reach the optimum
-    calls = []
-    real = smp.simplex._optimize
-
-    def spy(tableau, basis, ncols):
-        calls.append((basis, ncols))
-        return real(tableau, basis, ncols)
-
-    monkeypatch.setattr(smp.simplex, "_optimize", spy)
-    lp = LinearProgram(
-        objective=[F(1), F(1)],
-        a_le=[[F(1), F(0)]],
-        b_le=[F(3)],
-        a_eq=[[F(1), F(-1)], [F(2), F(-2)]],
-        b_eq=[F(0), F(0)],
-    )
-    res = simplex_maximize(lp)
-    assert res.status == "optimal"
-    assert res.solution == [F(3), F(3)] and res.value == F(6)
-    basis, ncols = calls[-1]  # phase 2; columns from ncols on are artificial
-    assert any(col >= ncols for col in basis)
-
-
 def dense_two_phase_simplex(lp):
     """Reference: the dense two-phase simplex with one artificial per row.
 
     Every row keeps its own slack and artificial column, pivots rewrite whole
-    rows, and Bland's rule picks the entering column and leaving row.  The
-    optimal value must equal `simplex_maximize`'s; on the aggregation LPs
-    the solver builds, so must the optimal vertex.
+    rows, and Bland's rule picks the entering column and leaving row.  It
+    takes `<=` and `==` rows of any sign (`lp.a_eq`, `lp.b_eq`).  The optimal
+    value must equal `simplex_maximize`'s; on the aggregation LPs the solver
+    builds, so must the optimal vertex (see `full_aggregation_lp`).
     """
 
     def pivot(tableau, basis, row, col):
@@ -300,7 +248,7 @@ def dense_two_phase_simplex(lp):
     for a, b in zip(lp.a_le, lp.b_le):
         rows.append([F(v) for v in a] + [F(b)])
         kinds.append("le")
-    for a, b in zip(lp.a_eq, lp.b_eq):
+    for a, b in zip(getattr(lp, "a_eq", []), getattr(lp, "b_eq", [])):
         rows.append([F(v) for v in a] + [F(b)])
         kinds.append("eq")
     m = len(rows)
@@ -353,35 +301,30 @@ def dense_two_phase_simplex(lp):
 
 @st.composite
 def linear_programs(draw):
-    """Small LPs with bound rows (single-variable, duplicate, zero) and mixed signs."""
+    """Small integer LPs with b >= 0: bound rows (single-variable, duplicate, zero) and mixed signs."""
     n = draw(st.integers(1, 6))
-    positive = st.one_of(st.integers(1, 4).map(F), st.builds(F, st.integers(1, 9), st.integers(1, 4)))
-    point = draw(st.lists(st.one_of(st.just(F(0)), positive), min_size=n, max_size=n))
-    feasible = draw(st.booleans())  # right-hand sides through a nonnegative point
-
-    def rhs(row, slack):
-        if feasible:
-            return sum((a * v for a, v in zip(row, point)), F(0)) + slack
-        return draw(entries)
-
+    coefficients = st.one_of(st.just(0), st.integers(-6, 6))
+    rhs = st.one_of(
+        st.just(F(0)), st.integers(1, 4).map(F), st.builds(F, st.integers(1, 9), st.integers(1, 4))
+    )
     a_le, b_le = [], []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["fresh", "single", "single", "zero", "copy", "all-zero"]))
         if kind == "copy" and a_le:
             row = list(draw(st.sampled_from(a_le)))
         elif kind == "all-zero":
-            row = [F(0)] * n
+            row = [0] * n
         elif kind in ("single", "zero"):
-            row = [F(0)] * n
-            row[draw(st.integers(0, n - 1))] = draw(positive if kind == "zero" else entries)
+            row = [0] * n
+            row[draw(st.integers(0, n - 1))] = draw(
+                st.integers(1, 4) if kind == "zero" else coefficients
+            )
         else:
-            row = draw(st.lists(entries, min_size=n, max_size=n))
+            row = draw(st.lists(coefficients, min_size=n, max_size=n))
         a_le.append(row)
-        b_le.append(F(0) if kind == "zero" else rhs(row, draw(st.one_of(st.just(F(0)), positive))))
-    a_eq = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(draw(st.integers(0, 3)))]
-    b_eq = [rhs(row, F(0)) for row in a_eq]
-    objective = draw(st.lists(entries, min_size=n, max_size=n))
-    return LinearProgram(objective=objective, a_le=a_le, b_le=b_le, a_eq=a_eq, b_eq=b_eq)
+        b_le.append(F(0) if kind == "zero" else draw(rhs))
+    objective = draw(st.lists(coefficients, min_size=n, max_size=n))
+    return LinearProgram(objective=objective, a_le=a_le, b_le=b_le)
 
 
 def _dot(row, x):
@@ -398,33 +341,123 @@ def test_simplex_matches_dense_reference(lp):
         x = res.solution
         assert len(x) == len(lp.objective) and all(v >= 0 for v in x)
         assert all(_dot(a, x) <= b for a, b in zip(lp.a_le, lp.b_le))
-        assert all(_dot(a, x) == b for a, b in zip(lp.a_eq, lp.b_eq))
         assert _dot(lp.objective, x) == res.value
 
 
+def full_aggregation_lp(inst, state):
+    """Reference: the aggregation LP with a ψ_w column and a balance row per worker.
+
+    Columns are the fully filled firms' raises φ_f, then the fully filled
+    workers' cuts ψ_w, both in sorted order.  Each worker's balance
+    |H_w|·ψ_w = Σ φ_f over the raises into w is an equality row, so the LP
+    needs phase 1; `_build_big_lp` substitutes it out.
+    """
+    y, outcomes = state.y, state.outcomes
+    edge = inst.edge_by_id
+    firms = sorted(state.fully_firms)
+    workers = sorted(state.fully_workers)
+    fh = {f: outcomes[f].head for f in firms}
+    wh = {w: outcomes[w].head for w in workers}
+    height = {w: y[next(iter(wh[w]))] for w in workers}
+    var = {v: i for i, v in enumerate(firms + workers)}
+    n = len(var)
+    lp = SimpleNamespace(objective=[F(0)] * n, a_le=[], b_le=[], a_eq=[], b_eq=[])
+    for f in firms:
+        lp.objective[var[f]] = F(len(fh[f]))
+
+    def row(*terms):
+        r = [F(0)] * n
+        for v, a in terms:
+            r[var[v]] += a
+        return r
+
+    def raises_into(w):
+        return [edge[e].firm for e in inst.incident[w] if edge[e].firm in fh and e in fh[edge[e].firm]]
+
+    for w in workers:
+        lp.a_eq.append(row((w, len(wh[w])), *((f, -1) for f in raises_into(w))))
+        lp.b_eq.append(F(0))
+    for w in workers:
+        lp.a_le.append(row((w, 1)))
+        lp.b_le.append(height[w])
+    for f in firms:
+        r = row((f, len(fh[f])))
+        for e in smp.iteration._reduced_edges(inst, state.bounds, f):
+            w = edge[e].worker
+            if w in wh and e in wh[w]:
+                r[var[w]] -= 1
+        lp.a_le.append(r)
+        lp.b_le.append(inst.quota[f] - vertex_load(inst, y, f))
+    for f in firms:
+        for e in fh[f]:
+            lp.a_le.append(row((f, 1)))
+            lp.b_le.append(edge[e].capacity - y[e])
+    for w in workers:
+        for e in inst.corteges[w][outcomes[w].critical_tie]:
+            if e not in wh[w]:
+                f = edge[e].firm
+                lp.a_le.append(row((w, 1), *([(f, 1)] if f in fh and e in fh[f] else [])))
+                lp.b_le.append(height[w] - y[e])
+    for f in firms:
+        for e in fh[f]:
+            w = edge[e].worker
+            if w in wh and (e in wh[w] or inst.tie_index[(w, e)] > outcomes[w].critical_tie):
+                lp.a_le.append(row((f, 1)))
+                lp.b_le.append(F(0))
+                break
+    for w in inst.workers:
+        if w not in state.fully_workers:
+            lp.a_le.append(row(*((f, 1) for f in raises_into(w))))
+            lp.b_le.append(inst.quota[w] - vertex_load(inst, y, w))
+    return lp, firms, workers
+
+
 def test_simplex_matches_dense_reference_on_aggregation_lps(monkeypatch):
-    """Every aggregation LP the solver builds gets the reference's vertex.
+    """Every aggregation LP gets the full LP's (φ, ψ) from the dense reference.
 
     `smp solve --trace` prints the aggregated point, so the optimal vertex,
-    not only the optimal value, must be the one the dense solver picks.
+    not only the optimal value, must be the one the dense two-phase solver
+    picks on the LP with a ψ_w column and balance row per worker.  ψ is read
+    off the new y on the workers' heads, where `_big_iteration` recovers it.
     """
-    seen = []
+    seen, results = [], []
+    pivots = [0]
+    real_big, real_simplex, real_pivot = (
+        smp.iteration._big_iteration, smp.iteration.simplex_maximize, smp.simplex._pivot
+    )
 
-    def record(lp):
-        res = simplex_maximize(lp)
-        seen.append((lp, res))
-        return res
+    def big(inst, state):
+        new = real_big(inst, state)
+        seen.append((inst, state, new, results[-1]))
+        return new
 
-    monkeypatch.setattr(smp.iteration, "simplex_maximize", record)
+    def solve(lp):
+        results.append(real_simplex(lp))
+        return results[-1]
+
+    def pivot(*args):
+        pivots[0] += 1
+        real_pivot(*args)
+
+    monkeypatch.setattr(smp.iteration, "_big_iteration", big)
+    monkeypatch.setattr(smp.iteration, "simplex_maximize", solve)
+    monkeypatch.setattr(smp.simplex, "_pivot", pivot)
     for pool in (smp_pool(), sap_pool(), sdp_pool()):
         for inst in pool:
             solve_xmin(inst)
+    before = (len(seen), pivots[0])
     for seed in range(40):
         solve_xmin(rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5))
+    # the full LP took 124 pivots over these 21 LPs
+    assert (len(seen) - before[0], pivots[0] - before[1]) == (21, 50)
     assert len(seen) >= 30
-    for lp, res in seen:
+    for inst, state, new, res in seen:
+        lp, firms, workers = full_aggregation_lp(inst, state)
         ref = dense_two_phase_simplex(lp)
-        assert (res.status, res.value, res.solution) == (ref.status, ref.value, ref.solution)
+        assert res.status == ref.status == "optimal" and res.value == ref.value
+        assert res.solution == ref.solution[: len(firms)]
+        for w, psi in zip(workers, ref.solution[len(firms):]):
+            assert all(state.y[e] - new.y[e] == psi for e in state.outcomes[w].head)
 
 
 # --- max-flow / min-cut -----------------------------------------------------

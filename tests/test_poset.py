@@ -177,6 +177,19 @@ def test_join_and_meet_realize_weightwise_max_and_min():
             assert meet == gamma(inst, poset, dn)
 
 
+@pytest.mark.parametrize(
+    "func", [stable_join_workers, stable_meet_workers], ids=["join", "meet"]
+)
+def test_join_and_meet_reject_unstable_inputs(func):
+    # at the zero assignment every edge of the six-cycle blocks: the caller's
+    # input is at fault, not the solver
+    inst = six_cycle_instance()
+    x = solve_xmin(inst)
+    for args, name in (((x, {}), "y"), (({}, x), "x")):
+        with pytest.raises(InstanceError, match=f"{func.__name__}: assignment {name} is not stable"):
+            func(inst, *args)
+
+
 def test_poset_invariance_under_solver_start():
     # building from a supplied x_min equals building from scratch
     for inst, poset in _marriage_posets(2, tag="start"):
