@@ -14,7 +14,6 @@ from .iteration import (
     ordinary_iteration_step,
     solve_quota_filling,
     solve_xmax,
-    solve_xmin,
     solve_xmin_modified,
 )
 from .mincost import MinCostResult, assignment_cost, build_costed_poset, min_cost_stable
@@ -58,7 +57,7 @@ from .rotations import (
     maximal_components,
     run_route,
 )
-from .stability import Comparison, StabilityReport, compare_stable, stability_report
+from .stability import StabilityReport, compare_stable, stability_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

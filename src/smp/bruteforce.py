@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .model import Instance, InstanceError
 from .stability import stability_report
@@ -52,15 +52,18 @@ def oracle_enumerate_stable(inst: Instance) -> list[dict[str, Fraction]]:
 def oracle_min_cost_ideal(
     zeta: Mapping[int, Fraction], less: frozenset, n: int
 ) -> tuple[Fraction, frozenset[int]]:
-    """Cheapest downward-closed rotation set by trying all subsets."""
-    best: Optional[tuple[Fraction, frozenset[int]]] = None
+    """Cheapest downward-closed rotation set by trying all subsets.
+
+    The empty set is an ideal and the first subset tried, so `best` starts
+    there.
+    """
+    best = (Fraction(0), frozenset())
     elements = list(range(n))
     for bits in itertools.product((0, 1), repeat=n):
         subset = frozenset(i for i, b in zip(elements, bits) if b)
         if any(b in subset and a not in subset for (a, b) in less):
             continue
         weight = sum((zeta[i] for i in subset), Fraction(0))
-        if best is None or weight < best[0]:
+        if weight < best[0]:
             best = (weight, subset)
-    assert best is not None
     return best

@@ -59,7 +59,7 @@ def _cmd_check(args) -> int:
             "stable": report.stable,
             "blocking_edges": report.blocking_edges,
             "fully_filled": sorted(report.fully_filled),
-            "deficit": sorted(report.deficit),
+            "deficit": sorted(set(inst.vertices()) - report.fully_filled),
         }
     )
     return 0
@@ -69,11 +69,10 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     trace: list = [] if args.trace else None
     if args.method == "quota-filling":
-        res = solve_quota_filling(inst)
-        if not res.quota_filling:
+        x = solve_quota_filling(inst)
+        if x is None:
             _emit({"quota_filling": False})
             return 0
-        x = res.assignment
         if args.side == "firms":
             x = run_route(inst.swapped(), x).states[-1]
     elif args.side == "workers":

@@ -8,7 +8,7 @@ Two routes are provided:
   because the per-round progress can shrink geometrically; the variant
   detects rounds that make no combinatorial progress and aggregates the
   whole stalled tail into one exact LP step.  No function runs the classical
-  iteration alone: `solve_xmin` is an alias of `solve_xmin_modified`;
+  iteration alone;
 * a combinatorial decision procedure for the special case where stable
   assignments fill every quota, via an auxiliary instance with two depot
   vertices absorbing all slack.
@@ -37,8 +37,8 @@ and a choice from an offer that sums to the quota returns the offer.  Then:
   such edge had y = x on its edges before, and neither side moved.
 * b, x and y change only at fresh vertices' edges, so the check
   b >= x >= y >= 0 runs there; every other edge keeps values that already
-  passed it.  `terminal` is still the full compare y == x, cross-checked
-  against an empty cut.
+  passed it.  A round is terminal when its cut is empty, and the full
+  compare y == x cross-checks that.
 * The progress marker marks again only the firms at which x or the bounds
   changed (`IterationState.changed_firms`).
 
@@ -62,11 +62,10 @@ The outcomes travel on past the rounds, each time by an equal-input argument
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .choice import ChoiceOutcome, _rechoose, choose
 from .model import (
@@ -82,19 +81,13 @@ from .rotations import run_route
 from .simplex import LinearProgram, simplex_maximize
 from .stability import stability_report
 
-MAX_STEPS_ENV = "SMP_MAX_STEPS"
-
 
 def _step_cap(inst: Instance) -> int:
-    override = os.environ.get(MAX_STEPS_ENV)
-    if override:
-        try:
-            cap = int(override)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"${MAX_STEPS_ENV} must be a positive integer, got {override!r}")
-        return cap
+    """The most rounds `_solve_xmin` runs: 10·|E|.
+
+    A heuristic cap, not a bound taken from the paper; reaching it raises
+    `SolverLimitError`.
+    """
     return 10 * len(inst.edges)
 
 
@@ -104,25 +97,20 @@ class IterationState:
     bounds: dict[str, Fraction]  # the next round's input bounds
     x: dict[str, Fraction]   # the firms' choices from the round's input bounds
     y: dict[str, Fraction]   # the workers' choices from `x`
-    terminal: bool
-    # the vertices whose choice fills the quota, and every vertex's choice: a
-    # firm's from the round's input bounds (the previous state's `bounds`), a
-    # worker's from `x`.  An aggregation step sets x = y to its point and keeps
-    # only the fully filled workers' choices, made from `y`.
-    fully_firms: frozenset[str] = frozenset()
-    fully_workers: frozenset[str] = frozenset()
+    # every vertex's choice: a firm's from the round's input bounds (the
+    # previous state's `bounds`), a worker's from `x`.  An aggregation step
+    # sets x = y to its point and keeps only the fully filled workers'
+    # choices, made from `y`.
     outcomes: dict[str, ChoiceOutcome] = field(default_factory=dict)
-    # the edges with y != x, and the firms at which x or the bounds differ
-    # from the previous state's
+    # the edges with y != x (empty after a terminal round), and the firms at
+    # which x or the bounds differ from the previous state's
     cut: frozenset[str] = frozenset()
     changed_firms: frozenset[str] = frozenset()
 
 
 def initial_state(inst: Instance) -> IterationState:
     bounds = {e.id: e.capacity for e in inst.edges}
-    return IterationState(
-        round=-1, bounds=bounds, x=dict(bounds), y=dict(bounds), terminal=False
-    )
+    return IterationState(round=-1, bounds=bounds, x=dict(bounds), y=dict(bounds))
 
 
 def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationState:
@@ -177,23 +165,27 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
             and (ne is be or ne is ye or be >= ne)
         ):
             raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {eid!r}")
-    terminal = y == x
-    if terminal != (not cut):
+    if (y == x) == bool(cut):
         raise InvariantError("round's cut edges disagree with y != x")
-    # a choice that is not in deficit sums to exactly the quota
-    full = frozenset(v for v, out in outcomes.items() if not out.deficit)
     return IterationState(
         round=state.round + 1,
         bounds=new_bounds,
         x=x,
         y=y,
-        terminal=terminal,
-        fully_firms=full & inst.firm_set,
-        fully_workers=full & inst.worker_set,
         outcomes=outcomes,
         cut=cut,
         changed_firms=frozenset(changed),
     )
+
+
+def _filled(state: IterationState, side: Iterable[str]) -> list[str]:
+    """The sorted vertices of `side` whose stored choice fills the quota.
+
+    A choice that is not in deficit sums to exactly the quota.  After an
+    aggregation step only the fully filled workers' choices are stored.
+    """
+    outcomes = state.outcomes
+    return sorted(v for v in side if v in outcomes and not outcomes[v].deficit)
 
 
 def _reduced_edges(inst: Instance, bounds: Mapping[str, Fraction], f: str) -> frozenset[str]:
@@ -217,11 +209,12 @@ def _progress_marker(inst: Instance, state: IterationState, prev=None):
     firms in `state.changed_firms` are marked again; the others keep their
     sets, since their x and bounds did not change.
 
-    A fully filled worker w is marked by the critical tie and head of its
-    choice from y.  After an aggregation step the stored outcome is that
-    choice.  In an ordinary state it is w's choice from x, with critical tie
-    c and height r, and choosing again from y|w gives the same tie, height
-    and head: y|w equals x before c, min(r, x_e) on c and 0 after c.  The
+    The marker is the pair (firm sets, worker view).  The view maps each
+    fully filled worker w to the critical tie and head of its choice from y,
+    so its keys are the filled workers.  After an aggregation step the stored
+    outcome is that choice.  In an ordinary state it is w's choice from x,
+    with critical tie c and height r, and choosing again from y|w gives the
+    same tie, height and head: y|w equals x before c, min(r, x_e) on c and 0 after c.  The
     sums before c are unchanged and below the quota q, and c now sums to
     exactly q minus them, so c is critical again.  The target is then the
     whole of c, so the height is max_e min(r, x_e) = r, since the head
@@ -238,21 +231,21 @@ def _progress_marker(inst: Instance, state: IterationState, prev=None):
             if val is cap or (val.numerator and val == cap):
                 full.add(e)
         stuck[f] = frozenset(full) | _reduced_edges(inst, state.bounds, f)
-    worker_view = {
+    view = {
         w: (state.outcomes[w].critical_tie, state.outcomes[w].head)
-        for w in state.fully_workers
+        for w in _filled(state, inst.workers)
     }
-    return stuck, state.fully_workers, worker_view
+    return stuck, view
 
 
 def _is_productive(before, after) -> bool:
-    stuck0, fully0, view0 = before
-    stuck1, fully1, view1 = after
+    stuck0, view0 = before
+    stuck1, view1 = after
     if any(stuck1[f] - stuck0[f] for f in stuck1):
         return True
-    if fully1 - fully0:
+    if view1.keys() - view0.keys():
         return True
-    for w in fully0 & fully1:
+    for w in view0.keys() & view1.keys():
         tie0, head0 = view0[w]
         tie1, head1 = view1[w]
         if tie1 < tie0 or head1 - head0:
@@ -282,8 +275,8 @@ def _build_big_lp(inst: Instance, state: IterationState) -> LinearProgram:
     quota minus its load.  A negative one raises `InvariantError`.
     """
     y, outcomes = state.y, state.outcomes
-    firms = tuple(sorted(state.fully_firms))
-    workers = tuple(sorted(state.fully_workers))
+    firms = _filled(state, inst.firms)
+    workers = _filled(state, inst.workers)
     fh = {f: outcomes[f].head for f in firms}
     wh = {w: outcomes[w].head for w in workers}
     height: dict[str, Fraction] = {}
@@ -351,7 +344,7 @@ def _build_big_lp(inst: Instance, state: IterationState) -> LinearProgram:
                 add(unit(f), Fraction(0))
                 break
     for w in inst.workers:  # raises must not overflow a deficit worker
-        if w not in state.fully_workers:
+        if w not in wh:
             add(add_raises([0] * n, w), inst.quota[w] - vertex_load(inst, y, w))
     return lp
 
@@ -361,8 +354,8 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     res = simplex_maximize(lp)
     if res.status != "optimal":
         raise InvariantError(f"aggregation LP {res.status}")
-    firm_head = {f: state.outcomes[f].head for f in sorted(state.fully_firms)}
-    worker_head = {w: state.outcomes[w].head for w in sorted(state.fully_workers)}
+    firm_head = {f: state.outcomes[f].head for f in _filled(state, inst.firms)}
+    worker_head = {w: state.outcomes[w].head for w in _filled(state, inst.workers)}
     raise_of = dict(zip(firm_head, res.solution))
     # the change of y, on the heads only: an edge has one firm and one worker
     delta: dict[str, Fraction] = {}
@@ -405,9 +398,6 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         bounds=bounds,
         x=yp,
         y=yp,
-        terminal=False,
-        fully_firms=state.fully_firms,
-        fully_workers=state.fully_workers,
         outcomes={w: choose(inst, w, yp) for w in worker_head},
         changed_firms=inst.firm_set,
     )
@@ -434,7 +424,7 @@ def _solve_xmin(
         state = ordinary_iteration_step(inst, state)
         if trace is not None:
             trace.append(("ordinary", state.round, dict(state.y)))
-        if state.terminal:
+        if not state.cut:
             result, known = state.x, state.outcomes
             break
         new_marker = _progress_marker(inst, state, marker)
@@ -452,9 +442,7 @@ def _solve_xmin(
                 break
         marker = new_marker
     if result is None:
-        raise SolverLimitError(
-            f"no stable point within {cap} rounds (raise ${MAX_STEPS_ENV} to retry)"
-        )
+        raise SolverLimitError(f"no stable point within {cap} rounds")
     # normalize: in the swapped orientation the routes descend toward the
     # firm-optimal end of the original instance; the route's first active
     # structure rejects an unstable result (stability is side-symmetric)
@@ -465,10 +453,6 @@ def _solve_xmin(
 def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[str, Fraction]:
     """The firm-optimal stable assignment, guaranteed finite (`_solve_xmin`)."""
     return _solve_xmin(inst, trace)[0]
-
-
-def solve_xmin(inst: Instance) -> dict[str, Fraction]:
-    return solve_xmin_modified(inst)
 
 
 def solve_xmax(inst: Instance, trace: Optional[list] = None) -> dict[str, Fraction]:
@@ -544,33 +528,29 @@ def build_extended_instance(inst: Instance) -> ExtendedInstance:
     )
 
 
-@dataclass
-class QuotaFillingResult:
-    quota_filling: bool
-    assignment: Optional[dict[str, Fraction]]
-
-
-def solve_quota_filling(inst: Instance) -> QuotaFillingResult:
-    """Decide whether every stable assignment fills all quotas; if so, return one.
+def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
+    """Decide whether every stable assignment fills all quotas: one if so, else None.
 
     The instance is extended by a depot firm and worker that soak up all
     remaining capacity (each real vertex ranks its depot edge at the opposite
     extreme of its list).  The seed putting everything on depot edges is the
     extension's firm-optimal stable point; routing it to the worker-optimal
     end empties the depot edges exactly when the original instance is quota
-    filling, and then the restriction is its worker-optimal assignment.
+    filling, and then the restriction is its worker-optimal assignment.  The
+    route starts from the choices of the seed's stability test.
     """
     extended = build_extended_instance(inst)
     ext = extended.ext
     y0 = extended.seed()
-    if not stability_report(ext, y0).stable:
+    seed_report = stability_report(ext, y0)
+    if not seed_report.stable:
         raise InvariantError("depot seed unexpectedly unstable")
-    ymax = run_route(ext, y0).states[-1]
+    ymax = run_route(ext, y0, known=seed_report.outcomes).states[-1]
     side = extended.firm_side_edges + extended.worker_side_edges
     if any(ymax[e] != 0 for e in side):
-        return QuotaFillingResult(quota_filling=False, assignment=None)
+        return None
     x = {eid: ymax[eid] for eid in inst.edge_ids}
     report = stability_report(inst, x)
-    if not (report.stable and report.deficit == frozenset()):
+    if not (report.stable and len(report.fully_filled) == len(inst.vertices())):
         raise InvariantError("restricted worker optimum not stable and quota filling")
-    return QuotaFillingResult(quota_filling=True, assignment=x)
+    return x

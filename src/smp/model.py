@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -324,32 +324,23 @@ def vertex_load(inst: Instance, x: Mapping[str, Fraction], v: str) -> Fraction:
     return sum((x.get(e, ZERO) for e in inst.incident[v]), ZERO)
 
 
-@dataclass
-class MembershipReport:
-    in_box: bool
-    quota_feasible: bool
-    violations: list[str] = field(default_factory=list)
+def validate_assignment(inst: Instance, x: Mapping[str, Fraction]) -> list[str]:
+    """The box and quota violations of x, empty when x is admissible.
 
-
-def validate_assignment(inst: Instance, x: Mapping[str, Fraction]) -> MembershipReport:
-    """Box and quota admissibility of x (unknown edge ids are an error)."""
+    Unknown edge ids are an error.
+    """
     unknown = set(x) - set(inst.edge_ids)
     if unknown:
         raise InstanceError(f"unknown edge ids in assignment: {sorted(unknown)}")
     violations = []
-    in_box = True
     for e in inst.edges:
         val = x.get(e.id, ZERO)
         if val < 0:
-            in_box = False
             violations.append(f"edge {e.id}: negative value {val}")
         elif val > e.capacity:
-            in_box = False
             violations.append(f"edge {e.id}: value {val} exceeds capacity {e.capacity}")
-    quota_feasible = True
     for v in inst.vertices():
         load = vertex_load(inst, x, v)
         if load > inst.quota[v]:
-            quota_feasible = False
             violations.append(f"vertex {v}: load {load} exceeds quota {inst.quota[v]}")
-    return MembershipReport(in_box, quota_feasible, violations)
+    return violations

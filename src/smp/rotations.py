@@ -377,7 +377,7 @@ def apply_shift(
     if verify:
         if not stability_report(inst, xp).stable:
             raise InvariantError("shift broke stability")
-        if not (compare_stable(inst, x, xp, side="firms").holds and xp != x):
+        if not (compare_stable(inst, x, xp, side="firms") and xp != x):
             raise InvariantError("shift is not a strict firm-side descent")
     return xp
 

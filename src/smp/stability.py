@@ -22,7 +22,6 @@ class StabilityReport:
     stable: bool
     blocking_edges: list[str]          # canonical edge-id order
     fully_filled: frozenset[str]       # vertices with load exactly at quota
-    deficit: frozenset[str]
     outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at x
 
 
@@ -97,20 +96,18 @@ def stability_report(
 
     # x is stationary, so each load is the size of the vertex's choice: the
     # quota exactly unless the choice is in deficit
-    fully = frozenset(v for v in inst.vertices() if not outcomes[v].deficit)
     return StabilityReport(
         stable=not blocking,
         blocking_edges=blocking,
-        fully_filled=fully,
-        deficit=frozenset(inst.vertices()) - fully,
+        fully_filled=frozenset(v for v in inst.vertices() if not outcomes[v].deficit),
         outcomes=outcomes,
     )
 
 
 def _require_admissible(inst: Instance, x: Mapping[str, Fraction]) -> None:
-    report = validate_assignment(inst, x)
-    if not (report.in_box and report.quota_feasible):
-        raise InstanceError("assignment not admissible: " + "; ".join(report.violations))
+    violations = validate_assignment(inst, x)
+    if violations:
+        raise InstanceError("assignment not admissible: " + "; ".join(violations))
 
 
 def _screen_admissible(
@@ -129,23 +126,18 @@ def _screen_admissible(
     return True
 
 
-@dataclass
-class Comparison:
-    holds: bool                     # x weakly preferred to y on the given side
-    per_vertex: dict[str, bool]
-
-
 def compare_stable(
     inst: Instance,
     x: Mapping[str, Fraction],
     y: Mapping[str, Fraction],
     side: str = "firms",
-) -> Comparison:
+) -> bool:
     """Does every vertex on `side` weakly prefer x to y?
 
-    Both assignments must be stable.  When the comparison holds, the converse
-    relation on the opposite side is checked (preferring more on one side
-    means conceding on the other).
+    Both assignments must be stable.  Every vertex on `side` is compared, so
+    each runs the cross-check of `prefers`.  When the comparison holds, the
+    converse relation on the opposite side is checked (preferring more on one
+    side means conceding on the other).
     """
     if side not in ("firms", "workers"):
         raise ValueError(f"side must be 'firms' or 'workers', got {side!r}")
@@ -153,12 +145,11 @@ def compare_stable(
         if not stability_report(inst, z).stable:
             raise InstanceError(f"compare_stable: assignment {name} is not stable")
     vertices = inst.firms if side == "firms" else inst.workers
-    per_vertex = {v: prefers(inst, v, x, y) for v in vertices}
-    holds = all(per_vertex.values())
+    holds = all([prefers(inst, v, x, y) for v in vertices])
     if holds:
         other = inst.workers if side == "firms" else inst.firms
         if not all(prefers(inst, v, y, x) for v in other):
             raise InvariantError(
                 "polarity violated: opposite side does not prefer the other assignment"
             )
-    return Comparison(holds=holds, per_vertex=per_vertex)
+    return holds

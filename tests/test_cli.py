@@ -195,7 +195,7 @@ def test_round_cap_is_a_solver_limit_error(capsys, monkeypatch, tmp_path):
     path = tmp_path / "m4.json"
     inst = rand_marriage(random.Random(1), 4, cap=2, tie_prob=0.3)
     path.write_text(json.dumps(serialize_instance(inst)))
-    monkeypatch.setenv("SMP_MAX_STEPS", "1")
+    monkeypatch.setattr(smp.iteration, "_step_cap", lambda inst: 1)
     code, out = run_cli(capsys, "solve", str(path))
     assert code == 3
     doc = json.loads(out)
@@ -441,7 +441,7 @@ def _omega_route_plant(change):
     [
         ("smp.cli.omega = lambda inst, poset, x: {}",
          "closed_function_bijection", "omega does not invert gamma on the ideal []"),
-        ("smp.cli.stability_report = lambda inst, x: StabilityReport(False, [], frozenset(), frozenset(), {})",
+        ("smp.cli.stability_report = lambda inst, x: StabilityReport(False, [], frozenset(), {})",
          "solve_stable", "x_min is not stable"),
         (_omega_route_plant("states=route.states[:1]"),
          "closed_function_bijection", "route from x did not reach the worker optimum"),
@@ -452,7 +452,7 @@ def _omega_route_plant(change):
          "closed_function_bijection", "recovered weights are not closed"),
         (_omega_route_plant("steps=[]"),
          "closed_function_bijection", "weights do not reproduce x"),
-        ("smp.poset.stability_report = lambda inst, x, known=None: StabilityReport(False, [], frozenset(), frozenset(), {})",
+        ("smp.poset.stability_report = lambda inst, x, known=None: StabilityReport(False, [], frozenset(), {})",
          "closed_function_bijection", "closed function image not stable"),
     ],
     ids=["omega", "stability", "omega route unfinished", "omega foreign rotation",
@@ -657,7 +657,7 @@ def test_shift_and_lattice_checks_fire_under_optimize_flag(six_cycle_file, plant
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
         "inst = parse_instance(open(sys.argv[1]).read())\n"
-        "x = solve_xmin(inst)\n"
+        "x = solve_xmin_modified(inst)\n"
         "rot = applicable_rotations(inst, x)[1][0]\n"
         "y = apply_shift(inst, x, [rot], [rot.tau], verify=False)\n"
         "report = smp.rotations.stability_report\n"
@@ -901,14 +901,6 @@ def test_kernel_output_is_pinned(capsys, tmp_path, name, command):
         assert len(costed.poset.hasse) >= 2
         assert min(costed.zeta.values()) < 0 < max(costed.zeta.values())
     assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_DIGESTS[name, command]
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-def test_bad_round_cap_is_a_domain_error(capsys, monkeypatch, triangle_file, value):
-    monkeypatch.setenv("SMP_MAX_STEPS", value)
-    code, out = run_cli(capsys, "solve", triangle_file)
-    assert code == 1
-    assert "must be a positive integer" in json.loads(out)["error"]
 
 
 def test_usage_error_exits_2(capsys):

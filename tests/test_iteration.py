@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import smp.choice
 import smp.iteration
+import smp.rotations
 from smp import (
     Edge,
     Instance,
@@ -20,14 +21,13 @@ from smp import (
     run_route,
     solve_quota_filling,
     solve_xmax,
-    solve_xmin,
     solve_xmin_modified,
     stability_report,
     vertex_load,
 )
 from smp.choice import _rechoose, choose
 from smp.bruteforce import oracle_enumerate_stable
-from smp.iteration import IterationState, _reduced_edges
+from smp.iteration import IterationState, _filled, _reduced_edges
 from smp.model import InvariantError
 
 from gen import (
@@ -49,27 +49,27 @@ def test_ordinary_iteration_monotone_and_terminal_on_triangle():
         state = ordinary_iteration_step(inst, state)
         assert all(state.bounds[e] <= prev_bounds[e] for e in inst.edge_ids)
         prev_bounds = dict(state.bounds)
-        if state.terminal:
+        if not state.cut:
             break
-    assert state.terminal
+    assert not state.cut and state.y == state.x
     assert stability_report(inst, state.x).stable
 
 
 def test_solve_xmin_triangle_is_uniform():
     inst = triangle_instance(F(8), F(15))
-    assert solve_xmin(inst) == {e: F(8) for e in inst.edge_ids}
+    assert solve_xmin_modified(inst) == {e: F(8) for e in inst.edge_ids}
 
 
 def test_xmin_and_xmax_bracket_the_six_cycle():
     inst = six_cycle_instance()
-    xmin = solve_xmin(inst)
+    xmin = solve_xmin_modified(inst)
     xmax = solve_xmax(inst)
     assert {tuple(sorted(xmin.items())), tuple(sorted(xmax.items()))} == {
         tuple(sorted(SIX_CYCLE_STABLE_ODD.items())),
         tuple(sorted(SIX_CYCLE_STABLE_EVEN.items())),
     }
-    assert compare_stable(inst, xmin, xmax, side="firms").holds
-    assert compare_stable(inst, xmax, xmin, side="workers").holds
+    assert compare_stable(inst, xmin, xmax, side="firms")
+    assert compare_stable(inst, xmax, xmin, side="workers")
 
 
 def test_xmin_is_firm_optimal_against_enumeration():
@@ -78,10 +78,10 @@ def test_xmin_is_firm_optimal_against_enumeration():
         inst = random_instance(
             rng, max_edges=6, singleton_ties=True, integral=True, max_value=2
         )
-        xmin = solve_xmin(inst)
+        xmin = solve_xmin_modified(inst)
         assert stability_report(inst, xmin).stable
         for other in oracle_enumerate_stable(inst):
-            assert compare_stable(inst, xmin, other, side="firms").holds
+            assert compare_stable(inst, xmin, other, side="firms")
 
 
 def test_xmax_is_worker_optimal_against_enumeration():
@@ -92,7 +92,7 @@ def test_xmax_is_worker_optimal_against_enumeration():
         )
         xmax = solve_xmax(inst)
         for other in oracle_enumerate_stable(inst):
-            assert compare_stable(inst, xmax, other, side="workers").holds
+            assert compare_stable(inst, xmax, other, side="workers")
 
 
 def test_solver_handles_ties_families():
@@ -151,12 +151,12 @@ def test_quota_filling_marriage_instances():
     # a full bipartite marriage market always fills every quota
     for seed in range(6):
         inst = rand_marriage(random.Random(f"qf{seed}"), 4, cap=2, tie_prob=0.2)
-        res = solve_quota_filling(inst)
-        assert res.quota_filling
-        rep = stability_report(inst, res.assignment)
-        assert rep.stable and rep.deficit == frozenset()
+        x = solve_quota_filling(inst)
+        assert x is not None
+        rep = stability_report(inst, x)
+        assert rep.stable and frozenset(inst.vertices()) - rep.fully_filled == frozenset()
         # the returned point is the worker-optimal assignment
-        assert res.assignment == solve_xmax(inst)
+        assert x == solve_xmax(inst)
 
 
 def test_quota_filling_detects_deficit_instances():
@@ -170,9 +170,29 @@ def test_quota_filling_detects_deficit_instances():
         quota={"f": F(5), "w": F(5)},
         corteges={"f": [["e"]], "w": [["e"]]},
     )
-    res = solve_quota_filling(inst)
-    assert not res.quota_filling
-    assert res.assignment is None
+    assert solve_quota_filling(inst) is None
+
+
+def test_quota_filling_route_starts_from_the_seed_outcomes(monkeypatch):
+    """The route from the depot seed starts from the choices of the seed's
+    stability test, so its first state chooses at no vertex."""
+    chosen = []
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or choose(inst, v, z))
+    per_state = []  # the `choose` calls of each analysed route state
+    analyse = smp.rotations.applicable_rotations
+
+    def counted(*args, **kwargs):
+        before = len(chosen)
+        out = analyse(*args, **kwargs)
+        per_state.append(len(chosen) - before)
+        return out
+
+    monkeypatch.setattr(smp.rotations, "applicable_rotations", counted)
+    for seed in range(4):
+        inst = rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.3)
+        per_state.clear()
+        assert solve_quota_filling(inst) is not None
+        assert len(per_state) > 1 and per_state[0] == 0
 
 
 def test_extended_instance_layout():
@@ -192,12 +212,6 @@ def test_extended_instance_layout():
     )
     seed = extended.seed()
     assert all(seed[e] == 0 for e in inst.edge_ids)
-
-
-def test_solver_respects_step_cap_env(monkeypatch):
-    inst = triangle_instance(F(8), F(15))
-    monkeypatch.setenv("SMP_MAX_STEPS", "50")
-    assert solve_xmin_modified(inst) == {e: F(8) for e in inst.edge_ids}
 
 
 def _recorded_rounds(monkeypatch):
@@ -227,17 +241,22 @@ def test_stored_outcomes_match_fresh_choices(seed, tied):
         solve_xmin_modified(inst)
     assert any(kind == "ordinary" for kind, _, _ in rounds)
     for kind, before, state in rounds:
+        filled_firms = _filled(state, inst.firms)
+        filled_workers = _filled(state, inst.workers)
         if kind == "aggregated":
-            assert set(state.outcomes) == state.fully_workers
-            for w in state.fully_workers:
+            # the step keeps exactly the workers it holds exactly filled
+            assert filled_firms == [] and filled_workers == sorted(state.outcomes)
+            for w in filled_workers:
                 assert state.outcomes[w] == choose(inst, w, state.y)
+                assert vertex_load(inst, state.y, w) == inst.quota[w]
             continue
-        assert state.fully_firms == {
+        assert (not state.cut) == (state.y == state.x)
+        assert filled_firms == sorted(
             f for f in inst.firms if vertex_load(inst, state.x, f) == inst.quota[f]
-        }
-        assert state.fully_workers == {
+        )
+        assert filled_workers == sorted(
             w for w in inst.workers if vertex_load(inst, state.y, w) == inst.quota[w]
-        }
+        )
         # every vertex's stored outcome is, in every field, a fresh choice from
         # its input: the round's input bounds for a firm, x for a worker
         assert set(state.outcomes) == set(inst.vertices())
@@ -245,9 +264,9 @@ def test_stored_outcomes_match_fresh_choices(seed, tied):
             assert state.outcomes[f] == choose(inst, f, before.bounds)
         for w in inst.workers:
             assert state.outcomes[w] == choose(inst, w, state.x)
-        for f in state.fully_firms:
+        for f in filled_firms:
             assert state.outcomes[f].head == choose(inst, f, state.x).head
-        for w in state.fully_workers:
+        for w in filled_workers:
             fresh = choose(inst, w, state.y)
             stored = state.outcomes[w]
             assert (stored.head, stored.critical_tie) == (fresh.head, fresh.critical_tie)
@@ -288,7 +307,7 @@ def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
     firm_input = None  # the bounds the stored firm choices were made from
     for kind, before, after in rounds:
         if kind == "aggregated":
-            expected.append(len(after.fully_workers))
+            expected.append(len(_filled(after, inst.workers)))
             firm_input = None
             continue
         stale = [
@@ -303,7 +322,7 @@ def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
         expected.append(len(stale))
         firm_input = before.bounds
     assert [calls.count(i) for i in range(len(rounds) + 1)] == expected + [0]
-    carried = [len(after.fully_workers) for kind, _, after in rounds if kind == "aggregated"]
+    carried = [len(_filled(after, inst.workers)) for kind, _, after in rounds if kind == "aggregated"]
     ordinary = len(rounds) - len(carried)
     assert carried
     rounds_calls = len(calls) - calls.count("analysis")
@@ -315,7 +334,8 @@ def reference_step(inst, state):
 
     It scans every edge for the lowered firms, the moved workers, the new
     bounds and the b >= x >= y >= 0 check, and rebuilds x and y from every
-    vertex's outcome.  It sets no `cut` or `changed_firms`.
+    vertex's outcome.  It finds the cut edges by comparing y with x on every
+    edge, and sets no `changed_firms`.
     """
     b = state.bounds
     edge = inst.edge_by_id
@@ -335,34 +355,33 @@ def reference_step(inst, state):
     for eid in inst.edge_ids:
         if not (b[eid] >= x[eid] >= y[eid] >= 0 and b[eid] >= new_bounds[eid]):
             raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {eid!r}")
-    full = frozenset(v for v, out in outcomes.items() if not out.deficit)
     return IterationState(
         round=state.round + 1,
         bounds=new_bounds,
         x=x,
         y=y,
-        terminal=(y == x),
-        fully_firms=full & inst.firm_set,
-        fully_workers=full & inst.worker_set,
         outcomes=outcomes,
+        cut=frozenset(e for e in inst.edge_ids if y[e] != x[e]),
     )
 
 
 def reference_marker(inst, state):
-    """The progress marker with every firm's set computed afresh."""
+    """The progress marker with every firm's set computed afresh, and the
+    filled workers read off every stored outcome."""
     stuck = {
         f: frozenset(e for e in inst.incident[f] if state.x[e] == inst.edge_by_id[e].capacity)
         | _reduced_edges(inst, state.bounds, f)
         for f in inst.firms
     }
-    worker_view = {
-        w: (state.outcomes[w].critical_tie, state.outcomes[w].head)
-        for w in state.fully_workers
+    view = {
+        w: (out.critical_tie, out.head)
+        for w, out in state.outcomes.items()
+        if w in inst.worker_set and not out.deficit
     }
-    return stuck, state.fully_workers, worker_view
+    return stuck, view
 
 
-REFERENCE_FIELDS = ("round", "bounds", "x", "y", "terminal", "fully_firms", "fully_workers", "outcomes")
+REFERENCE_FIELDS = ("round", "bounds", "x", "y", "outcomes", "cut")
 
 
 def _family_instance(family, seed):
@@ -399,7 +418,6 @@ def test_sparse_rounds_match_the_dense_reference(seed, family):
         ref = reference_step(inst, before)
         for name in REFERENCE_FIELDS:
             assert getattr(after, name) == getattr(ref, name), name
-        assert after.cut == {e for e in inst.edge_ids if after.y[e] != after.x[e]}
         assert after.changed_firms == {
             f for f in inst.firms
             if any(
@@ -445,12 +463,12 @@ def test_rounds_compare_values_past_the_identity_shortcut(monkeypatch, family):
         after, chosen = step(state)
         again, chosen_again = step(copied)
         assert chosen_again == chosen
-        for name in REFERENCE_FIELDS + ("cut", "changed_firms"):
+        for name in REFERENCE_FIELDS + ("changed_firms",):
             assert getattr(again, name) == getattr(after, name), name
-        if after.terminal:
+        if not after.cut:
             break
         state = after
-    assert after.terminal
+    assert not after.cut
 
 
 def test_reduced_edges_compare_values_past_the_identity_shortcut():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import smp.iteration
 import smp.simplex
 from smp.flow import FlowNetwork, min_cut
-from smp.iteration import solve_xmin
+from smp.iteration import solve_xmin_modified
 from smp.linalg import integer_nullspace
 from smp.model import vertex_load
 from smp.simplex import LinearProgram, LPResult, simplex_maximize
@@ -348,14 +348,16 @@ def full_aggregation_lp(inst, state):
     """Reference: the aggregation LP with a ψ_w column and a balance row per worker.
 
     Columns are the fully filled firms' raises φ_f, then the fully filled
-    workers' cuts ψ_w, both in sorted order.  Each worker's balance
+    workers' cuts ψ_w, both in sorted order; a vertex is fully filled when
+    its stored choice is not in deficit.  Each worker's balance
     |H_w|·ψ_w = Σ φ_f over the raises into w is an equality row, so the LP
     needs phase 1; `_build_big_lp` substitutes it out.
     """
     y, outcomes = state.y, state.outcomes
     edge = inst.edge_by_id
-    firms = sorted(state.fully_firms)
-    workers = sorted(state.fully_workers)
+    filled = {v for v, out in outcomes.items() if not out.deficit}
+    firms = sorted(filled & inst.firm_set)
+    workers = sorted(filled & inst.worker_set)
     fh = {f: outcomes[f].head for f in firms}
     wh = {w: outcomes[w].head for w in workers}
     height = {w: y[next(iter(wh[w]))] for w in workers}
@@ -406,7 +408,7 @@ def full_aggregation_lp(inst, state):
                 lp.b_le.append(F(0))
                 break
     for w in inst.workers:
-        if w not in state.fully_workers:
+        if w not in filled:
             lp.a_le.append(row(*((f, 1) for f in raises_into(w))))
             lp.b_le.append(inst.quota[w] - vertex_load(inst, y, w))
     return lp, firms, workers
@@ -444,10 +446,10 @@ def test_simplex_matches_dense_reference_on_aggregation_lps(monkeypatch):
     monkeypatch.setattr(smp.simplex, "_pivot", pivot)
     for pool in (smp_pool(), sap_pool(), sdp_pool()):
         for inst in pool:
-            solve_xmin(inst)
+            solve_xmin_modified(inst)
     before = (len(seen), pivots[0])
     for seed in range(40):
-        solve_xmin(rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5))
+        solve_xmin_modified(rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5))
     # the full LP took 124 pivots over these 21 LPs
     assert (len(seen) - before[0], pivots[0] - before[1]) == (21, 50)
     assert len(seen) >= 30

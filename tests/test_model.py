@@ -253,15 +253,17 @@ def test_assignment_parsing_and_defaults():
 def test_validate_assignment_box_and_quota():
     inst = triangle_instance(F(8), F(15))
     good = full_assignment(inst, {e: F(8) for e in inst.edge_ids})
-    rep = validate_assignment(inst, good)
-    assert rep.in_box and rep.quota_feasible and not rep.violations
+    assert validate_assignment(inst, good) == []
     over_cap = dict(good, f1w1=F(99))
-    rep = validate_assignment(inst, over_cap)
-    assert not rep.in_box
-    assert any("exceeds capacity" in v for v in rep.violations)
+    violations = validate_assignment(inst, over_cap)
+    assert any(v.startswith("edge f1w1:") and "exceeds capacity" in v for v in violations)
     over_quota = dict(good, f1w1=F(15))
-    rep = validate_assignment(inst, over_quota)
-    assert not rep.quota_feasible
+    violations = validate_assignment(inst, over_quota)
+    # in the box, but over the quota at both ends of f1w1
+    assert violations == [
+        "vertex f1: load 31 exceeds quota 24",
+        "vertex w1: load 31 exceeds quota 24",
+    ]
     with pytest.raises(InstanceError, match="unknown edge ids"):
         validate_assignment(inst, {"ghost": F(1)})
 

@@ -30,7 +30,7 @@ from smp import (
     run_route,
     serialize_assignment,
     solve_xmax,
-    solve_xmin,
+    solve_xmin_modified,
     stability_report,
     stable_join_workers,
     stable_meet_workers,
@@ -66,7 +66,7 @@ def test_triangle_poset_is_a_single_rotation():
 
 def test_route_states_are_all_stable():
     inst = triangle_instance(F(8), F(15))
-    route = run_route(inst, solve_xmin(inst))
+    route = run_route(inst, solve_xmin_modified(inst))
     assert len(route.steps) == 1
     assert route.non_expensive
     for state in route.states:
@@ -184,7 +184,7 @@ def test_join_and_meet_reject_unstable_inputs(func):
     # at the zero assignment every edge of the six-cycle blocks: the caller's
     # input is at fault, not the solver
     inst = six_cycle_instance()
-    x = solve_xmin(inst)
+    x = solve_xmin_modified(inst)
     for args, name in (((x, {}), "y"), (({}, x), "x")):
         with pytest.raises(InstanceError, match=f"{func.__name__}: assignment {name} is not stable"):
             func(inst, *args)
@@ -193,7 +193,7 @@ def test_join_and_meet_reject_unstable_inputs(func):
 def test_poset_invariance_under_solver_start():
     # building from a supplied x_min equals building from scratch
     for inst, poset in _marriage_posets(2, tag="start"):
-        again = build_poset(inst, solve_xmin(inst))
+        again = build_poset(inst, solve_xmin_modified(inst))
         assert [r.key() for r in again.rotations] == [r.key() for r in poset.rotations]
         assert again.less == poset.less
         assert again.hasse == poset.hasse
@@ -246,7 +246,7 @@ def _differential_instances():
 def test_build_poset_matches_uncached_avoidance_runs():
     saw_order = False
     for inst in _differential_instances():
-        xmin = solve_xmin(inst)
+        xmin = solve_xmin_modified(inst)
         poset = build_poset(inst, xmin)
         keys, tau, less, hasse = _reference_poset(inst, xmin)
         assert [r.key() for r in poset.rotations] == keys
@@ -270,7 +270,7 @@ def test_build_poset_builds_each_state_once(monkeypatch):
     monkeypatch.setattr(smp.rotations, "build_active_structure", counting)
     insts = [triangle_instance(F(8), F(15))] + _multi_rotation_marriages(7, 1)
     for inst in insts:
-        xmin = solve_xmin(inst)
+        xmin = solve_xmin_modified(inst)
         built.clear()
         poset = build_poset(inst, xmin)
         first = list(built)
@@ -346,7 +346,7 @@ def test_build_poset_normalises_at_route_starts_and_reports_only():
     per-state functions of the rotation layer take the full states as they
     are."""
     insts = _carry_count_instances()
-    starts = [(inst, solve_xmin(inst)) for inst in insts]
+    starts = [(inst, solve_xmin_modified(inst)) for inst in insts]
     counts = Counter()
 
     def counted(name, real):
@@ -474,7 +474,7 @@ def test_route_step_chooses_only_on_the_rotation_support():
     insts = _carry_count_instances()
     for with_known in (False, True):
         for inst in insts:
-            xmin = solve_xmin(inst)
+            xmin = solve_xmin_modified(inst)
             known = stability_report(inst, xmin).outcomes if with_known else None
             calls = []
             with pytest.MonkeyPatch.context() as mp:

@@ -14,7 +14,7 @@ from smp import (
     InstanceError,
     compare_stable,
     full_assignment,
-    solve_xmin,
+    solve_xmin_modified,
     stability_report,
 )
 from smp.choice import choose
@@ -35,7 +35,7 @@ def test_triangle_uniform_assignment_is_stable():
     assert rep.stable
     assert rep.blocking_edges == []
     assert rep.fully_filled == frozenset(inst.vertices())
-    assert rep.deficit == frozenset()
+    assert frozenset(inst.vertices()) - rep.fully_filled == frozenset()
 
 
 def test_six_cycle_both_matchings_stable():
@@ -82,12 +82,12 @@ def test_compare_stable_six_cycle_sides():
     odd, even = SIX_CYCLE_STABLE_ODD, SIX_CYCLE_STABLE_EVEN
     pref_odd = compare_stable(inst, odd, even, side="firms")
     pref_even = compare_stable(inst, even, odd, side="firms")
-    assert pref_odd.holds != pref_even.holds  # exactly one direction wins
-    better = odd if pref_odd.holds else even
-    worse = even if pref_odd.holds else odd
+    assert pref_odd != pref_even  # exactly one direction wins
+    better = odd if pref_odd else even
+    worse = even if pref_odd else odd
     # the workers prefer the opposite one
-    assert compare_stable(inst, worse, better, side="workers").holds
-    assert not compare_stable(inst, better, worse, side="workers").holds
+    assert compare_stable(inst, worse, better, side="workers")
+    assert not compare_stable(inst, better, worse, side="workers")
 
 
 def test_compare_stable_rejects_unstable_input():
@@ -136,7 +136,7 @@ def test_known_outcomes_reject_like_a_full_validation(monkeypatch, flaw, known_a
     the load sum at a fresh one; a point outside the box, or overloaded at a
     fresh vertex, is rejected before any choice."""
     inst = rand_marriage(random.Random(3), 4, cap=2, tie_prob=0.5)
-    x = solve_xmin(inst)
+    x = solve_xmin_modified(inst)
     e = min(eid for eid in inst.edge_ids if x[eid] == 0)
     edge = inst.edge_by_id[e]
     x[e] = {"overflow": F(1), "negative": F(-1), "over capacity": F(3)}[flaw]
@@ -169,7 +169,7 @@ def test_box_screen_compares_values_past_the_identity_shortcut(flaw):
     rejected with the full validation's message, even where every known
     outcome is planted as stationary so that nothing else catches it."""
     inst = rand_marriage(random.Random(3), 4, cap=2, tie_prob=0.5)
-    x = solve_xmin(inst)
+    x = solve_xmin_modified(inst)
     report = stability_report(inst, x)
     e = min(eid for eid in inst.edge_ids if x[eid] == 0)
     cap = inst.edge_by_id[e].capacity
@@ -196,6 +196,6 @@ def test_saturation_compares_values_past_the_identity_shortcut():
     assert x["e"] is not inst.edge_by_id["e"].capacity
     report = stability_report(inst, x)
     assert report.stable and report.blocking_edges == []
-    assert report.deficit == {"f", "w"}
+    assert frozenset(inst.vertices()) - report.fully_filled == {"f", "w"}
     below = stability_report(inst, {"e": F(3)})
     assert below.blocking_edges == ["e"]
