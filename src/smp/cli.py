@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .iteration import solve_quota_filling, solve_xmax, solve_xmin_modified
+from .iteration import _solve_quota_filling, solve_xmax, solve_xmin_modified
 from .mincost import min_cost_stable
 from .model import (
     Instance,
@@ -69,12 +69,14 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     trace: list = [] if args.trace else None
     if args.method == "quota-filling":
-        x = solve_quota_filling(inst)
-        if x is None:
+        found = _solve_quota_filling(inst)
+        if found is None:
             _emit({"quota_filling": False})
             return 0
+        x, known = found
         if args.side == "firms":
-            x = run_route(inst.swapped(), x).states[-1]
+            # a choice reads nothing `swapped` changes, so the outcomes hold
+            x = run_route(inst.swapped(), x, known=known).states[-1]
     elif args.side == "workers":
         x = solve_xmax(inst, trace=trace)
     else:

@@ -52,7 +52,9 @@ The outcomes travel on past the rounds, each time by an equal-input argument
     step the stability test at y is built from the workers' choices made
     there, and its report holds every choice at y.  Either set starts the
     route that normalises the point in `inst.swapped()`: `choose` reads only
-    `incident`, `quota` and `corteges`, which `swapped()` keeps.
+    `incident`, `quota` and `corteges`, which `swapped()` keeps.  For the
+    same reason the report of `_solve_quota_filling`'s last stability test
+    starts the route of `smp solve --method quota-filling --side firms`.
 (b) That route's outcomes at its end are the choices at x_min; `solve_xmax`,
     `smp solve --side workers` and `build_poset`'s base route start from
     them (`_solve_xmin`).
@@ -528,8 +530,10 @@ def build_extended_instance(inst: Instance) -> ExtendedInstance:
     )
 
 
-def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
-    """Decide whether every stable assignment fills all quotas: one if so, else None.
+def _solve_quota_filling(
+    inst: Instance,
+) -> Optional[tuple[dict[str, Fraction], dict[str, ChoiceOutcome]]]:
+    """The quota-filling worker optimum and every vertex's choice there, or None.
 
     The instance is extended by a depot firm and worker that soak up all
     remaining capacity (each real vertex ranks its depot edge at the opposite
@@ -537,7 +541,8 @@ def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
     extension's firm-optimal stable point; routing it to the worker-optimal
     end empties the depot edges exactly when the original instance is quota
     filling, and then the restriction is its worker-optimal assignment.  The
-    route starts from the choices of the seed's stability test.
+    route starts from the choices of the seed's stability test, and the
+    outcomes returned are those of the restriction's stability test.
     """
     extended = build_extended_instance(inst)
     ext = extended.ext
@@ -553,4 +558,11 @@ def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
     report = stability_report(inst, x)
     if not (report.stable and len(report.fully_filled) == len(inst.vertices())):
         raise InvariantError("restricted worker optimum not stable and quota filling")
-    return x
+    return x, report.outcomes
+
+
+def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
+    """Decide whether every stable assignment fills all quotas: one if so, else
+    None (`_solve_quota_filling`)."""
+    found = _solve_quota_filling(inst)
+    return None if found is None else found[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .flow import FlowNetwork, min_cut
@@ -41,7 +42,7 @@ def build_costed_poset(
     if poset is None:
         poset = build_poset(inst)
     zeta = {
-        i: rot.tau * sum((costs[e] * v for e, v in rot.values.items()), Fraction(0))
+        i: rot.tau * assignment_cost(costs, rot.values)
         for i, rot in enumerate(poset.rotations)
     }
     return CostedPoset(poset=poset, costs=dict(costs), zeta=zeta)
@@ -55,7 +56,22 @@ class MinCostResult:
 
 
 def assignment_cost(costs: Mapping[str, Fraction], x: Mapping[str, Fraction]) -> Fraction:
-    return sum((costs[e] * v for e, v in x.items()), Fraction(0))
+    """c·x, summed in integers over a running common denominator.
+
+    The sum is num / den; den grows to the lcm of the denominators of the
+    products c_e·x_e seen so far, as `choose` scales its offer, and one
+    `Fraction` is made at the end.  Zero values are skipped.
+    """
+    num, den = 0, 1
+    for e, v in x.items():
+        if v:
+            c = costs[e]
+            d = c.denominator * v.denominator
+            if den % d:
+                grown = lcm(den, d)
+                num, den = num * (grown // den), grown
+            num += c.numerator * v.numerator * (den // d)
+    return Fraction(num, den)
 
 
 def min_cost_stable(

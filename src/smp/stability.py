@@ -13,7 +13,6 @@ from .model import (
     InvariantError,
     full_assignment,
     validate_assignment,
-    vertex_load,
 )
 
 
@@ -47,24 +46,26 @@ def stability_report(
     shift, the previous state's outcomes at every vertex off the shifted
     edges.  Every check below runs on known outcomes as on fresh ones.
 
-    Admissibility with `known`: a choice never exceeds the quota, so a
-    vertex whose known outcome equals x on its edges (stationarity, checked
-    below) is quota-feasible.  The box is screened per edge and loads are
-    summed only at the vertices that choose afresh; a vertex whose known
-    outcome is not stationary may hide an overload, so any failure, of
-    admissibility or of stationarity, runs the full `validate_assignment`
-    first and reports exactly what a call without `known` reports.  Without
-    `known` the full validation runs up front, before any choice.
+    Admissibility, with or without `known`, is the box screen per edge and
+    then the choices themselves; no load is summed.  For x in the box the
+    choice at v returns x on v's edges exactly when v's load is within its
+    quota: in deficit v takes everything; at exactly the quota the critical
+    tie is the last one with a nonzero value and its target is its whole
+    sum, so the cutting height is its maximum and nothing is cut; above the
+    quota the choice sums to the quota, so it differs from x.  Every overload
+    is thus a vertex that is not stationary, and any such vertex runs
+    `validate_assignment` before the stationarity error, so a rejection
+    carries the full list of violations whether or not `known` was given.
     """
     x = full_assignment(inst, x)
-    if not (known and _screen_admissible(inst, x, known)):
-        _require_admissible(inst, x)
+    if not _in_box(inst, x):
+        _require_admissible(inst, x)  # raises: the box names the violation
     outcomes = _rechoose(inst, inst.vertices(), x, known or {})
     for v, out in outcomes.items():
         xv = {e: x[e] for e in inst.incident[v]}
         if out.result != xv:
-            if known:
-                _require_admissible(inst, x)
+            # an overload is never stationary: name it as a full validation
+            _require_admissible(inst, x)
             raise InstanceError(f"assignment not stationary at vertex {v!r}")
 
     blocking = []
@@ -110,18 +111,13 @@ def _require_admissible(inst: Instance, x: Mapping[str, Fraction]) -> None:
         raise InstanceError("assignment not admissible: " + "; ".join(violations))
 
 
-def _screen_admissible(
-    inst: Instance, x: Mapping[str, Fraction], known: Mapping[str, ChoiceOutcome]
-) -> bool:
-    """x lies in the box, and no vertex missing from `known` is overloaded."""
+def _in_box(inst: Instance, x: Mapping[str, Fraction]) -> bool:
+    """0 <= x_e <= capacity on every edge."""
     for e in inst.edges:
         # capacities are positive, so 0 and the capacity itself are in the box
         val, cap = x[e.id], e.capacity
         n = val.numerator
         if n < 0 or (n and val is not cap and val > cap):
-            return False
-    for v in inst.vertices():
-        if v not in known and vertex_load(inst, x, v) > inst.quota[v]:
             return False
     return True
 

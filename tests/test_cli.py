@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import smp.choice
+import smp.cli
 import smp.iteration
 import smp.rotations
 from smp import Edge, Instance, serialize_assignment, serialize_instance
@@ -485,11 +487,12 @@ def test_verify_checks_run_under_optimize_flag(six_cycle_file, plant, failing, m
          "a covering arc leaves the source side of the cut"),
         ("smp.mincost.min_cut = lambda net: CutResult(real_cut(net).value + 1, real_cut(net).source_side)",
          "cut capacity does not match ideal weight"),
-        # the first call prices the chosen assignment, the second x_min
+        # the first two calls price the six-cycle's two rotations (ζ), the
+        # third the chosen assignment, the fourth x_min
         ("calls = []\n"
          "def planted(costs, x):\n"
          "    calls.append(x)\n"
-         "    return real_cost(costs, x) + (1 if len(calls) == 1 else 0)\n"
+         "    return real_cost(costs, x) + (1 if len(calls) == 3 else 0)\n"
          "smp.mincost.assignment_cost = planted",
          "cost decomposition mismatch"),
     ],
@@ -546,6 +549,43 @@ def test_quota_filling_checks_fire_under_optimize_flag(tmp_path, planted, messag
     proc = _run_optimized(script, str(path))
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": message}
+
+
+# SHA-256 of `smp solve --method quota-filling --side firms` on
+# rand_marriage(Random(s), 4, cap=2, tie_prob=0.3) for s < 40, the outputs
+# concatenated in seed order (recorded before that route took the outcomes
+# of the quota-filling stability test).
+QUOTA_FILLING_FIRMS_DIGEST = "4665b6081d43cf7442b241015d2d1ad647b266f8115bdedd7b1f0148700b0419"
+
+
+def test_quota_filling_firms_route_starts_from_the_known_outcomes(capsys, tmp_path, monkeypatch):
+    """The route to the firm optimum in `inst.swapped()` starts from the
+    choices of the quota-filling stability test, and the output stays
+    byte-identical.  Without them the route makes 473 `choose` calls on
+    these instances, 320 of them at its first state."""
+    chosen = []
+    real_choose = smp.choice.choose
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or real_choose(inst, v, z))
+    in_route = []  # `choose` calls inside the CLI's route, per instance
+    route = smp.cli.run_route
+
+    def counted_route(*args, **kwargs):
+        before = len(chosen)
+        out = route(*args, **kwargs)
+        in_route.append(len(chosen) - before)
+        return out
+
+    monkeypatch.setattr(smp.cli, "run_route", counted_route)
+    digest = hashlib.sha256()
+    path = tmp_path / "m4.json"
+    for seed in range(40):
+        inst = rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.3)
+        path.write_text(json.dumps(serialize_instance(inst)))
+        code, out = run_cli(capsys, "solve", str(path), "--method", "quota-filling", "--side", "firms")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == QUOTA_FILLING_FIRMS_DIGEST
+    assert len(in_route) == 40 and sum(in_route) == 153
 
 
 @pytest.mark.parametrize(

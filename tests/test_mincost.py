@@ -98,3 +98,21 @@ def test_costs_from_the_instance_document():
     )
     res = min_cost_stable(with_costs)
     assert res.cost == sum(res.assignment.values(), F(0))
+
+
+def test_assignment_cost_matches_the_fraction_sum():
+    """The integer sum over a running common denominator equals the plain
+    `Fraction` sum, with costs negative, zero and fractional and values of
+    mixed denominators, zero and negative (a rotation's vector) included."""
+    rng = random.Random("cost")
+    for _ in range(300):
+        edges = [f"e{i}" for i in range(rng.randint(0, 12))]
+        costs = {e: F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for e in edges}
+        x = {
+            e: F(rng.randint(-6, 12), rng.choice([1, 2, 3, 4, 5, 6, 9, 11]))
+            for e in edges
+            if rng.random() < 0.9
+        }
+        cost = assignment_cost(costs, x)
+        assert type(cost) is F
+        assert cost == sum((costs[e] * v for e, v in x.items()), F(0))

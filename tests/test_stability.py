@@ -1,5 +1,6 @@
 """Stability reports and side-wise comparison of stable assignments."""
 
+import collections
 import dataclasses
 import random
 from fractions import Fraction as F
@@ -7,17 +8,21 @@ from fractions import Fraction as F
 import pytest
 
 import smp.choice
+import smp.stability
 
 from smp import (
     Edge,
     Instance,
     InstanceError,
+    InvariantError,
     compare_stable,
     full_assignment,
     solve_xmin_modified,
     stability_report,
 )
 from smp.choice import choose
+from smp.model import validate_assignment
+from smp.stability import StabilityReport
 
 from gen import (
     SIX_CYCLE_STABLE_EVEN,
@@ -130,11 +135,11 @@ def _rejection(inst, x, known=None):
 @pytest.mark.parametrize("flaw", ["overflow", "negative", "over capacity"])
 @pytest.mark.parametrize("known_at", ["every vertex", "firms", "workers", "one endpoint"])
 def test_known_outcomes_reject_like_a_full_validation(monkeypatch, flaw, known_at):
-    """Admissibility derived from known outcomes rejects exactly what the full
-    validation rejects, with the same message.  An overflow within the box
-    is not stationary at a known endpoint (its choice truncates) and fails
-    the load sum at a fresh one; a point outside the box, or overloaded at a
-    fresh vertex, is rejected before any choice."""
+    """Admissibility read off the box screen and the choices rejects exactly
+    what the full validation rejects, with the same message.  An overflow
+    within the box is not stationary at its vertex, known or fresh (its
+    choice truncates); a point outside the box is rejected before any
+    choice."""
     inst = rand_marriage(random.Random(3), 4, cap=2, tie_prob=0.5)
     x = solve_xmin_modified(inst)
     e = min(eid for eid in inst.edge_ids if x[eid] == 0)
@@ -154,12 +159,28 @@ def test_known_outcomes_reject_like_a_full_validation(monkeypatch, flaw, known_a
     calls = []
     monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: calls.append(v) or choose(inst, v, z))
     assert _rejection(inst, x, known) == expected
-    fresh_overload = any(
-        v not in known and sum(x[e] for e in inst.incident[v]) > inst.quota[v]
-        for v in inst.vertices()
-    )
-    if flaw != "overflow" or fresh_overload:
+    if flaw != "overflow":
         assert calls == []
+
+
+@pytest.mark.parametrize("with_known", [True, False], ids=["known", "fresh"])
+def test_admissible_points_sum_no_load(monkeypatch, with_known):
+    """On an admissible point the box screen and the choices settle
+    admissibility: `validate_assignment` and `vertex_load` never run, with
+    or without known outcomes."""
+    calls = []
+    monkeypatch.setattr(smp.stability, "validate_assignment", lambda *a: calls.append(a))
+    # `stability_report` sums no load, so `smp.stability` need not bind it
+    monkeypatch.setattr(smp.stability, "vertex_load", lambda *a: calls.append(a), raising=False)
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(f"noload{seed}")
+        inst = random_instance(rng, max_edges=8)
+        for x in (_admissible_point(rng, inst), solve_xmin_modified(inst)):
+            known = {v: choose(inst, v, x) for v in inst.vertices()} if with_known else None
+            stability_report(inst, x, known)
+            checked += 1
+    assert checked == 80 and calls == []
 
 
 @pytest.mark.parametrize("flaw", ["negative", "over capacity"])
@@ -199,3 +220,130 @@ def test_saturation_compares_values_past_the_identity_shortcut():
     assert frozenset(inst.vertices()) - report.fully_filled == {"f", "w"}
     below = stability_report(inst, {"e": F(3)})
     assert below.blocking_edges == ["e"]
+
+
+def _reference_report(inst, x):
+    """`stability_report` as it stood with the full validation up front: its
+    validate-first path (no known outcomes), kept verbatim but for the
+    inlined `_require_admissible`, as the reference for admissibility read
+    off the choices."""
+    x = full_assignment(inst, x)
+    violations = validate_assignment(inst, x)
+    if violations:
+        raise InstanceError("assignment not admissible: " + "; ".join(violations))
+    outcomes = {v: choose(inst, v, x) for v in inst.vertices()}
+    for v, out in outcomes.items():
+        xv = {e: x[e] for e in inst.incident[v]}
+        if out.result != xv:
+            raise InstanceError(f"assignment not stationary at vertex {v!r}")
+
+    blocking = []
+    for eid in inst.edge_ids:
+        e = inst.edge_by_id[eid]
+        val, cap = x[eid], e.capacity
+        if val is cap or (val.numerator and val >= cap):
+            continue
+        in_both_tails = eid in outcomes[e.firm].tail and eid in outcomes[e.worker].tail
+        excused = False
+        for v in (e.firm, e.worker):
+            out = outcomes[v]
+            if out.deficit:
+                continue
+            if eid in out.head:
+                excused = True
+            else:
+                tie = inst.tie_index[(v, eid)]
+                if tie > out.critical_tie:
+                    excused = True
+        if in_both_tails == excused:
+            raise InvariantError(f"blocking characterizations disagree on edge {eid!r}")
+        if in_both_tails:
+            blocking.append(eid)
+
+    return StabilityReport(
+        stable=not blocking,
+        blocking_edges=blocking,
+        fully_filled=frozenset(v for v in inst.vertices() if not outcomes[v].deficit),
+        outcomes=outcomes,
+    )
+
+
+def _admissible_point(rng, inst):
+    """A random point of the box within every quota; edges are filled in a
+    random order, each to a random share of what its capacity and both
+    endpoints' remaining quotas allow, so many vertices end at their quota."""
+    room = dict(inst.quota)
+    x = {}
+    edges = list(inst.edges)
+    rng.shuffle(edges)
+    for e in edges:
+        top = min(e.capacity, room[e.firm], room[e.worker])
+        share = rng.choice([F(0), F(1, 3), F(1, 2), F(1), F(1), F(1)])
+        x[e.id] = e.capacity if top is e.capacity and share == 1 else top * share
+        room[e.firm] -= x[e.id]
+        room[e.worker] -= x[e.id]
+    return x
+
+
+def _flawed_points(rng, inst):
+    """Admissible, negative, over-capacity and, at each vertex whose edges
+    can carry more than its quota, overloaded points (a label and x)."""
+    base = _admissible_point(rng, inst)
+    yield "admissible", base
+    e = rng.choice(inst.edges)
+    yield "negative", {**base, e.id: -rng.choice([F(1, 2), F(1), e.capacity])}
+    yield "over capacity", {**base, e.id: e.capacity + rng.choice([F(1, 3), F(1)])}
+    for v in inst.vertices():
+        if sum(inst.edge_by_id[eid].capacity for eid in inst.incident[v]) > inst.quota[v]:
+            over = dict(base)
+            for eid in inst.incident[v]:
+                over[eid] = inst.edge_by_id[eid].capacity
+            yield f"overload at {v}", over
+
+
+def _verdict(report_fn):
+    """The report's fields, or the exception's type and message."""
+    try:
+        rep = report_fn()
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return rep.stable, rep.blocking_edges, rep.fully_filled, rep.outcomes
+
+
+def test_report_matches_the_validate_first_reference():
+    """Admissibility read off the box screen and the choices gives the same
+    report, or the same exception with the same message, as a full
+    validation up front, for every set of known outcomes."""
+    seen = collections.Counter()
+    for seed in range(60):
+        rng = random.Random(f"ref{seed}")
+        inst = (
+            random_instance(rng, max_edges=8)
+            if seed % 2
+            else rand_marriage(rng, 3, cap=2, tie_prob=0.4)
+        )
+        for label, x in _flawed_points(rng, inst):
+            x = full_assignment(inst, x)
+            expected = _verdict(lambda: _reference_report(inst, x))
+            known_at = {
+                "every vertex": inst.vertices(),
+                "firms": inst.firms,
+                "workers": inst.workers,
+                "one endpoint": [inst.edges[0].firm],
+            }
+            for name, vertices in known_at.items():
+                # a choice is defined only on nonnegative offers
+                known = {
+                    v: choose(inst, v, x)
+                    for v in vertices
+                    if all(x[eid] >= 0 for eid in inst.incident[v])
+                }
+                assert _verdict(lambda: stability_report(inst, x, known)) == expected, (seed, label, name)
+            assert _verdict(lambda: stability_report(inst, x)) == expected, (seed, label)
+            kind = label.split(" at ")[0]
+            seen[kind, expected[0] is InstanceError] += 1
+    # every kind of point ran, and the overloads and box violations were
+    # rejected while admissible points were reported
+    assert seen["admissible", False] == 60
+    assert seen["negative", True] == seen["over capacity", True] == 60
+    assert seen["overload", True] >= 100 and not seen["overload", False]
