@@ -106,6 +106,10 @@ class Instance:
     ):
         self.firms = tuple(firms)
         self.workers = tuple(workers)
+        # before any set is built: a JSON list or object id is unhashable
+        for v in self.firms + self.workers:
+            if not isinstance(v, str):
+                raise InstanceError(f"vertex id must be a string: {v!r}")
         self.firm_set = frozenset(self.firms)
         self.worker_set = frozenset(self.workers)
         if len(self.firm_set) != len(self.firms) or len(self.worker_set) != len(self.workers):

@@ -7,12 +7,15 @@ an unsaturated edge that its worker would welcome).  `ActiveStructure.heads`
 holds both.  After a cleaning pass removes vertices pinned by deficit
 neighbours, the remaining active edges form a digraph whose sink strong
 components each carry a unique (up to scale) balanced circulation — the
-rotation.  A rotation is its vector on the edges and its maximal weight τ:
-the vector is positive on the D_f and negative on the H_w of its component,
-whose vertices are the endpoints of its support.  Shifting x by λ·ρ for
-0 < λ ≤ τ yields a new stable assignment strictly worse for firms, better for
-workers.  Repeating full-weight shifts down to the worker optimum is a route
-(`run_route`).
+rotation.  A vertex lies in a sink component exactly when every vertex it
+reaches reaches it back, and the component is then the set it reaches.  The
+cleaning, the sink components and the check that a support is connected are
+each one reachability walk (`_reach`).  A rotation is its vector on the
+edges and its maximal weight τ: the vector is positive on the D_f and
+negative on the H_w of its component, whose vertices are the endpoints of
+its support.  Shifting x by λ·ρ for 0 < λ ≤ τ yields a new stable assignment
+strictly worse for firms, better for workers.  Repeating full-weight shifts
+down to the worker optimum is a route (`run_route`).
 
 Every state of a route is analysed from choice outcomes, and a vertex
 chooses again only where its input may have changed.  Three equal-input
@@ -121,22 +124,20 @@ def build_active_structure(
                 heads[f] = candidates
                 break
 
-    # cleaning: remove vertices whose head is empty or leads (transitively)
-    # to a vertex where no change of x is possible; a worker's head is never
-    # empty (quotas are positive) and a firm's leads to fully filled workers
-    singular: set[str] = set()
-    pending = [
-        v for v, edges in heads.items()
-        if not edges or any(inst.edge_by_id[e].other(v) not in fully for e in edges)
-    ]
-    while pending:
-        v = pending.pop()
-        if v in singular:
-            continue
-        singular.add(v)
-        for u, edges in heads.items():
-            if u not in singular and any(inst.edge_by_id[e].other(u) == v for e in edges):
-                pending.append(u)
+    # cleaning: a vertex is pinned when its head is empty or leads to a
+    # deficit vertex, where no change of x is possible (a worker's head is
+    # never empty, as quotas are positive, and a firm's leads to fully filled
+    # workers); the singular vertices are those whose heads lead, transitively,
+    # to a pinned one, so the pinned vertices reach them backwards along `into`
+    into: dict[str, list[str]] = {}  # u -> the vertices whose head has an edge at u
+    pinned = []
+    for v, edges in heads.items():
+        ends = [inst.edge_by_id[e].other(v) for e in edges]
+        if not ends or not fully.issuperset(ends):
+            pinned.append(v)
+        for u in ends:
+            into.setdefault(u, []).append(v)
+    singular = _reach(into, pinned)
     regular = frozenset(fully - singular)
     for v in regular:
         if not heads[v]:
@@ -146,76 +147,37 @@ def build_active_structure(
     return ActiveStructure(outcomes=outcomes, heads=heads, regular=regular)
 
 
-def _tarjan_scc(vertices: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[set[str]]:
-    """Iterative Tarjan; yields strongly connected components."""
-    counter = itertools.count()
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[set[str]] = []
-    for root in vertices:
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = lowlink[v] = next(counter)
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            neighbours = succ.get(v, ())
-            for i in range(pi, len(neighbours)):
-                u = neighbours[i]
-                if u not in index:
-                    work.append((v, i + 1))
-                    work.append((u, 0))
-                    recurse = True
-                    break
-                if u in on_stack:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                scc = set()
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    scc.add(u)
-                    if u == v:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return sccs
-
-
-def _active_digraph(inst: Instance, act: ActiveStructure) -> dict[str, list[str]]:
-    return {
-        v: sorted(inst.edge_by_id[e].other(v) for e in act.heads[v])
-        for v in sorted(act.regular)
-    }
+def _reach(succ: Mapping[str, Iterable[str]], start: Iterable[str]) -> set[str]:
+    """The vertices reachable from `start` along `succ`, `start` included."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        for u in succ.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def maximal_components(inst: Instance, act: ActiveStructure) -> list[tuple[str, ...]]:
     """Sink strong components of the active digraph, by smallest vertex id.
 
-    Each component is the sorted tuple of its vertex ids.
+    A regular vertex v lies in a sink component exactly when every vertex it
+    reaches reaches v back; the component is then the set v reaches.  Each
+    component is the sorted tuple of its vertex ids, found from its smallest.
     """
-    succ = _active_digraph(inst, act)
-    comps = _tarjan_scc(list(succ), succ)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    succ = {v: [inst.edge_by_id[e].other(v) for e in act.heads[v]] for v in act.regular}
+    reach = {v: _reach(succ, [v]) for v in succ}
     out = []
-    for i, comp in enumerate(comps):
-        if any(comp_of[u] != i for v in comp for u in succ[v]):
+    for v, comp in reach.items():
+        if min(comp) != v or any(v not in reach[u] for u in comp):
             continue
         if comp <= inst.firm_set or comp <= inst.worker_set:
             # an isolated vertex cannot arise: every regular vertex has an
             # outgoing active edge, so sink components are genuine cycles
             raise InvariantError(f"degenerate sink component {sorted(comp)}")
         out.append(tuple(sorted(comp)))
+    out.sort()
     # supports of distinct sink components never share a vertex
     seen: set[str] = set()
     for comp in out:
@@ -223,7 +185,7 @@ def maximal_components(inst: Instance, act: ActiveStructure) -> list[tuple[str, 
         if overlap:
             raise InvariantError(f"sink components share vertices {sorted(overlap)}")
         seen |= set(comp)
-    return sorted(out)
+    return out
 
 
 def extract_rotation(
@@ -307,18 +269,12 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
         raise InvariantError("rotation values not coprime")
     # support connectivity; `net` is keyed by the support's endpoints, and
     # the support is not empty (an empty one has no gcd 1)
-    seen = set()
-    stack = [min(net)]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        for e in rot.values:
-            edge = inst.edge_by_id[e]
-            if v in (edge.firm, edge.worker):
-                stack.append(edge.other(v))
-    if seen != set(net):
+    adj: dict[str, list[str]] = {}
+    for e in rot.values:
+        edge = inst.edge_by_id[e]
+        adj.setdefault(edge.firm, []).append(edge.worker)
+        adj.setdefault(edge.worker, []).append(edge.firm)
+    if _reach(adj, [min(net)]) != set(net):
         raise InvariantError("rotation support is disconnected")
 
 

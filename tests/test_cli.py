@@ -1,23 +1,28 @@
 """Command-line interface round-trips and exit codes."""
 
 import argparse
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import smp.choice
 import smp.cli
 import smp.iteration
 import smp.rotations
-from smp import Edge, Instance, serialize_assignment, serialize_instance
+from smp import Edge, Instance, serialize_assignment, serialize_instance, solve_xmin_modified
 from smp.cli import build_parser, main
 from smp.mincost import build_costed_poset
 from smp.simplex import LPResult
@@ -631,10 +636,11 @@ def test_hasse_witness_checks_fire_under_optimize_flag(tmp_path, plant, message)
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        # a vertex with an empty head is not marked singular
-        ("if not edges or any(", "if any(", r"regular vertex '\w+' with empty head"),
-        # a vertex whose head leads to a singular vertex is not marked either
-        ("pending.append(u)", "pass", r"head of regular vertex '\w+' leaves the regular set"),
+        # a vertex with an empty head is not pinned
+        ("if not ends or ", "if ", r"regular vertex '\w+' with empty head"),
+        # a vertex whose head leads to a singular vertex is not reached
+        ("into.setdefault(u, []).append(v)", "pass",
+         r"head of regular vertex '\w+' leaves the regular set"),
     ],
     ids=["empty head", "head leaves"],
 )
@@ -998,3 +1004,106 @@ def test_main_constructs_no_parser(capsys, monkeypatch, triangle_file):
     assert built == []
     build_parser()
     assert len(built) == 8
+
+
+@pytest.mark.parametrize("vertex", [[], {}, 0, None], ids=["list", "object", "int", "null"])
+def test_non_string_vertex_id_is_a_domain_error(capsys, tmp_path, vertex):
+    # a list or object id used to raise TypeError while the vertex sets were
+    # built, and an int id was reported as an unknown firm of its edges
+    doc = serialize_instance(triangle_instance(F(8), F(15)))
+    doc["firms"][0] = vertex
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": f"vertex id must be a string: {vertex!r}"}
+
+
+# Structural mutations of valid documents: a value replaced by a JSON atom, a
+# key or item deleted, or an item duplicated, one or two per document.
+FUZZ_ATOMS = [None, True, False, 0, 1, -1, 2, 1.5, "", "x", "0", "-1", "1/2", "1/0", "f0", [], {}]
+
+
+def _fuzz_documents():
+    docs = []
+    for seed in range(3):
+        inst = rand_marriage(random.Random(seed), 3, cap=2, tie_prob=0.3)
+        docs.append({
+            "instance": serialize_instance(inst),
+            "assignment": serialize_assignment(solve_xmin_modified(inst)),
+            "costs": {e: (i * 7) % 5 - 2 for i, e in enumerate(inst.edge_ids)},
+        })
+    return docs
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+
+
+@st.composite
+def mutated_documents(draw):
+    docs = FUZZ_DOCUMENTS[draw(st.integers(0, len(FUZZ_DOCUMENTS) - 1))]
+    kind = draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[kind])
+    for _ in range(draw(st.integers(1, 2))):
+        # walk down from the root to the value to mutate, so that each field
+        # of a document is as likely a target as any other
+        parent = doc
+        while parent:
+            key = draw(st.sampled_from(list(parent) if isinstance(parent, dict) else range(len(parent))))
+            child = parent[key]
+            if not (isinstance(child, (dict, list)) and child) or draw(st.booleans()):
+                break
+            parent = child
+        else:  # the first mutation emptied the document
+            break
+        ops = ["replace", "delete"] + (["duplicate"] if isinstance(parent, list) else [])
+        op = draw(st.sampled_from(ops))
+        if op == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_ATOMS)))
+        elif op == "delete":
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return kind, {**docs, kind: doc}
+
+
+FUZZ_COMMANDS = {
+    "instance": [
+        ["check", "{instance}", "{assignment}"],
+        ["solve", "{instance}"],
+        ["solve", "{instance}", "--side", "workers"],
+        ["solve", "{instance}", "--method", "quota-filling"],
+        ["rotations", "{instance}"],
+        ["poset", "{instance}"],
+        ["mincost", "{instance}", "--costs", "{costs}"],
+        ["enumerate", "{instance}"],
+        ["verify", "{instance}"],
+    ],
+    "assignment": [
+        ["check", "{instance}", "{assignment}"],
+        ["rotations", "{instance}", "--at", "{assignment}"],
+    ],
+    "costs": [["mincost", "{instance}", "--costs", "{costs}"]],
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_mutated_documents_never_raise(case):
+    # every malformed document reaches the user as a JSON body with a
+    # defined exit code, never as a traceback
+    kind, docs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, doc in docs.items():
+            files[name] = str(Path(tmp) / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(doc))
+        for command in FUZZ_COMMANDS[kind]:
+            argv = [arg.format(**files) for arg in command]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            body = json.loads(out.getvalue())
+            assert code in (0, 1, 3, 4), argv
+            if code and command[0] != "verify":
+                assert list(body) == ["error"], argv

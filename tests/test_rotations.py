@@ -266,3 +266,65 @@ def test_route_guard_is_twice_the_edge_count(monkeypatch, extra):
             run_route(inst, x)
     else:
         assert len(run_route(inst, x).steps) == bound
+
+
+def _reference_sink_components(inst, act):
+    """Sink strong components from the boolean transitive closure of the heads."""
+    verts = sorted(act.regular)
+    arcs = {(v, inst.edge_by_id[e].other(v)) for v in verts for e in act.heads[v]}
+    closure = [[v == u or (v, u) in arcs for u in verts] for v in verts]
+    for k in range(len(verts)):
+        for i in range(len(verts)):
+            if closure[i][k]:
+                closure[i] = [a or b for a, b in zip(closure[i], closure[k])]
+    comps = set()
+    for i, v in enumerate(verts):
+        reached = [j for j in range(len(verts)) if closure[i][j]]
+        if all(closure[j][i] for j in reached):
+            comps.add(tuple(verts[j] for j in reached))
+    return sorted(comps)
+
+
+def _reference_regular(inst, x, act):
+    """The cleaning as a fixpoint: drop fully filled vertices whose head is
+    empty or leaves the remaining set, until none is left to drop."""
+    remaining = set(stability_report(inst, x).fully_filled)
+    while True:
+        dropped = {
+            v for v in remaining
+            if not act.heads[v]
+            or any(inst.edge_by_id[e].other(v) not in remaining for e in act.heads[v])
+        }
+        if not dropped:
+            return remaining
+        remaining -= dropped
+
+
+ROUTE_FAMILIES = {
+    "marriage": [
+        rand_marriage(random.Random(s), n, cap=2, tie_prob=p)
+        for n in range(4, 8) for p in (0, 0.3, 0.5) for s in range(2)
+    ] + [
+        # strict marriages with two sink components at x_min
+        rand_marriage(random.Random(s), n) for n, s in ((5, 38), (6, 35), (7, 11))
+    ],
+    "chain": [chained_instance(k, F(8), F(15)) for k in range(2, 7)],
+    "six_cycle": [six_cycle_instance()],
+    "triangle": [triangle_instance(F(8), F(15))],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROUTE_FAMILIES))
+def test_walks_match_closure_and_fixpoint_references(family):
+    # at every state of the route from x_min, the sink components equal those
+    # of the transitive closure and the regular set equals the cleaning's
+    # fixpoint; neither reference uses the library's `_reach`
+    most = 0
+    for inst in ROUTE_FAMILIES[family]:
+        for x in run_route(inst, solve_xmin_modified(inst)).states:
+            act = build_active_structure(inst, x)
+            assert act.regular == _reference_regular(inst, x, act)
+            comps = maximal_components(inst, act)
+            assert comps == _reference_sink_components(inst, act)
+            most = max(most, len(comps))
+    assert most == (2 if family == "marriage" else 1)
