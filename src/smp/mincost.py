@@ -36,6 +36,9 @@ def build_costed_poset(
         costs = inst.costs
     if costs is None:
         raise InstanceError("no edge costs given")
+    unknown = set(costs) - inst.edge_by_id.keys()
+    if unknown:
+        raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
     missing = set(inst.edge_ids) - set(costs)
     if missing:
         raise InstanceError(f"costs missing for edges: {sorted(missing)}")

@@ -9,11 +9,13 @@ neighbours, the remaining active edges form a digraph whose sink strong
 components each carry a unique (up to scale) balanced circulation — the
 rotation.  A vertex lies in a sink component exactly when every vertex it
 reaches reaches it back, and the component is then the set it reaches.  The
-cleaning, the sink components and the check that a support is connected are
-each one reachability walk (`_reach`).  A rotation is its vector on the
-edges and its maximal weight τ: the vector is positive on the D_f and
-negative on the H_w of its component, whose vertices are the endpoints of
-its support.  Shifting x by λ·ρ for 0 < λ ≤ τ yields a new stable assignment
+cleaning and the check that a support is connected are each one
+reachability walk (`_reach`); the sink components take one forward walk from
+each vertex not yet classified, and one backward walk inside its reach set
+unless that set meets a classified vertex.  A rotation is its `int` vector
+on the edges and its maximal weight τ: the vector is positive on the D_f
+and negative on the H_w of its component, whose vertices are the endpoints
+of its support.  Shifting x by λ·ρ for 0 < λ ≤ τ yields a new stable assignment
 strictly worse for firms, better for workers.  Repeating full-weight shifts
 down to the worker optimum is a route (`run_route`).
 
@@ -64,7 +66,7 @@ class ActiveStructure:
 class Rotation:
     """A rotation: positive on the D_f and negative on the H_w of its component."""
 
-    values: dict[str, Fraction]  # support edge id -> nonzero integer Fraction
+    values: dict[str, int]  # support edge id -> nonzero integer
     tau: Fraction
 
     def key(self) -> tuple:
@@ -97,11 +99,7 @@ def build_active_structure(
         raise InstanceError(f"assignment is not stable (blocking: {report.blocking_edges})")
     outcomes = report.outcomes
     fully = report.fully_filled
-
-    def unsaturated(eid: str) -> bool:
-        # capacities are positive, so 0 is below one and the capacity is not
-        cap, val = inst.edge_by_id[eid].capacity, x[eid]
-        return not val.numerator or (val is not cap and val < cap)
+    unsaturated = report.unsaturated
 
     heads = {w: outcomes[w].head for w in inst.workers if w in fully}
     for f in inst.firms:
@@ -112,13 +110,13 @@ def build_active_structure(
             # a tie holding an unsaturated edge to a deficit worker blocks
             # this tie and every worse one from being a potential head
             if any(
-                unsaturated(e) and inst.edge_by_id[e].other(f) not in fully
+                e in unsaturated and inst.edge_by_id[e].other(f) not in fully
                 for e in tie
             ):
                 break
             candidates = frozenset(
                 e for e in tie
-                if unsaturated(e) and e in outcomes[inst.edge_by_id[e].other(f)].tail
+                if e in unsaturated and e in outcomes[inst.edge_by_id[e].other(f)].tail
             )
             if candidates:
                 heads[f] = candidates
@@ -162,22 +160,38 @@ def _reach(succ: Mapping[str, Iterable[str]], start: Iterable[str]) -> set[str]:
 def maximal_components(inst: Instance, act: ActiveStructure) -> list[tuple[str, ...]]:
     """Sink strong components of the active digraph, by smallest vertex id.
 
-    A regular vertex v lies in a sink component exactly when every vertex it
-    reaches reaches v back; the component is then the set v reaches.  Each
-    component is the sorted tuple of its vertex ids, found from its smallest.
+    The regular vertices are classified in sorted order, and a classified
+    vertex starts no walk.  A vertex whose reach meets a classified vertex
+    lies in no sink component: a sink component holds all it reaches, and
+    every vertex of one is classified together.  Otherwise its reach set R
+    is a sink component exactly when every vertex of R reaches it back,
+    that is when a backward walk from it, inside R, covers R.  Each
+    component is the sorted tuple of its vertex ids, found from its
+    smallest, so the list comes out sorted.
     """
     succ = {v: [inst.edge_by_id[e].other(v) for e in act.heads[v]] for v in act.regular}
-    reach = {v: _reach(succ, [v]) for v in succ}
+    pred: dict[str, list[str]] = {}
+    for v, ends in succ.items():
+        for u in ends:
+            pred.setdefault(u, []).append(v)
+    classified: set[str] = set()
     out = []
-    for v, comp in reach.items():
-        if min(comp) != v or any(v not in reach[u] for u in comp):
+    for v in sorted(succ):
+        if v in classified:
             continue
+        comp = _reach(succ, [v])
+        in_sink = comp.isdisjoint(classified) and comp <= _reach(
+            {u: pred.get(u, ()) for u in comp}, [v]  # keyed by R: the walk stays in R
+        )
+        if not in_sink:
+            classified.add(v)
+            continue
+        classified |= comp
         if comp <= inst.firm_set or comp <= inst.worker_set:
             # an isolated vertex cannot arise: every regular vertex has an
             # outgoing active edge, so sink components are genuine cycles
             raise InvariantError(f"degenerate sink component {sorted(comp)}")
         out.append(tuple(sorted(comp)))
-    out.sort()
     # supports of distinct sink components never share a vertex
     seen: set[str] = set()
     for comp in out:
@@ -222,12 +236,12 @@ def extract_rotation(
     gen = basis[0]
     if not all(v > 0 for v in gen):
         raise InvariantError("balance solution not strictly positive on the component")
-    values: dict[str, Fraction] = {}
+    values: dict[str, int] = {}
     for i, v in enumerate(order):
         for e in act.heads[v]:
             if e in values:
                 raise InvariantError(f"edge {e!r} active on both sides")
-            values[e] = Fraction(gen[i] if i < nfirms else -gen[i])
+            values[e] = gen[i] if i < nfirms else -gen[i]
     rot = Rotation(values=values, tau=Fraction(0))  # tau filled in below
     _check_rotation_invariants(inst, rot)
     rot.tau = max_weight(inst, x, rot, act)
@@ -236,7 +250,7 @@ def extract_rotation(
 
 def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
     # a vertex off the support has net change 0
-    net: dict[str, Fraction] = {}
+    net: dict[str, int] = {}
     for e, v in rot.values.items():
         edge = inst.edge_by_id[e]
         net[edge.firm] = net.get(edge.firm, 0) + v
@@ -246,13 +260,13 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
             raise InvariantError(f"rotation not conserved at {v!r}")
     # one value on each D_f (the positive edges at f) and on each H_w (the
     # negative edges at w); a zero is left to the integrality check below
-    raised: dict[str, set[Fraction]] = {}
-    dropped: dict[str, set[Fraction]] = {}
+    raised: dict[str, set[int]] = {}
+    dropped: dict[str, set[int]] = {}
     for e, v in rot.values.items():
         edge = inst.edge_by_id[e]
-        if v.numerator > 0:
+        if v > 0:
             raised.setdefault(edge.firm, set()).add(v)
-        elif v.numerator < 0:
+        elif v < 0:
             dropped.setdefault(edge.worker, set()).add(v)
     for f, vals in raised.items():
         if len(vals) != 1:
@@ -288,7 +302,7 @@ def max_weight(
     candidates: list[Fraction] = []
     for e, v in rot.values.items():
         edge = inst.edge_by_id[e]
-        if v.numerator > 0:
+        if v > 0:
             candidates.append((edge.capacity - x[e]) / v)
             continue
         # e is in H_w: the shift stops where x[e] runs out or falls to an

@@ -22,6 +22,7 @@ class StabilityReport:
     blocking_edges: list[str]          # canonical edge-id order
     fully_filled: frozenset[str]       # vertices with load exactly at quota
     outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at x
+    unsaturated: frozenset[str]        # edges e with x_e below capacity
 
 
 def stability_report(
@@ -47,7 +48,10 @@ def stability_report(
     edges.  Every check below runs on known outcomes as on fresh ones.
 
     Admissibility, with or without `known`, is the box screen per edge and
-    then the choices themselves; no load is summed.  For x in the box the
+    then the choices themselves; no load is summed.  The screen compares
+    each value with its capacity once: it rejects a value outside the box
+    and collects the edges below capacity, which the blocking test and
+    `build_active_structure` read.  For x in the box the
     choice at v returns x on v's edges exactly when v's load is within its
     quota: in deficit v takes everything; at exactly the quota the critical
     tie is the last one with a nonzero value and its target is its whole
@@ -58,8 +62,7 @@ def stability_report(
     carries the full list of violations whether or not `known` was given.
     """
     x = full_assignment(inst, x)
-    if not _in_box(inst, x):
-        _require_admissible(inst, x)  # raises: the box names the violation
+    below = _screen_box(inst, x)
     outcomes = _rechoose(inst, inst.vertices(), x, known or {})
     for v, out in outcomes.items():
         xv = {e: x[e] for e in inst.incident[v]}
@@ -69,13 +72,8 @@ def stability_report(
             raise InstanceError(f"assignment not stationary at vertex {v!r}")
 
     blocking = []
-    for eid in inst.edge_ids:
+    for eid in below:
         e = inst.edge_by_id[eid]
-        # x is in the box and capacities are positive: the capacity object
-        # itself is saturated and 0 is not; other values compare by value
-        val, cap = x[eid], e.capacity
-        if val is cap or (val.numerator and val >= cap):
-            continue
         in_both_tails = eid in outcomes[e.firm].tail and eid in outcomes[e.worker].tail
         # second route: some endpoint is fully filled and holds the edge in
         # its head or past its critical tie
@@ -102,6 +100,7 @@ def stability_report(
         blocking_edges=blocking,
         fully_filled=frozenset(v for v in inst.vertices() if not outcomes[v].deficit),
         outcomes=outcomes,
+        unsaturated=frozenset(below),
     )
 
 
@@ -111,15 +110,26 @@ def _require_admissible(inst: Instance, x: Mapping[str, Fraction]) -> None:
         raise InstanceError("assignment not admissible: " + "; ".join(violations))
 
 
-def _in_box(inst: Instance, x: Mapping[str, Fraction]) -> bool:
-    """0 <= x_e <= capacity on every edge."""
-    for e in inst.edges:
-        # capacities are positive, so 0 and the capacity itself are in the box
-        val, cap = x[e.id], e.capacity
+def _screen_box(inst: Instance, x: Mapping[str, Fraction]) -> list[str]:
+    """The edges with 0 <= x_e < capacity, in edge-id order, for x in the box.
+
+    A value outside the box raises the full validation's `InstanceError`.
+    Capacities are positive, so 0 is below one and the capacity object
+    itself is not; any other value is compared with its capacity once, and
+    only a value not below it is compared again, for equality.
+    """
+    below = []
+    for eid in inst.edge_ids:
+        val, cap = x[eid], inst.edge_by_id[eid].capacity
         n = val.numerator
-        if n < 0 or (n and val is not cap and val > cap):
-            return False
-    return True
+        if not n:
+            below.append(eid)
+        elif val is not cap:
+            if n > 0 and val < cap:
+                below.append(eid)
+            elif val != cap:  # negative, or above the capacity
+                _require_admissible(inst, x)  # raises: the box names the violation
+    return below
 
 
 def compare_stable(

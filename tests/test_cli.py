@@ -168,6 +168,25 @@ def test_mincost_without_costs_is_a_domain_error(capsys, triangle_file):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("where", ["costs file", "instance"])
+def test_mincost_costs_for_an_unknown_edge_are_a_domain_error(capsys, tmp_path, where):
+    # the costs file is checked like the instance document's "costs"
+    inst = triangle_instance(F(8), F(15))
+    costs = {e: 1 for e in inst.edge_ids}
+    costs["bogus"] = 5
+    doc = serialize_instance(inst)
+    argv = ["mincost", str(tmp_path / "inst.json")]
+    if where == "instance":
+        doc["costs"] = costs
+    else:
+        (tmp_path / "costs.json").write_text(json.dumps(costs))
+        argv += ["--costs", str(tmp_path / "costs.json")]
+    (tmp_path / "inst.json").write_text(json.dumps(doc))
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "costs given for unknown edges: ['bogus']"}
+
+
 @pytest.mark.parametrize("doc", [[1, 2, 3], "costs", 7, None])
 def test_mincost_costs_not_an_object_is_a_domain_error(capsys, tmp_path, triangle_file, doc):
     cost_file = tmp_path / "costs.json"
@@ -448,7 +467,7 @@ def _omega_route_plant(change):
     [
         ("smp.cli.omega = lambda inst, poset, x: {}",
          "closed_function_bijection", "omega does not invert gamma on the ideal []"),
-        ("smp.cli.stability_report = lambda inst, x: StabilityReport(False, [], frozenset(), {})",
+        ("smp.cli.stability_report = lambda inst, x: StabilityReport(False, [], frozenset(), {}, frozenset())",
          "solve_stable", "x_min is not stable"),
         (_omega_route_plant("states=route.states[:1]"),
          "closed_function_bijection", "route from x did not reach the worker optimum"),
@@ -459,7 +478,7 @@ def _omega_route_plant(change):
          "closed_function_bijection", "recovered weights are not closed"),
         (_omega_route_plant("steps=[]"),
          "closed_function_bijection", "weights do not reproduce x"),
-        ("smp.poset.stability_report = lambda inst, x, known=None: StabilityReport(False, [], frozenset(), {})",
+        ("smp.poset.stability_report = lambda inst, x, known=None: StabilityReport(False, [], frozenset(), {}, frozenset())",
          "closed_function_bijection", "closed function image not stable"),
     ],
     ids=["omega", "stability", "omega route unfinished", "omega foreign rotation",

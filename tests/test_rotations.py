@@ -207,6 +207,24 @@ def test_rotation_values_hold_exactly_the_support():
                 assert endpoints(inst, rot.values) == list(comp)
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        six_cycle_instance(),
+        triangle_instance(F(8), F(15)),
+        chained_instance(4, F(8), F(15)),
+        rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.5),
+    ],
+    ids=["six_cycle", "triangle", "chain", "tied marriage"],
+)
+def test_rotation_values_are_ints(inst):
+    # the balance solve's integer generator is stored as it is
+    rotations = build_poset(inst).rotations
+    assert rotations
+    for rot in rotations:
+        assert all(type(v) is int for v in rot.values.values())
+
+
 # Hand-built vectors on the complete 4x4 graph (edge "fiwj" joins f_i and
 # w_j), each breaking one rotation invariant, with the check's exact message.
 SIX_CYCLE = {"f0w0": 1, "f1w0": -1, "f1w1": 1, "f2w1": -1, "f2w2": 1, "f0w2": -1}
@@ -227,6 +245,11 @@ BROKEN_ROTATIONS = {
         {**SIX_CYCLE, "f0w1": 0},
         "rotation value on edge 'f0w1' not a nonzero integer",
     ),
+    # a conserved, aligned and coprime support whose values are not integers
+    "fractional value": (
+        {e: F(v, 2) for e, v in SIX_CYCLE.items()},
+        "rotation value on edge 'f0w0' not a nonzero integer",
+    ),
     "connectivity": (
         {"f0w0": 1, "f0w1": -1, "f1w1": 1, "f1w0": -1,
          "f2w2": 1, "f2w3": -1, "f3w3": 1, "f3w2": -1},
@@ -239,9 +262,9 @@ BROKEN_ROTATIONS = {
 def test_rotation_checks_name_the_broken_invariant(name):
     # the checks raise InvariantError, so they hold under `python -O` too
     inst = rand_marriage(random.Random(0), 4)
-    _check_rotation_invariants(inst, Rotation({e: F(v) for e, v in SIX_CYCLE.items()}, F(1)))
+    _check_rotation_invariants(inst, Rotation(dict(SIX_CYCLE), F(1)))
     values, message = BROKEN_ROTATIONS[name]
-    rot = Rotation({e: F(v) for e, v in values.items()}, F(1))
+    rot = Rotation(dict(values), F(1))
     with pytest.raises(InvariantError) as exc:
         _check_rotation_invariants(inst, rot)
     assert str(exc.value) == message
@@ -328,3 +351,26 @@ def test_walks_match_closure_and_fixpoint_references(family):
             assert comps == _reference_sink_components(inst, act)
             most = max(most, len(comps))
     assert most == (2 if family == "marriage" else 1)
+
+
+def _sink_walks(monkeypatch, inst, x):
+    """The `_reach` walks that `maximal_components` makes at x."""
+    act = build_active_structure(inst, x)
+    real, walks = smp.rotations._reach, []
+    with monkeypatch.context() as m:
+        m.setattr(smp.rotations, "_reach", lambda succ, start: walks.append(1) or real(succ, start))
+        maximal_components(inst, act)
+    return len(walks)
+
+
+def test_sink_pass_walks_once_per_component(monkeypatch):
+    # a walk from every regular vertex makes 31 walks on the chain, whose one
+    # sink component holds all of them, and 102 on the strict route states
+    inst = chained_instance(6, F(8), F(15))
+    assert _sink_walks(monkeypatch, inst, solve_xmin_modified(inst)) == 2
+    walks = 0
+    for s in range(10):
+        inst = rand_marriage(random.Random(s), 7)
+        for x in run_route(inst, solve_xmin_modified(inst)).states:
+            walks += _sink_walks(monkeypatch, inst, x)
+    assert walks == 87

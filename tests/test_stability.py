@@ -225,8 +225,9 @@ def test_saturation_compares_values_past_the_identity_shortcut():
 def _reference_report(inst, x):
     """`stability_report` as it stood with the full validation up front: its
     validate-first path (no known outcomes), kept verbatim but for the
-    inlined `_require_admissible`, as the reference for admissibility read
-    off the choices."""
+    inlined `_require_admissible` and the below-capacity set, compared by
+    plain `Fraction` order, as the reference for admissibility read off the
+    choices."""
     x = full_assignment(inst, x)
     violations = validate_assignment(inst, x)
     if violations:
@@ -265,6 +266,7 @@ def _reference_report(inst, x):
         blocking_edges=blocking,
         fully_filled=frozenset(v for v in inst.vertices() if not outcomes[v].deficit),
         outcomes=outcomes,
+        unsaturated=frozenset(e.id for e in inst.edges if 0 <= x[e.id] < e.capacity),
     )
 
 
@@ -283,6 +285,58 @@ def _admissible_point(rng, inst):
         room[e.firm] -= x[e.id]
         room[e.worker] -= x[e.id]
     return x
+
+
+def _screened_point(rng, inst):
+    """An admissible point with some values lowered, to 0 or below the
+    capacity, and some capacity objects swapped for an equal `Fraction`;
+    every third point then takes one negative or over-capacity value.
+    Lowering a value keeps the point within every quota."""
+    x = _admissible_point(rng, inst)
+    for e in inst.edges:
+        move = rng.choice(["keep", "keep", "zero", "lower", "copy"])
+        if move == "zero":
+            x[e.id] = F(0)
+        elif move == "lower":
+            x[e.id] = x[e.id] * F(rng.randint(1, 3), 4)
+        elif move == "copy" and x[e.id] == e.capacity:
+            x[e.id] = F(e.capacity.numerator, e.capacity.denominator)
+    if rng.randrange(3) == 0:
+        e = rng.choice(inst.edges)
+        x[e.id] = rng.choice([-e.capacity / 2, -F(1), e.capacity + F(1, 3), e.capacity * 2])
+    return x
+
+
+def test_box_screen_collects_the_edges_below_capacity():
+    """The one-pass box screen against plain `Fraction` order: the report's
+    below-capacity set is {e : 0 <= x_e < cap_e} on 0, on the capacity
+    object, on a value equal to the capacity but another object and on
+    values strictly between, and a point outside the box raises the full
+    validation's exception and message."""
+    seen = collections.Counter()
+    for seed in range(150):
+        rng = random.Random(f"screen{seed}")
+        inst = (
+            random_instance(rng, max_edges=8)
+            if seed % 2
+            else rand_marriage(rng, 3, cap=2, tie_prob=0.4)
+        )
+        x = full_assignment(inst, _screened_point(rng, inst))
+        expected = _verdict(lambda: _reference_report(inst, x))
+        assert _verdict(lambda: stability_report(inst, x)) == expected, seed
+        if expected[0] is InstanceError:
+            assert expected[1].startswith("assignment not admissible: "), seed
+            seen["outside the box"] += 1
+            continue
+        for e in inst.edges:
+            val, cap = x[e.id], e.capacity
+            if val is cap:
+                seen["capacity object"] += 1
+            elif val == cap:
+                seen["equal copy"] += 1
+            else:
+                seen["zero" if val == 0 else "between"] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
 
 
 def _flawed_points(rng, inst):
@@ -307,7 +361,7 @@ def _verdict(report_fn):
         rep = report_fn()
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return type(exc), str(exc)
-    return rep.stable, rep.blocking_edges, rep.fully_filled, rep.outcomes
+    return rep.stable, rep.blocking_edges, rep.fully_filled, rep.outcomes, rep.unsaturated
 
 
 def test_report_matches_the_validate_first_reference():
