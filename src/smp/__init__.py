@@ -7,7 +7,6 @@ stable assignments via min-cut.
 
 from .choice import ChoiceOutcome, choose, interesting_edges, prefers
 from .iteration import (
-    ExtendedInstance,
     IterationState,
     build_extended_instance,
     initial_state,

@@ -188,16 +188,18 @@ def prefers(inst: Instance, v: str, z: Mapping[str, Fraction], zp: Mapping[str, 
     """
     zv = _restrict(inst, v, z)
     zpv = _restrict(inst, v, zp)
+    tails = []
     for name, vec in (("first", zv), ("second", zpv)):
-        if choose(inst, v, vec).result != vec:
+        chosen = choose(inst, v, vec)
+        if chosen.result != vec:
             raise ValueError(
                 f"{name} offer at {v!r} is not a chosen vector; the preference "
                 "order is only defined on fixed points of the choice function"
             )
+        tails.append(chosen.tail)
     join = {e: max(zv[e], zpv[e]) for e in zv}
     via_join = choose(inst, v, join).result == zv
-    tail = choose(inst, v, zv).tail
-    via_tail = all(zv[e] >= zpv[e] for e in tail)
+    via_tail = all(zv[e] >= zpv[e] for e in tails[0])
     if via_join != via_tail:
         raise InvariantError(
             f"preference characterizations disagree at {v!r}: join={via_join} tail={via_tail}"

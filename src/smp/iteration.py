@@ -255,26 +255,29 @@ def _is_productive(before, after) -> bool:
     return False
 
 
-def _build_big_lp(inst: Instance, state: IterationState) -> LinearProgram:
-    """Aggregate a stalled tail of rounds into one linear program.
+def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
+    """Aggregate a stalled tail of rounds into one exact LP step.
 
     Variables: a uniform raise φ_f on each fully filled firm's head H_f, in
     sorted firm order.  A fully filled worker w cuts its head H_w uniformly by
     ψ_w, and stays exactly filled: |H_w|·ψ_w = R_w, where R_w is the sum of
     φ_f over the raised edges at w.  That balance is substituted out, so
-    ψ_w = R_w / |H_w| (`_big_iteration` recovers it), and a row that held ψ_w
-    is scaled by the lcm of the |H_w| it holds to keep integer coefficients.
-    The constraints respect bounds and quotas and keep every worker head a
-    head; the objective pushes the total raise as far as the whole stalled
-    tail could ever have gone.  The heads and critical ties are those of the
-    ordinary round's choices; choosing again from x and y gives the same
-    ones (see `_progress_marker`).
+    ψ_w = R_w / |H_w|, and a row that held ψ_w is scaled by the lcm of the
+    |H_w| it holds to keep integer coefficients.  The constraints respect
+    bounds and quotas and keep every worker head a head; the objective pushes
+    the total raise as far as the whole stalled tail could ever have gone.
+    The heads and critical ties are those of the ordinary round's choices;
+    choosing again from x and y gives the same ones (see `_progress_marker`).
 
     Every row is `<=`, and the round invariants b >= x >= y >= 0 make every
     right-hand side nonnegative, so φ = 0 is feasible: |H_w| times a height,
     a fully filled firm's quota minus its load at y <= x, a capacity minus y,
     |H_w| times a height minus a tie value below it, 0, and a deficit worker's
     quota minus its load.  A negative one raises `InvariantError`.
+
+    The new point adds φ_f on H_f and subtracts ψ_w on H_w; it becomes x and
+    y, the heads' bounds move to it, and only the filled workers' choices
+    there are stored.
     """
     y, outcomes = state.y, state.outcomes
     firms = _filled(state, inst.firms)
@@ -348,59 +351,44 @@ def _build_big_lp(inst: Instance, state: IterationState) -> LinearProgram:
     for w in inst.workers:  # raises must not overflow a deficit worker
         if w not in wh:
             add(add_raises([0] * n, w), inst.quota[w] - vertex_load(inst, y, w))
-    return lp
 
-
-def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
-    lp = _build_big_lp(inst, state)
     res = simplex_maximize(lp)
     if res.status != "optimal":
         raise InvariantError(f"aggregation LP {res.status}")
-    firm_head = {f: state.outcomes[f].head for f in _filled(state, inst.firms)}
-    worker_head = {w: state.outcomes[w].head for w in _filled(state, inst.workers)}
-    raise_of = dict(zip(firm_head, res.solution))
-    # the change of y, on the heads only: an edge has one firm and one worker
-    delta: dict[str, Fraction] = {}
-    for f, head in firm_head.items():
-        for e in head:
-            delta[e] = raise_of[f]
-    # ψ_w from the substituted balance |H_w|·ψ_w = Σ φ_f over the raises into w
-    inflow: dict[str, Fraction] = {}
-    for e, d in delta.items():
-        w = inst.edge_by_id[e].worker
-        inflow[w] = inflow.get(w, ZERO) + d
-    for w, head in worker_head.items():
-        cut = inflow.get(w, ZERO) / len(head)
-        for e in head:
+    phi = res.solution
+    yp = {eid: y[eid] for eid in inst.edge_ids}
+    for f in firms:
+        for e in fh[f]:
+            yp[e] += phi[var[f]]
+    for w in workers:
+        psi = sum((phi[j] for j in raised.get(w, ())), ZERO) / len(wh[w])
+        for e in wh[w]:
             # firms raising into a filled worker's head are excluded by the
             # LP, so a cut edge can never simultaneously carry a raise
-            if delta.get(e, 0) != 0:
+            if yp[e] != y[e]:
                 raise InvariantError(f"edge {e!r} raised and cut at once")
-            delta[e] = -cut
-    yp = {eid: state.y[eid] for eid in inst.edge_ids}
-    for e, d in delta.items():
-        yp[e] += d
+            yp[e] -= psi
     if res.value > 0:
         # at least one inequality must be tight, otherwise the raise could grow
         tight = any(
-            sum(a * v for a, v in zip(row, res.solution)) == rhs
+            sum(a * v for a, v in zip(row, phi)) == rhs
             for row, rhs in zip(lp.a_le, lp.b_le)
         )
         if not tight:
             raise InvariantError("aggregation LP optimum leaves all inequalities slack")
     bounds = dict(state.bounds)
-    for head in worker_head.values():
-        for e in head:
+    for w in workers:
+        for e in wh[w]:
             bounds[e] = yp[e]
-    for head in firm_head.values():
-        for e in head:
+    for f in firms:
+        for e in fh[f]:
             bounds[e] = max(bounds[e], yp[e])
     return IterationState(
         round=state.round + 1,
         bounds=bounds,
         x=yp,
         y=yp,
-        outcomes={w: choose(inst, w, yp) for w in worker_head},
+        outcomes={w: choose(inst, w, yp) for w in workers},
         changed_firms=inst.firm_set,
     )
 
@@ -467,21 +455,15 @@ def solve_xmax(inst: Instance, trace: Optional[list] = None) -> dict[str, Fracti
     return run_route(inst, xmin, known=known).states[-1]
 
 
-@dataclass
-class ExtendedInstance:
-    ext: Instance
-    firm_side_edges: tuple[str, ...]   # depot-firm -> worker edges ("A")
-    worker_side_edges: tuple[str, ...]  # firm -> depot-worker edges ("B")
+def build_extended_instance(inst: Instance) -> tuple[Instance, dict[str, Fraction]]:
+    """The instance extended by a depot firm and worker, and its seed.
 
-    def seed(self) -> dict[str, Fraction]:
-        """The firm-optimal assignment of the extension: all slack at depots."""
-        y0 = {eid: Fraction(0) for eid in self.ext.edge_ids}
-        for eid in self.firm_side_edges + self.worker_side_edges:
-            y0[eid] = self.ext.edge_by_id[eid].capacity
-        return y0
-
-
-def build_extended_instance(inst: Instance) -> ExtendedInstance:
+    Each worker gets an edge from the depot firm and each firm one to the
+    depot worker, with the vertex's quota as capacity, ranked worst by the
+    worker and best by the firm; a root edge joins the two depots.  The seed
+    is the extension's firm-optimal point: each depot edge at its capacity
+    and every other edge, the root included, at 0.
+    """
     f0, w0 = "__depot_firm", "__depot_worker"
     if f0 in inst.quota or w0 in inst.quota:
         raise InstanceError("reserved depot vertex ids present in instance")
@@ -523,11 +505,10 @@ def build_extended_instance(inst: Instance) -> ExtendedInstance:
         quota=quota,
         corteges=corteges,
     )
-    return ExtendedInstance(
-        ext=ext,
-        firm_side_edges=tuple(a_edges),
-        worker_side_edges=tuple(b_edges),
-    )
+    seed = {eid: ZERO for eid in ext.edge_ids}
+    for eid in a_edges + b_edges:
+        seed[eid] = ext.edge_by_id[eid].capacity
+    return ext, seed
 
 
 def _solve_quota_filling(
@@ -544,15 +525,13 @@ def _solve_quota_filling(
     route starts from the choices of the seed's stability test, and the
     outcomes returned are those of the restriction's stability test.
     """
-    extended = build_extended_instance(inst)
-    ext = extended.ext
-    y0 = extended.seed()
+    ext, y0 = build_extended_instance(inst)
     seed_report = stability_report(ext, y0)
     if not seed_report.stable:
         raise InvariantError("depot seed unexpectedly unstable")
     ymax = run_route(ext, y0, known=seed_report.outcomes).states[-1]
-    side = extended.firm_side_edges + extended.worker_side_edges
-    if any(ymax[e] != 0 for e in side):
+    # the depot edges are the seed's positive entries
+    if any(ymax[e] != 0 for e, v in y0.items() if v):
         return None
     x = {eid: ymax[eid] for eid in inst.edge_ids}
     report = stability_report(inst, x)

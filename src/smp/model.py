@@ -225,14 +225,22 @@ def parse_instance(data) -> Instance:
             raise InstanceError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceError("instance document must be a JSON object")
+    # the required fields in lookup order: a missing one is reported before
+    # any wrong shape
+    shapes = {
+        "firms": (list, "a list of vertex ids"),
+        "workers": (list, "a list of vertex ids"),
+        "edges": (list, "a list of edge records"),
+        "quotas": (dict, "an object mapping vertex ids to rationals"),
+        "preferences": (dict, "an object mapping vertex ids to lists of ties"),
+    }
     try:
-        firms = list(data["firms"])
-        workers = list(data["workers"])
-        raw_edges = list(data["edges"])
-        raw_quotas = dict(data["quotas"])
-        raw_prefs = dict(data["preferences"])
-    except (KeyError, TypeError) as exc:
+        firms, workers, raw_edges, raw_quotas, raw_prefs = (data[key] for key in shapes)
+    except KeyError as exc:
         raise InstanceError(f"missing or malformed field: {exc}") from exc
+    for key, (kind, what) in shapes.items():
+        if not isinstance(data[key], kind):
+            raise InstanceError(f'"{key}" must be {what}')
     edges = []
     for item in raw_edges:
         try:

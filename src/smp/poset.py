@@ -41,10 +41,17 @@ class RotationPoset:
         return frozenset({i} | {a for (a, j) in self.less if j == i})
 
 
+def _in_box(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
+    """Whether λ names only the poset's rotations and lies in [0, τ] on each."""
+    n = len(poset.rotations)
+    return all(i in range(n) for i in lam) and all(
+        0 <= lam.get(i, ZERO) <= rot.tau for i, rot in enumerate(poset.rotations)
+    )
+
+
 def is_closed(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
-    for i, rot in enumerate(poset.rotations):
-        if not (0 <= lam.get(i, Fraction(0)) <= rot.tau):
-            return False
+    if not _in_box(poset, lam):
+        return False
     for (a, b) in poset.less:
         if lam.get(b, Fraction(0)) > 0 and lam.get(a, Fraction(0)) != poset.rotations[a].tau:
             return False
@@ -81,10 +88,10 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
         xmin, known = _solve_xmin(inst)
     cache: dict = {}
     base = run_route(inst, xmin, cache=cache, known=known)
-    if not base.non_expensive:
-        raise InvariantError("full-shift route repeated a rotation")
     rotations = base.steps
     keys = [rot.key() for rot in rotations]
+    if len(set(keys)) != len(keys):
+        raise InvariantError("full-shift route repeated a rotation")
     xmin, xmax = base.states[0], base.states[-1]
 
     upsets: dict[int, frozenset[int]] = {}
@@ -233,10 +240,9 @@ def grid_sublattice(
 
 def hull_membership(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
     """Whether λ lies in the convex hull of the closed functions."""
+    if not _in_box(poset, lam):
+        return False
     tau = [rot.tau for rot in poset.rotations]
-    for i, t in enumerate(tau):
-        if not (0 <= lam.get(i, Fraction(0)) <= t):
-            return False
     for (a, b) in poset.less:
         # the fraction of ρ_b consumed can never exceed that of ρ_a
         if lam.get(b, Fraction(0)) / tau[b] > lam.get(a, Fraction(0)) / tau[a]:

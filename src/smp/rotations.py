@@ -358,11 +358,6 @@ class Route:
     steps: list[Rotation]  # each shifted by its full weight τ
     outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at the last state
 
-    @property
-    def non_expensive(self) -> bool:
-        keys = [rot.key() for rot in self.steps]
-        return len(keys) == len(set(keys))
-
 
 def applicable_rotations(
     inst: Instance,

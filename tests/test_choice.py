@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smp.choice
 from smp import Edge, Instance, choose, full_assignment, interesting_edges, prefers
 from smp.choice import ChoiceOutcome, _cutting_height
 
@@ -131,6 +132,18 @@ def test_prefers_is_reflexive_and_orders_offers():
     worst = {"f1w1": F(0), "f3w1": F(0), "f2w1": F(24)}
     assert prefers(inst, "w1", best, worst)
     assert not prefers(inst, "w1", worst, best)
+
+
+def test_prefers_chooses_each_offer_once(monkeypatch):
+    """One choice per offer and one from the join: the tail of the first
+    offer is read off the choice that checked it is kept."""
+    inst = triangle_instance(F(8), F(15))
+    best = {"f1w1": F(24), "f3w1": F(0), "f2w1": F(0)}
+    worst = {"f1w1": F(0), "f3w1": F(0), "f2w1": F(24)}
+    calls = []
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: calls.append(v) or choose(inst, v, z))
+    assert prefers(inst, "w1", best, worst)
+    assert calls == ["w1"] * 3
 
 
 def breakpoint_cutting_height(values, target):

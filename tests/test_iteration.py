@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from smp.choice import _rechoose, choose
 from smp.bruteforce import oracle_enumerate_stable
 from smp.iteration import IterationState, _filled, _reduced_edges
 from smp.model import InvariantError
+from smp.simplex import LinearProgram, simplex_maximize
 
 from gen import (
     SIX_CYCLE_STABLE_EVEN,
@@ -39,6 +41,7 @@ from gen import (
     six_cycle_instance,
     triangle_instance,
 )
+from test_acceptance import sap_pool, sdp_pool, smp_pool
 
 
 def test_ordinary_iteration_monotone_and_terminal_on_triangle():
@@ -124,9 +127,9 @@ def test_depot_root_edge_acts_as_unbounded():
     insts += [random_instance(random.Random(f"root{s}"), max_edges=8) for s in range(12)]
     raised = 0
     for inst in insts:
-        extended = build_extended_instance(inst)
-        cap = extended.ext.edge_by_id["__root"].capacity
-        route = run_route(extended.ext, extended.seed())
+        ext, seed = build_extended_instance(inst)
+        cap = ext.edge_by_id["__root"].capacity
+        route = run_route(ext, seed)
         assert all(x["__root"] < cap for x in route.states)
         for x, rot in zip(route.states, route.steps):
             v = rot.values.get("__root", F(0))
@@ -197,8 +200,7 @@ def test_quota_filling_route_starts_from_the_seed_outcomes(monkeypatch):
 
 def test_extended_instance_layout():
     inst = six_cycle_instance()
-    extended = build_extended_instance(inst)
-    ext = extended.ext
+    ext, seed = build_extended_instance(inst)
     # one depot edge per real vertex plus the root
     assert len(ext.edges) == len(inst.edges) + len(inst.vertices()) + 1
     # each firm ranks its depot edge best, each worker ranks its depot worst
@@ -210,8 +212,13 @@ def test_extended_instance_layout():
     assert ext.quota["__depot_firm"] == sum(
         (inst.quota[w] for w in inst.workers), F(0)
     )
-    seed = extended.seed()
-    assert all(seed[e] == 0 for e in inst.edge_ids)
+    # the seed: each depot edge at its capacity, every other edge (the root
+    # included) at 0
+    depot = {f"__a_{w}" for w in inst.workers} | {f"__b_{f}" for f in inst.firms}
+    assert list(seed) == list(ext.edge_ids)
+    assert {e for e, v in seed.items() if v} == depot
+    assert all(seed[e] == ext.edge_by_id[e].capacity for e in depot)
+    assert all(seed[e] == 0 for e in inst.edge_ids) and seed["__root"] == 0
 
 
 def _recorded_rounds(monkeypatch):
@@ -429,6 +436,160 @@ def test_sparse_rounds_match_the_dense_reference(seed, family):
     assert len(markers) >= len(rounds) - 1
     for state, out in markers:
         assert out == reference_marker(inst, state)
+
+
+def reference_big_iteration(inst, state):
+    """The two-function aggregation step that `_big_iteration` replaced.
+
+    The first half builds the LP as `_build_big_lp` did; the second solves
+    it and, as the old `_big_iteration` did, rebuilds the heads, recovers
+    each firm's raise and each worker's cut through per-edge and per-worker
+    maps, and writes the new point and bounds.  Returns the new state and
+    the LP.
+    """
+    y, outcomes = state.y, state.outcomes
+    firms = _filled(state, inst.firms)
+    workers = _filled(state, inst.workers)
+    fh = {f: outcomes[f].head for f in firms}
+    wh = {w: outcomes[w].head for w in workers}
+    height = {}
+    for w in workers:
+        heights = {y[e] for e in wh[w]}
+        if len(heights) != 1:
+            raise InvariantError(f"head of {w!r} not level")
+        height[w] = heights.pop()
+    var = {f: i for i, f in enumerate(firms)}
+    n = len(firms)
+    raised = {}
+    for f in firms:
+        for e in fh[f]:
+            raised.setdefault(inst.edge_by_id[e].worker, []).append(var[f])
+    lp = LinearProgram(objective=[len(fh[f]) for f in firms])
+
+    def add(row, rhs):
+        if rhs < 0:
+            raise InvariantError("aggregation LP has a negative right-hand side")
+        lp.a_le.append(row)
+        lp.b_le.append(rhs)
+
+    def unit(f, scale=1):
+        row = [0] * n
+        row[var[f]] = scale
+        return row
+
+    def add_raises(row, w, scale=1):
+        for j in raised.get(w, ()):
+            row[j] += scale
+        return row
+
+    for w in workers:
+        add(add_raises([0] * n, w), len(wh[w]) * height[w])
+    for f in firms:
+        cuts = []
+        for e in _reduced_edges(inst, state.bounds, f):
+            w = inst.edge_by_id[e].worker
+            if w in wh and e in wh[w]:
+                cuts.append(w)
+        scale = lcm(*(len(wh[w]) for w in cuts))
+        row = unit(f, scale * len(fh[f]))
+        for w in cuts:
+            add_raises(row, w, -(scale // len(wh[w])))
+        add(row, scale * (inst.quota[f] - vertex_load(inst, y, f)))
+    for f in firms:
+        for e in fh[f]:
+            add(unit(f), inst.edge_by_id[e].capacity - y[e])
+    for w in workers:
+        for e in inst.corteges[w][outcomes[w].critical_tie]:
+            if e in wh[w]:
+                continue
+            f = inst.edge_by_id[e].firm
+            row = unit(f, len(wh[w])) if f in fh and e in fh[f] else [0] * n
+            add(add_raises(row, w), len(wh[w]) * (height[w] - y[e]))
+    for f in firms:
+        for e in fh[f]:
+            w = inst.edge_by_id[e].worker
+            if w in wh and (e in wh[w] or inst.tie_index[(w, e)] > outcomes[w].critical_tie):
+                add(unit(f), F(0))
+                break
+    for w in inst.workers:
+        if w not in wh:
+            add(add_raises([0] * n, w), inst.quota[w] - vertex_load(inst, y, w))
+
+    res = simplex_maximize(lp)
+    if res.status != "optimal":
+        raise InvariantError(f"aggregation LP {res.status}")
+    firm_head = {f: state.outcomes[f].head for f in _filled(state, inst.firms)}
+    worker_head = {w: state.outcomes[w].head for w in _filled(state, inst.workers)}
+    raise_of = dict(zip(firm_head, res.solution))
+    delta = {}
+    for f, head in firm_head.items():
+        for e in head:
+            delta[e] = raise_of[f]
+    inflow = {}
+    for e, d in delta.items():
+        w = inst.edge_by_id[e].worker
+        inflow[w] = inflow.get(w, F(0)) + d
+    for w, head in worker_head.items():
+        cut = inflow.get(w, F(0)) / len(head)
+        for e in head:
+            if delta.get(e, 0) != 0:
+                raise InvariantError(f"edge {e!r} raised and cut at once")
+            delta[e] = -cut
+    yp = {eid: state.y[eid] for eid in inst.edge_ids}
+    for e, d in delta.items():
+        yp[e] += d
+    if res.value > 0:
+        tight = any(
+            sum(a * v for a, v in zip(row, res.solution)) == rhs
+            for row, rhs in zip(lp.a_le, lp.b_le)
+        )
+        if not tight:
+            raise InvariantError("aggregation LP optimum leaves all inequalities slack")
+    bounds = dict(state.bounds)
+    for head in worker_head.values():
+        for e in head:
+            bounds[e] = yp[e]
+    for head in firm_head.values():
+        for e in head:
+            bounds[e] = max(bounds[e], yp[e])
+    new = IterationState(
+        round=state.round + 1,
+        bounds=bounds,
+        x=yp,
+        y=yp,
+        outcomes={w: choose(inst, w, yp) for w in worker_head},
+        changed_firms=inst.firm_set,
+    )
+    return new, lp
+
+
+def test_aggregation_step_matches_the_two_function_reference(monkeypatch):
+    """Every aggregation step of the acceptance pools and of the tied bench
+    family writes the reference's state, bounds included, and hands
+    `simplex_maximize` the reference's LP, row for row."""
+    steps, lps = [], []
+    real_big, real_simplex = smp.iteration._big_iteration, smp.iteration.simplex_maximize
+
+    def big(inst, state):
+        new = real_big(inst, state)
+        steps.append((inst, state, new, lps[-1]))
+        return new
+
+    def solve(lp):
+        lps.append(lp)
+        return real_simplex(lp)
+
+    monkeypatch.setattr(smp.iteration, "_big_iteration", big)
+    monkeypatch.setattr(smp.iteration, "simplex_maximize", solve)
+    tied = [rand_marriage(random.Random(s), 4, cap=2, tie_prob=0.5) for s in range(40)]
+    for inst in smp_pool() + sap_pool() + sdp_pool() + tied:
+        solve_xmin_modified(inst)
+    assert len(steps) >= 30 and len(lps) == len(steps)
+    for inst, state, new, lp in steps:
+        ref, ref_lp = reference_big_iteration(inst, state)
+        for name in REFERENCE_FIELDS + ("changed_firms",):
+            assert getattr(new, name) == getattr(ref, name), name
+        assert (lp.objective, lp.a_le, lp.b_le) == (ref_lp.objective, ref_lp.a_le, ref_lp.b_le)
 
 
 def _other_objects(values):

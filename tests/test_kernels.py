@@ -351,7 +351,7 @@ def full_aggregation_lp(inst, state):
     workers' cuts ψ_w, both in sorted order; a vertex is fully filled when
     its stored choice is not in deficit.  Each worker's balance
     |H_w|·ψ_w = Σ φ_f over the raises into w is an equality row, so the LP
-    needs phase 1; `_build_big_lp` substitutes it out.
+    needs phase 1; `_big_iteration` substitutes it out.
     """
     y, outcomes = state.y, state.outcomes
     edge = inst.edge_by_id

@@ -237,6 +237,50 @@ def test_parse_instance_rejects_malformed_documents():
         parse_instance({"firms": []})
 
 
+# the two-firm instance of the CI step that runs the installed `smp` script
+TWO_FIRMS = {
+    "firms": ["f1", "f2"],
+    "workers": ["w1"],
+    "edges": [
+        {"id": "f1w1", "firm": "f1", "worker": "w1", "capacity": "15"},
+        {"id": "f2w1", "firm": "f2", "worker": "w1", "capacity": "7/2"},
+    ],
+    "quotas": {"f1": "24", "f2": "24", "w1": "10"},
+    "preferences": {"f1": [["f1w1"]], "f2": [["f2w1"]], "w1": [["f1w1", "f2w1"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"firms": {"f1": 0, "f2": 0}}, '"firms" must be a list of vertex ids'),
+        ({"firms": 5}, '"firms" must be a list of vertex ids'),
+        ({"workers": "w1"}, '"workers" must be a list of vertex ids'),
+        ({"edges": {"x": 1}}, '"edges" must be a list of edge records'),
+        (
+            {"quotas": [[v, q] for v, q in TWO_FIRMS["quotas"].items()]},
+            '"quotas" must be an object mapping vertex ids to rationals',
+        ),
+        (
+            {"preferences": [[v, t] for v, t in TWO_FIRMS["preferences"].items()]},
+            '"preferences" must be an object mapping vertex ids to lists of ties',
+        ),
+        # every key is looked up before any shape is checked
+        ({"firms": 5, "preferences": None}, "missing or malformed field: 'preferences'"),
+    ],
+    ids=[
+        "firms-object", "firms-number", "workers-string", "edges-object",
+        "quotas-pairs", "preferences-pairs", "missing-before-shape",
+    ],
+)
+def test_parse_instance_rejects_wrong_container_shapes(changes, message):
+    doc = {k: v for k, v in {**TWO_FIRMS, **changes}.items() if v is not None}
+    assert parse_instance(TWO_FIRMS).firms == ("f1", "f2")
+    with pytest.raises(InstanceError) as exc:
+        parse_instance(doc)
+    assert str(exc.value) == message
+
+
 def test_assignment_parsing_and_defaults():
     inst = triangle_instance(F(8), F(15))
     x = parse_assignment('{"values": {"f1w1": "3/2"}}', inst)

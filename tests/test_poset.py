@@ -68,7 +68,8 @@ def test_route_states_are_all_stable():
     inst = triangle_instance(F(8), F(15))
     route = run_route(inst, solve_xmin_modified(inst))
     assert len(route.steps) == 1
-    assert route.non_expensive
+    keys = [rot.key() for rot in route.steps]
+    assert len(set(keys)) == len(keys)
     for state in route.states:
         assert stability_report(inst, state).stable
 
@@ -81,6 +82,20 @@ def test_is_closed_enforces_box_and_precedence():
     assert is_closed(poset, {0: F(1)})
     assert not is_closed(poset, {0: F(2)})
     assert not is_closed(poset, {0: F(-1)})
+
+
+@pytest.mark.parametrize("lam", [{99: F(1)}, {-1: F(5)}, {"x": 3}, {2: F(0)}])
+def test_weights_on_unknown_rotations_are_not_closed(lam):
+    """A weight function that names a rotation the poset lacks is neither
+    closed nor in the hull, and `gamma` refuses it instead of returning x_min."""
+    inst = rand_marriage(random.Random(4), 4, cap=1)
+    poset = build_poset(inst)
+    assert len(poset.rotations) == 2
+    assert is_closed(poset, {}) and hull_membership(poset, {})
+    assert not is_closed(poset, lam)
+    assert not hull_membership(poset, lam)
+    with pytest.raises(InstanceError, match="weight function is not closed"):
+        gamma(inst, poset, lam)
 
 
 def test_gamma_rejects_non_closed_weights():
