@@ -5,7 +5,7 @@ rotations and their poset, the closed-function lattice, and minimum-cost
 stable assignments via min-cut.
 """
 
-from .choice import ChoiceOutcome, choose, interesting_edges, prefers
+from .choice import ChoiceOutcome, choose, prefers
 from .iteration import (
     IterationState,
     build_extended_instance,
@@ -38,7 +38,6 @@ from .poset import (
     enumerate_fully_closed,
     gamma,
     grid_sublattice,
-    hull_membership,
     is_closed,
     omega,
     stable_join_workers,

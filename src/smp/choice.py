@@ -50,10 +50,6 @@ class ChoiceOutcome:
     height: Optional[Fraction]        # cutting height r, None when in deficit
     deficit: bool
 
-    @property
-    def size(self) -> Fraction:
-        return sum(self.result.values(), ZERO)
-
 
 def _restrict(inst: Instance, v: str, z: Mapping[str, Fraction]) -> dict[str, Fraction]:
     zv = {}
@@ -205,14 +201,3 @@ def prefers(inst: Instance, v: str, z: Mapping[str, Fraction], zp: Mapping[str, 
             f"preference characterizations disagree at {v!r}: join={via_join} tail={via_tail}"
         )
     return via_join
-
-
-def interesting_edges(inst: Instance, v: str, z: Mapping[str, Fraction]) -> frozenset[str]:
-    """Edges at v that are unsaturated and lie in the tail of v's choice at z.
-
-    These are exactly the edges along which v would accept more, i.e. the
-    candidates for blocking.
-    """
-    zv = _restrict(inst, v, z)
-    tail = choose(inst, v, zv).tail
-    return frozenset(e for e in tail if zv[e] < inst.edge_by_id[e].capacity)

@@ -15,8 +15,18 @@ Two routes are provided:
 
 A round keeps every vertex's choice outcome in `IterationState.outcomes` and
 calls `choose` again only at the vertices whose input changed since the
-previous round (`choice._rechoose`); the progress marker and the aggregation
-LP read their heads and critical ties from there instead of choosing again.
+previous round (`choice._rechoose`); the progress test (`_progressed`) and
+the aggregation LP read their heads and critical ties from there instead of
+choosing again.
+
+Choosing again from y gives a worker's stored tie and head.  After an
+aggregation step the stored outcome is w's choice from y.  In an ordinary
+state it is w's choice from x, with critical tie c and height r.  y|w equals
+x before c, min(r, x_e) on c and 0 after c.  The sums before c are unchanged
+and below the quota q, and c now sums to exactly q minus them, so c is
+critical again.  The target is then the whole of c, so the height is
+max_e min(r, x_e) = r, since the head {e in c : x_e >= r} is nonempty; and
+the new head {e : min(r, x_e) >= r} is the old one.
 
 A round also touches only the edges at the vertices that choose again.  It
 starts from copies of the previous x, y and bounds and writes each fresh
@@ -39,8 +49,9 @@ and a choice from an offer that sums to the quota returns the offer.  Then:
   b >= x >= y >= 0 runs there; every other edge keeps values that already
   passed it.  A round is terminal when its cut is empty, and the full
   compare y == x cross-checks that.
-* The progress marker marks again only the firms at which x or the bounds
-  changed (`IterationState.changed_firms`).
+* The progress test looks only at the fresh firms' edges, the cut edges and
+  the fresh workers: x, the bounds and the workers' ties and heads change
+  nowhere else.
 
 The outcomes travel on past the rounds, each time by an equal-input argument
 (the same three as in `rotations`):
@@ -48,13 +59,14 @@ The outcomes travel on past the rounds, each time by an equal-input argument
 (a) At a terminal ordinary round y = x, so a worker's stored choice, made
     from x, is its choice at x.  A firm's was made from the bounds b, and
     choosing again from x|f gives the same outcome in every field: the
-    `_progress_marker` argument with y replaced by x.  After an aggregation
-    step the stability test at y is built from the workers' choices made
-    there, and its report holds every choice at y.  Either set starts the
-    route that normalises the point in `inst.swapped()`: `choose` reads only
-    `incident`, `quota` and `corteges`, which `swapped()` keeps.  For the
-    same reason the report of `_solve_quota_filling`'s last stability test
-    starts the route of `smp solve --method quota-filling --side firms`.
+    "choosing again from y" argument above with y replaced by x.  After an
+    aggregation step the stability test at y is built from the workers'
+    choices made there, and its report holds every choice at y.  Either set
+    starts the route that normalises the point in `inst.swapped()`: `choose`
+    reads only `incident`, `quota` and `corteges`, which `swapped()` keeps.
+    For the same reason the report of `_solve_quota_filling`'s last
+    stability test starts the route of `smp solve --method quota-filling
+    --side firms`.
 (b) That route's outcomes at its end are the choices at x_min; `solve_xmax`,
     `smp solve --side workers` and `build_poset`'s base route start from
     them (`_solve_xmin`).
@@ -104,10 +116,8 @@ class IterationState:
     # sets x = y to its point and keeps only the fully filled workers'
     # choices, made from `y`.
     outcomes: dict[str, ChoiceOutcome] = field(default_factory=dict)
-    # the edges with y != x (empty after a terminal round), and the firms at
-    # which x or the bounds differ from the previous state's
+    # the edges with y != x (empty after a terminal round)
     cut: frozenset[str] = frozenset()
-    changed_firms: frozenset[str] = frozenset()
 
 
 def initial_state(inst: Instance) -> IterationState:
@@ -133,13 +143,11 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
     fresh_firms = [f for f in inst.firms if outcomes[f] is not prev.get(f)]
     x = dict(state.x)
     moved: set[str] = set()  # the workers at which x changed
-    changed: set[str] = set()  # the firms at which x or the bounds changed
     for f in fresh_firms:
         for e, val in outcomes[f].result.items():
             if val is not x[e] and val != x[e]:
                 x[e] = val
                 moved.add(edge[e].worker)
-                changed.add(f)
     # the stored worker choices were made from the previous x
     outcomes.update(_rechoose(inst, inst.workers, x, prev, moved))
     fresh_workers = [w for w in inst.workers if outcomes[w] is not prev.get(w)]
@@ -152,7 +160,6 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
     new_bounds = dict(b)
     for e in cut:
         new_bounds[e] = y[e]
-        changed.add(edge[e].firm)
     # b, x and y can have changed only here; every other edge keeps values
     # that passed this check in an earlier round.  A choice passes the values
     # it keeps through as the same objects, so `is` settles most comparisons
@@ -176,7 +183,6 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
         y=y,
         outcomes=outcomes,
         cut=cut,
-        changed_firms=frozenset(changed),
     )
 
 
@@ -203,54 +209,44 @@ def _reduced_edges(inst: Instance, bounds: Mapping[str, Fraction], f: str) -> fr
     )
 
 
-def _progress_marker(inst: Instance, state: IterationState, prev=None):
-    """The monotone quantities whose growth makes a round 'productive'.
+def _stuck(inst: Instance, state: IterationState, e: str) -> bool:
+    """Whether x reaches the capacity on edge e, or its bound is below it.
 
-    A firm f is marked by the edges where x reaches the capacity or the bound
-    is below it.  Given `prev`, the marker of the previous state, only the
-    firms in `state.changed_firms` are marked again; the others keep their
-    sets, since their x and bounds did not change.
-
-    The marker is the pair (firm sets, worker view).  The view maps each
-    fully filled worker w to the critical tie and head of its choice from y,
-    so its keys are the filled workers.  After an aggregation step the stored
-    outcome is that choice.  In an ordinary state it is w's choice from x,
-    with critical tie c and height r, and choosing again from y|w gives the
-    same tie, height and head: y|w equals x before c, min(r, x_e) on c and 0 after c.  The
-    sums before c are unchanged and below the quota q, and c now sums to
-    exactly q minus them, so c is critical again.  The target is then the
-    whole of c, so the height is max_e min(r, x_e) = r, since the head
-    {e in c : x_e >= r} is nonempty; and the new head {e : min(r, x_e) >= r}
-    is the old one.
+    x is at most the capacity, which is positive: the capacity object itself
+    is reached and 0 is not.  A bound is the capacity object until a cut
+    lowers it.  Identity settles most edges; the rest compare by value.
     """
-    stuck = {} if prev is None else dict(prev[0])
-    for f in inst.firms if prev is None else state.changed_firms:
-        full = set()
-        for e in inst.incident[f]:
-            # x is at most the capacity, which is positive: the capacity
-            # object itself is reached and 0 is not
-            val, cap = state.x[e], inst.edge_by_id[e].capacity
-            if val is cap or (val.numerator and val == cap):
-                full.add(e)
-        stuck[f] = frozenset(full) | _reduced_edges(inst, state.bounds, f)
-    view = {
-        w: (state.outcomes[w].critical_tie, state.outcomes[w].head)
-        for w in _filled(state, inst.workers)
-    }
-    return stuck, view
+    cap = inst.edge_by_id[e].capacity
+    val, bound = state.x[e], state.bounds[e]
+    return val is cap or bool(val.numerator and val == cap) or (bound is not cap and bound < cap)
 
 
-def _is_productive(before, after) -> bool:
-    stuck0, view0 = before
-    stuck1, view1 = after
-    if any(stuck1[f] - stuck0[f] for f in stuck1):
+def _progressed(inst: Instance, before: IterationState, after: IterationState) -> bool:
+    """Whether the ordinary round from `before` to `after` made progress.
+
+    It did if some edge became stuck (`_stuck`), or some worker is now fully
+    filled and was not before, or its critical tie moved up, or its head
+    gained an edge.  A worker's stored choice gives its tie and head at y
+    (module docstring, "choosing again from y").
+
+    The round looks only where it could have changed something.  x changes
+    only on the edges of the firms whose stored outcome is a new object, and
+    the bounds only on the round's cut edges.  A worker's tie and head
+    change only where its stored outcome is a new object.  After an
+    aggregation step no firm outcome is stored, so every firm is fresh.
+    """
+    prev, outcomes = before.outcomes, after.outcomes
+    edges = set(after.cut)
+    for f in inst.firms:
+        if outcomes[f] is not prev.get(f):
+            edges.update(inst.incident[f])
+    if any(_stuck(inst, after, e) and not _stuck(inst, before, e) for e in edges):
         return True
-    if view1.keys() - view0.keys():
-        return True
-    for w in view0.keys() & view1.keys():
-        tie0, head0 = view0[w]
-        tie1, head1 = view1[w]
-        if tie1 < tie0 or head1 - head0:
+    for w in inst.workers:
+        out, old = outcomes[w], prev.get(w)
+        if out is old or out.deficit:
+            continue
+        if old is None or old.deficit or out.critical_tie < old.critical_tie or out.head - old.head:
             return True
     return False
 
@@ -267,7 +263,8 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     bounds and quotas and keep every worker head a head; the objective pushes
     the total raise as far as the whole stalled tail could ever have gone.
     The heads and critical ties are those of the ordinary round's choices;
-    choosing again from x and y gives the same ones (see `_progress_marker`).
+    choosing again from x and y gives the same ones (module docstring,
+    "choosing again from y").
 
     Every row is `<=`, and the round invariants b >= x >= y >= 0 make every
     right-hand side nonnegative, so φ = 0 is feasible: |H_w| times a height,
@@ -389,7 +386,6 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         x=yp,
         y=yp,
         outcomes={w: choose(inst, w, yp) for w in workers},
-        changed_firms=inst.firm_set,
     )
 
 
@@ -409,20 +405,17 @@ def _solve_xmin(
     state = initial_state(inst)
     result: Optional[dict[str, Fraction]] = None
     known: dict[str, ChoiceOutcome] = {}
-    marker = None
     while state.round < cap:
-        state = ordinary_iteration_step(inst, state)
+        before, state = state, ordinary_iteration_step(inst, state)
         if trace is not None:
             trace.append(("ordinary", state.round, dict(state.y)))
         if not state.cut:
             result, known = state.x, state.outcomes
             break
-        new_marker = _progress_marker(inst, state, marker)
-        if marker is not None and not _is_productive(marker, new_marker):
+        if before.round >= 0 and not _progressed(inst, before, state):
             state = _big_iteration(inst, state)
             if trace is not None:
                 trace.append(("aggregated", state.round, dict(state.y)))
-            new_marker = _progress_marker(inst, state, new_marker)
             try:
                 report = stability_report(inst, state.y, state.outcomes)
             except InstanceError:  # not admissible or not stationary
@@ -430,7 +423,6 @@ def _solve_xmin(
             if report is not None and report.stable:
                 result, known = state.y, report.outcomes
                 break
-        marker = new_marker
     if result is None:
         raise SolverLimitError(f"no stable point within {cap} rounds")
     # normalize: in the swapped orientation the routes descend toward the

@@ -243,6 +243,8 @@ def parse_instance(data) -> Instance:
             raise InstanceError(f'"{key}" must be {what}')
     edges = []
     for item in raw_edges:
+        if not isinstance(item, dict):
+            raise InstanceError(f"malformed edge record {item!r}: must be an object")
         try:
             edges.append(
                 Edge(
@@ -252,8 +254,8 @@ def parse_instance(data) -> Instance:
                     capacity=parse_rational(item["capacity"]),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise InstanceError(f"malformed edge record {item!r}: {exc}") from exc
+        except KeyError as exc:
+            raise InstanceError(f"malformed edge record {item!r}: missing field {exc}") from exc
     quota = {str(v): parse_rational(q) for v, q in raw_quotas.items()}
     corteges = {}
     for v, ties in raw_prefs.items():

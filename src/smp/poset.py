@@ -41,16 +41,13 @@ class RotationPoset:
         return frozenset({i} | {a for (a, j) in self.less if j == i})
 
 
-def _in_box(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
-    """Whether λ names only the poset's rotations and lies in [0, τ] on each."""
-    n = len(poset.rotations)
-    return all(i in range(n) for i in lam) and all(
-        0 <= lam.get(i, ZERO) <= rot.tau for i, rot in enumerate(poset.rotations)
-    )
-
-
 def is_closed(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
-    if not _in_box(poset, lam):
+    """Whether λ names only the poset's rotations, lies in [0, τ] on each, and
+    is closed: a rotation is used only once its predecessors are exhausted."""
+    n = len(poset.rotations)
+    if not all(i in range(n) for i in lam):
+        return False
+    if not all(0 <= lam.get(i, ZERO) <= rot.tau for i, rot in enumerate(poset.rotations)):
         return False
     for (a, b) in poset.less:
         if lam.get(b, Fraction(0)) > 0 and lam.get(a, Fraction(0)) != poset.rotations[a].tau:
@@ -236,18 +233,6 @@ def grid_sublattice(
     for i, rot in enumerate(poset.rotations):
         combos = [{**c, i: rot.tau * j / (k - 1)} for c in combos for j in range(k)]
     return [gamma(inst, poset, lam) for lam in combos if is_closed(poset, lam)]
-
-
-def hull_membership(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
-    """Whether λ lies in the convex hull of the closed functions."""
-    if not _in_box(poset, lam):
-        return False
-    tau = [rot.tau for rot in poset.rotations]
-    for (a, b) in poset.less:
-        # the fraction of ρ_b consumed can never exceed that of ρ_a
-        if lam.get(b, Fraction(0)) / tau[b] > lam.get(a, Fraction(0)) / tau[a]:
-            return False
-    return True
 
 
 def _choose_from_max(

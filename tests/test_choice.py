@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smp.choice
-from smp import Edge, Instance, choose, full_assignment, interesting_edges, prefers
+from smp import Edge, Instance, choose, full_assignment, prefers
 from smp.choice import ChoiceOutcome, _cutting_height
 
 from gen import random_instance, six_cycle_instance, triangle_instance
@@ -50,7 +50,7 @@ def test_quota_branch_cuts_critical_tie_at_common_height():
     assert out.result == {"a": F(2), "b": F(2), "c": F(1), "d": F(0)}
     assert out.head == frozenset({"b"})
     assert out.tail == frozenset({"a", "c"})
-    assert out.size == F(5)
+    assert sum(out.result.values()) == F(5)
 
 
 def test_boundary_offer_has_nonempty_head():
@@ -108,19 +108,6 @@ def test_target_equal_to_full_tie_sum():
     assert out.tail == frozenset({"a", "b"})
     assert out.result == {"a": F(1, 2), "b": F(7, 5), "c": F(53, 30), "d": F(0)}
     assert out == reference_choose(inst, "f", z)
-
-
-def test_interesting_edges_are_unsaturated_tail():
-    inst = star_instance(F(5), [["a"], ["b", "c"]], {"a": F(2), "b": F(3), "c": F(5)})
-    # a is saturated at its capacity, b and c are cut
-    z = {"a": F(2), "b": F(3), "c": F(3)}
-    out = choose(inst, "f", z)
-    assert out.height == F(3, 2)
-    assert out.tail == frozenset({"a"})
-    # a sits in the tail but is at capacity, so nothing is interesting
-    assert interesting_edges(inst, "f", z) == frozenset()
-    z2 = {"a": F(1), "b": F(3), "c": F(3)}
-    assert interesting_edges(inst, "f", z2) == frozenset({"a"})
 
 
 def test_prefers_is_reflexive_and_orders_offers():
@@ -289,7 +276,7 @@ def vertex_and_offers(draw):
 def test_axiom_quota_acceptability(case):
     inst, v, z, _ = case
     out = choose(inst, v, z)
-    assert out.size == min(sum(z.values(), F(0)), inst.quota[v])
+    assert sum(out.result.values(), F(0)) == min(sum(z.values(), F(0)), inst.quota[v])
     # chosen vector never exceeds the offer
     assert all(out.result[e] <= z[e] for e in z)
 

@@ -777,13 +777,25 @@ def test_non_list_tie_is_a_domain_error(capsys, tmp_path):
     assert json.loads(out) == {"error": f"preferences of {first!r} must be a list of ties"}
 
 
-# SHA-256 of `smp solve --trace` on aggregating rand_marriage(Random(seed), 4,
-# cap=2, tie_prob=0.5) instances; the trace prints each aggregated point, so
-# these pin the optimal vertex the aggregation LP returns.
+# SHA-256 of `smp solve --trace` on aggregating rand_marriage(Random(seed), n,
+# cap=cap, tie_prob=tie_prob) instances, each case given as (seed, n, cap,
+# tie_prob); the trace prints each aggregated point, so these pin the optimal
+# vertex the aggregation LP returns.  The two six-worker cases also pin a
+# stall decision: a round whose only progress is a worker that becomes fully
+# filled.  Judged stalled, it would add an aggregation step to each trace.
+SOLVE_TRACE_CASES = {
+    "0": (0, 4, 2, 0.5),
+    "4": (4, 4, 2, 0.5),
+    "25": (25, 4, 2, 0.5),
+    "n6_48": (48, 6, 3, 0.3),
+    "n6_128": (128, 6, 3, 0.3),
+}
 SOLVE_TRACE_DIGESTS = {
-    0: "dcd05adc48521b87fd9ddf1e4242932e9990841b546d52eddad8b3351c07c346",
-    4: "00389c3dbbbcee28304208eba359990c6420a4354503c70eca24dc6fd5d47ec7",
-    25: "45e41bd6c9f7fcc8788d0a1e220047e1da0217c9fc404c6faac9a539fe8018c6",
+    "0": "dcd05adc48521b87fd9ddf1e4242932e9990841b546d52eddad8b3351c07c346",
+    "4": "00389c3dbbbcee28304208eba359990c6420a4354503c70eca24dc6fd5d47ec7",
+    "25": "45e41bd6c9f7fcc8788d0a1e220047e1da0217c9fc404c6faac9a539fe8018c6",
+    "n6_48": "48e44dd4748a3239b82e376e8d0bbef5f368c913fa3d79b775b49383bf6358f7",
+    "n6_128": "a224f1986fb0c7fad7033032c464a10bbec27a98e641041ec5217b13962e1bfe",
 }
 
 
@@ -906,15 +918,16 @@ def test_lattice_output_is_pinned(capsys, tmp_path, name, form):
     assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_DIGESTS[name, form]
 
 
-@pytest.mark.parametrize("seed", sorted(SOLVE_TRACE_DIGESTS))
-def test_solve_trace_output_is_pinned(capsys, tmp_path, seed):
+@pytest.mark.parametrize("name", sorted(SOLVE_TRACE_DIGESTS))
+def test_solve_trace_output_is_pinned(capsys, tmp_path, name):
+    seed, n, cap, tie_prob = SOLVE_TRACE_CASES[name]
     path = tmp_path / "tied.json"
-    inst = rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.5)
+    inst = rand_marriage(random.Random(seed), n, cap=cap, tie_prob=tie_prob)
     path.write_text(json.dumps(serialize_instance(inst)))
     code, out = run_cli(capsys, "solve", str(path), "--trace")
     assert code == 0
     assert any(step["kind"] == "aggregated" for step in json.loads(out)["trace"])
-    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_TRACE_DIGESTS[seed]
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_TRACE_DIGESTS[name]
 
 
 # SHA-256 of `smp poset` and `smp mincost --costs` on the inputs that work the

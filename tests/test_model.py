@@ -281,6 +281,35 @@ def test_parse_instance_rejects_wrong_container_shapes(changes, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (5, "malformed edge record 5: must be an object"),
+        (
+            ["e", "f1", "w1", 3],
+            "malformed edge record ['e', 'f1', 'w1', 3]: must be an object",
+        ),
+        (
+            {"id": "f1w1", "firm": "f1", "worker": "w1"},
+            "malformed edge record {'id': 'f1w1', 'firm': 'f1', 'worker': 'w1'}: "
+            "missing field 'capacity'",
+        ),
+        (
+            {"firm": "f1", "worker": "w1", "capacity": 3},
+            "malformed edge record {'firm': 'f1', 'worker': 'w1', 'capacity': 3}: "
+            "missing field 'id'",
+        ),
+    ],
+    ids=["number", "list", "no-capacity", "no-id"],
+)
+def test_parse_instance_rejects_malformed_edge_records(record, message):
+    """An edge record must be an object, and a missing key is named."""
+    doc = {**TWO_FIRMS, "edges": [TWO_FIRMS["edges"][0], record]}
+    with pytest.raises(InstanceError) as exc:
+        parse_instance(doc)
+    assert str(exc.value) == message
+
+
 def test_assignment_parsing_and_defaults():
     inst = triangle_instance(F(8), F(15))
     x = parse_assignment('{"values": {"f1w1": "3/2"}}', inst)

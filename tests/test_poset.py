@@ -23,7 +23,6 @@ from smp import (
     full_assignment,
     gamma,
     grid_sublattice,
-    hull_membership,
     is_closed,
     omega,
     parse_assignment,
@@ -86,14 +85,13 @@ def test_is_closed_enforces_box_and_precedence():
 
 @pytest.mark.parametrize("lam", [{99: F(1)}, {-1: F(5)}, {"x": 3}, {2: F(0)}])
 def test_weights_on_unknown_rotations_are_not_closed(lam):
-    """A weight function that names a rotation the poset lacks is neither
-    closed nor in the hull, and `gamma` refuses it instead of returning x_min."""
+    """A weight function that names a rotation the poset lacks is not
+    closed, and `gamma` refuses it instead of returning x_min."""
     inst = rand_marriage(random.Random(4), 4, cap=1)
     poset = build_poset(inst)
     assert len(poset.rotations) == 2
-    assert is_closed(poset, {}) and hull_membership(poset, {})
+    assert is_closed(poset, {})
     assert not is_closed(poset, lam)
-    assert not hull_membership(poset, lam)
     with pytest.raises(InstanceError, match="weight function is not closed"):
         gamma(inst, poset, lam)
 
@@ -156,23 +154,6 @@ def test_grid_sublattice_contains_fully_closed_images():
             assert stability_report(inst, x).stable
     with pytest.raises(InstanceError, match="k >= 2"):
         grid_sublattice(inst, poset, 1)
-
-
-def test_hull_membership():
-    inst = triangle_instance(F(8), F(15))
-    poset = build_poset(inst)
-    assert hull_membership(poset, {0: F(1, 3)})
-    assert not hull_membership(poset, {0: F(3, 2)})
-    # with a chain a < b, consuming b faster than a leaves the hull
-    for inst, poset in _marriage_posets(6, tag="hull"):
-        if not poset.less:
-            continue
-        (a, b) = sorted(poset.less)[0]
-        tau_a, tau_b = poset.rotations[a].tau, poset.rotations[b].tau
-        good = {a: tau_a, b: tau_b / 2}
-        bad = {a: tau_a / 3, b: tau_b / 2}
-        assert hull_membership(poset, good)
-        assert not hull_membership(poset, bad)
 
 
 def test_join_and_meet_realize_weightwise_max_and_min():
