@@ -269,7 +269,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    # OSError: a path that is missing, a directory or unreadable
+    except (InstanceError, OSError, json.JSONDecodeError, ValueError) as exc:
         _emit({"error": str(exc)})
         return 1
     except SolverLimitError as exc:

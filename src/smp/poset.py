@@ -18,9 +18,10 @@ from typing import Mapping, Optional, Sequence
 
 from .choice import choose
 from .iteration import _solve_xmin
-from .model import ZERO, Instance, InstanceError, InvariantError
+from .model import ZERO, Instance, InstanceError, InvariantError, _exact
 from .rotations import (
     Rotation,
+    _add_shift,
     _carried_outcomes,
     applicable_rotations,
     apply_shift,
@@ -42,10 +43,11 @@ class RotationPoset:
 
 
 def is_closed(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
-    """Whether λ names only the poset's rotations, lies in [0, τ] on each, and
+    """Whether λ names only the poset's rotations, each with an `int` or
+    `Fraction` weight (never a float or a `bool`), lies in [0, τ] on each, and
     is closed: a rotation is used only once its predecessors are exhausted."""
     n = len(poset.rotations)
-    if not all(i in range(n) for i in lam):
+    if not all(i in range(n) and _exact(l) is not None for i, l in lam.items()):
         return False
     if not all(0 <= lam.get(i, ZERO) <= rot.tau for i, rot in enumerate(poset.rotations)):
         return False
@@ -151,10 +153,9 @@ def gamma(
         raise InstanceError("weight function is not closed")
     x = dict(poset.xmin)
     for i, rot in enumerate(poset.rotations):
-        l = lam.get(i, Fraction(0))
+        l = lam.get(i, 0)
         if l:
-            for e, v in rot.values.items():
-                x[e] += l * v
+            _add_shift(x, rot.values, l)
     if verify and not stability_report(inst, x).stable:
         raise InvariantError("closed function image not stable")
     return x
@@ -222,9 +223,10 @@ def grid_sublattice(
     """Stable assignments whose weights sit on a k-point grid per rotation.
 
     τ > 0, so a rotation's k grid points differ, and so do the combinations:
-    no assignment repeats.
+    no assignment repeats.  k must be an `int` (`InstanceError` otherwise),
+    so every grid weight is a `Fraction`.
     """
-    if k < 2:
+    if type(k) is not int or k < 2:
         raise InstanceError("grid needs k >= 2")
     n = len(poset.rotations)
     if k**n > cap:

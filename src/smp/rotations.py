@@ -19,6 +19,14 @@ of its support.  Shifting x by λ·ρ for 0 < λ ≤ τ yields a new stable assi
 strictly worse for firms, better for workers.  Repeating full-weight shifts
 down to the worker optimum is a route (`run_route`).
 
+Both steps stay in integers until their result.  τ is the smallest of
+candidate bounds (a - b) / d, held as `int` numerators over one common
+denominator with positive `int` divisors d and compared by
+cross-multiplication (`max_weight`).  A shift writes each new value
+x_e + λ·v as one `Fraction` over lcm(d_x, d_λ), the denominators of x_e
+and λ (`_add_shift`, shared with `poset.gamma`); λ must be an `int` or a
+`Fraction`.
+
 Every state of a route is analysed from choice outcomes, and a vertex
 chooses again only where its input may have changed.  Three equal-input
 arguments say where it has not:
@@ -39,12 +47,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .choice import ChoiceOutcome
 from .linalg import integer_nullspace
-from .model import Instance, InstanceError, InvariantError, full_assignment
+from .model import Instance, InstanceError, InvariantError, _exact, full_assignment
 from .stability import compare_stable, stability_report
 
 
@@ -298,24 +306,49 @@ def max_weight(
     rot: Rotation,
     act: ActiveStructure,
 ) -> Fraction:
-    """Largest λ for which x + λ·rot stays stable; x is a full assignment."""
-    candidates: list[Fraction] = []
+    """Largest λ for which x + λ·rot stays stable; x is a full assignment.
+
+    Each candidate is (a - b) / d for two values a, b of x or the capacities
+    and a positive `int` d.  The values are held as `int` numerators over
+    one common denominator, the smallest candidate is found by
+    cross-multiplication, and only τ itself is built as a `Fraction`.
+    """
+    zero = (0, 1)
+    terms = []  # (a, b, d) as (numerator, denominator) pairs and an int
     for e, v in rot.values.items():
         edge = inst.edge_by_id[e]
+        xe = x[e].as_integer_ratio()
         if v > 0:
-            candidates.append((edge.capacity - x[e]) / v)
+            terms.append((edge.capacity.as_integer_ratio(), xe, v))
             continue
         # e is in H_w: the shift stops where x[e] runs out or falls to an
-        # edge of w's critical tie outside the head
-        candidates.append(x[e] / -v)
+        # edge of w's critical tie outside the head; such an edge is never
+        # in H_w, so its value is 0 or positive and the divisor positive
+        terms.append((xe, zero, -v))
         out = act.outcomes[edge.worker]
         for ep in inst.corteges[edge.worker][out.critical_tie]:
             if ep not in out.head:
-                candidates.append((x[e] - x[ep]) / (rot.values.get(ep, 0) - v))
-    tau = min(candidates)
-    if tau.numerator <= 0:
+                terms.append((xe, x[ep].as_integer_ratio(), rot.values.get(ep, 0) - v))
+    den = lcm(*(q for a, b, _ in terms for q in (a[1], b[1])))
+    best_n, best_d = None, 1
+    for (an, ad), (bn, bd), d in terms:
+        n = an * (den // ad) - bn * (den // bd)
+        if best_n is None or n * best_d < best_n * d:
+            best_n, best_d = n, d
+    if best_n <= 0:
         raise InvariantError("maximal admissible weight must be positive")
-    return tau
+    return Fraction(best_n, best_d * den)
+
+
+def _add_shift(x: dict[str, Fraction], values: Mapping[str, int], lam: Fraction) -> None:
+    """x[e] += λ·v for each support value v, in place: each new value is one
+    `Fraction` over lcm(d_x, d_λ), with d_x and d_λ the denominators of x[e]
+    and λ."""
+    ln, ld = lam.as_integer_ratio()
+    for e, v in values.items():
+        xn, xd = x[e].as_integer_ratio()
+        den = lcm(xd, ld)
+        x[e] = Fraction(xn * (den // xd) + ln * v * (den // ld), den)
 
 
 def apply_shift(
@@ -327,13 +360,17 @@ def apply_shift(
 ) -> dict[str, Fraction]:
     """x + Σ λ_i · ρ_i for vertex-disjoint rotations, 0 < λ_i ≤ τ_i.
 
-    x is a full assignment.  With `verify`, the result is checked stable and
-    strictly worse for the firm side (`InvariantError` otherwise).
+    x is a full assignment, and each λ_i an `int` or a `Fraction` (a float
+    or a `bool` raises `ValueError`, as does a weight outside (0, τ_i]).
+    With `verify`, the result is checked stable and strictly worse for the
+    firm side (`InvariantError` otherwise).
     """
     if len(rotations) != len(lam):
         raise ValueError("one weight per rotation required")
     seen: set[str] = set()
     for rot, l in zip(rotations, lam):
+        if _exact(l) is None:
+            raise ValueError(f"weight {l!r} is not an int or a Fraction")
         if not (0 < l <= rot.tau):
             raise ValueError(f"weight {l} outside (0, {rot.tau}]")
         verts = set(endpoints(inst, rot.values))
@@ -342,8 +379,7 @@ def apply_shift(
         seen |= verts
     xp = dict(x)
     for rot, l in zip(rotations, lam):
-        for e, v in rot.values.items():
-            xp[e] = xp[e] + l * v
+        _add_shift(xp, rot.values, l)
     if verify:
         if not stability_report(inst, xp).stable:
             raise InvariantError("shift broke stability")

@@ -217,6 +217,25 @@ def test_missing_file_is_a_domain_error(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{dir}"],
+        ["check", "{dir}", "{triangle}"],
+        ["check", "{triangle}", "{dir}"],
+        ["rotations", "{triangle}", "--at", "{dir}"],
+        ["mincost", "{triangle}", "--costs", "{dir}"],
+    ],
+    ids=["solve-instance", "check-instance", "check-assignment", "rotations-at", "mincost-costs"],
+)
+def test_directory_path_is_a_domain_error(capsys, tmp_path, triangle_file, argv):
+    argv = [a.format(dir=tmp_path, triangle=triangle_file) for a in argv]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"] and "Is a directory" in doc["error"]
+
+
 def test_round_cap_is_a_solver_limit_error(capsys, monkeypatch, tmp_path):
     path = tmp_path / "m4.json"
     inst = rand_marriage(random.Random(1), 4, cap=2, tie_prob=0.3)

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smp.iteration
+import smp.rotations
 import smp.simplex
 from smp.flow import FlowNetwork, min_cut
 from smp.iteration import solve_xmin_modified
-from smp.linalg import integer_nullspace
+from smp.linalg import _echelon, integer_nullspace
 from smp.model import vertex_load
+from smp.poset import build_poset
 from smp.simplex import LinearProgram, LPResult, simplex_maximize
 
-from gen import rand_marriage
+from gen import chained_instance, rand_marriage
 from test_acceptance import sap_pool, sdp_pool, smp_pool
 
 
@@ -119,6 +121,163 @@ def test_integer_nullspace_matches_dense_reference(system):
     assert basis == dense_nullspace(matrix, n)
     assert all(_in_kernel(rows, vec) for vec in basis)
     assert rows == integer_rows(matrix)  # the input is left as it was
+
+
+def gauss_jordan_nullspace(rows, n):
+    """Reference: `integer_nullspace` as it was before it pivoted on the
+    sparsest row and completed the basis by back-substitution.
+
+    Sparse Gauss-Jordan elimination in integers: each column pivots on the
+    first remaining row that holds it and is cleared from every other row,
+    above the pivot row too, so the rows fill in.  Each free column's vector
+    is read off the reduced rows, scaled by the lcm of the pivots' reduced
+    denominators.
+    """
+    rows = list(rows)
+    m = len(rows)
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if c in rows[i]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(m):
+            row = rows[i]
+            a = row.get(c)
+            if i == r or a is None:
+                continue
+            g = gcd(p, a)
+            sp, sa = p // g, a // g
+            new = {col: sp * v for col, v in row.items()}
+            for col, v in prow.items():
+                w = new.get(col, 0) - sa * v
+                if w:
+                    new[col] = w
+                else:
+                    new.pop(col, None)
+            g = gcd(*new.values())
+            if g > 1:
+                new = {col: v // g for col, v in new.items()}
+            rows[i] = new
+        pivot_cols.append(c)
+        r += 1
+    pivots = list(zip(rows, pivot_cols))
+    basis = []
+    for fc in (c for c in range(n) if c not in pivot_cols):
+        scale = lcm(*(row[c] // gcd(row[c], row.get(fc, 0)) for row, c in pivots))
+        vec = [0] * n
+        vec[fc] = scale
+        for row, c in pivots:
+            vec[c] = -row.get(fc, 0) * scale // row[c]
+        if next(v for v in vec if v) < 0:
+            vec = [-v for v in vec]
+        basis.append(vec)
+    return basis
+
+
+def balance_systems(insts):
+    """The (rows, n) of every balance solve that `build_poset` runs on `insts`."""
+    systems = []
+    real = smp.rotations.integer_nullspace
+
+    def spy(rows, n):
+        systems.append((rows, n))
+        return real(rows, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smp.rotations, "integer_nullspace", spy)
+        for inst in insts:
+            build_poset(inst)
+    return systems
+
+
+def chain_family(ks):
+    """Chained instances over rational scales, as in the chain benchmark pool."""
+    return [
+        chained_instance(k, 8 * F(r, q) * 4 ** (k - 1), b * F(r, q) * 4 ** (k - 1))
+        for k in ks
+        for r, q, b in ((1, 1, 15), (5, 3, 17), (7, 4, 15))
+    ]
+
+
+BALANCE_FAMILIES = {
+    "chain": lambda: chain_family(range(1, 11)),
+    "tied": lambda: [rand_marriage(random.Random(s), 4, cap=2, tie_prob=0.5) for s in range(30)],
+    "strict": lambda: [rand_marriage(random.Random(s), 7, cap=1) for s in range(30)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(BALANCE_FAMILIES))
+def test_integer_nullspace_matches_gauss_jordan_on_balance_systems(family):
+    systems = balance_systems(BALANCE_FAMILIES[family]())
+    assert len(systems) >= 25
+    for rows, n in systems:
+        before = [dict(row) for row in rows]
+        basis = integer_nullspace(rows, n)
+        assert rows == before  # the input is left as it was
+        assert basis == gauss_jordan_nullspace(rows, n)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 40 columns, rows of at most four nonzeros, with empty rows,
+    scaled copies and combinations of earlier rows, so that the nullity
+    ranges from 0 up and dependent rows reduce to zero."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n + 3))
+    coef = st.integers(-6, 6).filter(bool)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "empty", "copy", "combo"]))
+        if kind == "empty":
+            row = {}
+        elif kind == "copy" and rows:
+            a = draw(coef)
+            row = {c: a * v for c, v in draw(st.sampled_from(rows)).items()}
+        elif kind == "combo" and rows:
+            s, t = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(coef), draw(coef)
+            row = {c: a * s.get(c, 0) + b * t.get(c, 0) for c in s.keys() | t.keys()}
+            row = {c: v for c, v in row.items() if v}
+        else:
+            cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+            row = {c: draw(coef) for c in cols}
+        rows.append(row)
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_integer_nullspace_matches_gauss_jordan_on_sparse_systems(system):
+    rows, n = system
+    before = [dict(row) for row in rows]
+    basis = integer_nullspace(rows, n)
+    assert rows == before
+    assert basis == gauss_jordan_nullspace(rows, n)
+    assert all(_in_kernel(rows, vec) for vec in basis)
+
+
+def test_elimination_pivots_on_the_sparsest_row():
+    """The pivot rows hold no more nonzeros than the input rows, in total
+    and in the longest row, on arrow systems (one dense row, then two-term
+    rows through column 0) and on the chained balance systems, k = 1..10.
+    Pivoting an arrow's column 0 on its first, dense row would spread that
+    row into every other one: n - 1 nonzeros in each of the n - 1 rows below
+    it."""
+    arrows = []
+    for n in (3, 6, 12):
+        arrow = [{c: 1 for c in range(n)}] + [{0: 1, c: c + 1} for c in range(1, n)]
+        assert integer_nullspace(arrow, n) == gauss_jordan_nullspace(arrow, n) == []
+        arrows.append((arrow, n))
+    for rows, n in arrows + balance_systems(chain_family(range(1, 11))):
+        pivots = [row for _, row in _echelon(rows, n)]
+        assert sum(map(len, pivots)) <= sum(map(len, rows))
+        assert max(map(len, pivots)) <= max(map(len, rows))
 
 
 def test_gaussian_one_dimensional_nullspace_is_normalized():

@@ -96,6 +96,18 @@ def test_weights_on_unknown_rotations_are_not_closed(lam):
         gamma(inst, poset, lam)
 
 
+@pytest.mark.parametrize("weight", [0.5, 1.0, True], ids=["half-float", "tau-float", "bool"])
+def test_inexact_weights_are_not_closed(weight):
+    """A float or `bool` weight is not closed, so `gamma` refuses it instead
+    of returning float values."""
+    inst = triangle_instance(F(8), F(15))
+    poset = build_poset(inst)
+    assert [rot.tau for rot in poset.rotations] == [1]
+    assert not is_closed(poset, {0: weight})
+    with pytest.raises(InstanceError, match="weight function is not closed"):
+        gamma(inst, poset, {0: weight})
+
+
 def test_gamma_rejects_non_closed_weights():
     inst = triangle_instance(F(8), F(15))
     poset = build_poset(inst)
@@ -152,8 +164,9 @@ def test_grid_sublattice_contains_fully_closed_images():
             assert tuple(sorted(gamma(inst, poset, lam).items())) in keys
         for x in pts:
             assert stability_report(inst, x).stable
-    with pytest.raises(InstanceError, match="k >= 2"):
-        grid_sublattice(inst, poset, 1)
+    for k in (1, 3.0, 2.5, True):
+        with pytest.raises(InstanceError, match="k >= 2"):
+            grid_sublattice(inst, poset, k)
 
 
 def test_join_and_meet_realize_weightwise_max_and_min():

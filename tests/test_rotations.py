@@ -13,8 +13,10 @@ from smp import (
     build_active_structure,
     build_poset,
     compare_stable,
+    enumerate_fully_closed,
     extract_rotation,
     full_assignment,
+    gamma,
     max_weight,
     maximal_components,
     run_route,
@@ -31,6 +33,7 @@ from gen import (
     six_cycle_instance,
     triangle_instance,
 )
+from test_kernels import chain_family
 
 
 def triangle_setup(a, b):
@@ -108,6 +111,17 @@ def test_apply_shift_rejects_bad_weights_and_overlaps():
         apply_shift(inst, x, [rot, rot], [rot.tau / 2, rot.tau / 2])
     with pytest.raises(ValueError, match="one weight"):
         apply_shift(inst, x, [rot], [])
+
+
+@pytest.mark.parametrize("weight", [0.5, 1.0, True], ids=["half-float", "tau-float", "bool"])
+def test_apply_shift_rejects_inexact_weights(weight):
+    """A float or `bool` weight inside (0, τ] is refused: it would turn the
+    shifted values into floats, or pass a truth value off as a weight."""
+    inst, x, act, comps = triangle_setup(F(8), F(15))
+    rot = extract_rotation(inst, x, comps[0], act)
+    assert rot.tau == 1
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        apply_shift(inst, x, [rot], [weight])
 
 
 def test_full_shift_exhausts_the_triangle_rotation():
@@ -374,3 +388,77 @@ def test_sink_pass_walks_once_per_component(monkeypatch):
         for x in run_route(inst, solve_xmin_modified(inst)).states:
             walks += _sink_walks(monkeypatch, inst, x)
     assert walks == 87
+
+
+def reference_max_weight(inst, x, rot, act):
+    """Reference: `max_weight` as it was before it held the candidates as
+    `int` numerators over one denominator, each candidate a `Fraction`."""
+    candidates = []
+    for e, v in rot.values.items():
+        edge = inst.edge_by_id[e]
+        if v > 0:
+            candidates.append((edge.capacity - x[e]) / v)
+            continue
+        candidates.append(x[e] / -v)
+        out = act.outcomes[edge.worker]
+        for ep in inst.corteges[edge.worker][out.critical_tie]:
+            if ep not in out.head:
+                candidates.append((x[e] - x[ep]) / (rot.values.get(ep, 0) - v))
+    return min(candidates)
+
+
+def reference_shift(x, rotations, lam):
+    """Reference: the shift as `apply_shift` and `gamma` made it before they
+    built each new value over lcm(d_x, d_λ): `Fraction` arithmetic per edge."""
+    xp = dict(x)
+    for rot, l in zip(rotations, lam):
+        for e, v in rot.values.items():
+            xp[e] = xp[e] + l * v
+    return xp
+
+
+SHIFT_FAMILIES = {
+    "tied": [rand_marriage(random.Random(s), 4, cap=2, tie_prob=0.5) for s in range(40)],
+    "strict": [rand_marriage(random.Random(s), 7, cap=1) for s in range(40)],
+    "chain": chain_family(range(3, 9)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SHIFT_FAMILIES))
+def test_tau_and_shift_match_fraction_references(monkeypatch, family):
+    """At every state whose rotations `build_poset` extracts, τ equals the
+    `Fraction` reference, and so do the shifts by τ, τ/3 and 2τ/5; every
+    shifted value, and every value `gamma` gives on the fully closed
+    functions and on 2τ/5 at the minimal rotations, is a `Fraction` equal to
+    the reference's.  On some tied states the fifths give λ a denominator
+    prime to x's, so that the new value's denominator exceeds both."""
+    seen = []
+    real = smp.rotations.max_weight
+
+    def spy(inst, x, rot, act):
+        tau = real(inst, x, rot, act)
+        seen.append((inst, x, rot, act, tau))
+        return tau
+
+    monkeypatch.setattr(smp.rotations, "max_weight", spy)
+    posets = [(inst, build_poset(inst)) for inst in SHIFT_FAMILIES[family]]
+    monkeypatch.undo()
+    assert len(seen) >= 18
+    for inst, x, rot, act, tau in seen:
+        assert type(tau) is F and tau == reference_max_weight(inst, x, rot, act)
+        for lam in (tau, tau / 3, 2 * tau / 5):
+            xp = apply_shift(inst, x, [rot], [lam], verify=False)
+            assert xp == reference_shift(x, [rot], [lam])
+            assert all(type(v) is F for v in xp.values())
+    for inst, poset in posets:
+        fifths = {
+            i: 2 * rot.tau / 5 for i, rot in enumerate(poset.rotations)
+            if not any(b == i for _, b in poset.less)
+        }
+        for lam in enumerate_fully_closed(poset) + [fifths]:
+            x = gamma(inst, poset, lam, verify=False)
+            ids = sorted(lam)
+            assert x == reference_shift(
+                poset.xmin, [poset.rotations[i] for i in ids], [lam[i] for i in ids]
+            )
+            assert all(type(v) is F for v in x.values())
