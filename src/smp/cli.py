@@ -23,8 +23,8 @@ from .model import (
     SolverLimitError,
     format_rational,
     parse_assignment,
+    parse_costs,
     parse_instance,
-    parse_rational,
     serialize_assignment,
     serialize_instance,
 )
@@ -38,8 +38,8 @@ def _load_instance(path: str) -> Instance:
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # one write: `json.dump` writes once per chunk of the encoder's output
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _rotation_doc(inst: Instance, rot) -> dict:
@@ -139,10 +139,7 @@ def _cmd_mincost(args) -> int:
     inst = _load_instance(args.instance)
     costs = None
     if args.costs:
-        raw = json.loads(Path(args.costs).read_text())
-        if not isinstance(raw, dict):
-            raise InstanceError("costs document must be a JSON object")
-        costs = {str(e): parse_rational(c) for e, c in raw.items()}
+        costs = parse_costs(Path(args.costs).read_text())
     res = min_cost_stable(inst, costs)
     _emit(
         {
@@ -270,7 +267,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # OSError: a path that is missing, a directory or unreadable
-    except (InstanceError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InstanceError, OSError, ValueError) as exc:
         _emit({"error": str(exc)})
         return 1
     except SolverLimitError as exc:

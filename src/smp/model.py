@@ -5,6 +5,13 @@ finite positive rational capacity, every vertex a rational quota and an
 ordered partition of its incident edges into indifference classes ("ties"),
 best tie first.  All numeric data are `fractions.Fraction`; nothing in the
 core ever touches a float.
+
+The three JSON documents (an instance, an assignment, a costs file) are
+decoded by one loader and read in one pass each: every number becomes a
+`Fraction` once, shared by the equal literals of its document, and every id
+is kept as the string the document holds.  `Instance` is the one validator;
+`parse_instance` checks only the JSON shapes it must walk to build its
+arguments.
 """
 
 from __future__ import annotations
@@ -12,9 +19,8 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class InstanceError(ValueError):
@@ -34,7 +40,8 @@ RationalLike = Union[int, str, Fraction]
 ZERO = Fraction(0)
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+# ASCII digits only: `\d` and `int()` would also take any Unicode digit
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def _exact(value) -> Optional[Fraction]:
@@ -47,20 +54,49 @@ def _exact(value) -> Optional[Fraction]:
     return None
 
 
+def _from_text(text: str) -> Fraction:
+    # 'p' or 'p/q' only: the exact format has no decimals like '1.5'
+    match = _RATIONAL.fullmatch(text)
+    if match:
+        p, q = match.groups()
+        try:
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or past the digit limit
+            raise InstanceError(f"not a rational: {text!r}") from exc
+    raise InstanceError(f"not a rational: {text!r}")
+
+
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from a bare int or a 'p/q' / 'p' string."""
     if isinstance(value, str):
-        text = value.strip()
-        # 'p' or 'p/q' only; Fraction() would also take decimals like '1.5',
-        # which the exact format forbids
-        if _RATIONAL.fullmatch(text):
-            try:
-                return Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InstanceError(f"not a rational: {value!r}") from exc
-    elif (exact := _exact(value)) is not None:  # no floats: the format is exact
+        return _from_text(value)
+    if (exact := _exact(value)) is not None:  # no floats: the format is exact
         return exact
     raise InstanceError(f"not a rational: {value!r}")
+
+
+def _rational(value, numbers: dict) -> Fraction:
+    """`parse_rational(value)`, made once per distinct int or string literal
+    of a document: `numbers` maps each literal read so far to its Fraction."""
+    kind = type(value)
+    if kind is int or kind is str:  # exact types: a bool must not hit the key 1
+        exact = numbers.get(value)
+        if exact is None:
+            exact = numbers[value] = Fraction(value) if kind is int else _from_text(value)
+        return exact
+    return parse_rational(value)
+
+
+def _decode(data):
+    """`data` decoded if it is JSON text or bytes, else `data` itself."""
+    if isinstance(data, (bytes, str)):
+        try:
+            return json.loads(data)
+        # a JSONDecodeError, bytes that are not UTF-8, or an integer literal
+        # past `sys.get_int_max_str_digits()`: all ValueErrors
+        except ValueError as exc:
+            raise InstanceError(f"malformed JSON: {exc}") from exc
+    return data
 
 
 def format_rational(value: Fraction) -> Union[int, str]:
@@ -70,8 +106,7 @@ def format_rational(value: Fraction) -> Union[int, str]:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     firm: str
     worker: str
@@ -101,7 +136,7 @@ class Instance:
         workers: Sequence[str],
         edges: Sequence[Edge],
         quota: Mapping[str, Fraction],
-        corteges: Mapping[str, Sequence[Iterable[str]]],
+        corteges: Mapping[str, Sequence[Sequence[str]]],
         costs: Optional[Mapping[str, Fraction]] = None,
     ):
         self.firms = tuple(firms)
@@ -110,91 +145,106 @@ class Instance:
         for v in self.firms + self.workers:
             if not isinstance(v, str):
                 raise InstanceError(f"vertex id must be a string: {v!r}")
-        self.firm_set = frozenset(self.firms)
-        self.worker_set = frozenset(self.workers)
-        if len(self.firm_set) != len(self.firms) or len(self.worker_set) != len(self.workers):
+        firm_set = self.firm_set = frozenset(self.firms)
+        worker_set = self.worker_set = frozenset(self.workers)
+        if len(firm_set) != len(self.firms) or len(worker_set) != len(self.workers):
             raise InstanceError("duplicate vertex id within a part")
-        if self.firm_set & self.worker_set:
-            raise InstanceError(
-                f"vertex ids shared across parts: {sorted(self.firm_set & self.worker_set)}"
-            )
+        if firm_set & worker_set:
+            raise InstanceError(f"vertex ids shared across parts: {sorted(firm_set & worker_set)}")
         vertices = self.vertices()
         incident: dict[str, list[str]] = {v: [] for v in vertices}
-        self.edge_by_id: dict[str, Edge] = {}
+        edge_by_id: dict[str, Edge] = {}
         pairs: set[tuple[str, str]] = set()
         for e in edges:
-            if e.id in self.edge_by_id:
-                raise InstanceError(f"duplicate edge id {e.id!r}")
-            if e.firm not in self.firm_set:
-                raise InstanceError(f"edge {e.id!r}: unknown firm {e.firm!r}")
-            if e.worker not in self.worker_set:
-                raise InstanceError(f"edge {e.id!r}: unknown worker {e.worker!r}")
-            if (e.firm, e.worker) in pairs:
-                raise InstanceError(
-                    f"parallel edges between {e.firm!r} and {e.worker!r} are forbidden"
-                )
-            pairs.add((e.firm, e.worker))
+            eid, firm, worker, cap = e
+            if not isinstance(eid, str):
+                raise InstanceError(f"edge id must be a string: {eid!r}")
+            if eid in edge_by_id:
+                raise InstanceError(f"duplicate edge id {eid!r}")
+            if not isinstance(firm, str):
+                raise InstanceError(f"edge {eid!r}: firm id must be a string: {firm!r}")
+            if firm not in firm_set:
+                raise InstanceError(f"edge {eid!r}: unknown firm {firm!r}")
+            if not isinstance(worker, str):
+                raise InstanceError(f"edge {eid!r}: worker id must be a string: {worker!r}")
+            if worker not in worker_set:
+                raise InstanceError(f"edge {eid!r}: unknown worker {worker!r}")
+            pair = (firm, worker)
+            if pair in pairs:
+                raise InstanceError(f"parallel edges between {firm!r} and {worker!r} are forbidden")
+            pairs.add(pair)
             # every capacity is finite: the rounds start from the capacities,
             # and the saturation tests and τ compare against them
-            cap = _exact(e.capacity)
-            if cap is None:
-                raise InstanceError(f"edge {e.id!r}: capacity must be a finite rational")
+            if type(cap) is not Fraction:
+                cap = _exact(cap)
+                if cap is None:
+                    raise InstanceError(f"edge {eid!r}: capacity must be a finite rational")
+                e = Edge(eid, firm, worker, cap)
             if cap.numerator <= 0:
-                raise InstanceError(f"edge {e.id!r}: capacity must be positive")
-            if cap is not e.capacity:
-                e = Edge(e.id, e.firm, e.worker, cap)
-            self.edge_by_id[e.id] = e
-            incident[e.firm].append(e.id)
-            incident[e.worker].append(e.id)
-        self.edges = tuple(self.edge_by_id.values())
-        self.edge_ids = tuple(sorted(self.edge_by_id))  # canonical order
+                raise InstanceError(f"edge {eid!r}: capacity must be positive")
+            edge_by_id[eid] = e
+            incident[firm].append(eid)
+            incident[worker].append(eid)
+        self.edge_by_id = edge_by_id
+        self.edges = tuple(edge_by_id.values())
+        self.edge_ids = tuple(sorted(edge_by_id))  # canonical order
         self.incident = {v: tuple(sorted(ids)) for v, ids in incident.items()}
         self.quota: dict[str, Fraction] = {}
         for v in vertices:
             q = quota.get(v)
             if q is None:
                 raise InstanceError(f"missing quota for vertex {v!r}")
-            exact = _exact(q)
-            if exact is None:
-                raise InstanceError(f"vertex {v!r}: quota must be an int or a Fraction")
-            if exact.numerator <= 0:
+            if type(q) is not Fraction:
+                q = _exact(q)
+                if q is None:
+                    raise InstanceError(f"vertex {v!r}: quota must be an int or a Fraction")
+            if q.numerator <= 0:
                 raise InstanceError(f"vertex {v!r}: quota must be positive")
-            self.quota[v] = exact
+            self.quota[v] = q
         if len(quota) > len(self.quota):
             extra = sorted(set(quota) - set(vertices))
             raise InstanceError(f"quota given for unknown vertices: {extra}")
         # the cortege of each vertex must partition its incident edges exactly
         self.corteges: dict[str, tuple[tuple[str, ...], ...]] = {}
-        self.tie_index: dict[tuple[str, str], int] = {}  # per endpoint
+        tie_index = self.tie_index = {}  # (endpoint, edge id) -> tie number
         for v in vertices:
             ties = corteges.get(v)
             if ties is None:
                 raise InstanceError(f"missing preferences for vertex {v!r}")
-            ties = tuple(tuple(sorted(tie)) for tie in ties)
-            if not all(ties):
-                raise InstanceError(f"vertex {v!r}: empty tie")
+            ranked = []
+            listed = []
+            for i, tie in enumerate(ties):
+                for eid in tie:
+                    # before the sort: mixed types do not compare
+                    if not isinstance(eid, str):
+                        raise InstanceError(f"vertex {v!r}: edge id must be a string: {eid!r}")
+                    tie_index[v, eid] = i
+                if not tie:
+                    raise InstanceError(f"vertex {v!r}: empty tie")
+                tie = tuple(sorted(tie))
+                ranked.append(tie)
+                listed += tie
             # as many ids as incident edges, and the same set: each listed once
-            listed = [eid for tie in ties for eid in tie]
             if len(listed) != len(self.incident[v]) or set(listed) != set(self.incident[v]):
                 raise InstanceError(
                     f"vertex {v!r}: tie partition mismatch (ties must partition the incident edges)"
                 )
-            self.corteges[v] = ties
-            self.tie_index.update(((v, eid), i) for i, tie in enumerate(ties) for eid in tie)
+            self.corteges[v] = tuple(ranked)
         if len(corteges) > len(self.corteges):
             extra = sorted(set(corteges) - set(vertices))
             raise InstanceError(f"preferences given for unknown vertices: {extra}")
         self.costs: Optional[dict[str, Fraction]] = None
         if costs is not None:
-            unknown = set(costs) - self.edge_by_id.keys()
+            unknown = set(costs) - edge_by_id.keys()
             if unknown:
                 raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
             self.costs = {}
             for eid, c in costs.items():
-                exact = _exact(c)
-                if exact is None:
-                    raise InstanceError(f"edge {eid!r}: cost must be an int or a Fraction")
-                self.costs[eid] = exact
+                if type(c) is not Fraction:
+                    c = _exact(c)
+                    if c is None:
+                        raise InstanceError(f"edge {eid!r}: cost must be an int or a Fraction")
+                self.costs[eid] = c
 
     def vertices(self) -> tuple[str, ...]:
         return self.firms + self.workers
@@ -218,11 +268,7 @@ class Instance:
 
 def parse_instance(data) -> Instance:
     """Build a validated Instance from JSON text/bytes or a decoded dict."""
-    if isinstance(data, (bytes, str)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"malformed JSON: {exc}") from exc
+    data = _decode(data)
     if not isinstance(data, dict):
         raise InstanceError("instance document must be a JSON object")
     # the required fields in lookup order: a missing one is reported before
@@ -235,39 +281,39 @@ def parse_instance(data) -> Instance:
         "preferences": (dict, "an object mapping vertex ids to lists of ties"),
     }
     try:
-        firms, workers, raw_edges, raw_quotas, raw_prefs = (data[key] for key in shapes)
+        firms, workers, raw_edges, raw_quotas, prefs = (data[key] for key in shapes)
     except KeyError as exc:
         raise InstanceError(f"missing or malformed field: {exc}") from exc
     for key, (kind, what) in shapes.items():
         if not isinstance(data[key], kind):
             raise InstanceError(f'"{key}" must be {what}')
+    numbers: dict = {}
     edges = []
     for item in raw_edges:
         if not isinstance(item, dict):
             raise InstanceError(f"malformed edge record {item!r}: must be an object")
         try:
             edges.append(
-                Edge(
-                    id=str(item["id"]),
-                    firm=str(item["firm"]),
-                    worker=str(item["worker"]),
-                    capacity=parse_rational(item["capacity"]),
-                )
+                Edge(item["id"], item["firm"], item["worker"], _rational(item["capacity"], numbers))
             )
         except KeyError as exc:
             raise InstanceError(f"malformed edge record {item!r}: missing field {exc}") from exc
-    quota = {str(v): parse_rational(q) for v, q in raw_quotas.items()}
-    corteges = {}
-    for v, ties in raw_prefs.items():
-        if not (isinstance(ties, list) and all(isinstance(tie, list) for tie in ties)):
-            raise InstanceError(f"preferences of {v!r} must be a list of ties")
-        corteges[str(v)] = [[str(eid) for eid in tie] for tie in ties]
-    costs = None
-    if "costs" in data and data["costs"] is not None:
-        if not isinstance(data["costs"], dict):
+    quota = {v: _rational(q, numbers) for v, q in raw_quotas.items()}
+    # `Instance` reads the ties as they are; only their containers are checked here
+    for v, ties in prefs.items():
+        if isinstance(ties, list):
+            for tie in ties:
+                if not isinstance(tie, list):
+                    break
+            else:
+                continue
+        raise InstanceError(f"preferences of {v!r} must be a list of ties")
+    costs = data.get("costs")
+    if costs is not None:
+        if not isinstance(costs, dict):
             raise InstanceError('"costs" must be an object mapping edge ids to rationals')
-        costs = {str(eid): parse_rational(c) for eid, c in data["costs"].items()}
-    return Instance(firms, workers, edges, quota, corteges, costs)
+        costs = {eid: _rational(c, numbers) for eid, c in costs.items()}
+    return Instance(firms, workers, edges, quota, prefs, costs)
 
 
 def serialize_instance(inst: Instance) -> dict:
@@ -301,21 +347,28 @@ def serialize_instance(inst: Instance) -> dict:
 # take a full assignment, one Fraction per edge, as `full_assignment` makes.
 
 def parse_assignment(data, inst: Instance) -> dict[str, Fraction]:
-    if isinstance(data, (bytes, str)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"malformed JSON: {exc}") from exc
+    data = _decode(data)
     if not isinstance(data, dict) or "values" not in data:
         raise InstanceError('assignment document must be {"values": {...}}')
     if not isinstance(data["values"], dict):
         raise InstanceError('"values" must be an object mapping edge ids to rationals')
+    numbers: dict = {}
     values = {}
     for eid, val in data["values"].items():
         if eid not in inst.edge_by_id:
             raise InstanceError(f"unknown edge id {eid!r} in assignment")
-        values[str(eid)] = parse_rational(val)
+        values[eid] = _rational(val, numbers)
     return full_assignment(inst, values)
+
+
+def parse_costs(data) -> dict[str, Fraction]:
+    """The edge costs of a costs document, `{"edge-id": rational, ...}`, from
+    JSON text/bytes or a decoded dict.  `min_cost_stable` checks the ids."""
+    data = _decode(data)
+    if not isinstance(data, dict):
+        raise InstanceError("costs document must be a JSON object")
+    numbers: dict = {}
+    return {eid: _rational(c, numbers) for eid, c in data.items()}
 
 
 def serialize_assignment(x: Mapping[str, Fraction]) -> dict:

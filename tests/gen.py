@@ -252,3 +252,32 @@ def random_offer(rng: random.Random, inst: Instance, v: str) -> dict[str, Fracti
         den = rng.choice([1, 1, 2, 3])
         z[e] = F(num, den)
     return z
+
+
+def disjoint_union(*parts: Instance) -> Instance:
+    """The instances side by side, with the ids of part i prefixed "i.".
+
+    No edge joins two parts, so the stable assignments of the union are the
+    tuples of the parts' stable assignments: its lattice is the product of
+    theirs, and its rotation poset the disjoint union of their posets.  The
+    union has costs when every part has them.
+    """
+
+    def rename(i: int, name: str) -> str:
+        return f"{i}.{name}"
+
+    firms, workers, edges, quota, corteges, costs = [], [], [], {}, {}, {}
+    for i, part in enumerate(parts):
+        firms += [rename(i, v) for v in part.firms]
+        workers += [rename(i, v) for v in part.workers]
+        edges += [
+            Edge(rename(i, e.id), rename(i, e.firm), rename(i, e.worker), e.capacity)
+            for e in part.edges
+        ]
+        quota.update((rename(i, v), q) for v, q in part.quota.items())
+        for v, ties in part.corteges.items():
+            corteges[rename(i, v)] = [[rename(i, e) for e in tie] for tie in ties]
+        if part.costs is not None:
+            costs.update((rename(i, e), c) for e, c in part.costs.items())
+    with_costs = all(part.costs is not None for part in parts)
+    return Instance(firms, workers, edges, quota, corteges, costs if with_costs else None)

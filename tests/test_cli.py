@@ -1070,6 +1070,50 @@ def test_non_string_vertex_id_is_a_domain_error(capsys, tmp_path, vertex):
     assert json.loads(out) == {"error": f"vertex id must be a string: {vertex!r}"}
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("id", None, "edge id must be a string: None"),
+        ("id", 5, "edge id must be a string: 5"),
+        ("firm", 0, "edge 'f1w1': firm id must be a string: 0"),
+        ("worker", ["w1"], "edge 'f1w1': worker id must be a string: ['w1']"),
+        ("tie", 3, "vertex 'w1': edge id must be a string: 3"),
+        ("tie", ["f1w1"], "vertex 'w1': edge id must be a string: ['f1w1']"),
+    ],
+    ids=["null-id", "int-id", "int-firm", "list-worker", "int-entry", "list-entry"],
+)
+def test_non_string_edge_id_is_a_domain_error(capsys, tmp_path, field, value, message):
+    # `{"id": null}` with `[[null]]` in the preferences used to solve and
+    # print an edge named "None", and the id 5 one named "5"
+    doc = serialize_instance(triangle_instance(F(8), F(15)))
+    record = doc["edges"][0]
+    if field == "tie":
+        doc["preferences"]["w1"][0] = [value]
+    else:
+        if field == "id":  # renamed where the preferences list it too
+            for ties in doc["preferences"].values():
+                for tie in ties:
+                    tie[:] = [value if eid == record["id"] else eid for eid in tie]
+        record[field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize("text", ['{"f1w1": 1,', "", "[1, 2"], ids=["object", "empty", "list"])
+def test_malformed_costs_json_is_reported_as_malformed_json(capsys, tmp_path, triangle_file, text):
+    # the instance and the assignment already said "malformed JSON: ..."; the
+    # costs file printed the decoder's bare message
+    cost_file = tmp_path / "costs.json"
+    cost_file.write_text(text)
+    code, out = run_cli(capsys, "mincost", triangle_file, "--costs", str(cost_file))
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"] and doc["error"].startswith("malformed JSON: "), doc
+
+
 # Structural mutations of valid documents: a value replaced by a JSON atom, a
 # key or item deleted, or an item duplicated, one or two per document.
 FUZZ_ATOMS = [None, True, False, 0, 1, -1, 2, 1.5, "", "x", "0", "-1", "1/2", "1/0", "f0", [], {}]

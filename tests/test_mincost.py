@@ -16,7 +16,7 @@ from smp import (
 )
 from smp.bruteforce import oracle_min_cost_ideal
 
-from gen import rand_marriage, triangle_instance
+from gen import disjoint_union, rand_marriage, triangle_instance
 
 
 def _random_costs(rng, inst):
@@ -116,3 +116,36 @@ def test_assignment_cost_matches_the_fraction_sum():
         cost = assignment_cost(costs, x)
         assert type(cost) is F
         assert cost == sum((costs[e] * v for e, v in x.items()), F(0))
+
+
+def test_min_cost_of_a_disjoint_union_is_the_sum_over_its_parts():
+    """The union's rotation poset is the disjoint union of its parts' posets,
+    so it is not a chain whenever two parts have rotations, and its minimum
+    cost under any costs is the sum of the parts' minima.  A cut network
+    that treats every poset as a chain fails here."""
+    rng = random.Random("union")
+    wide = 0
+    for _ in range(30):
+        parts = [
+            rand_marriage(rng, 4, cap=2, tie_prob=0.3),
+            rand_marriage(rng, 4, cap=2, tie_prob=0.3),
+            triangle_instance(F(8), F(15)),
+        ]
+        union = disjoint_union(*parts)
+        posets = [build_poset(part) for part in parts]
+        poset = build_poset(union)
+        assert len(poset.rotations) == sum(len(q.rotations) for q in posets)
+        # each rotation moves the edges of one part, and `less` relates no two parts
+        part_of = [{e.split(".")[0] for e, v in rot.values.items() if v} for rot in poset.rotations]
+        assert all(len(ids) == 1 for ids in part_of)
+        assert all(part_of[a] == part_of[b] for (a, b) in poset.less)
+        # the triangle's one rotation is incomparable to every other
+        n = len(poset.rotations)
+        assert (len(poset.less) < n * (n - 1) // 2) == (n > 1)
+        wide += n > 1
+        for _ in range(5):
+            costs = [_random_costs(rng, part) for part in parts]
+            union_costs = {f"{i}.{e}": c for i, part_costs in enumerate(costs) for e, c in part_costs.items()}
+            want = sum(min_cost_stable(*args).cost for args in zip(parts, costs, posets))
+            assert min_cost_stable(union, union_costs, poset).cost == want
+    assert wide >= 20

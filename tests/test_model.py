@@ -1,7 +1,9 @@
 """Data model: rational parsing, instance validation, JSON round-trips."""
 
+import json
 import random
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -32,10 +34,16 @@ def test_parse_rational_accepts_ints_and_strings():
     assert parse_rational(F(2, 7)) == F(2, 7)
 
 
-@pytest.mark.parametrize("bad", [1.5, True, False, "1.5", "a/b", "3/0", None, [1]])
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, True, False, "1.5", "a/b", "3/0", None, [1], "١٥", "１２", "١", "1/٢", "٣/4"],
+)
 def test_parse_rational_rejects_inexact_and_garbage(bad):
-    with pytest.raises(InstanceError):
+    # the last five are written in Arabic-Indic or fullwidth digits, which
+    # `int()` reads; the format takes ASCII digits only
+    with pytest.raises(InstanceError) as exc:
         parse_rational(bad)
+    assert str(exc.value) == f"not a rational: {bad!r}"
 
 
 def test_format_rational_round_trips():
@@ -60,8 +68,6 @@ def test_instance_roundtrip_through_json():
     assert back.quota == inst.quota
     assert back.corteges == inst.corteges
     # and through actual text
-    import json
-
     again = parse_instance(json.dumps(doc))
     assert again.corteges == inst.corteges
 
@@ -169,6 +175,28 @@ def test_validation_tie_partition_mismatch():
     kw["corteges"]["f"] = [[]]
     with pytest.raises(InstanceError, match="tie partition|empty tie"):
         Instance(**kw)
+
+
+@pytest.mark.parametrize(
+    "edge, ties, message",
+    [
+        (Edge(None, "f", "w", F(1)), [[None]], "edge id must be a string: None"),
+        (Edge("e", ["f"], "w", F(1)), [["e"]], "edge 'e': firm id must be a string: ['f']"),
+        (Edge("e", "f", "w", F(1)), [["e", 5]], "vertex 'w': edge id must be a string: 5"),
+        (Edge("e", "f", "w", F(1)), [[["e"]]], "vertex 'w': edge id must be a string: ['e']"),
+    ],
+    ids=["null-id", "list-firm", "mixed-tie", "list-entry"],
+)
+def test_validation_rejects_non_string_edge_ids(edge, ties, message):
+    """A None id listed as such used to be accepted, a mixed tie raised
+    TypeError from `sorted`, and an unhashable id TypeError from the set or
+    dict it entered."""
+    kw = _base_kwargs()
+    kw["edges"] = [edge]
+    kw["corteges"]["w"] = ties
+    with pytest.raises(InstanceError) as exc:
+        Instance(**kw)
+    assert str(exc.value) == message
 
 
 def test_validation_shared_vertex_id_across_parts():
@@ -308,6 +336,20 @@ def test_parse_instance_rejects_malformed_edge_records(record, message):
     with pytest.raises(InstanceError) as exc:
         parse_instance(doc)
     assert str(exc.value) == message
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no integer digit limit",
+)
+def test_integer_literal_past_the_digit_limit_is_malformed_json():
+    # json.loads raises a plain ValueError for such a literal, not a
+    # JSONDecodeError; it used to escape parse_instance as one
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    text = json.dumps(TWO_FIRMS).replace('"capacity": "15"', f'"capacity": {digits}')
+    with pytest.raises(InstanceError) as exc:
+        parse_instance(text)
+    assert str(exc.value).startswith("malformed JSON: ")
 
 
 def test_assignment_parsing_and_defaults():
