@@ -10,44 +10,51 @@ stability, the active digraph, rotations.
 
 Value contract: an offer maps edge ids to exact rationals, a missing edge
 reading as 0.  A `Fraction` value passes through untouched and any other value
-(an int, say) is converted once on entry, so every `result` value and every
-`height` of a `ChoiceOutcome` is a `Fraction`.  Quotas are `Fraction`s by the
-`Instance` contract.
+(an int, say) is converted once on entry, so every `result` value of a
+`ChoiceOutcome` is a `Fraction`.  Quotas are `Fraction`s by the `Instance`
+contract.
 
-Integer kernel: `choose` scales the vertex's offer and quota to integers over
-the lcm D of their denominators, and does the negativity check, the sums, the
+Integer kernel: `_choose_scaled` takes v's offer and quota as `int`
+numerators over one common denominator D and does the sums, the
 critical-tie search and the cutting-height pass in `int`s.  Like `linalg`'s
-fraction-free elimination it is exact and uses no floats.  The height r is
-kept as rn / rd, so an edge with scaled offer a is in the head when
-a·rd >= rn and is cut to r when a·rd > rn.  `Fraction`s are made only at the
-kernel's boundary: the one height `Fraction(rn, rd·D)`, and `result`, which
-holds the input `Fraction`s (the same objects) on every edge kept whole, the
-height on every cut edge and 0 after the critical tie.
+fraction-free elimination it is exact and uses no floats.  It returns the
+outcome with every `result` value a numerator over the same D, or, when the
+cutting height r is not one, the factor by which D must grow for it to be.
+r is found as rn / rd; the head holds the edges with a·rd >= rn and the
+cut ones are those with a·rd > rn.  If rd does not divide rn no edge of the
+critical tie sits exactly at r, so some edge is cut and D must grow; if it
+does, r is a numerator over D and the pass compares `int`s.  `choose` is
+scale → kernel → `Fraction`s: it scales the offer and the quota over the lcm
+of their denominators, reruns the kernel once over the grown D if asked,
+and rewrites the kernel's result in place, with the input `Fraction`s (the
+same objects) on every edge kept whole, one height `Fraction` on every cut
+edge and 0 after the critical tie.  The proposal rounds call the kernel
+directly on their scaled state (`iteration`).
 
 A choice reads only the vertex's incident edges, quota and ties (which
 `Instance.swapped` keeps) and the offer on its edges, so an outcome stays
 valid for as long as that offer does.  `_rechoose` is the one place that
-decides between a stored outcome and a fresh `choose`; the proposal rounds,
-`stability_report` and the routes all go through it.
+decides between a stored outcome and a fresh `choose`; `stability_report` and
+the routes go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Collection, Iterable, Mapping, Optional
 
 from .model import ZERO, Instance, InvariantError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: one is built per choice
 class ChoiceOutcome:
-    result: dict[str, Fraction]       # chosen vector on the incident edges
+    # chosen vector on the incident edges; from the kernel, numerators over D
+    result: dict[str, Fraction]
     head: frozenset[str]
     tail: frozenset[str]
     critical_tie: Optional[int]       # tie index, None when in deficit
-    height: Optional[Fraction]        # cutting height r, None when in deficit
     deficit: bool
 
 
@@ -83,6 +90,60 @@ def _cutting_height(values: list[int], target: int) -> tuple[int, int]:
     raise InvariantError("target above total offer")  # pragma: no cover
 
 
+def _choose_scaled(
+    inst: Instance, v: str, a: Mapping[str, int], quota: int
+) -> ChoiceOutcome | int:
+    """v's choice from the offer a[e] / D on its edges, its quota being quota / D.
+
+    `a` holds a nonnegative `int` on every edge at v.  Returns the outcome,
+    every `result` value a numerator over the same D, or the factor k > 1 by
+    which D must grow for the cutting height to be one (module docstring).
+    """
+    result = {e: a[e] for e in inst.incident[v]}
+    if sum(result.values()) < quota:
+        return ChoiceOutcome(
+            result=result,
+            head=frozenset(),
+            tail=frozenset(inst.incident[v]),
+            critical_tie=None,
+            deficit=True,
+        )
+    ties = inst.corteges[v]
+    prefix = 0
+    critical = None
+    for i, tie in enumerate(ties):
+        tie_sum = sum([result[e] for e in tie])
+        if prefix < quota <= prefix + tie_sum:
+            critical = i
+            break
+        prefix += tie_sum
+    if critical is None:
+        raise InvariantError(f"quota of {v!r} not reached despite sufficient offer")
+    tie = ties[critical]
+    rn, rd = _cutting_height([result[e] for e in tie], quota - prefix)
+    r, rest = divmod(rn, rd)
+    if rest:
+        return rd // gcd(rn, rd)
+    head = []
+    tail = [e for t in ties[:critical] for e in t]
+    for e in tie:
+        if result[e] < r:
+            tail.append(e)
+        else:
+            head.append(e)
+            result[e] = r
+    for t in ties[critical + 1:]:
+        for e in t:
+            result[e] = 0
+    return ChoiceOutcome(
+        result=result,
+        head=frozenset(head),
+        tail=frozenset(tail),
+        critical_tie=critical,
+        deficit=False,
+    )
+
+
 def choose(inst: Instance, v: str, z: Mapping[str, Fraction]) -> ChoiceOutcome:
     """Apply v's choice function to the offer z (restricted to E_v).
 
@@ -102,51 +163,24 @@ def choose(inst: Instance, v: str, z: Mapping[str, Fraction]) -> ChoiceOutcome:
         ratios.append((e, n, d))
     a = {e: n * (den // d) for e, n, d in ratios}
     quota = q.numerator * (den // q.denominator)
-    if sum(a.values()) < quota:
-        return ChoiceOutcome(
-            result=zv,
-            head=frozenset(),
-            tail=frozenset(inst.incident[v]),
-            critical_tie=None,
-            height=None,
-            deficit=True,
-        )
-    ties = inst.corteges[v]
-    prefix = 0
-    critical = None
-    for i, tie in enumerate(ties):
-        tie_sum = sum([a[e] for e in tie])
-        if prefix < quota <= prefix + tie_sum:
-            critical = i
-            break
-        prefix += tie_sum
-    if critical is None:
-        raise InvariantError(f"quota of {v!r} not reached despite sufficient offer")
-    tie = ties[critical]
-    rn, rd = _cutting_height([a[e] for e in tie], quota - prefix)
-    r = Fraction(rn, rd * den)
-    result = dict(zv)
-    head = []
-    tail = [e for t in ties[:critical] for e in t]
-    for e in tie:
-        scaled = a[e] * rd
-        if scaled < rn:
-            tail.append(e)
+    out = _choose_scaled(inst, v, a, quota)
+    if type(out) is int:
+        den *= out
+        a = {e: n * out for e, n in a.items()}
+        out = _choose_scaled(inst, v, a, quota * out)
+    # the kernel's result is this call's own dict: rewrite it in Fractions
+    result = out.result
+    height = None
+    for e, n in result.items():
+        if n == a[e]:
+            result[e] = zv[e]
+        elif n:
+            if height is None:
+                height = Fraction(n, den)
+            result[e] = height
         else:
-            head.append(e)
-            if scaled > rn:
-                result[e] = r
-    for t in ties[critical + 1:]:
-        for e in t:
             result[e] = ZERO
-    return ChoiceOutcome(
-        result=result,
-        head=frozenset(head),
-        tail=frozenset(tail),
-        critical_tie=critical,
-        height=r,
-        deficit=False,
-    )
+    return out
 
 
 def _rechoose(

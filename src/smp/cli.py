@@ -33,8 +33,16 @@ from .rotations import applicable_rotations, endpoints, run_route
 from .stability import stability_report
 
 
+def _read(path: str) -> str:
+    """The text of the file at `path`.  An empty path names no file; `Path`
+    would read it as the current directory."""
+    if not path:
+        raise InstanceError("empty file path")
+    return Path(path).read_text()
+
+
 def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read(path))
 
 
 def _emit(doc) -> None:
@@ -52,7 +60,7 @@ def _rotation_doc(inst: Instance, rot) -> dict:
 
 def _cmd_check(args) -> int:
     inst = _load_instance(args.instance)
-    x = parse_assignment(Path(args.assignment).read_text(), inst)
+    x = parse_assignment(_read(args.assignment), inst)
     report = stability_report(inst, x)
     _emit(
         {
@@ -93,8 +101,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_rotations(args) -> int:
     inst = _load_instance(args.instance)
-    if args.at:
-        x = parse_assignment(Path(args.at).read_text(), inst)
+    if args.at is not None:
+        x = parse_assignment(_read(args.at), inst)
     else:
         x = solve_xmin_modified(inst)
     act, rots = applicable_rotations(inst, x)
@@ -138,8 +146,8 @@ def _cmd_poset(args) -> int:
 def _cmd_mincost(args) -> int:
     inst = _load_instance(args.instance)
     costs = None
-    if args.costs:
-        costs = parse_costs(Path(args.costs).read_text())
+    if args.costs is not None:
+        costs = parse_costs(_read(args.costs))
     res = min_cost_stable(inst, costs)
     _emit(
         {

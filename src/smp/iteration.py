@@ -13,10 +13,36 @@ Two routes are provided:
   assignments fill every quota, via an auxiliary instance with two depot
   vertices absorbing all slack.
 
+The rounds compute in integers.  `IterationState` holds the bounds, x, y,
+the capacities, the quotas and every stored outcome's result as `int`
+numerators over one denominator D (`den`).  D starts as the lcm of the
+capacities' and quotas' denominators, 1 on integral instances, and only
+grows:
+
+* A round hands each choosing vertex's offer and quota to the integer
+  kernel `choice._choose_scaled`.  When a cutting height is not a numerator
+  over D, the kernel returns the factor k by which D must grow.  The round
+  is a pure function of its input state, so `ordinary_iteration_step`
+  multiplies every numerator of that state, stored results included, by k
+  and runs the round again over k·D (`_rescaled`).  A state over k·D is the
+  same point, so the rerun makes the choices the first attempt would have
+  made.
+* An aggregation step reads y as `Fraction`s, and hands its point back over
+  the lcm of D and the point's denominators.
+
+The round check, the cut, the progress test and the reduced edges all
+compare `int`s over the one D of the state they read; `_progressed` reads
+each of its two states over its own D.  `Fraction`s are built only where a
+state leaves the loop: each traced round's y, the point of an aggregation
+step handed to its stability test with the stored choices, and the terminal
+x with its choices, handed to the normalising route.  Each goes through one
+memo per D from numerator to `Fraction` (`_fractions`), so an integral
+instance builds one `Fraction` per distinct value, not one per edge.
+
 A round keeps every vertex's choice outcome in `IterationState.outcomes` and
-calls `choose` again only at the vertices whose input changed since the
-previous round (`choice._rechoose`); the progress test (`_progressed`) and
-the aggregation LP read their heads and critical ties from there instead of
+chooses again only at the vertices whose input changed since the previous
+round (`_rechoose_scaled`); the progress test (`_progressed`) and the
+aggregation LP read their heads and critical ties from there instead of
 choosing again.
 
 Choosing again from y gives a worker's stored tie and head.  After an
@@ -79,9 +105,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
-from .choice import ChoiceOutcome, _rechoose, choose
+from .choice import ChoiceOutcome, _choose_scaled
 from .model import (
     ZERO,
     Edge,
@@ -108,21 +134,174 @@ def _step_cap(inst: Instance) -> int:
 @dataclass
 class IterationState:
     round: int
-    bounds: dict[str, Fraction]  # the next round's input bounds
-    x: dict[str, Fraction]   # the firms' choices from the round's input bounds
-    y: dict[str, Fraction]   # the workers' choices from `x`
-    # every vertex's choice: a firm's from the round's input bounds (the
-    # previous state's `bounds`), a worker's from `x`.  An aggregation step
-    # sets x = y to its point and keeps only the fully filled workers'
-    # choices, made from `y`.
+    den: int  # D: every value below is an int numerator over D
+    capacity: dict[str, int]  # the edge capacities over D
+    quota: dict[str, int]     # the vertex quotas over D
+    bounds: dict[str, int]    # the next round's input bounds
+    x: dict[str, int]   # the firms' choices from the round's input bounds
+    y: dict[str, int]   # the workers' choices from `x`
+    # every vertex's choice, its result over D: a firm's from the round's
+    # input bounds (the previous state's `bounds`), a worker's from `x`.  An
+    # aggregation step sets x = y to its point and keeps only the fully
+    # filled workers' choices, made from `y`.
     outcomes: dict[str, ChoiceOutcome] = field(default_factory=dict)
     # the edges with y != x (empty after a terminal round)
     cut: frozenset[str] = frozenset()
 
 
+def _over(ratios: Mapping[str, tuple[int, int]], den: int) -> dict[str, int]:
+    """Each value n / d, given as (n, d), as an int numerator over `den`,
+    which d divides."""
+    return {k: n * (den // d) for k, (n, d) in ratios.items()}
+
+
+def _fractions(
+    values: Mapping[str, int], den: int, memos: dict[int, dict[int, Fraction]]
+) -> dict[str, Fraction]:
+    """Numerators over `den` as `Fraction`s, one object per distinct value.
+
+    `memos[den]` maps each numerator seen over `den` to its `Fraction`.
+    """
+    memo = memos.setdefault(den, {})
+    out = {}
+    for k, n in values.items():
+        val = memo.get(n)
+        if val is None:
+            val = memo[n] = Fraction(n, den)
+        out[k] = val
+    return out
+
+
+def _fraction_outcomes(
+    outcomes: Mapping[str, ChoiceOutcome], den: int, memos: dict[int, dict[int, Fraction]]
+) -> dict[str, ChoiceOutcome]:
+    """Outcomes whose results are numerators over `den`, with `Fraction` results."""
+    return {
+        v: ChoiceOutcome(
+            _fractions(out.result, den, memos), out.head, out.tail, out.critical_tie, out.deficit
+        )
+        for v, out in outcomes.items()
+    }
+
+
 def initial_state(inst: Instance) -> IterationState:
-    bounds = {e.id: e.capacity for e in inst.edges}
-    return IterationState(round=-1, bounds=bounds, x=dict(bounds), y=dict(bounds))
+    """Bounds, x and y at the capacities, over the lcm of every capacity's and
+    quota's denominator."""
+    capacity = {e.id: e.capacity.as_integer_ratio() for e in inst.edges}
+    quota = {v: q.as_integer_ratio() for v, q in inst.quota.items()}
+    den = lcm(*{d for _, d in capacity.values()}, *{d for _, d in quota.values()})
+    bounds = _over(capacity, den)
+    return IterationState(
+        round=-1,
+        den=den,
+        capacity=bounds,
+        quota=_over(quota, den),
+        bounds=dict(bounds),
+        x=dict(bounds),
+        y=dict(bounds),
+    )
+
+
+def _times(values: Mapping[str, int], k: int) -> dict[str, int]:
+    return {key: n * k for key, n in values.items()}
+
+
+def _rescaled(state: IterationState, k: int) -> IterationState:
+    """The same state over k·D: every numerator, stored results included, times k."""
+    return IterationState(
+        round=state.round,
+        den=state.den * k,
+        capacity=_times(state.capacity, k),
+        quota=_times(state.quota, k),
+        bounds=_times(state.bounds, k),
+        x=_times(state.x, k),
+        y=_times(state.y, k),
+        outcomes={
+            v: ChoiceOutcome(_times(out.result, k), out.head, out.tail, out.critical_tie, out.deficit)
+            for v, out in state.outcomes.items()
+        },
+        cut=state.cut,
+    )
+
+
+def _rechoose_scaled(
+    inst: Instance,
+    vertices: Iterable[str],
+    z: Mapping[str, int],
+    state: IterationState,
+    changed: Collection[str],
+    outcomes: dict[str, ChoiceOutcome],
+) -> list[str] | int:
+    """Each vertex's choice from z (numerators over D) into `outcomes`.
+
+    A vertex keeps its stored outcome unless it is in `changed` or has none,
+    as in `choice._rechoose`.  Returns the vertices that chose afresh, or the
+    factor by which D must grow when a kernel call asks for it.
+    """
+    prev, quota = state.outcomes, state.quota
+    fresh = []
+    for v in vertices:
+        out = prev.get(v)
+        if out is None or v in changed:
+            out = _choose_scaled(inst, v, z, quota[v])
+            if type(out) is int:
+                return out
+            fresh.append(v)
+        outcomes[v] = out
+    return fresh
+
+
+def _round(inst: Instance, state: IterationState) -> IterationState | int:
+    """One ordinary round over the state's D, or the factor by which D must
+    grow for a cutting height of this round to be a numerator over it."""
+    b = state.bounds
+    edge = inst.edge_by_id
+    outcomes: dict[str, ChoiceOutcome] = {}
+    # The stored firm choices were made from the previous round's bounds, and
+    # that round lowered a bound exactly on its cut edges.  A firm with no
+    # such edge sees the same bounds as before.
+    lowered = {edge[e].firm for e in state.cut}
+    fresh_firms = _rechoose_scaled(inst, inst.firms, b, state, lowered, outcomes)
+    if type(fresh_firms) is int:
+        return fresh_firms
+    x = dict(state.x)
+    moved: set[str] = set()  # the workers at which x changed
+    for f in fresh_firms:
+        for e, val in outcomes[f].result.items():
+            if val != x[e]:
+                x[e] = val
+                moved.add(edge[e].worker)
+    # the stored worker choices were made from the previous x
+    fresh_workers = _rechoose_scaled(inst, inst.workers, x, state, moved, outcomes)
+    if type(fresh_workers) is int:
+        return fresh_workers
+    y = dict(state.y)
+    for w in fresh_workers:
+        y.update(outcomes[w].result)
+    cut = frozenset(e for w in fresh_workers for e in inst.incident[w] if y[e] != x[e])
+    bounds = dict(b)
+    for e in cut:
+        bounds[e] = y[e]
+    # b, x and y can have changed only here; every other edge keeps values
+    # that passed this check in an earlier round.  A new bound is b or y, so
+    # b >= x >= y bounds it too.
+    for v in fresh_firms + fresh_workers:
+        for e in inst.incident[v]:
+            if not b[e] >= x[e] >= y[e] >= 0:
+                raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {e!r}")
+    if (y == x) == bool(cut):
+        raise InvariantError("round's cut edges disagree with y != x")
+    return IterationState(
+        round=state.round + 1,
+        den=state.den,
+        capacity=state.capacity,
+        quota=state.quota,
+        bounds=bounds,
+        x=x,
+        y=y,
+        outcomes=outcomes,
+        cut=cut,
+    )
 
 
 def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationState:
@@ -130,60 +309,16 @@ def ordinary_iteration_step(inst: Instance, state: IterationState) -> IterationS
 
     Wherever the workers' cut bites, the bound drops to the cut value, so
     firms cannot re-propose what was refused.  The round touches only the
-    edges at the vertices that choose again (module docstring).
+    edges at the vertices that choose again.  When a cutting height is not
+    a numerator over D, the round runs again from the input state over the
+    grown D, so the new state may hold a larger D than its input (module
+    docstring).
     """
-    b = state.bounds
-    edge = inst.edge_by_id
-    prev = state.outcomes
-    # The stored firm choices were made from the previous round's bounds, and
-    # that round lowered a bound exactly on its cut edges.  A firm with no
-    # such edge sees the same bounds as before.
-    lowered = {edge[e].firm for e in state.cut}
-    outcomes = _rechoose(inst, inst.firms, b, prev, lowered)
-    fresh_firms = [f for f in inst.firms if outcomes[f] is not prev.get(f)]
-    x = dict(state.x)
-    moved: set[str] = set()  # the workers at which x changed
-    for f in fresh_firms:
-        for e, val in outcomes[f].result.items():
-            if val is not x[e] and val != x[e]:
-                x[e] = val
-                moved.add(edge[e].worker)
-    # the stored worker choices were made from the previous x
-    outcomes.update(_rechoose(inst, inst.workers, x, prev, moved))
-    fresh_workers = [w for w in inst.workers if outcomes[w] is not prev.get(w)]
-    y = dict(state.y)
-    for w in fresh_workers:
-        y.update(outcomes[w].result)
-    cut = frozenset(
-        e for w in fresh_workers for e in inst.incident[w] if y[e] is not x[e] and y[e] != x[e]
-    )
-    new_bounds = dict(b)
-    for e in cut:
-        new_bounds[e] = y[e]
-    # b, x and y can have changed only here; every other edge keeps values
-    # that passed this check in an earlier round.  A choice passes the values
-    # it keeps through as the same objects, so `is` settles most comparisons
-    # exactly.
-    touched = {e for v in fresh_firms + fresh_workers for e in inst.incident[v]}
-    for eid in touched:
-        be, xe, ye, ne = b[eid], x[eid], y[eid], new_bounds[eid]
-        if not (
-            (be is xe or be >= xe)
-            and (xe is ye or xe >= ye)
-            and ye.numerator >= 0
-            and (ne is be or ne is ye or be >= ne)
-        ):
-            raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {eid!r}")
-    if (y == x) == bool(cut):
-        raise InvariantError("round's cut edges disagree with y != x")
-    return IterationState(
-        round=state.round + 1,
-        bounds=new_bounds,
-        x=x,
-        y=y,
-        outcomes=outcomes,
-        cut=cut,
-    )
+    while True:
+        after = _round(inst, state)
+        if type(after) is not int:
+            return after
+        state = _rescaled(state, after)
 
 
 def _filled(state: IterationState, side: Iterable[str]) -> list[str]:
@@ -196,29 +331,16 @@ def _filled(state: IterationState, side: Iterable[str]) -> list[str]:
     return sorted(v for v in side if v in outcomes and not outcomes[v].deficit)
 
 
-def _reduced_edges(inst: Instance, bounds: Mapping[str, Fraction], f: str) -> frozenset[str]:
-    """The edges at firm f whose bound is below the capacity.
-
-    A bound starts as the capacity object and is replaced only where a cut
-    lowers it, so identity settles most edges; the rest compare by value.
-    """
-    edge = inst.edge_by_id
-    return frozenset(
-        e for e in inst.incident[f]
-        if bounds[e] is not edge[e].capacity and bounds[e] < edge[e].capacity
-    )
+def _reduced_edges(inst: Instance, state: IterationState, f: str) -> frozenset[str]:
+    """The edges at firm f whose bound is below the capacity."""
+    bounds, capacity = state.bounds, state.capacity
+    return frozenset(e for e in inst.incident[f] if bounds[e] < capacity[e])
 
 
-def _stuck(inst: Instance, state: IterationState, e: str) -> bool:
-    """Whether x reaches the capacity on edge e, or its bound is below it.
-
-    x is at most the capacity, which is positive: the capacity object itself
-    is reached and 0 is not.  A bound is the capacity object until a cut
-    lowers it.  Identity settles most edges; the rest compare by value.
-    """
-    cap = inst.edge_by_id[e].capacity
-    val, bound = state.x[e], state.bounds[e]
-    return val is cap or bool(val.numerator and val == cap) or (bound is not cap and bound < cap)
+def _stuck(state: IterationState, e: str) -> bool:
+    """Whether x reaches the capacity on edge e, or its bound is below it."""
+    cap = state.capacity[e]
+    return state.x[e] == cap or state.bounds[e] < cap
 
 
 def _progressed(inst: Instance, before: IterationState, after: IterationState) -> bool:
@@ -227,20 +349,22 @@ def _progressed(inst: Instance, before: IterationState, after: IterationState) -
     It did if some edge became stuck (`_stuck`), or some worker is now fully
     filled and was not before, or its critical tie moved up, or its head
     gained an edge.  A worker's stored choice gives its tie and head at y
-    (module docstring, "choosing again from y").
+    (module docstring, "choosing again from y").  Each state is read over
+    its own D.
 
     The round looks only where it could have changed something.  x changes
     only on the edges of the firms whose stored outcome is a new object, and
     the bounds only on the round's cut edges.  A worker's tie and head
     change only where its stored outcome is a new object.  After an
-    aggregation step no firm outcome is stored, so every firm is fresh.
+    aggregation step, or when D grew, no firm outcome is the stored object,
+    so every firm is fresh.
     """
     prev, outcomes = before.outcomes, after.outcomes
     edges = set(after.cut)
     for f in inst.firms:
         if outcomes[f] is not prev.get(f):
             edges.update(inst.incident[f])
-    if any(_stuck(inst, after, e) and not _stuck(inst, before, e) for e in edges):
+    if any(_stuck(after, e) and not _stuck(before, e) for e in edges):
         return True
     for w in inst.workers:
         out, old = outcomes[w], prev.get(w)
@@ -274,9 +398,10 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
 
     The new point adds φ_f on H_f and subtracts ψ_w on H_w; it becomes x and
     y, the heads' bounds move to it, and only the filled workers' choices
-    there are stored.
+    there are stored.  The step reads y as `Fraction`s and hands its point
+    back over the lcm of D and the point's denominators.
     """
-    y, outcomes = state.y, state.outcomes
+    y, outcomes = _fractions(state.y, state.den, {}), state.outcomes
     firms = _filled(state, inst.firms)
     workers = _filled(state, inst.workers)
     fh = {f: outcomes[f].head for f in firms}
@@ -316,7 +441,7 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         add(add_raises([0] * n, w), len(wh[w]) * height[w])
     for f in firms:  # firm quota after raise minus the cuts it receives
         cuts = []  # the filled workers whose head holds a reduced edge of f
-        for e in _reduced_edges(inst, state.bounds, f):
+        for e in _reduced_edges(inst, state, f):
             w = inst.edge_by_id[e].worker
             if w in wh and e in wh[w]:
                 cuts.append(w)
@@ -373,19 +498,35 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         )
         if not tight:
             raise InvariantError("aggregation LP optimum leaves all inequalities slack")
-    bounds = dict(state.bounds)
+    ratios = {e: val.as_integer_ratio() for e, val in yp.items()}
+    den = lcm(state.den, *{d for _, d in ratios.values()})
+    k = den // state.den
+    point = _over(ratios, den)
+    bounds = _times(state.bounds, k)
     for w in workers:
         for e in wh[w]:
-            bounds[e] = yp[e]
+            bounds[e] = point[e]
     for f in firms:
         for e in fh[f]:
-            bounds[e] = max(bounds[e], yp[e])
+            bounds[e] = max(bounds[e], point[e])
+    quota = _times(state.quota, k)
+    kept = {}
+    for w in workers:
+        # w sums to its quota at the point, so its choice keeps the offer and
+        # the cutting height is the critical tie's largest value
+        out = _choose_scaled(inst, w, point, quota[w])
+        if type(out) is int:
+            raise InvariantError(f"aggregated point overfills {w!r}")
+        kept[w] = out
     return IterationState(
         round=state.round + 1,
+        den=den,
+        capacity=_times(state.capacity, k),
+        quota=quota,
         bounds=bounds,
-        x=yp,
-        y=yp,
-        outcomes={w: choose(inst, w, yp) for w in workers},
+        x=point,
+        y=point,
+        outcomes=kept,
     )
 
 
@@ -403,25 +544,30 @@ def _solve_xmin(
     """
     cap = _step_cap(inst)
     state = initial_state(inst)
+    memos: dict[int, dict[int, Fraction]] = {}  # per D: numerator -> Fraction
     result: Optional[dict[str, Fraction]] = None
     known: dict[str, ChoiceOutcome] = {}
     while state.round < cap:
         before, state = state, ordinary_iteration_step(inst, state)
         if trace is not None:
-            trace.append(("ordinary", state.round, dict(state.y)))
+            trace.append(("ordinary", state.round, _fractions(state.y, state.den, memos)))
         if not state.cut:
-            result, known = state.x, state.outcomes
+            result = _fractions(state.x, state.den, memos)
+            known = _fraction_outcomes(state.outcomes, state.den, memos)
             break
         if before.round >= 0 and not _progressed(inst, before, state):
             state = _big_iteration(inst, state)
+            y = _fractions(state.y, state.den, memos)
             if trace is not None:
-                trace.append(("aggregated", state.round, dict(state.y)))
+                trace.append(("aggregated", state.round, y))
             try:
-                report = stability_report(inst, state.y, state.outcomes)
+                report = stability_report(
+                    inst, y, _fraction_outcomes(state.outcomes, state.den, memos)
+                )
             except InstanceError:  # not admissible or not stationary
                 report = None
             if report is not None and report.stable:
-                result, known = state.y, report.outcomes
+                result, known = y, report.outcomes
                 break
     if result is None:
         raise SolverLimitError(f"no stable point within {cap} rounds")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import smp.choice
 from smp import Edge, Instance, choose, full_assignment, prefers
-from smp.choice import ChoiceOutcome, _cutting_height
+from smp.choice import ChoiceOutcome, _choose_scaled, _cutting_height
 
 from gen import random_instance, six_cycle_instance, triangle_instance
 
@@ -34,7 +34,7 @@ def test_deficit_branch_takes_everything():
     assert out.result == {"a": F(2), "b": F(3)}
     assert out.head == frozenset()
     assert out.tail == frozenset({"a", "b"})
-    assert out.critical_tie is None and out.height is None
+    assert out.critical_tie is None
 
 
 def test_quota_branch_cuts_critical_tie_at_common_height():
@@ -46,7 +46,7 @@ def test_quota_branch_cuts_critical_tie_at_common_height():
     out = choose(inst, "f", {"a": F(2), "b": F(3), "c": F(1), "d": F(7)})
     assert not out.deficit
     assert out.critical_tie == 1
-    assert out.height == F(2)
+    assert {out.result[e] for e in out.head} == {F(2)}
     assert out.result == {"a": F(2), "b": F(2), "c": F(1), "d": F(0)}
     assert out.head == frozenset({"b"})
     assert out.tail == frozenset({"a", "c"})
@@ -58,7 +58,7 @@ def test_boundary_offer_has_nonempty_head():
     inst = star_instance(F(4), [["a", "b"]], {"a": F(5), "b": F(5)})
     out = choose(inst, "f", {"a": F(3), "b": F(1)})
     assert not out.deficit
-    assert out.height == F(3)
+    assert {out.result[e] for e in out.head} == {F(3)}
     assert out.result == {"a": F(3), "b": F(1)}
     assert out.head == frozenset({"a"})
     assert out.tail == frozenset({"b"})
@@ -67,9 +67,12 @@ def test_boundary_offer_has_nonempty_head():
 def test_fractional_cut():
     inst = star_instance(F(2), [["a", "b", "c"]], {e: F(5) for e in "abc"})
     out = choose(inst, "f", {"a": F(1), "b": F(1), "c": F(1)})
-    assert out.height == F(2, 3)
+    assert {out.result[e] for e in out.head} == {F(2, 3)}
     assert out.result == {e: F(2, 3) for e in "abc"}
     assert out.head == frozenset({"a", "b", "c"})
+    # over D = 1 the height 2/3 is no numerator, so the kernel asks for D = 3
+    assert _choose_scaled(inst, "f", {e: 1 for e in "abc"}, 2) == 3
+    assert _choose_scaled(inst, "f", {e: 3 for e in "abc"}, 6).result == {e: 2 for e in "abc"}
 
 
 def test_negative_offer_rejected():
@@ -89,7 +92,7 @@ def test_edge_at_the_height_is_head_but_not_cut():
     inst = star_instance(F(11, 3), [["a", "b", "c"]], {e: F(5) for e in "abc"})
     z = {"a": F(1, 3), "b": F(5, 3), "c": F(5, 2)}
     out = choose(inst, "f", z)
-    assert out.height == F(5, 3)
+    assert {out.result[e] for e in out.head} == {F(5, 3)}
     assert out.head == frozenset({"b", "c"})
     assert out.tail == frozenset({"a"})
     assert out.result == {"a": F(1, 3), "b": F(5, 3), "c": F(5, 3)}
@@ -103,7 +106,7 @@ def test_target_equal_to_full_tie_sum():
     z = {"a": F(1, 2), "b": F(7, 5), "c": F(53, 30), "d": F(1)}
     out = choose(inst, "f", z)
     assert out.critical_tie == 1
-    assert out.height == F(53, 30)
+    assert {out.result[e] for e in out.head} == {F(53, 30)}
     assert out.head == frozenset({"c"})
     assert out.tail == frozenset({"a", "b"})
     assert out.result == {"a": F(1, 2), "b": F(7, 5), "c": F(53, 30), "d": F(0)}
@@ -178,7 +181,7 @@ def reference_choose(inst, v, z):
     q = inst.quota[v]
     size = sum(zv.values(), F(0))
     if size < q:
-        return ChoiceOutcome(zv, frozenset(), frozenset(inst.incident[v]), None, None, True)
+        return ChoiceOutcome(zv, frozenset(), frozenset(inst.incident[v]), None, True)
     ties = inst.corteges[v]
     prefix = F(0)
     critical = None
@@ -200,7 +203,7 @@ def reference_choose(inst, v, z):
     head = frozenset(e for e in tie if zv[e] >= r)
     better = [e for t in ties[:critical] for e in t]
     tail = frozenset(better) | (frozenset(tie) - head)
-    return ChoiceOutcome(result, head, tail, critical, r, False)
+    return ChoiceOutcome(result, head, tail, critical, False)
 
 
 # pairwise coprime denominators, the last a large prime, so that the common
@@ -239,7 +242,6 @@ def test_choose_matches_reference_kernel(case):
     out = choose(inst, "f", z)
     assert out == reference_choose(inst, "f", z)
     assert all(type(val) is F for val in out.result.values())
-    assert out.height is None or type(out.height) is F
 
 
 def test_full_assignment_returns_fractions():

@@ -22,7 +22,15 @@ import smp.choice
 import smp.cli
 import smp.iteration
 import smp.rotations
-from smp import Edge, Instance, serialize_assignment, serialize_instance, solve_xmin_modified
+from smp import (
+    Edge,
+    Instance,
+    InstanceError,
+    parse_instance,
+    serialize_assignment,
+    serialize_instance,
+    solve_xmin_modified,
+)
 from smp.cli import build_parser, main
 from smp.mincost import build_costed_poset
 from smp.simplex import LPResult
@@ -160,6 +168,23 @@ def test_mincost_with_cost_file(capsys, tmp_path, triangle_file):
     doc = json.loads(out)
     assert doc["ideal"] == [0]
     assert doc["cost"] == -15  # 8 + tau * 7 = 15 units on the negative edge
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "{inst}", ""], ["rotations", "{inst}", "--at", ""], ["mincost", "{inst}", "--costs", ""]],
+    ids=["check", "rotations-at", "mincost-costs"],
+)
+def test_empty_file_path_is_a_domain_error(capsys, tmp_path, argv):
+    # an empty path read as the current directory in `check`, and `--at ""`
+    # and `--costs ""` fell back to x_min and to the instance's own costs
+    doc = serialize_instance(triangle_instance(F(8), F(15)))
+    doc["costs"] = {e: 1 for e in triangle_instance(F(8), F(15)).edge_ids}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, *[arg.format(inst=path) for arg in argv])
+    assert code == 1
+    assert json.loads(out) == {"error": "empty file path"}
 
 
 def test_mincost_without_costs_is_a_domain_error(capsys, triangle_file):
@@ -1114,8 +1139,9 @@ def test_malformed_costs_json_is_reported_as_malformed_json(capsys, tmp_path, tr
     assert list(doc) == ["error"] and doc["error"].startswith("malformed JSON: "), doc
 
 
-# Structural mutations of valid documents: a value replaced by a JSON atom, a
-# key or item deleted, or an item duplicated, one or two per document.
+# Mutations of valid documents, one or two per document.  Structural ones
+# replace a value by a JSON atom, delete a key or item, or duplicate an item;
+# the others keep an instance or costs document valid, so the solvers run.
 FUZZ_ATOMS = [None, True, False, 0, 1, -1, 2, 1.5, "", "x", "0", "-1", "1/2", "1/0", "f0", [], {}]
 
 
@@ -1134,11 +1160,40 @@ def _fuzz_documents():
 FUZZ_DOCUMENTS = _fuzz_documents()
 
 
+def _keep_valid(draw, kind, doc):
+    """Change `doc` so that it stays valid: a capacity, quota or cost replaced
+    by another positive rational, integral or not, two adjacent ties of a
+    vertex merged, or a tie split in two."""
+    rational = f"{draw(st.integers(1, 12))}/{draw(st.integers(1, 4))}"
+    if kind == "costs":
+        doc[draw(st.sampled_from(sorted(doc)))] = rational
+        return
+    op = draw(st.sampled_from(["capacity", "quota", "merge", "split"]))
+    if op == "capacity":
+        draw(st.sampled_from(doc["edges"]))["capacity"] = rational
+    elif op == "quota":
+        doc["quotas"][draw(st.sampled_from(sorted(doc["quotas"])))] = rational
+    else:
+        ties = doc["preferences"][draw(st.sampled_from(sorted(doc["preferences"])))]
+        if op == "merge" and len(ties) > 1:
+            i = draw(st.integers(0, len(ties) - 2))
+            ties[i:i + 2] = [ties[i] + ties[i + 1]]
+        wide = [i for i, tie in enumerate(ties) if len(tie) > 1]
+        if op == "split" and wide:
+            i = draw(st.sampled_from(wide))
+            cut = draw(st.integers(1, len(ties[i]) - 1))
+            ties[i:i + 1] = [ties[i][:cut], ties[i][cut:]]
+
+
 @st.composite
 def mutated_documents(draw):
     docs = FUZZ_DOCUMENTS[draw(st.integers(0, len(FUZZ_DOCUMENTS) - 1))]
     kind = draw(st.sampled_from(sorted(docs)))
     doc = copy.deepcopy(docs[kind])
+    if kind != "assignment" and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            _keep_valid(draw, kind, doc)
+        return kind, {**docs, kind: doc}
     for _ in range(draw(st.integers(1, 2))):
         # walk down from the root to the value to mutate, so that each field
         # of a document is as likely a target as any other
@@ -1182,23 +1237,41 @@ FUZZ_COMMANDS = {
 }
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(mutated_documents())
-def test_mutated_documents_never_raise(case):
+def test_mutated_documents_never_raise():
     # every malformed document reaches the user as a JSON body with a
-    # defined exit code, never as a traceback
-    kind, docs = case
-    with tempfile.TemporaryDirectory() as tmp:
-        files = {}
-        for name, doc in docs.items():
-            files[name] = str(Path(tmp) / f"{name}.json")
-            Path(files[name]).write_text(json.dumps(doc))
-        for command in FUZZ_COMMANDS[kind]:
-            argv = [arg.format(**files) for arg in command]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(argv)
-            body = json.loads(out.getvalue())
-            assert code in (0, 1, 3, 4), argv
-            if code and command[0] != "verify":
-                assert list(body) == ["error"], argv
+    # defined exit code, never as a traceback; a mutated instance that still
+    # parses takes every solver command with it
+    parsed = []  # the mutated instances that parse
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mutated_documents())
+    def run(case):
+        kind, docs = case
+        valid = True
+        if kind == "instance":
+            try:
+                parse_instance(json.dumps(docs["instance"]))
+                parsed.append(docs["instance"])
+            except InstanceError:
+                valid = False
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {}
+            for name, doc in docs.items():
+                files[name] = str(Path(tmp) / f"{name}.json")
+                Path(files[name]).write_text(json.dumps(doc))
+            for command in FUZZ_COMMANDS[kind]:
+                argv = [arg.format(**files) for arg in command]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                body = json.loads(out.getvalue())
+                assert code in (0, 1, 3, 4), argv
+                # on an instance that parses, a solver reaches its answer
+                assert code in (0, 1) or not valid, (argv, body)
+                if code and command[0] != "verify":
+                    assert list(body) == ["error"], argv
+
+    run()
+    # a floor: 114 of the 400 examples parse on CPython 3.11, and none did
+    # before the mutations that keep a document valid
+    assert len(parsed) >= 40, len(parsed)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from types import SimpleNamespace
 from fractions import Fraction as F
 from math import lcm
 
@@ -26,9 +27,9 @@ from smp import (
     stability_report,
     vertex_load,
 )
-from smp.choice import _rechoose, choose
+from smp.choice import ChoiceOutcome, _rechoose, choose
 from smp.bruteforce import oracle_enumerate_stable
-from smp.iteration import IterationState, _filled, _reduced_edges
+from smp.iteration import _filled, _reduced_edges, _rescaled
 from smp.model import InvariantError
 from smp.simplex import LinearProgram, simplex_maximize
 
@@ -44,18 +45,45 @@ from gen import (
 from test_acceptance import sap_pool, sdp_pool, smp_pool
 
 
+def exact(values, den):
+    return {k: F(n, den) for k, n in values.items()}
+
+
+def exact_state(state):
+    """A round state's numerators over its D as `Fraction`s: the form in
+    which the references below read and write a state."""
+    den = state.den
+    return SimpleNamespace(
+        round=state.round,
+        bounds=exact(state.bounds, den),
+        x=exact(state.x, den),
+        y=exact(state.y, den),
+        outcomes={
+            v: ChoiceOutcome(exact(out.result, den), out.head, out.tail, out.critical_tie, out.deficit)
+            for v, out in state.outcomes.items()
+        },
+        cut=state.cut,
+    )
+
+
+def reduced_edges(inst, bounds, f):
+    """The edges at firm f whose `Fraction` bound is below the capacity."""
+    return frozenset(e for e in inst.incident[f] if bounds[e] < inst.edge_by_id[e].capacity)
+
+
 def test_ordinary_iteration_monotone_and_terminal_on_triangle():
     inst = triangle_instance(F(8), F(15))
     state = initial_state(inst)
-    prev_bounds = dict(state.bounds)
+    prev_bounds = exact(state.bounds, state.den)
     for _ in range(5):
         state = ordinary_iteration_step(inst, state)
-        assert all(state.bounds[e] <= prev_bounds[e] for e in inst.edge_ids)
-        prev_bounds = dict(state.bounds)
+        bounds = exact(state.bounds, state.den)
+        assert all(bounds[e] <= prev_bounds[e] for e in inst.edge_ids)
+        prev_bounds = bounds
         if not state.cut:
             break
     assert not state.cut and state.y == state.x
-    assert stability_report(inst, state.x).stable
+    assert stability_report(inst, exact(state.x, state.den)).stable
 
 
 def test_solve_xmin_triangle_is_uniform():
@@ -248,6 +276,7 @@ def test_stored_outcomes_match_fresh_choices(seed, tied):
         solve_xmin_modified(inst)
     assert any(kind == "ordinary" for kind, _, _ in rounds)
     for kind, before, state in rounds:
+        before, state = exact_state(before), exact_state(state)
         filled_firms = _filled(state, inst.firms)
         filled_workers = _filled(state, inst.workers)
         if kind == "aggregated":
@@ -284,15 +313,26 @@ def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
     stored choice or that have none, an aggregation step at the fully filled
     workers it carries over, and nothing else chooses outside the stability
     tests and the normalising route (their calls are tagged apart; the carry
-    tests in test_poset.py count them)."""
+    tests in test_poset.py count them).  A round attempt that asks for a
+    larger D is run again, so only the calls of its last attempt count."""
     inst = rand_marriage(random.Random(0), 4, cap=2, tie_prob=0.5)
     rounds = _recorded_rounds(monkeypatch)
     calls = []  # the index of the round each call is made in
     analysing = []
+    kernel = smp.iteration._choose_scaled
 
     def counting_choose(inst, v, z):
         calls.append("analysis" if analysing else len(rounds))
         return choose(inst, v, z)
+
+    def counting_kernel(inst, v, a, quota):
+        out = kernel(inst, v, a, quota)
+        if type(out) is int:  # the attempt is run again over k·D
+            while calls and calls[-1] == len(rounds):
+                calls.pop()
+        else:
+            calls.append(len(rounds))
+        return out
 
     def tagged(fn):
         def run(*args, **kwargs):
@@ -304,15 +344,16 @@ def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
 
         return run
 
-    # the rounds choose through `choice._rechoose`, the aggregation step directly
+    # the rounds and the aggregation step call the kernel, the analysis `choose`
     monkeypatch.setattr(smp.choice, "choose", counting_choose)
-    monkeypatch.setattr(smp.iteration, "choose", counting_choose)
+    monkeypatch.setattr(smp.iteration, "_choose_scaled", counting_kernel)
     for name in ("stability_report", "run_route"):
         monkeypatch.setattr(smp.iteration, name, tagged(getattr(smp.iteration, name)))
     solve_xmin_modified(inst)
     expected = []
     firm_input = None  # the bounds the stored firm choices were made from
     for kind, before, after in rounds:
+        before, after = exact_state(before), exact_state(after)
         if kind == "aggregated":
             expected.append(len(_filled(after, inst.workers)))
             firm_input = None
@@ -342,7 +383,7 @@ def reference_step(inst, state):
     It scans every edge for the lowered firms, the moved workers, the new
     bounds and the b >= x >= y >= 0 check, and rebuilds x and y from every
     vertex's outcome.  It finds the cut edges by comparing y with x on every
-    edge.
+    edge.  It reads and returns states in `Fraction`s (`exact_state`).
     """
     b = state.bounds
     edge = inst.edge_by_id
@@ -362,7 +403,7 @@ def reference_step(inst, state):
     for eid in inst.edge_ids:
         if not (b[eid] >= x[eid] >= y[eid] >= 0 and b[eid] >= new_bounds[eid]):
             raise InvariantError(f"round breaks b >= x >= y >= 0 on edge {eid!r}")
-    return IterationState(
+    return SimpleNamespace(
         round=state.round + 1,
         bounds=new_bounds,
         x=x,
@@ -372,15 +413,83 @@ def reference_step(inst, state):
     )
 
 
+def growth_instance():
+    """Unit capacities and quotas; w1 ranks f1w1, f2w1 and f3w1 in one tie.
+
+    Round 0: w0 keeps f4's edge and cuts f1, f2, f3 and f5.  Round 1: f1, f2
+    and f3 move to w1, which cuts each to 1/3, after w0 has chosen and
+    before w2 takes f5's new offer.
+    """
+    one = F(1)
+    ids = ["f1w0", "f2w0", "f3w0", "f4w0", "f5w0", "f1w1", "f2w1", "f3w1", "f5w2"]
+    corteges = {
+        "f1": [["f1w0"], ["f1w1"]],
+        "f2": [["f2w0"], ["f2w1"]],
+        "f3": [["f3w0"], ["f3w1"]],
+        "f4": [["f4w0"]],
+        "f5": [["f5w0"], ["f5w2"]],
+        "w0": [["f4w0"], ["f1w0"], ["f2w0"], ["f3w0"], ["f5w0"]],
+        "w1": [["f1w1", "f2w1", "f3w1"]],
+        "w2": [["f5w2"]],
+    }
+    return Instance(
+        ["f1", "f2", "f3", "f4", "f5"],
+        ["w0", "w1", "w2"],
+        [Edge(e, e[:2], e[2:], one) for e in ids],
+        {v: one for v in corteges},
+        corteges,
+    )
+
+
+def test_rounds_grow_the_denominator_mid_round(monkeypatch):
+    """A cut at 1/3 in the middle of a round over D = 1 runs the round again
+    over D = 3, from the input state rescaled; every round equals the dense
+    `Fraction` reference, and the progress verdicts the reference marker's."""
+    inst = growth_instance()
+    asked = []  # (vertex, growth factor or None) of every kernel call
+    kernel = smp.iteration._choose_scaled
+
+    def recording(inst, v, a, quota):
+        out = kernel(inst, v, a, quota)
+        asked.append((v, out if type(out) is int else None))
+        return out
+
+    monkeypatch.setattr(smp.iteration, "_choose_scaled", recording)
+    state = initial_state(inst)
+    dens, per_round = [state.den], []
+    while True:
+        asked.clear()
+        after = ordinary_iteration_step(inst, state)
+        per_round.append(list(asked))
+        ref = reference_step(inst, exact_state(state))
+        for name in REFERENCE_FIELDS:
+            assert getattr(exact_state(after), name) == getattr(ref, name), name
+        if state.round >= 0 and after.cut:
+            assert smp.iteration._progressed(inst, state, after) == reference_is_productive(
+                reference_marker(inst, exact_state(state)), reference_marker(inst, exact_state(after))
+            )
+        dens.append(after.den)
+        state = after
+        if not after.cut:
+            break
+    assert dens == [1, 1, 3, 3]
+    fresh = [("f1", None), ("f2", None), ("f3", None), ("f5", None), ("w0", None)]
+    assert per_round[1] == fresh + [("w1", 3)] + fresh + [("w1", None), ("w2", None)]
+    xmin = solve_xmin_modified(inst)
+    assert {e: v for e, v in xmin.items() if v} == {
+        "f1w1": F(1, 3), "f2w1": F(1, 3), "f3w1": F(1, 3), "f4w0": F(1), "f5w2": F(1)
+    }
+
+
 def reference_marker(inst, state):
     """The progress marker that `_progressed` replaced, computed afresh.
 
     A firm is marked by the edges where x reaches the capacity or the bound
     is below it; the view maps each fully filled worker to the critical tie
-    and head of its stored choice."""
+    and head of its stored choice.  It reads a state in `Fraction`s."""
     stuck = {
         f: frozenset(e for e in inst.incident[f] if state.x[e] == inst.edge_by_id[e].capacity)
-        | _reduced_edges(inst, state.bounds, f)
+        | reduced_edges(inst, state.bounds, f)
         for f in inst.firms
     }
     view = {
@@ -456,7 +565,8 @@ def test_sparse_rounds_match_the_dense_reference(seed, family):
         if kind == "aggregated":
             assert after.cut == frozenset()
             continue
-        ref = reference_step(inst, before)
+        ref = reference_step(inst, exact_state(before))
+        after = exact_state(after)
         for name in REFERENCE_FIELDS:
             assert getattr(after, name) == getattr(ref, name), name
     # every ordinary round but the first and a terminal one is judged, each
@@ -467,15 +577,11 @@ def test_sparse_rounds_match_the_dense_reference(seed, family):
     ]
     for before, after, out in judged:
         assert out == reference_is_productive(
-            reference_marker(inst, before), reference_marker(inst, after)
+            reference_marker(inst, exact_state(before)), reference_marker(inst, exact_state(after))
         )
-        # the same verdict when x and the bounds hold equal values as other
-        # objects, so no capacity is settled by identity
-        copies = [
-            dataclasses.replace(s, x=_other_objects(s.x), bounds=_other_objects(s.bounds))
-            for s in (before, after)
-        ]
-        assert smp.iteration._progressed(inst, *copies) == out
+        # the same verdict with the two states held over other denominators,
+        # each its own, and no outcome stored as the other state's object
+        assert smp.iteration._progressed(inst, _rescaled(before, 2), _rescaled(after, 3)) == out
 
 
 def reference_big_iteration(inst, state):
@@ -484,8 +590,8 @@ def reference_big_iteration(inst, state):
     The first half builds the LP as `_build_big_lp` did; the second solves
     it and, as the old `_big_iteration` did, rebuilds the heads, recovers
     each firm's raise and each worker's cut through per-edge and per-worker
-    maps, and writes the new point and bounds.  Returns the new state and
-    the LP.
+    maps, and writes the new point and bounds.  Reads and returns states in
+    `Fraction`s (`exact_state`).  Returns the new state and the LP.
     """
     y, outcomes = state.y, state.outcomes
     firms = _filled(state, inst.firms)
@@ -526,7 +632,7 @@ def reference_big_iteration(inst, state):
         add(add_raises([0] * n, w), len(wh[w]) * height[w])
     for f in firms:
         cuts = []
-        for e in _reduced_edges(inst, state.bounds, f):
+        for e in reduced_edges(inst, state.bounds, f):
             w = inst.edge_by_id[e].worker
             if w in wh and e in wh[w]:
                 cuts.append(w)
@@ -592,12 +698,13 @@ def reference_big_iteration(inst, state):
     for head in firm_head.values():
         for e in head:
             bounds[e] = max(bounds[e], yp[e])
-    new = IterationState(
+    new = SimpleNamespace(
         round=state.round + 1,
         bounds=bounds,
         x=yp,
         y=yp,
         outcomes={w: choose(inst, w, yp) for w in worker_head},
+        cut=frozenset(),
     )
     return new, lp
 
@@ -625,28 +732,40 @@ def test_aggregation_step_matches_the_two_function_reference(monkeypatch):
         solve_xmin_modified(inst)
     assert len(steps) >= 30 and len(lps) == len(steps)
     for inst, state, new, lp in steps:
-        ref, ref_lp = reference_big_iteration(inst, state)
+        ref, ref_lp = reference_big_iteration(inst, exact_state(state))
+        new = exact_state(new)
         for name in REFERENCE_FIELDS:
             assert getattr(new, name) == getattr(ref, name), name
         assert (lp.objective, lp.a_le, lp.b_le) == (ref_lp.objective, ref_lp.a_le, ref_lp.b_le)
 
 
-def _other_objects(values):
-    """Equal values as objects distinct from the given ones."""
-    return {e: F(v.numerator, v.denominator) for e, v in values.items()}
+def _final_attempt_calls(monkeypatch):
+    """Record the vertex of every kernel call in the rounds, dropping the
+    calls of an attempt that asked for a larger D (the round runs again)."""
+    calls = []
+    kernel = smp.iteration._choose_scaled
+
+    def counting(inst, v, a, quota):
+        out = kernel(inst, v, a, quota)
+        if type(out) is int:
+            calls.clear()
+        else:
+            calls.append(v)
+        return out
+
+    monkeypatch.setattr(smp.iteration, "_choose_scaled", counting)
+    return calls
 
 
 @pytest.mark.parametrize("family", ["tied", "strict", "chain"])
 def test_rounds_compare_values_past_the_identity_shortcut(monkeypatch, family):
-    """A round settles a firm's fresh choice against x, and y against x, by
-    identity where a choice passed one object through, and the progress
-    test settles x and the bounds against the capacity the same way.  On a
-    state whose x, y and bounds hold equal values as other objects, the
-    round, its choices and the progress verdict must come out the same by
-    value."""
+    """A round compares a firm's fresh choice with x, y with x, and the
+    progress test x and the bounds with the capacity, as `int` numerators
+    over the state's D; no comparison is settled by object identity.  From
+    the same state held over 2·D, the round must choose at the same
+    vertices, write the same values and get the same progress verdict."""
     inst = _family_instance(family, 1)
-    calls = []
-    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: calls.append(v) or choose(inst, v, z))
+    calls = _final_attempt_calls(monkeypatch)
 
     def step(state):
         calls.clear()
@@ -654,22 +773,17 @@ def test_rounds_compare_values_past_the_identity_shortcut(monkeypatch, family):
 
     state = initial_state(inst)
     for _ in range(30):
-        copied = dataclasses.replace(
-            state,
-            bounds=_other_objects(state.bounds),
-            x=_other_objects(state.x),
-            y=_other_objects(state.y),
-        )
+        copied = _rescaled(state, 2)
         after, chosen = step(state)
         again, chosen_again = step(copied)
         assert chosen_again == chosen
         for name in REFERENCE_FIELDS:
-            assert getattr(again, name) == getattr(after, name), name
+            assert getattr(exact_state(again), name) == getattr(exact_state(after), name), name
         if not after.cut:
             break
         if state.round >= 0:
             verdict = reference_is_productive(
-                reference_marker(inst, state), reference_marker(inst, after)
+                reference_marker(inst, exact_state(state)), reference_marker(inst, exact_state(after))
             )
             assert smp.iteration._progressed(inst, state, after) == verdict
             assert smp.iteration._progressed(inst, copied, again) == verdict
@@ -678,29 +792,26 @@ def test_rounds_compare_values_past_the_identity_shortcut(monkeypatch, family):
 
 
 def test_reduced_edges_compare_values_past_the_identity_shortcut():
-    """A bound is the capacity object until a cut lowers it, so identity
-    settles most edges; a bound equal to the capacity in value but another
-    object is not reduced either, and a lowered one is."""
+    """A bound is reduced when it is below the capacity over the state's D:
+    a bound at the capacity over a grown D is not, and a lowered one is."""
     inst = triangle_instance(F(8), F(15))
     f = inst.firms[0]
     kept, lowered = inst.incident[f][:2]
-    bounds = {e.id: e.capacity for e in inst.edges}
-    cap = bounds[kept]
-    bounds[kept] = F(cap.numerator, cap.denominator)
-    assert bounds[kept] is not cap
-    bounds[lowered] = bounds[lowered] / 2
-    assert _reduced_edges(inst, bounds, f) == {lowered}
+    state = _rescaled(initial_state(inst), 3)
+    assert state.bounds[kept] == state.capacity[kept] == 3 * initial_state(inst).capacity[kept]
+    state.bounds[lowered] -= 1
+    assert _reduced_edges(inst, state, f) == {lowered}
 
 
 def test_round_check_covers_the_edges_of_fresh_workers(monkeypatch):
     """A worker choice above its offer breaks x >= y on an edge whose firm did
     not choose again this round; the round itself must reject it."""
     inst = rand_marriage(random.Random(1), 6, cap=1)
-    real = smp.choice.choose
+    real = smp.iteration._choose_scaled
     seen = {"firms": set(), "last": None, "planted": None}
 
-    def planted(inst, v, z):
-        out = real(inst, v, z)
+    def planted(inst, v, z, quota):
+        out = real(inst, v, z, quota)
         if v in inst.firm_set:
             if seen["planted"] is not None:
                 pytest.fail(f"round with a raised choice on {seen['planted']!r} was accepted")
@@ -719,7 +830,7 @@ def test_round_check_covers_the_edges_of_fresh_workers(monkeypatch):
                     return dataclasses.replace(out, result=result)
         return out
 
-    monkeypatch.setattr(smp.choice, "choose", planted)
+    monkeypatch.setattr(smp.iteration, "_choose_scaled", planted)
     with pytest.raises(InvariantError, match="round breaks b >= x >= y >= 0") as exc:
         solve_xmin_modified(inst)
     assert seen["planted"] is not None and repr(seen["planted"]) in str(exc.value)
@@ -727,17 +838,17 @@ def test_round_check_covers_the_edges_of_fresh_workers(monkeypatch):
 
 @pytest.mark.parametrize("plant", ["x above b", "y above x", "negative y"])
 def test_round_check_compares_values_past_the_identity_shortcut(monkeypatch, plant):
-    """The round check settles b >= x and x >= y by identity where a choice
-    kept its input.  A firm choice above its bound, a worker choice above x
-    on an edge where the firm kept its bound (b and x one object), or a
-    negative worker choice must still fail the value comparisons."""
+    """The round check compares b >= x >= y >= 0 as numerators over D.  A
+    firm choice above its bound, a worker choice above x on an edge where
+    the firm kept its bound (b and x equal), or a negative worker choice
+    must fail it."""
     inst = rand_marriage(random.Random(1), 6, cap=1)
-    real = smp.iteration._rechoose
+    real = smp.iteration._rechoose_scaled
     seen = {"bounds": None, "planted": None}
 
-    def plant_at(out, vertices, prev, pick, value):
-        for v in vertices:
-            if seen["planted"] is not None or out[v] is prev.get(v):
+    def plant_at(out, fresh, pick, value):
+        for v in fresh:
+            if seen["planted"] is not None:
                 continue
             for e in inst.incident[v]:
                 if pick(e):
@@ -747,22 +858,22 @@ def test_round_check_compares_values_past_the_identity_shortcut(monkeypatch, pla
                     seen["planted"] = e
                     return
 
-    def planted(inst, vertices, z, prev, changed=()):
-        out = real(inst, vertices, z, prev, changed)
+    def planted(inst, vertices, z, state, changed, out):
+        fresh = real(inst, vertices, z, state, changed, out)
         if vertices is inst.firms:  # a round starts: z is its input bounds
             if seen["planted"] is not None:
                 pytest.fail(f"round with a planted choice on {seen['planted']!r} was accepted")
             seen["bounds"] = z
             if plant == "x above b":
-                plant_at(out, vertices, prev, lambda e: True, lambda e: z[e] + 1)
+                plant_at(out, fresh, lambda e: True, lambda e: z[e] + 1)
         elif plant == "y above x":
             b = seen["bounds"]
-            plant_at(out, vertices, prev, lambda e: z[e] is b[e], lambda e: z[e] + 1)
+            plant_at(out, fresh, lambda e: z[e] == b[e], lambda e: z[e] + 1)
         elif plant == "negative y":
-            plant_at(out, vertices, prev, lambda e: True, lambda e: F(-1))
-        return out
+            plant_at(out, fresh, lambda e: True, lambda e: -1)
+        return fresh
 
-    monkeypatch.setattr(smp.iteration, "_rechoose", planted)
+    monkeypatch.setattr(smp.iteration, "_rechoose_scaled", planted)
     with pytest.raises(InvariantError, match="round breaks b >= x >= y >= 0") as exc:
         solve_xmin_modified(inst)
     assert seen["planted"] is not None and repr(seen["planted"]) in str(exc.value)

@@ -20,6 +20,7 @@ from smp.simplex import LinearProgram, LPResult, simplex_maximize
 
 from gen import chained_instance, rand_marriage
 from test_acceptance import sap_pool, sdp_pool, smp_pool
+from test_iteration import exact_state, reduced_edges
 
 
 # --- integer nullspace ------------------------------------------------------
@@ -510,7 +511,8 @@ def full_aggregation_lp(inst, state):
     workers' cuts ψ_w, both in sorted order; a vertex is fully filled when
     its stored choice is not in deficit.  Each worker's balance
     |H_w|·ψ_w = Σ φ_f over the raises into w is an equality row, so the LP
-    needs phase 1; `_big_iteration` substitutes it out.
+    needs phase 1; `_big_iteration` substitutes it out.  The state is read
+    in `Fraction`s (`test_iteration.exact_state`).
     """
     y, outcomes = state.y, state.outcomes
     edge = inst.edge_by_id
@@ -543,7 +545,7 @@ def full_aggregation_lp(inst, state):
         lp.b_le.append(height[w])
     for f in firms:
         r = row((f, len(fh[f])))
-        for e in smp.iteration._reduced_edges(inst, state.bounds, f):
+        for e in reduced_edges(inst, state.bounds, f):
             w = edge[e].worker
             if w in wh and e in wh[w]:
                 r[var[w]] -= 1
@@ -613,6 +615,7 @@ def test_simplex_matches_dense_reference_on_aggregation_lps(monkeypatch):
     assert (len(seen) - before[0], pivots[0] - before[1]) == (21, 50)
     assert len(seen) >= 30
     for inst, state, new, res in seen:
+        state, new = exact_state(state), exact_state(new)
         lp, firms, workers = full_aggregation_lp(inst, state)
         ref = dense_two_phase_simplex(lp)
         assert res.status == ref.status == "optimal" and res.value == ref.value

@@ -1,9 +1,11 @@
 """Rotation poset, closed weight functions and the lattice of stable points."""
 
+import json
 import random
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction as F
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,11 +25,13 @@ from smp import (
     full_assignment,
     gamma,
     grid_sublattice,
+    initial_state,
     is_closed,
     omega,
     parse_assignment,
     run_route,
     serialize_assignment,
+    serialize_instance,
     solve_xmax,
     solve_xmin_modified,
     stability_report,
@@ -36,8 +40,16 @@ from smp import (
     validate_assignment,
 )
 from smp.choice import choose
+from smp.cli import main
 
-from gen import chained_instance, rand_marriage, six_cycle_instance, triangle_instance
+from gen import (
+    chained_instance,
+    disjoint_union,
+    rand_marriage,
+    random_instance,
+    six_cycle_instance,
+    triangle_instance,
+)
 
 
 def _marriage_posets(n_instances, n=4, cap=2, tie_prob=0.25, tag="poset"):
@@ -148,6 +160,99 @@ def test_fully_closed_count_matches_ideal_structure():
                 assert not (b in support and a not in support)
         if not poset.less:
             assert len(lams) == 2 ** n
+
+
+# --- disjoint unions ---------------------------------------------------------
+#
+# The stable assignments of U = A ⊔ B are the pairs of those of A and B, so
+# U's side optima, stability reports, rotations and lattice follow from the
+# parts' without enumerating U's box.  The parts' denominators differ, so
+# U's rounds run over the lcm of theirs.
+
+
+def _union_cases():
+    """Tied marriages beside rational random instances, pairs of rational
+    random instances, and a triangle over D = 35 beside a chain over D = 3."""
+    rng = random.Random("union parts")
+    cases = [
+        (rand_marriage(rng, 4, cap=2, tie_prob=0.3), random_instance(rng, max_edges=8))
+        for _ in range(8)
+    ]
+    cases += [(random_instance(rng, max_edges=8), random_instance(rng, max_edges=8)) for _ in range(3)]
+    cases.append((triangle_instance(F(8, 5), F(15, 7)), chained_instance(3, F(128, 9), F(240, 9))))
+    return cases
+
+
+def _part(values, i):
+    """The entries of part i of a union, under the part's own ids."""
+    prefix = f"{i}."
+    return {k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)}
+
+
+def _check_report(capsys, tmp_path, inst, x):
+    """The `smp check` document of x on inst."""
+    (tmp_path / "inst.json").write_text(json.dumps(serialize_instance(inst)))
+    (tmp_path / "x.json").write_text(json.dumps(serialize_assignment(x)))
+    assert main(["check", str(tmp_path / "inst.json"), str(tmp_path / "x.json")]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _part_ids(ids, i):
+    prefix = f"{i}."
+    return [k[len(prefix):] for k in ids if k.startswith(prefix)]
+
+
+def test_union_side_optima_and_check_restrict_to_the_parts(capsys, tmp_path):
+    """x_min and x_max of U restrict to the parts' own, and `smp check` of U
+    at x_min, x_max and their midpoint restricts to the parts' reports."""
+    mixed = 0  # unions over a D that neither part has
+    for parts in _union_cases():
+        union = disjoint_union(*parts)
+        dens = [initial_state(part).den for part in parts]
+        assert initial_state(union).den == lcm(*dens) > 1
+        mixed += lcm(*dens) > max(dens)
+        ends = {"min": solve_xmin_modified(union), "max": solve_xmax(union)}
+        for i, part in enumerate(parts):
+            assert _part(ends["min"], i) == solve_xmin_modified(part)
+            assert _part(ends["max"], i) == solve_xmax(part)
+        mid = {e: (ends["min"][e] + ends["max"][e]) / 2 for e in union.edge_ids}
+        for x in (ends["min"], ends["max"], mid):
+            doc = _check_report(capsys, tmp_path, union, x)
+            stable = True
+            for i, part in enumerate(parts):
+                own = _check_report(capsys, tmp_path, part, _part(x, i))
+                stable &= own.pop("stable")
+                assert {key: _part_ids(ids, i) for key, ids in doc.items() if key != "stable"} == own
+            assert doc["stable"] == stable
+    assert mixed
+
+
+def test_union_rotations_are_the_parts_rotations():
+    """U's rotations, vectors and weights, are the parts' under U's ids."""
+    total = 0
+    for parts in _union_cases():
+        want = Counter(
+            (frozenset((f"{i}.{e}", v) for e, v in rot.values.items()), rot.tau)
+            for i, part in enumerate(parts)
+            for rot in build_poset(part).rotations
+        )
+        got = Counter(
+            (frozenset(rot.values.items()), rot.tau)
+            for rot in build_poset(disjoint_union(*parts)).rotations
+        )
+        assert got == want
+        total += len(want)
+    assert total >= 10
+
+
+def test_union_lattice_is_the_product_of_the_parts():
+    counts = []
+    for parts in _union_cases():
+        union = disjoint_union(*parts)
+        want = prod(len(enumerate_fully_closed(build_poset(part))) for part in parts)
+        assert len(enumerate_fully_closed(build_poset(union))) == want
+        counts.append(want)
+    assert max(counts) >= 4
 
 
 def test_enumeration_cap_enforced():
