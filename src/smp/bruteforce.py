@@ -32,9 +32,11 @@ def oracle_enumerate_stable(inst: Instance) -> list[dict[str, Fraction]]:
     does every completion, since values are nonnegative.  The points skipped
     are exactly those that `validate_assignment` rejects for a quota
     overload, no point leaves the box, and every other point is judged by
-    `stability_report` with no known outcomes.  The order is the scan's
-    (`itertools.product` over the box), so the list is the one a full scan
-    returns, order included.
+    `stability_report` with no known outcomes.  A point in the box and
+    within every quota is stationary (see `stability_report`), so a report
+    that raises is a fault and propagates: no point is dropped unjudged.
+    The order is the scan's (`itertools.product` over the box), so the list
+    is the one a full scan returns, order included.
     """
     for v, ties in inst.corteges.items():
         if any(len(t) != 1 for t in ties):
@@ -54,11 +56,8 @@ def oracle_enumerate_stable(inst: Instance) -> list[dict[str, Fraction]]:
     out = []
     for combo in _within_quotas(inst):
         x = {eid: Fraction(v) for eid, v in zip(ids, combo)}
-        try:
-            if stability_report(inst, x).stable:
-                out.append(x)
-        except InstanceError:
-            continue  # non-stationary
+        if stability_report(inst, x).stable:
+            out.append(x)
     return out
 
 

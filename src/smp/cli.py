@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .iteration import _solve_quota_filling, solve_xmax, solve_xmin_modified
+from .iteration import _normalise, _solve_quota_filling, solve_xmax, solve_xmin_modified
 from .mincost import min_cost_stable
 from .model import (
     Instance,
@@ -83,8 +83,7 @@ def _cmd_solve(args) -> int:
             return 0
         x, known = found
         if args.side == "firms":
-            # a choice reads nothing `swapped` changes, so the outcomes hold
-            x = run_route(inst.swapped(), x, known=known).states[-1]
+            x = _normalise(inst, x, known)[0]
     elif args.side == "workers":
         x = solve_xmax(inst, trace=trace)
     else:

@@ -27,17 +27,29 @@ grows:
   and runs the round again over k·D (`_rescaled`).  A state over k·D is the
   same point, so the rerun makes the choices the first attempt would have
   made.
-* An aggregation step reads y as `Fraction`s, and hands its point back over
-  the lcm of D and the point's denominators.
+* An aggregation step builds its LP on the numerators over D: every
+  right-hand side is D times the true one, so the simplex takes the same
+  pivots and its optimum is D times the true raise.  The simplex returns
+  that raise in `Fraction`s, so the new point's numerators over D may be
+  fractions; the state moves over k·D, k the lcm of their denominators,
+  which is the lcm of D and the point's own denominators (`_rescaled`).
 
-The round check, the cut, the progress test and the reduced edges all
-compare `int`s over the one D of the state they read; `_progressed` reads
-each of its two states over its own D.  `Fraction`s are built only where a
-state leaves the loop: each traced round's y, the point of an aggregation
-step handed to its stability test with the stored choices, and the terminal
-x with its choices, handed to the normalising route.  Each goes through one
-memo per D from numerator to `Fraction` (`_fractions`), so an integral
-instance builds one `Fraction` per distinct value, not one per edge.
+The round check, the cut, the progress test, the reduced edges and the
+aggregation LP's rows all compare `int`s over the one D of the state they
+read; `_progressed` reads each of its two states over its own D.  Apart
+from the LP's optimum, `Fraction`s are built only where a state leaves the
+loop: each traced round's y, the point of an aggregation step handed to its
+stability test with the stored choices, and the terminal x with its
+choices, handed to the normalising route.  Each branch goes through one
+memo from numerator to `Fraction` (`_fractions`), so an integral instance
+builds one `Fraction` per distinct value, not one per edge.
+
+The loop has one exit, `_normalise`: a terminal round's x, or an aggregated
+point that its stability test calls stable, is routed to x_min.  No error
+is swallowed on the way.  An aggregated point that the stability test
+rejects as not admissible or not stationary, and a point that the route
+rejects as unstable, are the solver's own points, so each raises
+`InvariantError`.
 
 A round keeps every vertex's choice outcome in `IterationState.outcomes` and
 chooses again only at the vertices whose input changed since the previous
@@ -92,7 +104,7 @@ The outcomes travel on past the rounds, each time by an equal-input argument
     reads only `incident`, `quota` and `corteges`, which `swapped()` keeps.
     For the same reason the report of `_solve_quota_filling`'s last
     stability test starts the route of `smp solve --method quota-filling
-    --side firms`.
+    --side firms`, through the same `_normalise`.
 (b) That route's outcomes at its end are the choices at x_min; `solve_xmax`,
     `smp solve --side workers` and `build_poset`'s base route start from
     them (`_solve_xmin`).
@@ -102,7 +114,7 @@ The outcomes travel on past the rounds, each time by an equal-input argument
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from typing import Collection, Iterable, Mapping, Optional
@@ -115,7 +127,6 @@ from .model import (
     InstanceError,
     InvariantError,
     SolverLimitError,
-    vertex_load,
 )
 from .rotations import run_route
 from .simplex import LinearProgram, simplex_maximize
@@ -156,13 +167,12 @@ def _over(ratios: Mapping[str, tuple[int, int]], den: int) -> dict[str, int]:
 
 
 def _fractions(
-    values: Mapping[str, int], den: int, memos: dict[int, dict[int, Fraction]]
+    values: Mapping[str, int], den: int, memo: dict[int, Fraction]
 ) -> dict[str, Fraction]:
     """Numerators over `den` as `Fraction`s, one object per distinct value.
 
-    `memos[den]` maps each numerator seen over `den` to its `Fraction`.
+    `memo` maps each numerator seen over `den` to its `Fraction`.
     """
-    memo = memos.setdefault(den, {})
     out = {}
     for k, n in values.items():
         val = memo.get(n)
@@ -173,12 +183,12 @@ def _fractions(
 
 
 def _fraction_outcomes(
-    outcomes: Mapping[str, ChoiceOutcome], den: int, memos: dict[int, dict[int, Fraction]]
+    outcomes: Mapping[str, ChoiceOutcome], den: int, memo: dict[int, Fraction]
 ) -> dict[str, ChoiceOutcome]:
     """Outcomes whose results are numerators over `den`, with `Fraction` results."""
     return {
         v: ChoiceOutcome(
-            _fractions(out.result, den, memos), out.head, out.tail, out.critical_tie, out.deficit
+            _fractions(out.result, den, memo), out.head, out.tail, out.critical_tie, out.deficit
         )
         for v, out in outcomes.items()
     }
@@ -228,40 +238,40 @@ def _rechoose_scaled(
     inst: Instance,
     vertices: Iterable[str],
     z: Mapping[str, int],
-    state: IterationState,
+    quota: Mapping[str, int],
     changed: Collection[str],
     outcomes: dict[str, ChoiceOutcome],
 ) -> list[str] | int:
-    """Each vertex's choice from z (numerators over D) into `outcomes`.
+    """Each vertex's choice from z, its quota from `quota` (numerators over
+    D), into `outcomes`, which holds the stored outcomes on entry.
 
     A vertex keeps its stored outcome unless it is in `changed` or has none,
     as in `choice._rechoose`.  Returns the vertices that chose afresh, or the
     factor by which D must grow when a kernel call asks for it.
     """
-    prev, quota = state.outcomes, state.quota
     fresh = []
     for v in vertices:
-        out = prev.get(v)
+        out = outcomes.get(v)
         if out is None or v in changed:
             out = _choose_scaled(inst, v, z, quota[v])
             if type(out) is int:
                 return out
             fresh.append(v)
-        outcomes[v] = out
+            outcomes[v] = out
     return fresh
 
 
 def _round(inst: Instance, state: IterationState) -> IterationState | int:
     """One ordinary round over the state's D, or the factor by which D must
     grow for a cutting height of this round to be a numerator over it."""
-    b = state.bounds
+    b, quota = state.bounds, state.quota
     edge = inst.edge_by_id
-    outcomes: dict[str, ChoiceOutcome] = {}
+    outcomes = dict(state.outcomes)
     # The stored firm choices were made from the previous round's bounds, and
     # that round lowered a bound exactly on its cut edges.  A firm with no
     # such edge sees the same bounds as before.
     lowered = {edge[e].firm for e in state.cut}
-    fresh_firms = _rechoose_scaled(inst, inst.firms, b, state, lowered, outcomes)
+    fresh_firms = _rechoose_scaled(inst, inst.firms, b, quota, lowered, outcomes)
     if type(fresh_firms) is int:
         return fresh_firms
     x = dict(state.x)
@@ -272,7 +282,7 @@ def _round(inst: Instance, state: IterationState) -> IterationState | int:
                 x[e] = val
                 moved.add(edge[e].worker)
     # the stored worker choices were made from the previous x
-    fresh_workers = _rechoose_scaled(inst, inst.workers, x, state, moved, outcomes)
+    fresh_workers = _rechoose_scaled(inst, inst.workers, x, quota, moved, outcomes)
     if type(fresh_workers) is int:
         return fresh_workers
     y = dict(state.y)
@@ -295,7 +305,7 @@ def _round(inst: Instance, state: IterationState) -> IterationState | int:
         round=state.round + 1,
         den=state.den,
         capacity=state.capacity,
-        quota=state.quota,
+        quota=quota,
         bounds=bounds,
         x=x,
         y=y,
@@ -390,23 +400,26 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     choosing again from x and y gives the same ones (module docstring,
     "choosing again from y").
 
-    Every row is `<=`, and the round invariants b >= x >= y >= 0 make every
-    right-hand side nonnegative, so φ = 0 is feasible: |H_w| times a height,
-    a fully filled firm's quota minus its load at y <= x, a capacity minus y,
-    |H_w| times a height minus a tie value below it, 0, and a deficit worker's
-    quota minus its load.  A negative one raises `InvariantError`.
+    The LP is built on the state's numerators over D: every right-hand side
+    is D times the true one, so φ, ψ and the optimum are D times the true
+    ones, and the simplex takes the same pivots.  Every row is `<=`, and the
+    round invariants b >= x >= y >= 0 make every right-hand side
+    nonnegative, so φ = 0 is feasible: |H_w| times a height, a fully filled
+    firm's quota minus its load at y <= x, a capacity minus y, |H_w| times a
+    height minus a tie value below it, 0, and a deficit worker's quota minus
+    its load.  A negative one raises `InvariantError`.
 
     The new point adds φ_f on H_f and subtracts ψ_w on H_w; it becomes x and
     y, the heads' bounds move to it, and only the filled workers' choices
-    there are stored.  The step reads y as `Fraction`s and hands its point
-    back over the lcm of D and the point's denominators.
+    there are stored.  The state moves over k·D, k the lcm of the
+    denominators of the point's numerators, so that they are `int`s.
     """
-    y, outcomes = _fractions(state.y, state.den, {}), state.outcomes
+    y, quota, outcomes = state.y, state.quota, state.outcomes
     firms = _filled(state, inst.firms)
     workers = _filled(state, inst.workers)
     fh = {f: outcomes[f].head for f in firms}
     wh = {w: outcomes[w].head for w in workers}
-    height: dict[str, Fraction] = {}
+    height: dict[str, int] = {}
     for w in workers:
         heights = {y[e] for e in wh[w]}
         if len(heights) != 1:
@@ -421,7 +434,7 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
             raised.setdefault(inst.edge_by_id[e].worker, []).append(var[f])
     lp = LinearProgram(objective=[len(fh[f]) for f in firms])
 
-    def add(row: list[int], rhs: Fraction) -> None:
+    def add(row: list[int], rhs: int) -> None:
         if rhs < 0:
             raise InvariantError("aggregation LP has a negative right-hand side")
         lp.a_le.append(row)
@@ -437,6 +450,9 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
             row[j] += scale
         return row
 
+    def slack(v: str) -> int:  # v's quota minus its load at y
+        return quota[v] - sum(y[e] for e in inst.incident[v])
+
     for w in workers:  # cut cannot exceed the head level: ψ_w <= height
         add(add_raises([0] * n, w), len(wh[w]) * height[w])
     for f in firms:  # firm quota after raise minus the cuts it receives
@@ -449,10 +465,10 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         row = unit(f, scale * len(fh[f]))
         for w in cuts:
             add_raises(row, w, -(scale // len(wh[w])))
-        add(row, scale * (inst.quota[f] - vertex_load(inst, y, f)))
+        add(row, scale * slack(f))
     for f in firms:  # raises stay under the original capacities
         for e in fh[f]:
-            add(unit(f), inst.edge_by_id[e].capacity - y[e])
+            add(unit(f), state.capacity[e] - y[e])
     for w in workers:  # worker heads must remain heads: ψ_w + φ_f <= height - y_e
         for e in inst.corteges[w][outcomes[w].critical_tie]:
             if e in wh[w]:
@@ -468,17 +484,17 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         for e in fh[f]:
             w = inst.edge_by_id[e].worker
             if w in wh and (e in wh[w] or inst.tie_index[(w, e)] > outcomes[w].critical_tie):
-                add(unit(f), Fraction(0))
+                add(unit(f), 0)
                 break
     for w in inst.workers:  # raises must not overflow a deficit worker
         if w not in wh:
-            add(add_raises([0] * n, w), inst.quota[w] - vertex_load(inst, y, w))
+            add(add_raises([0] * n, w), slack(w))
 
     res = simplex_maximize(lp)
     if res.status != "optimal":
         raise InvariantError(f"aggregation LP {res.status}")
     phi = res.solution
-    yp = {eid: y[eid] for eid in inst.edge_ids}
+    yp: dict[str, int | Fraction] = dict(y)  # the point's numerators over D
     for f in firms:
         for e in fh[f]:
             yp[e] += phi[var[f]]
@@ -498,36 +514,41 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         )
         if not tight:
             raise InvariantError("aggregation LP optimum leaves all inequalities slack")
-    ratios = {e: val.as_integer_ratio() for e, val in yp.items()}
-    den = lcm(state.den, *{d for _, d in ratios.values()})
-    k = den // state.den
-    point = _over(ratios, den)
-    bounds = _times(state.bounds, k)
+    k = lcm(*{val.denominator for val in yp.values()})
+    new = _rescaled(state, k)
+    point = {e: val.numerator * (k // val.denominator) for e, val in yp.items()}
+    bounds = new.bounds
     for w in workers:
         for e in wh[w]:
             bounds[e] = point[e]
     for f in firms:
         for e in fh[f]:
             bounds[e] = max(bounds[e], point[e])
-    quota = _times(state.quota, k)
-    kept = {}
-    for w in workers:
-        # w sums to its quota at the point, so its choice keeps the offer and
-        # the cutting height is the critical tie's largest value
-        out = _choose_scaled(inst, w, point, quota[w])
-        if type(out) is int:
-            raise InvariantError(f"aggregated point overfills {w!r}")
-        kept[w] = out
-    return IterationState(
-        round=state.round + 1,
-        den=den,
-        capacity=_times(state.capacity, k),
-        quota=quota,
-        bounds=bounds,
-        x=point,
-        y=point,
-        outcomes=kept,
-    )
+    # w sums to its quota at the point, so its choice keeps the offer and the
+    # cutting height is the critical tie's largest value
+    kept: dict[str, ChoiceOutcome] = {}
+    if type(_rechoose_scaled(inst, workers, point, new.quota, (), kept)) is int:
+        raise InvariantError("aggregated point overfills a filled worker")
+    return replace(new, round=state.round + 1, x=point, y=point, outcomes=kept, cut=frozenset())
+
+
+def _normalise(
+    inst: Instance, x: Mapping[str, Fraction], known: Mapping[str, ChoiceOutcome]
+) -> tuple[dict[str, Fraction], dict[str, ChoiceOutcome]]:
+    """x_min, from the solver's stable point x, and every vertex's choice there.
+
+    In the swapped orientation the routes descend toward the firm-optimal
+    end of the original instance.  The route starts from the choices `known`
+    at x (module docstring, (a)), and its outcomes at its end are returned.
+    Its first active structure rejects an unstable x with `InstanceError`
+    (stability is side-symmetric).  x is always the solver's own, never the
+    user's, so that rejection is a failed solver invariant.
+    """
+    try:
+        route = run_route(inst.swapped(), x, known=known)
+    except InstanceError as exc:
+        raise InvariantError(f"solver's point rejected by the normalising route: {exc}") from exc
+    return route.states[-1], route.outcomes
 
 
 def _solve_xmin(
@@ -537,45 +558,34 @@ def _solve_xmin(
 
     Ordinary rounds run as long as they are productive; a stalled round is
     followed by one LP aggregation step.  The raw stable output is then
-    normalized to the firm-optimal point by exhausting rotations in the
-    swapped orientation.  That route starts from the outcomes the rounds
-    already hold at the raw point (module docstring, (a)), and its outcomes
-    at its end are returned with x_min.
+    normalized to the firm-optimal point (`_normalise`), starting from the
+    outcomes the rounds already hold at the raw point (module docstring,
+    (a)).
     """
     cap = _step_cap(inst)
     state = initial_state(inst)
-    memos: dict[int, dict[int, Fraction]] = {}  # per D: numerator -> Fraction
-    result: Optional[dict[str, Fraction]] = None
-    known: dict[str, ChoiceOutcome] = {}
     while state.round < cap:
         before, state = state, ordinary_iteration_step(inst, state)
         if trace is not None:
-            trace.append(("ordinary", state.round, _fractions(state.y, state.den, memos)))
+            trace.append(("ordinary", state.round, _fractions(state.y, state.den, {})))
         if not state.cut:
-            result = _fractions(state.x, state.den, memos)
-            known = _fraction_outcomes(state.outcomes, state.den, memos)
-            break
+            memo: dict[int, Fraction] = {}
+            x = _fractions(state.x, state.den, memo)
+            return _normalise(inst, x, _fraction_outcomes(state.outcomes, state.den, memo))
         if before.round >= 0 and not _progressed(inst, before, state):
             state = _big_iteration(inst, state)
-            y = _fractions(state.y, state.den, memos)
+            memo = {}
+            y = _fractions(state.y, state.den, memo)
             if trace is not None:
                 trace.append(("aggregated", state.round, y))
+            known = _fraction_outcomes(state.outcomes, state.den, memo)
             try:
-                report = stability_report(
-                    inst, y, _fraction_outcomes(state.outcomes, state.den, memos)
-                )
-            except InstanceError:  # not admissible or not stationary
-                report = None
-            if report is not None and report.stable:
-                result, known = y, report.outcomes
-                break
-    if result is None:
-        raise SolverLimitError(f"no stable point within {cap} rounds")
-    # normalize: in the swapped orientation the routes descend toward the
-    # firm-optimal end of the original instance; the route's first active
-    # structure rejects an unstable result (stability is side-symmetric)
-    route = run_route(inst.swapped(), result, known=known)
-    return route.states[-1], route.outcomes
+                report = stability_report(inst, y, known)
+            except InstanceError as exc:
+                raise InvariantError(f"aggregated point rejected: {exc}") from exc
+            if report.stable:
+                return _normalise(inst, y, report.outcomes)
+    raise SolverLimitError(f"no stable point within {cap} rounds")
 
 
 def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[str, Fraction]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from smp import Edge, Instance
+from smp import Edge, Instance, build_poset
 
 F = Fraction
 
@@ -281,3 +281,21 @@ def disjoint_union(*parts: Instance) -> Instance:
             costs.update((rename(i, e), c) for e, c in part.costs.items())
     with_costs = all(part.costs is not None for part in parts)
     return Instance(firms, workers, edges, quota, corteges, costs if with_costs else None)
+
+
+def wide_unions(tag: str, count: int) -> list[Instance]:
+    """`count` unions of two tied 4 x 4 marriages and the triangle.
+
+    Each marriage has a rotation, drawn from `random.Random(tag)`.  A
+    union's rotation poset is the disjoint union of its parts' posets, so it
+    has at least three rotations and the triangle's is incomparable to every
+    other: the poset is never a chain.
+    """
+    rng = random.Random(tag)
+    marriages: list[Instance] = []
+    while len(marriages) < 2 * count:
+        inst = rand_marriage(rng, 4, cap=2, tie_prob=0.3)
+        if build_poset(inst).rotations:
+            marriages.append(inst)
+    triangle = triangle_instance(F(8), F(15))
+    return [disjoint_union(a, b, triangle) for a, b in zip(marriages[::2], marriages[1::2])]

@@ -46,6 +46,7 @@ from gen import (
     random_instance,
     six_cycle_instance,
     triangle_instance,
+    wide_unions,
 )
 
 # --- shared instance pools (built once, reused across criteria) -------------
@@ -305,9 +306,11 @@ def test_criterion_07_nonconvexity():
 
 
 def test_criterion_08_bijection_and_lattice():
+    """On the smp pool, and on 12 disjoint unions whose posets are not chains."""
     from smp.poset import _verify_hasse_edge
 
-    for inst, poset in posets_for("smp"):
+    unions = [(union, build_poset(union)) for union in wide_unions("criterion 8", 12)]
+    for inst, poset in posets_for("smp") + unions:
         n = len(poset.rotations)
         assert n <= 20
         # the closed-function <-> stable-assignment bijection on all ideals

@@ -134,6 +134,22 @@ def test_cap_admits_a_box_of_exactly_the_cap():
     assert oracle_enumerate_stable(inst) == [{e: Fraction(1) for e in inst.edge_ids}]
 
 
+def test_a_report_that_raises_stops_the_enumeration(monkeypatch):
+    """Every point judged is in the box and within the quotas, so stationary;
+    a report that raises on one of them is a fault, not a point to skip."""
+    inst = _disjoint_edges([Fraction(1)] * 2)
+    assert oracle_enumerate_stable(inst) == [{"e0": 1, "e1": 1}]
+
+    def planted(inst, x, known=None):  # rejects the one stable point
+        if x["e0"] == 1:
+            raise InstanceError("planted rejection")
+        return stability_report(inst, x, known)
+
+    monkeypatch.setattr(smp.bruteforce, "stability_report", planted)
+    with pytest.raises(InstanceError, match="planted rejection"):
+        oracle_enumerate_stable(inst)
+
+
 def test_cap_is_checked_before_any_report(monkeypatch):
     calls = []
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -290,9 +291,14 @@ def test_failed_invariant_is_exit_4(capsys, monkeypatch, aggregating_file):
 
 
 def test_negative_aggregation_rhs_is_exit_4(capsys, monkeypatch, aggregating_file):
-    # a load above the quota makes the firm-quota rows' right-hand sides
+    # a quota below the load makes the firm-quota rows' right-hand sides
     # negative, so φ = 0 would not be feasible
-    monkeypatch.setattr(smp.iteration, "vertex_load", lambda inst, x, v: inst.quota[v] + 1)
+    real = smp.iteration._big_iteration
+
+    def planted(inst, state):
+        return real(inst, dataclasses.replace(state, quota=dict.fromkeys(state.quota, -1)))
+
+    monkeypatch.setattr(smp.iteration, "_big_iteration", planted)
     code, out = run_cli(capsys, "solve", aggregating_file)
     assert code == 4
     assert json.loads(out) == {"error": "aggregation LP has a negative right-hand side"}
@@ -328,6 +334,57 @@ def test_failed_invariant_is_checked_under_optimize_flag(aggregating_file):
     proc = _run_optimized(script, aggregating_file)
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": "aggregation LP unbounded"}
+
+
+def test_inadmissible_aggregated_point_is_exit_4_under_optimize_flag(aggregating_file):
+    # the aggregation step's point tripled leaves the box: the stability test
+    # rejects it, and the solver, not the input, is at fault
+    script = (
+        "import dataclasses, sys\n"
+        "import smp.iteration\n"
+        "from smp.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "real = smp.iteration._big_iteration\n"
+        "def tripled(inst, state):\n"
+        "    new = real(inst, state)\n"
+        "    point = {e: 3 * v for e, v in new.x.items()}\n"
+        "    return dataclasses.replace(new, x=point, y=point)\n"
+        "smp.iteration._big_iteration = tripled\n"
+        "sys.exit(main(['solve', sys.argv[1]]))\n"
+    )
+    proc = _run_optimized(script, aggregating_file)
+    assert proc.returncode == 4, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert list(doc) == ["error"]
+    assert doc["error"].startswith("aggregated point rejected: assignment not admissible"), doc
+
+
+def test_unstable_terminal_round_is_exit_4_under_optimize_flag(triangle_file):
+    # a terminal round zeroed, its choices dropped: every edge blocks at 0,
+    # and the normalising route rejects the solver's own point
+    script = (
+        "import dataclasses, sys\n"
+        "import smp.iteration\n"
+        "from smp.cli import main\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are enabled')\n"
+        "real = smp.iteration.ordinary_iteration_step\n"
+        "def zeroed(inst, state):\n"
+        "    new = real(inst, state)\n"
+        "    if new.cut:\n"
+        "        return new\n"
+        "    zero = dict.fromkeys(new.x, 0)\n"
+        "    return dataclasses.replace(new, x=zero, y=zero, outcomes={})\n"
+        "smp.iteration.ordinary_iteration_step = zeroed\n"
+        "sys.exit(main(['solve', sys.argv[1]]))\n"
+    )
+    proc = _run_optimized(script, triangle_file)
+    assert proc.returncode == 4, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert list(doc) == ["error"]
+    prefix = "solver's point rejected by the normalising route: assignment is not stable"
+    assert doc["error"].startswith(prefix), doc
 
 
 def test_failed_stability_invariant_is_checked_under_optimize_flag(tmp_path, six_cycle_file):
@@ -635,15 +692,15 @@ def test_quota_filling_firms_route_starts_from_the_known_outcomes(capsys, tmp_pa
     real_choose = smp.choice.choose
     monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or real_choose(inst, v, z))
     in_route = []  # `choose` calls inside the CLI's route, per instance
-    route = smp.cli.run_route
+    normalise = smp.cli._normalise
 
     def counted_route(*args, **kwargs):
         before = len(chosen)
-        out = route(*args, **kwargs)
+        out = normalise(*args, **kwargs)
         in_route.append(len(chosen) - before)
         return out
 
-    monkeypatch.setattr(smp.cli, "run_route", counted_route)
+    monkeypatch.setattr(smp.cli, "_normalise", counted_route)
     digest = hashlib.sha256()
     path = tmp_path / "m4.json"
     for seed in range(40):

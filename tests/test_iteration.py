@@ -712,7 +712,9 @@ def reference_big_iteration(inst, state):
 def test_aggregation_step_matches_the_two_function_reference(monkeypatch):
     """Every aggregation step of the acceptance pools and of the tied bench
     family writes the reference's state, bounds included, and hands
-    `simplex_maximize` the reference's LP, row for row."""
+    `simplex_maximize` the reference's LP, row for row, built on the
+    state's numerators over D: the rows are the reference's and each
+    right-hand side is D times the reference's."""
     steps, lps = [], []
     real_big, real_simplex = smp.iteration._big_iteration, smp.iteration.simplex_maximize
 
@@ -736,7 +738,8 @@ def test_aggregation_step_matches_the_two_function_reference(monkeypatch):
         new = exact_state(new)
         for name in REFERENCE_FIELDS:
             assert getattr(new, name) == getattr(ref, name), name
-        assert (lp.objective, lp.a_le, lp.b_le) == (ref_lp.objective, ref_lp.a_le, ref_lp.b_le)
+        assert (lp.objective, lp.a_le) == (ref_lp.objective, ref_lp.a_le)
+        assert lp.b_le == [state.den * rhs for rhs in ref_lp.b_le]
 
 
 def _final_attempt_calls(monkeypatch):

@@ -582,6 +582,8 @@ def test_simplex_matches_dense_reference_on_aggregation_lps(monkeypatch):
     not only the optimal value, must be the one the dense two-phase solver
     picks on the LP with a ψ_w column and balance row per worker.  ψ is read
     off the new y on the workers' heads, where `_big_iteration` recovers it.
+    `_big_iteration` builds its LP on the state's numerators over D, so its
+    value and solution are D times the reference's.
     """
     seen, results = [], []
     pivots = [0]
@@ -615,11 +617,12 @@ def test_simplex_matches_dense_reference_on_aggregation_lps(monkeypatch):
     assert (len(seen) - before[0], pivots[0] - before[1]) == (21, 50)
     assert len(seen) >= 30
     for inst, state, new, res in seen:
+        den = state.den
         state, new = exact_state(state), exact_state(new)
         lp, firms, workers = full_aggregation_lp(inst, state)
         ref = dense_two_phase_simplex(lp)
-        assert res.status == ref.status == "optimal" and res.value == ref.value
-        assert res.solution == ref.solution[: len(firms)]
+        assert res.status == ref.status == "optimal" and res.value == den * ref.value
+        assert res.solution == [den * v for v in ref.solution[: len(firms)]]
         for w, psi in zip(workers, ref.solution[len(firms):]):
             assert all(state.y[e] - new.y[e] == psi for e in state.outcomes[w].head)
 

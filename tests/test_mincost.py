@@ -16,7 +16,7 @@ from smp import (
 )
 from smp.bruteforce import oracle_min_cost_ideal
 
-from gen import disjoint_union, rand_marriage, triangle_instance
+from gen import disjoint_union, rand_marriage, triangle_instance, wide_unions
 
 
 def _random_costs(rng, inst):
@@ -57,11 +57,20 @@ def test_constant_costs_make_all_rotations_free():
     assert res.cost == F(3) * sum(cp.poset.xmin.values(), F(0))
 
 
-def test_min_cost_matches_exhaustive_ideal_enumeration():
-    checked = 0
+def _min_cost_cases():
+    """30 tied 4 x 4 marriages, then 12 unions whose posets are not chains,
+    each with the generator that draws its costs."""
     for seed in range(30):
         rng = random.Random(f"mc{seed}")
-        inst = rand_marriage(rng, 4, cap=2, tie_prob=0.25)
+        yield rng, rand_marriage(rng, 4, cap=2, tie_prob=0.25)
+    rng = random.Random("mc unions")
+    for union in wide_unions("mc unions", 12):
+        yield rng, union
+
+
+def test_min_cost_matches_exhaustive_ideal_enumeration():
+    checked = wide = 0
+    for rng, inst in _min_cost_cases():
         poset = build_poset(inst)
         if not poset.rotations:
             continue
@@ -81,7 +90,9 @@ def test_min_cost_matches_exhaustive_ideal_enumeration():
             x = gamma(inst, poset, lam)
             assert assignment_cost(costs, x) >= res.cost
         checked += 1
-    assert checked >= 10
+        n = len(poset.rotations)
+        wide += len(poset.less) < n * (n - 1) // 2  # two rotations incomparable
+    assert checked >= 22 and wide >= 12
 
 
 def test_costs_from_the_instance_document():
