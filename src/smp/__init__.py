@@ -15,7 +15,7 @@ from .iteration import (
     solve_xmax,
     solve_xmin_modified,
 )
-from .mincost import MinCostResult, assignment_cost, build_costed_poset, min_cost_stable
+from .mincost import MinCostResult, assignment_cost, min_cost_stable
 from .model import (
     Edge,
     Instance,

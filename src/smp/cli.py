@@ -161,7 +161,7 @@ def _cmd_mincost(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.instance)
     poset = build_poset(inst)
-    if args.grid:
+    if args.grid is not None:
         assignments = grid_sublattice(inst, poset, args.grid)
     else:
         assignments = [

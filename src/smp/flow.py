@@ -26,18 +26,14 @@ class FlowNetwork:
         self.adj: dict[Node, list[Node]] = {self.source: [], self.sink: []}
 
     def add_edge(self, u: Node, v: Node, cap: Fraction) -> None:
+        """Add the arc u -> v, which is not in the network yet; its reverse
+        residual arc starts at 0 unless it is an arc of its own."""
         if cap < 0:
             raise ValueError(f"negative capacity on {u!r}->{v!r}")
-        for node in (u, v):
-            self.adj.setdefault(node, [])
-        if (u, v) in self.capacity:
-            self.capacity[(u, v)] += cap
-            return
         self.capacity[(u, v)] = cap
         self.capacity.setdefault((v, u), Fraction(0))
-        self.adj[u].append(v)
-        if u not in self.adj[v]:
-            self.adj[v].append(u)
+        self.adj.setdefault(u, []).append(v)
+        self.adj.setdefault(v, []).append(u)
 
 
 @dataclass

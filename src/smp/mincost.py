@@ -3,7 +3,9 @@
 Every stable assignment is x_min plus a closed combination of rotations, so
 its cost is c·x_min plus the summed rotation weights ζ(ρ) = τ(ρ)·(c·ρ) over a
 downward-closed set of rotations.  Minimizing a node-weight sum over closed
-sets is the classical project-selection min-cut.  Every arc of the cut
+sets is the classical project-selection min-cut.  `min_cost_stable` checks
+the costs (every edge, no other, each an int or a Fraction), computes ζ as a
+list indexed by rotation id and solves the cut.  Every arc of the cut
 network has a finite capacity: a covering arc gets one above the total
 positive weight, which no flow reaches (see `min_cost_stable`).
 """
@@ -16,39 +18,8 @@ from math import lcm
 from typing import Mapping, Optional
 
 from .flow import FlowNetwork, min_cut
-from .model import Instance, InstanceError, InvariantError
+from .model import Instance, InstanceError, InvariantError, _exact
 from .poset import RotationPoset, _fully_closed, build_poset, gamma
-
-
-@dataclass
-class CostedPoset:
-    poset: RotationPoset
-    costs: dict[str, Fraction]
-    zeta: dict[int, Fraction]            # τ(ρ)·(c·ρ)
-
-
-def build_costed_poset(
-    inst: Instance,
-    costs: Optional[Mapping[str, Fraction]] = None,
-    poset: Optional[RotationPoset] = None,
-) -> CostedPoset:
-    if costs is None:
-        costs = inst.costs
-    if costs is None:
-        raise InstanceError("no edge costs given")
-    unknown = set(costs) - inst.edge_by_id.keys()
-    if unknown:
-        raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
-    missing = set(inst.edge_ids) - set(costs)
-    if missing:
-        raise InstanceError(f"costs missing for edges: {sorted(missing)}")
-    if poset is None:
-        poset = build_poset(inst)
-    zeta = {
-        i: rot.tau * assignment_cost(costs, rot.values)
-        for i, rot in enumerate(poset.rotations)
-    }
-    return CostedPoset(poset=poset, costs=dict(costs), zeta=zeta)
 
 
 @dataclass
@@ -94,12 +65,24 @@ def min_cost_stable(
     reachable from the source in the final residual network (the unique
     smallest min cut).
     """
-    cp = build_costed_poset(inst, costs, poset)
-    poset = cp.poset
-    n = len(poset.rotations)
+    if costs is None:
+        costs = inst.costs
+    if costs is None:
+        raise InstanceError("no edge costs given")
+    unknown = set(costs) - inst.edge_by_id.keys()
+    if unknown:
+        raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
+    missing = set(inst.edge_ids) - set(costs)
+    if missing:
+        raise InstanceError(f"costs missing for edges: {sorted(missing)}")
+    for e, c in costs.items():
+        if _exact(c) is None:
+            raise InstanceError(f"edge {e!r}: cost must be an int or a Fraction")
+    if poset is None:
+        poset = build_poset(inst)
+    zeta = [rot.tau * assignment_cost(costs, rot.values) for rot in poset.rotations]
     net = FlowNetwork(source="s", sink="t")
-    for i in range(n):
-        z = cp.zeta[i]
+    for i, z in enumerate(zeta):
         if z > 0:
             net.add_edge("s", i, z)
         elif z < 0:
@@ -112,21 +95,21 @@ def min_cost_stable(
     # below any covering arc's C − F, so a covering arc never sets the
     # bottleneck.  The cut value and its source side are therefore those of
     # the network with unbounded covering arcs.
-    cover = sum((z for z in cp.zeta.values() if z > 0), Fraction(1))
+    cover = sum((z for z in zeta if z > 0), Fraction(1))
     for (a, b) in poset.hasse:
         net.add_edge(a, b, cover)
     cut = min_cut(net)
     source_side = cut.source_side
-    ideal = frozenset(i for i in range(n) if i not in source_side)
+    ideal = frozenset(i for i in range(len(zeta)) if i not in source_side)
     if any(a in source_side and b not in source_side for (a, b) in poset.hasse):
         raise InvariantError("a covering arc leaves the source side of the cut")
-    zeta_neg = sum((z for z in cp.zeta.values() if z < 0), Fraction(0))
-    zeta_ideal = sum((cp.zeta[i] for i in ideal), Fraction(0))
+    zeta_neg = sum((z for z in zeta if z < 0), Fraction(0))
+    zeta_ideal = sum((zeta[i] for i in ideal), Fraction(0))
     if zeta_ideal != cut.value + zeta_neg:
         raise InvariantError("cut capacity does not match ideal weight")
     x = gamma(inst, poset, _fully_closed(poset, ideal))
-    cost = assignment_cost(cp.costs, x)
-    base = assignment_cost(cp.costs, poset.xmin)
+    cost = assignment_cost(costs, x)
+    base = assignment_cost(costs, poset.xmin)
     if cost != base + zeta_ideal:
         raise InvariantError("cost decomposition mismatch")
     return MinCostResult(assignment=x, cost=cost, ideal=ideal)

@@ -254,6 +254,15 @@ def random_offer(rng: random.Random, inst: Instance, v: str) -> dict[str, Fracti
     return z
 
 
+def rotation_weights(poset, costs) -> list[Fraction]:
+    """ζ(ρ) = τ(ρ)·Σ_e c_e·ρ_e per rotation id, summed in plain `Fraction`s:
+    a reference for the weights `min_cost_stable` sums in integers."""
+    return [
+        rot.tau * sum((F(costs[e]) * v for e, v in rot.values.items()), F(0))
+        for rot in poset.rotations
+    ]
+
+
 def disjoint_union(*parts: Instance) -> Instance:
     """The instances side by side, with the ids of part i prefixed "i.".
 

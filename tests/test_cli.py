@@ -27,19 +27,20 @@ from smp import (
     Edge,
     Instance,
     InstanceError,
+    build_poset,
     parse_instance,
     serialize_assignment,
     serialize_instance,
     solve_xmin_modified,
 )
 from smp.cli import build_parser, main
-from smp.mincost import build_costed_poset
 from smp.simplex import LPResult
 
 from gen import (
     SIX_CYCLE_STABLE_ODD,
     chained_instance,
     rand_marriage,
+    rotation_weights,
     six_cycle_instance,
     triangle_instance,
 )
@@ -229,6 +230,14 @@ def test_enumerate_and_grid(capsys, triangle_file):
     code, out = run_cli(capsys, "enumerate", triangle_file, "--grid", "3")
     assert code == 0
     assert len(json.loads(out)) == 3
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_enumerate_grid_below_two_is_a_domain_error(capsys, triangle_file, k):
+    # --grid 0 is a given k, not a missing option
+    code, out = run_cli(capsys, "enumerate", triangle_file, "--grid", k)
+    assert code == 1
+    assert json.loads(out) == {"error": "grid needs k >= 2"}
 
 
 def test_verify_reports_all_pass(capsys, six_cycle_file):
@@ -1076,9 +1085,10 @@ def test_kernel_output_is_pinned(capsys, tmp_path, name, command):
     code, out = run_cli(capsys, command, str(path), *options)
     assert code == 0
     if name.startswith("marriage"):
-        costed = build_costed_poset(inst, {e: F(c) for e, c in costs.items()})
-        assert len(costed.poset.hasse) >= 2
-        assert min(costed.zeta.values()) < 0 < max(costed.zeta.values())
+        poset = build_poset(inst)
+        zeta = rotation_weights(poset, costs)
+        assert len(poset.hasse) >= 2
+        assert min(zeta) < 0 < max(zeta)
     assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_DIGESTS[name, command]
 
 

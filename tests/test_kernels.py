@@ -680,10 +680,3 @@ def test_min_cut_disconnected():
     cut = min_cut(net)
     assert cut.value == F(0)
     assert cut.source_side == frozenset({"s", "a"})
-
-
-def test_parallel_edges_merge():
-    net = FlowNetwork("s", "t")
-    net.add_edge("s", "t", F(1))
-    net.add_edge("s", "t", F(2))
-    assert min_cut(net).value == F(3)

@@ -8,7 +8,6 @@ import pytest
 from smp import (
     InstanceError,
     assignment_cost,
-    build_costed_poset,
     build_poset,
     full_assignment,
     min_cost_stable,
@@ -16,7 +15,7 @@ from smp import (
 )
 from smp.bruteforce import oracle_min_cost_ideal
 
-from gen import disjoint_union, rand_marriage, triangle_instance, wide_unions
+from gen import disjoint_union, rand_marriage, rotation_weights, triangle_instance, wide_unions
 
 
 def _random_costs(rng, inst):
@@ -26,9 +25,20 @@ def _random_costs(rng, inst):
 def test_costed_poset_requires_complete_costs():
     inst = triangle_instance(F(8), F(15))
     with pytest.raises(InstanceError, match="no edge costs"):
-        build_costed_poset(inst)
+        min_cost_stable(inst)
     with pytest.raises(InstanceError, match="missing"):
-        build_costed_poset(inst, {"f1w1": F(1)})
+        min_cost_stable(inst, {"f1w1": F(1)})
+
+
+@pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+def test_min_cost_rejects_a_cost_of_the_wrong_type(bad):
+    # the check `Instance` makes on the costs of a document: a float has no
+    # exact value, and a bool is not taken as 0 or 1
+    inst = triangle_instance(F(8), F(15))
+    costs = {e: 0 for e in inst.edge_ids}
+    costs["f3w1"] = bad
+    with pytest.raises(InstanceError, match=r"^edge 'f3w1': cost must be an int or a Fraction$"):
+        min_cost_stable(inst, costs)
 
 
 def test_triangle_min_cost_picks_the_cheaper_end():
@@ -51,10 +61,11 @@ def test_triangle_min_cost_picks_the_cheaper_end():
 
 def test_constant_costs_make_all_rotations_free():
     inst = triangle_instance(F(8), F(15))
-    cp = build_costed_poset(inst, {e: F(3) for e in inst.edge_ids})
-    assert all(z == 0 for z in cp.zeta.values())
-    res = min_cost_stable(inst, {e: F(3) for e in inst.edge_ids}, cp.poset)
-    assert res.cost == F(3) * sum(cp.poset.xmin.values(), F(0))
+    costs = {e: F(3) for e in inst.edge_ids}
+    poset = build_poset(inst)
+    assert all(z == 0 for z in rotation_weights(poset, costs))
+    res = min_cost_stable(inst, costs, poset)
+    assert res.cost == F(3) * sum(poset.xmin.values(), F(0))
 
 
 def _min_cost_cases():
@@ -75,10 +86,9 @@ def test_min_cost_matches_exhaustive_ideal_enumeration():
         if not poset.rotations:
             continue
         costs = _random_costs(rng, inst)
-        cp = build_costed_poset(inst, costs, poset)
         res = min_cost_stable(inst, costs, poset)
         best_weight, _ = oracle_min_cost_ideal(
-            cp.zeta, poset.less, len(poset.rotations)
+            rotation_weights(poset, costs), poset.less, len(poset.rotations)
         )
         base = assignment_cost(costs, full_assignment(inst, poset.xmin))
         assert res.cost == base + best_weight

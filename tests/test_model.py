@@ -166,6 +166,27 @@ def test_validation_missing_quota_and_preferences():
         Instance(**kw)
 
 
+def test_validation_duplicate_vertex_id():
+    kw = _base_kwargs()
+    kw["workers"] = ["w", "w"]
+    with pytest.raises(InstanceError, match="^duplicate vertex id within a part$"):
+        Instance(**kw)
+
+
+def test_validation_quota_for_unknown_vertex():
+    kw = _base_kwargs()
+    kw["quota"]["ghost"] = F(1)
+    with pytest.raises(InstanceError, match=re.escape("quota given for unknown vertices: ['ghost']")):
+        Instance(**kw)
+
+
+def test_validation_preferences_for_unknown_vertex():
+    kw = _base_kwargs()
+    kw["corteges"]["ghost"] = [["e"]]
+    with pytest.raises(InstanceError, match=re.escape("preferences given for unknown vertices: ['ghost']")):
+        Instance(**kw)
+
+
 def test_validation_tie_partition_mismatch():
     kw = _base_kwargs()
     kw["corteges"]["w"] = [["e"], ["e"]]
