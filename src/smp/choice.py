@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .model import ZERO, Instance, InvariantError
 
@@ -188,20 +188,18 @@ def _rechoose(
     vertices: Iterable[str],
     z: Mapping[str, Fraction],
     prev: Mapping[str, ChoiceOutcome],
-    changed: Collection[str] = (),
 ) -> dict[str, ChoiceOutcome]:
-    """Each vertex's choice from z, reusing its stored outcome where it can.
+    """Each vertex's choice from z, reusing its stored outcome where it has one.
 
     `prev[v]`, where present, is v's choice from an input that equals z on
-    every edge at v unless v is in `changed`.  A choice reads nothing but the
-    vertex's incident edges, quota and ties and its input there, so an equal
-    input gives an equal outcome; a vertex that changed or has no stored
-    outcome chooses afresh.
+    every edge at v.  A choice reads nothing but the vertex's incident edges,
+    quota and ties and its input there, so an equal input gives an equal
+    outcome; a vertex with no stored outcome chooses afresh.
     """
     out = {}
     for v in vertices:
         old = prev.get(v)
-        out[v] = old if old is not None and v not in changed else choose(inst, v, z)
+        out[v] = old if old is not None else choose(inst, v, z)
     return out
 
 

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .iteration import _normalise, _solve_quota_filling, solve_xmax, solve_xmin_modified
+from .iteration import solve_quota_filling, solve_xmax, solve_xmin_modified
 from .mincost import min_cost_stable
 from .model import (
     Instance,
@@ -74,16 +74,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.trace and args.method == "quota-filling":
+        _PARSER.error("--trace lists proposal rounds, which --method quota-filling does not run")
     inst = _load_instance(args.instance)
     trace: list = [] if args.trace else None
     if args.method == "quota-filling":
-        found = _solve_quota_filling(inst)
-        if found is None:
+        # the firm optimum is the worker optimum of the swapped instance
+        x = solve_quota_filling(inst if args.side == "workers" else inst.swapped())
+        if x is None:
             _emit({"quota_filling": False})
             return 0
-        x, known = found
-        if args.side == "firms":
-            x = _normalise(inst, x, known)[0]
     elif args.side == "workers":
         x = solve_xmax(inst, trace=trace)
     else:

@@ -102,9 +102,6 @@ The outcomes travel on past the rounds, each time by an equal-input argument
     choices made there, and its report holds every choice at y.  Either set
     starts the route that normalises the point in `inst.swapped()`: `choose`
     reads only `incident`, `quota` and `corteges`, which `swapped()` keeps.
-    For the same reason the report of `_solve_quota_filling`'s last
-    stability test starts the route of `smp solve --method quota-filling
-    --side firms`, through the same `_normalise`.
 (b) That route's outcomes at its end are the choices at x_min; `solve_xmax`,
     `smp solve --side workers` and `build_poset`'s base route start from
     them (`_solve_xmin`).
@@ -245,9 +242,9 @@ def _rechoose_scaled(
     """Each vertex's choice from z, its quota from `quota` (numerators over
     D), into `outcomes`, which holds the stored outcomes on entry.
 
-    A vertex keeps its stored outcome unless it is in `changed` or has none,
-    as in `choice._rechoose`.  Returns the vertices that chose afresh, or the
-    factor by which D must grow when a kernel call asks for it.
+    A vertex keeps its stored outcome unless it is in `changed` or has none.
+    Returns the vertices that chose afresh, or the factor by which D must
+    grow when a kernel call asks for it.
     """
     fresh = []
     for v in vertices:
@@ -610,11 +607,18 @@ def build_extended_instance(inst: Instance) -> tuple[Instance, dict[str, Fractio
     depot worker, with the vertex's quota as capacity, ranked worst by the
     worker and best by the firm; a root edge joins the two depots.  The seed
     is the extension's firm-optimal point: each depot edge at its capacity
-    and every other edge, the root included, at 0.
+    and every other edge, the root included, at 0.  An instance that holds a
+    depot vertex id, or an edge id the extension adds, raises `InstanceError`.
     """
     f0, w0 = "__depot_firm", "__depot_worker"
     if f0 in inst.quota or w0 in inst.quota:
         raise InstanceError("reserved depot vertex ids present in instance")
+    # both prefixes at every vertex: the ids clash on either side of the
+    # instance, so `inst.swapped()` is rejected exactly when `inst` is
+    reserved = {"__root"} | {f"__{p}_{v}" for v in inst.vertices() for p in "ab"}
+    clash = [e for e in inst.edge_ids if e in reserved]
+    if clash:
+        raise InstanceError(f"reserved depot edge ids present in instance: {clash}")
     edges = list(inst.edges)
     a_edges, b_edges = [], []
     for w in inst.workers:
@@ -659,10 +663,9 @@ def build_extended_instance(inst: Instance) -> tuple[Instance, dict[str, Fractio
     return ext, seed
 
 
-def _solve_quota_filling(
-    inst: Instance,
-) -> Optional[tuple[dict[str, Fraction], dict[str, ChoiceOutcome]]]:
-    """The quota-filling worker optimum and every vertex's choice there, or None.
+def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
+    """The worker-optimal assignment when every stable assignment fills all
+    quotas, else None.  The firm optimum is that of `inst.swapped()`.
 
     The instance is extended by a depot firm and worker that soak up all
     remaining capacity (each real vertex ranks its depot edge at the opposite
@@ -670,8 +673,7 @@ def _solve_quota_filling(
     extension's firm-optimal stable point; routing it to the worker-optimal
     end empties the depot edges exactly when the original instance is quota
     filling, and then the restriction is its worker-optimal assignment.  The
-    route starts from the choices of the seed's stability test, and the
-    outcomes returned are those of the restriction's stability test.
+    route starts from the choices of the seed's stability test.
     """
     ext, y0 = build_extended_instance(inst)
     seed_report = stability_report(ext, y0)
@@ -685,11 +687,4 @@ def _solve_quota_filling(
     report = stability_report(inst, x)
     if not (report.stable and len(report.fully_filled) == len(inst.vertices())):
         raise InvariantError("restricted worker optimum not stable and quota filling")
-    return x, report.outcomes
-
-
-def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
-    """Decide whether every stable assignment fills all quotas: one if so, else
-    None (`_solve_quota_filling`)."""
-    found = _solve_quota_filling(inst)
-    return None if found is None else found[0]
+    return x

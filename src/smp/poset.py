@@ -29,6 +29,11 @@ from .rotations import (
 )
 from .stability import stability_report
 
+# the most rotations `enumerate_fully_closed` takes, and the most points of
+# a `grid_sublattice` grid
+POSET_CAP = 20
+GRID_CAP = 10**6
+
 
 @dataclass
 class RotationPoset:
@@ -120,9 +125,7 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     return poset
 
 
-def _verify_hasse_edge(
-    inst: Instance, poset: RotationPoset, a: int, b: int, cache: Optional[dict] = None
-) -> None:
+def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int, cache: dict) -> None:
     """Direct witness that ρ_a immediately precedes ρ_b."""
     ideal = poset.downset(b) - {a, b}
     if not all(poset.downset(c) - {c} <= ideal for c in ideal):
@@ -201,11 +204,12 @@ def _ideals(preds: dict[int, set[int]], elements: frozenset[int]) -> list[frozen
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-def enumerate_fully_closed(poset: RotationPoset, cap: int = 20) -> list[dict[int, Fraction]]:
-    """One fully closed function (λ ∈ {0, τ} with downward-closed support) per ideal."""
+def enumerate_fully_closed(poset: RotationPoset) -> list[dict[int, Fraction]]:
+    """One fully closed function (λ ∈ {0, τ} with downward-closed support) per
+    ideal, for a poset of at most `POSET_CAP` rotations."""
     n = len(poset.rotations)
-    if n > cap:
-        raise InstanceError(f"poset size {n} exceeds cap {cap}")
+    if n > POSET_CAP:
+        raise InstanceError(f"poset size {n} exceeds cap {POSET_CAP}")
     preds = {i: {a for (a, b) in poset.less if b == i} for i in range(n)}
     ideals = _ideals(preds, frozenset(range(n)))
     out = []
@@ -217,20 +221,19 @@ def enumerate_fully_closed(poset: RotationPoset, cap: int = 20) -> list[dict[int
     return out
 
 
-def grid_sublattice(
-    inst: Instance, poset: RotationPoset, k: int, cap: int = 10**6
-) -> list[dict[str, Fraction]]:
+def grid_sublattice(inst: Instance, poset: RotationPoset, k: int) -> list[dict[str, Fraction]]:
     """Stable assignments whose weights sit on a k-point grid per rotation.
 
     τ > 0, so a rotation's k grid points differ, and so do the combinations:
     no assignment repeats.  k must be an `int` (`InstanceError` otherwise),
-    so every grid weight is a `Fraction`.
+    so every grid weight is a `Fraction`; the grid has at most `GRID_CAP`
+    points.
     """
     if type(k) is not int or k < 2:
         raise InstanceError("grid needs k >= 2")
     n = len(poset.rotations)
-    if k**n > cap:
-        raise InstanceError(f"grid size {k}^{n} exceeds cap {cap}")
+    if k**n > GRID_CAP:
+        raise InstanceError(f"grid size {k}^{n} exceeds cap {GRID_CAP}")
     combos: list[dict[int, Fraction]] = [{}]
     for i, rot in enumerate(poset.rotations):
         combos = [{**c, i: rot.tau * j / (k - 1)} for c in combos for j in range(k)]

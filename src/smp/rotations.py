@@ -383,7 +383,7 @@ def apply_shift(
     if verify:
         if not stability_report(inst, xp).stable:
             raise InvariantError("shift broke stability")
-        if not (compare_stable(inst, x, xp, side="firms") and xp != x):
+        if not (compare_stable(inst, x, xp) and xp != x):
             raise InvariantError("shift is not a strict firm-side descent")
     return xp
 

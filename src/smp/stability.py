@@ -136,26 +136,21 @@ def compare_stable(
     inst: Instance,
     x: Mapping[str, Fraction],
     y: Mapping[str, Fraction],
-    side: str = "firms",
 ) -> bool:
-    """Does every vertex on `side` weakly prefer x to y?
+    """Does every firm weakly prefer x to y?  For the workers, pass
+    `inst.swapped()`.
 
-    Both assignments must be stable.  Every vertex on `side` is compared, so
-    each runs the cross-check of `prefers`.  When the comparison holds, the
-    converse relation on the opposite side is checked (preferring more on one
-    side means conceding on the other).
+    Both assignments must be stable.  Every firm is compared, so each runs
+    the cross-check of `prefers`.  When the comparison holds, the converse
+    relation on the workers is checked (preferring more on one side means
+    conceding on the other).
     """
-    if side not in ("firms", "workers"):
-        raise ValueError(f"side must be 'firms' or 'workers', got {side!r}")
     for name, z in (("x", x), ("y", y)):
         if not stability_report(inst, z).stable:
             raise InstanceError(f"compare_stable: assignment {name} is not stable")
-    vertices = inst.firms if side == "firms" else inst.workers
-    holds = all([prefers(inst, v, x, y) for v in vertices])
-    if holds:
-        other = inst.workers if side == "firms" else inst.firms
-        if not all(prefers(inst, v, y, x) for v in other):
-            raise InvariantError(
-                "polarity violated: opposite side does not prefer the other assignment"
-            )
+    holds = all([prefers(inst, f, x, y) for f in inst.firms])
+    if holds and not all(prefers(inst, w, y, x) for w in inst.workers):
+        raise InvariantError(
+            "polarity violated: opposite side does not prefer the other assignment"
+        )
     return holds

@@ -126,6 +126,50 @@ def test_solve_trace(capsys, triangle_file):
     assert all(step["kind"] in ("ordinary", "aggregated") for step in doc["trace"])
 
 
+@pytest.mark.parametrize("side", ["firms", "workers"])
+def test_quota_filling_trace_is_a_usage_error(capsys, triangle_file, side):
+    # quota filling runs no proposal rounds, so there is no trace to print
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", triangle_file, "--method", "quota-filling", "--side", side, "--trace"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--trace" in out.err
+
+
+def _renamed_triangle(tmp_path, old, new):
+    """The triangle instance's file, with edge `old` renamed `new`."""
+    doc = json.dumps(serialize_instance(triangle_instance(F(8), F(15))))
+    path = tmp_path / "renamed.json"
+    path.write_text(doc.replace(f'"{old}"', f'"{new}"'))
+    return str(path)
+
+
+@pytest.mark.parametrize("side", ["firms", "workers"])
+@pytest.mark.parametrize("eid", ["__root", "__a_w1", "__b_f1", "__a_f1", "__b_w1"])
+def test_quota_filling_rejects_reserved_depot_edge_ids(capsys, tmp_path, eid, side):
+    # each depot prefix is reserved at every vertex, so both sides reject
+    # the same ids; the modified method solves the same instance
+    path = _renamed_triangle(tmp_path, "f1w1", eid)
+    code, out = run_cli(capsys, "solve", path, "--method", "quota-filling", "--side", side)
+    assert code == 1
+    assert json.loads(out) == {"error": f"reserved depot edge ids present in instance: {[eid]}"}
+    code, out = run_cli(capsys, "solve", path, "--side", side)
+    assert code == 0 and eid in json.loads(out)["values"]
+
+
+@pytest.mark.parametrize("side", ["firms", "workers"])
+@pytest.mark.parametrize("vertex", ["__depot_firm", "__depot_worker"])
+def test_quota_filling_rejects_reserved_depot_vertex_ids(capsys, tmp_path, vertex, side):
+    path = tmp_path / "depot.json"
+    path.write_text(json.dumps(serialize_instance(Instance(
+        firms=[vertex], workers=["w"], edges=[Edge("e", vertex, "w", F(1))],
+        quota={vertex: F(1), "w": F(1)}, corteges={vertex: [["e"]], "w": [["e"]]},
+    ))))
+    code, out = run_cli(capsys, "solve", str(path), "--method", "quota-filling", "--side", side)
+    assert code == 1
+    assert json.loads(out) == {"error": "reserved depot vertex ids present in instance"}
+
+
 def test_rotations_json_and_dot(capsys, triangle_file):
     code, out = run_cli(capsys, "rotations", triangle_file)
     assert code == 0
@@ -238,6 +282,13 @@ def test_enumerate_grid_below_two_is_a_domain_error(capsys, triangle_file, k):
     code, out = run_cli(capsys, "enumerate", triangle_file, "--grid", k)
     assert code == 1
     assert json.loads(out) == {"error": "grid needs k >= 2"}
+
+
+def test_enumerate_grid_above_the_cap_is_a_domain_error(capsys, triangle_file):
+    # the triangle has one rotation, so the grid has k points
+    code, out = run_cli(capsys, "enumerate", triangle_file, "--grid", "1000001")
+    assert code == 1
+    assert json.loads(out) == {"error": "grid size 1000001^1 exceeds cap 1000000"}
 
 
 def test_verify_reports_all_pass(capsys, six_cycle_file):
@@ -687,29 +738,22 @@ def test_quota_filling_checks_fire_under_optimize_flag(tmp_path, planted, messag
 
 # SHA-256 of `smp solve --method quota-filling --side firms` on
 # rand_marriage(Random(s), 4, cap=2, tie_prob=0.3) for s < 40, the outputs
-# concatenated in seed order (recorded before that route took the outcomes
-# of the quota-filling stability test).
+# concatenated in seed order (recorded before that command solved the
+# swapped instance).
 QUOTA_FILLING_FIRMS_DIGEST = "4665b6081d43cf7442b241015d2d1ad647b266f8115bdedd7b1f0148700b0419"
 
 
-def test_quota_filling_firms_route_starts_from_the_known_outcomes(capsys, tmp_path, monkeypatch):
-    """The route to the firm optimum in `inst.swapped()` starts from the
-    choices of the quota-filling stability test, and the output stays
-    byte-identical.  Without them the route makes 473 `choose` calls on
-    these instances, 320 of them at its first state."""
+def test_quota_filling_firms_side_solves_the_swapped_instance(capsys, tmp_path, monkeypatch):
+    """The firm side of quota filling is the worker optimum of
+    `inst.swapped()`, and the output stays byte-identical.  The command
+    makes 2,002 `choose` calls on these instances; it made 2,160 when it
+    routed the worker optimum on down to the firm optimum."""
     chosen = []
     real_choose = smp.choice.choose
     monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or real_choose(inst, v, z))
-    in_route = []  # `choose` calls inside the CLI's route, per instance
-    normalise = smp.cli._normalise
-
-    def counted_route(*args, **kwargs):
-        before = len(chosen)
-        out = normalise(*args, **kwargs)
-        in_route.append(len(chosen) - before)
-        return out
-
-    monkeypatch.setattr(smp.cli, "_normalise", counted_route)
+    solved = []  # the firms of each instance the command solves
+    real_solve = smp.cli.solve_quota_filling
+    monkeypatch.setattr(smp.cli, "solve_quota_filling", lambda inst: solved.append(inst.firms) or real_solve(inst))
     digest = hashlib.sha256()
     path = tmp_path / "m4.json"
     for seed in range(40):
@@ -717,9 +761,10 @@ def test_quota_filling_firms_route_starts_from_the_known_outcomes(capsys, tmp_pa
         path.write_text(json.dumps(serialize_instance(inst)))
         code, out = run_cli(capsys, "solve", str(path), "--method", "quota-filling", "--side", "firms")
         assert code == 0
+        assert solved[-1] == inst.workers
         digest.update(out.encode())
     assert digest.hexdigest() == QUOTA_FILLING_FIRMS_DIGEST
-    assert len(in_route) == 40 and sum(in_route) == 153
+    assert len(solved) == 40 and len(chosen) == 2002
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,9 @@ import smp.poset
 import smp.rotations
 from smp import (
     InstanceError,
-    Route,
+    Rotation,
     RotationPoset,
+    Route,
     build_poset,
     compare_stable,
     enumerate_fully_closed,
@@ -256,9 +257,11 @@ def test_union_lattice_is_the_product_of_the_parts():
 
 
 def test_enumeration_cap_enforced():
-    inst, poset = _marriage_posets(1, tag="cap")[0]
-    with pytest.raises(InstanceError, match="exceeds cap"):
-        enumerate_fully_closed(poset, cap=0)
+    # 21 unordered rotations: the size alone is checked, before any ideal
+    rotations = [Rotation({f"e{i}": 1}, F(1)) for i in range(21)]
+    poset = RotationPoset(rotations=rotations, less=frozenset(), hasse=[], xmin={}, xmax={})
+    with pytest.raises(InstanceError, match="^poset size 21 exceeds cap 20$"):
+        enumerate_fully_closed(poset)
 
 
 def test_grid_sublattice_contains_fully_closed_images():

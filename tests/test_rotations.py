@@ -130,8 +130,8 @@ def test_full_shift_exhausts_the_triangle_rotation():
     y = apply_shift(inst, x, [rot], [rot.tau])
     assert not maximal_components(inst, build_active_structure(inst, y))
     # the shift moved weight the firms' way down and the workers' way up
-    assert compare_stable(inst, x, y, side="firms")
-    assert compare_stable(inst, y, x, side="workers")
+    assert compare_stable(inst, x, y)
+    assert compare_stable(inst.swapped(), y, x)
 
 
 def test_run_route_is_order_invariant():
@@ -144,7 +144,7 @@ def test_run_route_is_order_invariant():
             # every shift lands on a stable point strictly worse for the firms
             for prev, nxt in zip(route.states, route.states[1:]):
                 assert stability_report(inst, nxt).stable
-                assert compare_stable(inst, prev, nxt, side="firms")
+                assert compare_stable(inst, prev, nxt)
                 assert nxt != prev
             omega = sorted((rot.key(), rot.tau) for rot in route.steps)
             if baseline is None:

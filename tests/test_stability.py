@@ -85,14 +85,14 @@ def test_admissible_assignments_are_stationary():
 def test_compare_stable_six_cycle_sides():
     inst = six_cycle_instance()
     odd, even = SIX_CYCLE_STABLE_ODD, SIX_CYCLE_STABLE_EVEN
-    pref_odd = compare_stable(inst, odd, even, side="firms")
-    pref_even = compare_stable(inst, even, odd, side="firms")
+    pref_odd = compare_stable(inst, odd, even)
+    pref_even = compare_stable(inst, even, odd)
     assert pref_odd != pref_even  # exactly one direction wins
     better = odd if pref_odd else even
     worse = even if pref_odd else odd
     # the workers prefer the opposite one
-    assert compare_stable(inst, worse, better, side="workers")
-    assert not compare_stable(inst, better, worse, side="workers")
+    assert compare_stable(inst.swapped(), worse, better)
+    assert not compare_stable(inst.swapped(), better, worse)
 
 
 def test_compare_stable_rejects_unstable_input():
@@ -103,8 +103,14 @@ def test_compare_stable_rejects_unstable_input():
     }
     with pytest.raises(InstanceError, match="not stable"):
         compare_stable(inst, half, SIX_CYCLE_STABLE_ODD)
-    with pytest.raises(ValueError, match="side"):
-        compare_stable(inst, SIX_CYCLE_STABLE_ODD, SIX_CYCLE_STABLE_EVEN, side="both")
+
+
+def test_compare_stable_checks_the_polarity_of_the_workers(monkeypatch):
+    # every firm prefers x and no worker prefers y: the converse relation on
+    # the workers fails, and with it the comparison
+    monkeypatch.setattr(smp.stability, "prefers", lambda inst, v, z, zp: v in inst.firm_set)
+    with pytest.raises(InvariantError, match="^polarity violated"):
+        compare_stable(six_cycle_instance(), SIX_CYCLE_STABLE_ODD, SIX_CYCLE_STABLE_EVEN)
 
 
 def test_dual_route_blocking_check_on_random_assignments():
