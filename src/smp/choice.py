@@ -40,16 +40,14 @@ the routes go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .model import ZERO, Instance, InvariantError
 
 
-@dataclass(frozen=True, slots=True)  # slots: one is built per choice
-class ChoiceOutcome:
+class ChoiceOutcome(NamedTuple):
     # chosen vector on the incident edges; from the kernel, numerators over D
     result: dict[str, Fraction]
     head: frozenset[str]

@@ -8,20 +8,17 @@ simple BFS augmenting-path scheme is more than fast enough.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 
 Node = Hashable
 
 
-@dataclass
 class FlowNetwork:
-    source: Node
-    sink: Node
-
-    def __post_init__(self) -> None:
+    def __init__(self, source: Node, sink: Node) -> None:
+        self.source = source
+        self.sink = sink
         self.capacity: dict[tuple[Node, Node], Fraction] = {}
         self.adj: dict[Node, list[Node]] = {self.source: [], self.sink: []}
 
@@ -36,8 +33,7 @@ class FlowNetwork:
         self.adj.setdefault(v, []).append(u)
 
 
-@dataclass
-class CutResult:
+class CutResult(NamedTuple):
     value: Fraction          # max flow = min cut capacity
     source_side: frozenset   # min cut nearest the source (residual reach)
 

@@ -111,10 +111,9 @@ The outcomes travel on past the rounds, each time by an equal-input argument
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional
 
 from .choice import ChoiceOutcome, _choose_scaled
 from .model import (
@@ -139,8 +138,7 @@ def _step_cap(inst: Instance) -> int:
     return 10 * len(inst.edges)
 
 
-@dataclass
-class IterationState:
+class IterationState(NamedTuple):
     round: int
     den: int  # D: every value below is an int numerator over D
     capacity: dict[str, int]  # the edge capacities over D
@@ -152,7 +150,7 @@ class IterationState:
     # input bounds (the previous state's `bounds`), a worker's from `x`.  An
     # aggregation step sets x = y to its point and keeps only the fully
     # filled workers' choices, made from `y`.
-    outcomes: dict[str, ChoiceOutcome] = field(default_factory=dict)
+    outcomes: dict[str, ChoiceOutcome]
     # the edges with y != x (empty after a terminal round)
     cut: frozenset[str] = frozenset()
 
@@ -184,10 +182,7 @@ def _fraction_outcomes(
 ) -> dict[str, ChoiceOutcome]:
     """Outcomes whose results are numerators over `den`, with `Fraction` results."""
     return {
-        v: ChoiceOutcome(
-            _fractions(out.result, den, memo), out.head, out.tail, out.critical_tie, out.deficit
-        )
-        for v, out in outcomes.items()
+        v: out._replace(result=_fractions(out.result, den, memo)) for v, out in outcomes.items()
     }
 
 
@@ -206,6 +201,7 @@ def initial_state(inst: Instance) -> IterationState:
         bounds=dict(bounds),
         x=dict(bounds),
         y=dict(bounds),
+        outcomes={},
     )
 
 
@@ -215,8 +211,7 @@ def _times(values: Mapping[str, int], k: int) -> dict[str, int]:
 
 def _rescaled(state: IterationState, k: int) -> IterationState:
     """The same state over k·D: every numerator, stored results included, times k."""
-    return IterationState(
-        round=state.round,
+    return state._replace(
         den=state.den * k,
         capacity=_times(state.capacity, k),
         quota=_times(state.quota, k),
@@ -224,10 +219,8 @@ def _rescaled(state: IterationState, k: int) -> IterationState:
         x=_times(state.x, k),
         y=_times(state.y, k),
         outcomes={
-            v: ChoiceOutcome(_times(out.result, k), out.head, out.tail, out.critical_tie, out.deficit)
-            for v, out in state.outcomes.items()
+            v: out._replace(result=_times(out.result, k)) for v, out in state.outcomes.items()
         },
-        cut=state.cut,
     )
 
 
@@ -429,13 +422,14 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     for f in firms:
         for e in fh[f]:
             raised.setdefault(inst.edge_by_id[e].worker, []).append(var[f])
-    lp = LinearProgram(objective=[len(fh[f]) for f in firms])
+    a_le: list[list[int]] = []
+    b_le: list[int] = []
 
     def add(row: list[int], rhs: int) -> None:
         if rhs < 0:
             raise InvariantError("aggregation LP has a negative right-hand side")
-        lp.a_le.append(row)
-        lp.b_le.append(rhs)
+        a_le.append(row)
+        b_le.append(rhs)
 
     def unit(f: str, scale: int = 1) -> list[int]:
         row = [0] * n
@@ -487,7 +481,7 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         if w not in wh:
             add(add_raises([0] * n, w), slack(w))
 
-    res = simplex_maximize(lp)
+    res = simplex_maximize(LinearProgram([len(fh[f]) for f in firms], a_le, b_le))
     if res.status != "optimal":
         raise InvariantError(f"aggregation LP {res.status}")
     phi = res.solution
@@ -507,7 +501,7 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         # at least one inequality must be tight, otherwise the raise could grow
         tight = any(
             sum(a * v for a, v in zip(row, phi)) == rhs
-            for row, rhs in zip(lp.a_le, lp.b_le)
+            for row, rhs in zip(a_le, b_le)
         )
         if not tight:
             raise InvariantError("aggregation LP optimum leaves all inequalities slack")
@@ -526,7 +520,7 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     kept: dict[str, ChoiceOutcome] = {}
     if type(_rechoose_scaled(inst, workers, point, new.quota, (), kept)) is int:
         raise InvariantError("aggregated point overfills a filled worker")
-    return replace(new, round=state.round + 1, x=point, y=point, outcomes=kept, cut=frozenset())
+    return new._replace(round=state.round + 1, x=point, y=point, outcomes=kept, cut=frozenset())
 
 
 def _normalise(

@@ -12,18 +12,16 @@ positive weight, which no flow reaches (see `min_cost_stable`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .flow import FlowNetwork, min_cut
 from .model import Instance, InstanceError, InvariantError, _exact
 from .poset import RotationPoset, _fully_closed, build_poset, gamma
 
 
-@dataclass
-class MinCostResult:
+class MinCostResult(NamedTuple):
     assignment: dict[str, Fraction]
     cost: Fraction
     ideal: frozenset[int]

@@ -12,9 +12,8 @@ missing id reads as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .choice import choose
 from .iteration import _solve_xmin
@@ -35,8 +34,7 @@ POSET_CAP = 20
 GRID_CAP = 10**6
 
 
-@dataclass
-class RotationPoset:
+class RotationPoset(NamedTuple):
     rotations: list[Rotation]            # canonical representatives, stable ids 0..n-1
     less: frozenset[tuple[int, int]]     # (i, j) with ρ_i strictly before ρ_j
     hasse: list[tuple[int, int]]         # transitive reduction of `less`

@@ -45,10 +45,9 @@ arguments say where it has not:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .choice import ChoiceOutcome
 from .linalg import integer_nullspace
@@ -56,8 +55,7 @@ from .model import Instance, InstanceError, InvariantError, _exact, full_assignm
 from .stability import compare_stable, stability_report
 
 
-@dataclass
-class ActiveStructure:
+class ActiveStructure(NamedTuple):
     """The analysis of a stable x that rotations are built from.
 
     `heads` maps each fully filled firm f to D_f, possibly empty, and each
@@ -70,8 +68,7 @@ class ActiveStructure:
     regular: frozenset[str]             # V+ = V^= - V0
 
 
-@dataclass
-class Rotation:
+class Rotation(NamedTuple):
     """A rotation: positive on the D_f and negative on the H_w of its component."""
 
     values: dict[str, int]  # support edge id -> nonzero integer
@@ -250,16 +247,14 @@ def extract_rotation(
             if e in values:
                 raise InvariantError(f"edge {e!r} active on both sides")
             values[e] = gen[i] if i < nfirms else -gen[i]
-    rot = Rotation(values=values, tau=Fraction(0))  # tau filled in below
-    _check_rotation_invariants(inst, rot)
-    rot.tau = max_weight(inst, x, rot, act)
-    return rot
+    _check_rotation_invariants(inst, values)
+    return Rotation(values, max_weight(inst, x, values, act))
 
 
-def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
+def _check_rotation_invariants(inst: Instance, values: Mapping[str, int]) -> None:
     # a vertex off the support has net change 0
     net: dict[str, int] = {}
-    for e, v in rot.values.items():
+    for e, v in values.items():
         edge = inst.edge_by_id[e]
         net[edge.firm] = net.get(edge.firm, 0) + v
         net[edge.worker] = net.get(edge.worker, 0) + v
@@ -270,7 +265,7 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
     # negative edges at w); a zero is left to the integrality check below
     raised: dict[str, set[int]] = {}
     dropped: dict[str, set[int]] = {}
-    for e, v in rot.values.items():
+    for e, v in values.items():
         edge = inst.edge_by_id[e]
         if v > 0:
             raised.setdefault(edge.firm, set()).add(v)
@@ -283,7 +278,7 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
         if len(vals) != 1:
             raise InvariantError(f"rotation not aligned at worker {w!r}")
     g = 0
-    for e, v in rot.values.items():
+    for e, v in values.items():
         if v.denominator != 1 or not v.numerator:
             raise InvariantError(f"rotation value on edge {e!r} not a nonzero integer")
         g = gcd(g, v.numerator)
@@ -292,7 +287,7 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
     # support connectivity; `net` is keyed by the support's endpoints, and
     # the support is not empty (an empty one has no gcd 1)
     adj: dict[str, list[str]] = {}
-    for e in rot.values:
+    for e in values:
         edge = inst.edge_by_id[e]
         adj.setdefault(edge.firm, []).append(edge.worker)
         adj.setdefault(edge.worker, []).append(edge.firm)
@@ -303,10 +298,11 @@ def _check_rotation_invariants(inst: Instance, rot: Rotation) -> None:
 def max_weight(
     inst: Instance,
     x: Mapping[str, Fraction],
-    rot: Rotation,
+    values: Mapping[str, int],
     act: ActiveStructure,
 ) -> Fraction:
-    """Largest λ for which x + λ·rot stays stable; x is a full assignment.
+    """Largest λ for which x + λ·ρ stays stable, ρ the rotation vector
+    `values`; x is a full assignment.
 
     Each candidate is (a - b) / d for two values a, b of x or the capacities
     and a positive `int` d.  The values are held as `int` numerators over
@@ -315,7 +311,7 @@ def max_weight(
     """
     zero = (0, 1)
     terms = []  # (a, b, d) as (numerator, denominator) pairs and an int
-    for e, v in rot.values.items():
+    for e, v in values.items():
         edge = inst.edge_by_id[e]
         xe = x[e].as_integer_ratio()
         if v > 0:
@@ -328,7 +324,7 @@ def max_weight(
         out = act.outcomes[edge.worker]
         for ep in inst.corteges[edge.worker][out.critical_tie]:
             if ep not in out.head:
-                terms.append((xe, x[ep].as_integer_ratio(), rot.values.get(ep, 0) - v))
+                terms.append((xe, x[ep].as_integer_ratio(), values.get(ep, 0) - v))
     den = lcm(*(q for a, b, _ in terms for q in (a[1], b[1])))
     best_n, best_d = None, 1
     for (an, ad), (bn, bd), d in terms:
@@ -388,8 +384,7 @@ def apply_shift(
     return xp
 
 
-@dataclass
-class Route:
+class Route(NamedTuple):
     states: list[dict[str, Fraction]]
     steps: list[Rotation]  # each shifted by its full weight τ
     outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at the last state

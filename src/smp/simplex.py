@@ -22,24 +22,21 @@ One `Fraction` per basic variable is built at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
-@dataclass
-class LinearProgram:
+class LinearProgram(NamedTuple):
     """max objective·x  s.t.  a_le x <= b_le,  x >= 0,  with b_le >= 0."""
 
     objective: Sequence[int]
-    a_le: list[Sequence[int]] = field(default_factory=list)
-    b_le: list[Fraction] = field(default_factory=list)
+    a_le: Sequence[Sequence[int]]
+    b_le: Sequence[Fraction]
     # always empty; perfbench/tracer.py's `_lp_counts` still reads it
-    a_eq: list = field(default_factory=list)
+    a_eq: tuple = ()
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str  # "optimal" | "unbounded"
     value: Optional[Fraction] = None
     solution: Optional[list[Fraction]] = None

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .choice import ChoiceOutcome, _rechoose, prefers
 from .model import (
@@ -16,8 +15,7 @@ from .model import (
 )
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(NamedTuple):
     stable: bool
     blocking_edges: list[str]          # canonical edge-id order
     fully_filled: frozenset[str]       # vertices with load exactly at quota

@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import io
 import json
@@ -356,7 +355,7 @@ def test_negative_aggregation_rhs_is_exit_4(capsys, monkeypatch, aggregating_fil
     real = smp.iteration._big_iteration
 
     def planted(inst, state):
-        return real(inst, dataclasses.replace(state, quota=dict.fromkeys(state.quota, -1)))
+        return real(inst, state._replace(quota=dict.fromkeys(state.quota, -1)))
 
     monkeypatch.setattr(smp.iteration, "_big_iteration", planted)
     code, out = run_cli(capsys, "solve", aggregating_file)
@@ -373,6 +372,23 @@ def _run_python(flags, script, *args):
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_the_oracles():
+    # a fresh interpreter, isolated from the environment, with this
+    # checkout's `src` on its path
+    src = str(Path(smp.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import smp.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'smp.bruteforce') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _run_optimized(script, *args):
@@ -400,7 +416,7 @@ def test_inadmissible_aggregated_point_is_exit_4_under_optimize_flag(aggregating
     # the aggregation step's point tripled leaves the box: the stability test
     # rejects it, and the solver, not the input, is at fault
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import smp.iteration\n"
         "from smp.cli import main\n"
         "if __debug__:\n"
@@ -409,7 +425,7 @@ def test_inadmissible_aggregated_point_is_exit_4_under_optimize_flag(aggregating
         "def tripled(inst, state):\n"
         "    new = real(inst, state)\n"
         "    point = {e: 3 * v for e, v in new.x.items()}\n"
-        "    return dataclasses.replace(new, x=point, y=point)\n"
+        "    return new._replace(x=point, y=point)\n"
         "smp.iteration._big_iteration = tripled\n"
         "sys.exit(main(['solve', sys.argv[1]]))\n"
     )
@@ -424,7 +440,7 @@ def test_unstable_terminal_round_is_exit_4_under_optimize_flag(triangle_file):
     # a terminal round zeroed, its choices dropped: every edge blocks at 0,
     # and the normalising route rejects the solver's own point
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import smp.iteration\n"
         "from smp.cli import main\n"
         "if __debug__:\n"
@@ -435,7 +451,7 @@ def test_unstable_terminal_round_is_exit_4_under_optimize_flag(triangle_file):
         "    if new.cut:\n"
         "        return new\n"
         "    zero = dict.fromkeys(new.x, 0)\n"
-        "    return dataclasses.replace(new, x=zero, y=zero, outcomes={})\n"
+        "    return new._replace(x=zero, y=zero, outcomes={})\n"
         "smp.iteration.ordinary_iteration_step = zeroed\n"
         "sys.exit(main(['solve', sys.argv[1]]))\n"
     )
@@ -454,7 +470,7 @@ def test_failed_stability_invariant_is_checked_under_optimize_flag(tmp_path, six
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"values": {}}))
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import smp.choice\n"
         "from smp.cli import main\n"
         "if __debug__:\n"
@@ -464,7 +480,7 @@ def test_failed_stability_invariant_is_checked_under_optimize_flag(tmp_path, six
         "    out = choose(inst, v, z)\n"
         "    if not out.tail:\n"
         "        return out\n"
-        "    return dataclasses.replace(out, tail=out.tail - {min(out.tail)})\n"
+        "    return out._replace(tail=out.tail - {min(out.tail)})\n"
         "smp.choice.choose = drop_one\n"
         "sys.exit(main(['check', sys.argv[1], sys.argv[2]]))\n"
     )
@@ -495,9 +511,9 @@ ROTATION_PLANTS = [
     # a zero stored on the first edge off the support of the first rotation
     # extracted, {a, e1, e5, e6}
     ("check = smp.rotations._check_rotation_invariants\n"
-     "def with_zero(inst, rot):\n"
-     "    rot.values[next(e for e in inst.edge_ids if e not in rot.values)] = Fraction(0)\n"
-     "    check(inst, rot)\n"
+     "def with_zero(inst, values):\n"
+     "    values[next(e for e in inst.edge_ids if e not in values)] = Fraction(0)\n"
+     "    check(inst, values)\n"
      "smp.rotations._check_rotation_invariants = with_zero",
      "rotation value on edge 'e2' not a nonzero integer"),
 ]
@@ -550,7 +566,7 @@ def test_route_guard_is_exit_4_under_optimize_flag(six_cycle_file):
 def test_repeated_base_route_rotation_is_exit_4_under_optimize_flag(six_cycle_file):
     # a base route that applies its first rotation again at its end
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import smp.poset\n"
         "from smp.cli import main\n"
         "if __debug__:\n"
@@ -560,7 +576,7 @@ def test_repeated_base_route_rotation_is_exit_4_under_optimize_flag(six_cycle_fi
         "    route = real(inst, start, **kw)\n"
         "    if 'avoid' in kw:\n"
         "        return route\n"
-        "    return dataclasses.replace(route, steps=route.steps + route.steps[:1])\n"
+        "    return route._replace(steps=route.steps + route.steps[:1])\n"
         "smp.poset.run_route = planted\n"
         "sys.exit(main(['poset', sys.argv[1]]))\n"
     )
@@ -579,7 +595,7 @@ AVOIDANCE_PLANTS = [
     ("    route = real(inst, start, **kw)\n"
      "    i = [r.key() for r in base[0]].index(kw['avoid'])\n"
      "    steps = {0: base[0][2:], 1: []}.get(i, route.steps)\n"
-     "    return dataclasses.replace(route, steps=steps)",
+     "    return route._replace(steps=steps)",
      "precedence not transitive at rotations 0 < 1"),
 ]
 
@@ -591,7 +607,7 @@ def test_avoidance_checks_fire_under_optimize_flag(tmp_path, plant, message):
     inst = rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3)
     path.write_text(json.dumps(serialize_instance(inst)))
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import smp.poset\n"
         "from smp.cli import main\n"
         "if __debug__:\n"
@@ -618,7 +634,7 @@ def _omega_route_plant(change):
         "real = smp.poset.run_route\n"
         "def planted(inst, start, **kw):\n"
         "    route = real(inst, start, **kw)\n"
-        f"    return route if 'cache' in kw else dataclasses.replace(route, {change})\n"
+        f"    return route if 'cache' in kw else route._replace({change})\n"
         "smp.poset.run_route = planted"
     )
 
@@ -641,13 +657,33 @@ def _omega_route_plant(change):
          "closed_function_bijection", "weights do not reproduce x"),
         ("smp.poset.stability_report = lambda inst, x, known=None: StabilityReport(False, [], frozenset(), {}, frozenset())",
          "closed_function_bijection", "closed function image not stable"),
+        # the first call loads the file, the second parses the serialized
+        # instance, here into a one-edge instance
+        ("real = smp.cli.parse_instance\n"
+         "calls = []\n"
+         "def planted(doc):\n"
+         "    calls.append(doc)\n"
+         "    if len(calls) == 2:\n"
+         "        doc = {'firms': ['f'], 'workers': ['w'],\n"
+         "               'edges': [{'id': 'e', 'firm': 'f', 'worker': 'w', 'capacity': 1}],\n"
+         "               'quotas': {'f': 1, 'w': 1},\n"
+         "               'preferences': {'f': [['e']], 'w': [['e']]}}\n"
+         "    return real(doc)\n"
+         "smp.cli.parse_instance = planted",
+         "parse_roundtrip", "serialized instance parses to other edges"),
+        ("from smp.model import InvariantError\n"
+         "def planted(inst, start):\n"
+         "    raise InvariantError('route exceeded 12 shifts')\n"
+         "smp.cli.run_route = planted",
+         "route_bound", "route exceeded 12 shifts"),
     ],
     ids=["omega", "stability", "omega route unfinished", "omega foreign rotation",
-         "omega weights not closed", "omega weights not reproducing", "gamma image"],
+         "omega weights not closed", "omega weights not reproducing", "gamma image",
+         "parse roundtrip", "route bound"],
 )
 def test_verify_checks_run_under_optimize_flag(six_cycle_file, plant, failing, message):
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import smp.cli\n"
         "import smp.poset\n"
         "from smp.rotations import Rotation\n"
@@ -719,7 +755,7 @@ def test_quota_filling_checks_fire_under_optimize_flag(tmp_path, planted, messag
     path = tmp_path / "m3.json"
     path.write_text(json.dumps(serialize_instance(rand_marriage(random.Random(2), 3, cap=1))))
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import smp.iteration\n"
         "from smp.cli import main\n"
         "if __debug__:\n"
@@ -727,7 +763,7 @@ def test_quota_filling_checks_fire_under_optimize_flag(tmp_path, planted, messag
         "report = smp.iteration.stability_report\n"
         "def planted(inst, x, known=None):\n"
         "    out = report(inst, x, known)\n"
-        f"    return dataclasses.replace(out, stable=False) if {planted} else out\n"
+        f"    return out._replace(stable=False) if {planted} else out\n"
         "smp.iteration.stability_report = planted\n"
         "sys.exit(main(['solve', sys.argv[1], '--method', 'quota-filling']))\n"
     )
@@ -871,7 +907,7 @@ def test_active_structure_head_checks_fire_under_optimize_flag(six_cycle_file, o
 def test_shift_and_lattice_checks_fire_under_optimize_flag(six_cycle_file, plant, call, message):
     # x is x_min, rot its first rotation and y the point after the full shift
     script = (
-        "import dataclasses, inspect, sys\n"
+        "import inspect, sys\n"
         "import smp.poset, smp.rotations\n"
         "from smp import *\n"
         "if __debug__:\n"
@@ -882,7 +918,7 @@ def test_shift_and_lattice_checks_fire_under_optimize_flag(six_cycle_file, plant
         "y = apply_shift(inst, x, [rot], [rot.tau], verify=False)\n"
         "report = smp.rotations.stability_report\n"
         "def unstable(inst, x, known=None):\n"
-        "    return dataclasses.replace(report(inst, x, known), stable=False)\n"
+        "    return report(inst, x, known)._replace(stable=False)\n"
         "reports = []\n"
         "def unstable_output(inst, z, known=None):\n"
         "    # the first two reports are of the inputs x and y\n"

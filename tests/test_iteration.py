@@ -1,6 +1,5 @@
 """Side-optimal solvers: proposal/cut rounds, LP aggregation, quota filling."""
 
-import dataclasses
 import random
 from types import SimpleNamespace
 from fractions import Fraction as F
@@ -618,7 +617,7 @@ def reference_big_iteration(inst, state):
     for f in firms:
         for e in fh[f]:
             raised.setdefault(inst.edge_by_id[e].worker, []).append(var[f])
-    lp = LinearProgram(objective=[len(fh[f]) for f in firms])
+    lp = LinearProgram(objective=[len(fh[f]) for f in firms], a_le=[], b_le=[])
 
     def add(row, rhs):
         if rhs < 0:
@@ -838,7 +837,7 @@ def test_round_check_covers_the_edges_of_fresh_workers(monkeypatch):
                     seen["planted"] = e
                     result = dict(out.result)
                     result[e] = z[e] + 1
-                    return dataclasses.replace(out, result=result)
+                    return out._replace(result=result)
         return out
 
     monkeypatch.setattr(smp.iteration, "_choose_scaled", planted)
@@ -865,7 +864,7 @@ def test_round_check_compares_values_past_the_identity_shortcut(monkeypatch, pla
                 if pick(e):
                     result = dict(out[v].result)
                     result[e] = value(e)
-                    out[v] = dataclasses.replace(out[v], result=result)
+                    out[v] = out[v]._replace(result=result)
                     seen["planted"] = e
                     return
 

@@ -680,3 +680,10 @@ def test_min_cut_disconnected():
     cut = min_cut(net)
     assert cut.value == F(0)
     assert cut.source_side == frozenset({"s", "a"})
+
+
+def test_flow_network_rejects_a_negative_capacity():
+    net = FlowNetwork("s", "t")
+    with pytest.raises(ValueError, match="negative capacity on 's'->'a'"):
+        net.add_edge("s", "a", F(-1, 2))
+    assert net.capacity == {} and net.adj == {"s": [], "t": []}

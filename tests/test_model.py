@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import smp
+import smp.flow
+import smp.simplex
 from smp import (
     Edge,
     Instance,
@@ -56,6 +59,23 @@ def test_edge_other_endpoint():
     e = Edge("e", "f1", "w1", F(1))
     assert e.other("f1") == "w1"
     assert e.other("w1") == "f1"
+
+
+def test_every_record_is_a_named_tuple_without_a_mutable_default():
+    # a record is built once: no field can be written, no default is shared
+    records = [
+        Edge, smp.ChoiceOutcome, smp.StabilityReport, smp.IterationState,
+        smp.ActiveStructure, smp.Rotation, smp.Route, smp.RotationPoset,
+        smp.MinCostResult, smp.flow.CutResult, smp.simplex.LinearProgram,
+        smp.simplex.LPResult,
+    ]
+    for cls in records:
+        assert issubclass(cls, tuple) and cls._fields, cls
+        for value in cls._field_defaults.values():
+            hash(value)
+    rot = smp.Rotation({"e": 1}, F(1))
+    with pytest.raises(AttributeError):
+        rot.tau = F(2)
 
 
 def test_instance_roundtrip_through_json():

@@ -70,7 +70,7 @@ def test_triangle_tau_is_min_of_load_and_capacity_slack(a, b, expected_tau):
     # binding terms: dropping 8 units per step from a stock of a, and raising
     # 7 units per step into headroom b - a
     assert rot.tau == min(a / 8, (b - a) / 7) == expected_tau
-    assert max_weight(inst, x, rot, act) == rot.tau
+    assert max_weight(inst, x, rot.values, act) == rot.tau
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 10])
@@ -197,7 +197,7 @@ def test_nonpositive_max_weight_is_an_invariant_error():
     dropped = next(e for e, v in rot.values.items() if v < 0)
     y = dict(full_assignment(inst, x), **{dropped: F(0)})
     with pytest.raises(InvariantError, match="maximal admissible weight must be positive"):
-        max_weight(inst, y, rot, act)
+        max_weight(inst, y, rot.values, act)
 
 
 def test_rotation_values_hold_exactly_the_support():
@@ -276,11 +276,10 @@ BROKEN_ROTATIONS = {
 def test_rotation_checks_name_the_broken_invariant(name):
     # the checks raise InvariantError, so they hold under `python -O` too
     inst = rand_marriage(random.Random(0), 4)
-    _check_rotation_invariants(inst, Rotation(dict(SIX_CYCLE), F(1)))
+    _check_rotation_invariants(inst, dict(SIX_CYCLE))
     values, message = BROKEN_ROTATIONS[name]
-    rot = Rotation(dict(values), F(1))
     with pytest.raises(InvariantError) as exc:
-        _check_rotation_invariants(inst, rot)
+        _check_rotation_invariants(inst, dict(values))
     assert str(exc.value) == message
 
 
@@ -435,9 +434,9 @@ def test_tau_and_shift_match_fraction_references(monkeypatch, family):
     seen = []
     real = smp.rotations.max_weight
 
-    def spy(inst, x, rot, act):
-        tau = real(inst, x, rot, act)
-        seen.append((inst, x, rot, act, tau))
+    def spy(inst, x, values, act):
+        tau = real(inst, x, values, act)
+        seen.append((inst, x, Rotation(values, tau), act, tau))
         return tau
 
     monkeypatch.setattr(smp.rotations, "max_weight", spy)

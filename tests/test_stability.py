@@ -1,7 +1,6 @@
 """Stability reports and side-wise comparison of stable assignments."""
 
 import collections
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -203,7 +202,7 @@ def test_box_screen_compares_values_past_the_identity_shortcut(flaw):
     x[e] = {"negative": F(-1), "over capacity": cap + 1}[flaw]
     assert x[e] is not cap
     known = {
-        v: dataclasses.replace(out, result={eid: x[eid] for eid in inst.incident[v]})
+        v: out._replace(result={eid: x[eid] for eid in inst.incident[v]})
         for v, out in report.outcomes.items()
     }
     expected = _rejection(inst, x)
