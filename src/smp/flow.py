@@ -2,7 +2,8 @@
 
 Every capacity is a finite nonnegative Fraction.  Used by the min-cost
 solver's cut network, whose node count equals the number of rotations, so the
-simple BFS augmenting-path scheme is more than fast enough.
+simple BFS augmenting-path scheme is more than fast enough.  `min_cut` keeps
+its flow as one residual map, copied from the network's capacities.
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ class CutResult(NamedTuple):
 def min_cut(net: FlowNetwork) -> CutResult:
     """Max flow and the unique minimal min cut of `net`.
 
-    Returns the flow value and the set of nodes reachable from the source in
-    the final residual network.
+    The flow lives in one residual map, a copy of `net.capacity` that each
+    augmenting path lowers along its arcs and raises against them; `net` is
+    not changed.  Returns the flow value and the set of nodes reachable from
+    the source in the final residual network.
     """
-    flow: dict[tuple[Node, Node], Fraction] = {k: Fraction(0) for k in net.capacity}
-
-    def residual(u: Node, v: Node) -> Fraction:
-        return net.capacity[(u, v)] - flow[(u, v)]
-
+    residual = dict(net.capacity)
     total = Fraction(0)
     while True:
         # BFS for a shortest augmenting path
@@ -57,7 +56,7 @@ def min_cut(net: FlowNetwork) -> CutResult:
         while queue and net.sink not in parent:
             u = queue.popleft()
             for v in net.adj[u]:
-                if v not in parent and residual(u, v) > 0:
+                if v not in parent and residual[u, v] > 0:
                     parent[v] = u
                     queue.append(v)
         if net.sink not in parent:
@@ -67,8 +66,8 @@ def min_cut(net: FlowNetwork) -> CutResult:
         while v != net.source:
             path.append((parent[v], v))
             v = parent[v]
-        bottleneck = min(residual(u, v) for u, v in path)
+        bottleneck = min(residual[arc] for arc in path)
         for u, v in path:
-            flow[(u, v)] += bottleneck
-            flow[(v, u)] -= bottleneck
+            residual[u, v] -= bottleneck
+            residual[v, u] += bottleneck
         total += bottleneck

@@ -32,7 +32,9 @@ grows:
   pivots and its optimum is D times the true raise.  The simplex returns
   that raise in `Fraction`s, so the new point's numerators over D may be
   fractions; the state moves over k·D, k the lcm of their denominators,
-  which is the lcm of D and the point's own denominators (`_rescaled`).
+  which is the lcm of D and the point's own denominators.  Only the
+  capacities, quotas and bounds are carried over, times k: x, y and the
+  stored choices of the new state are the point's.
 
 The round check, the cut, the progress test, the reduced edges and the
 aggregation LP's rows all compare `int`s over the one D of the state they
@@ -402,7 +404,8 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     The new point adds φ_f on H_f and subtracts ψ_w on H_w; it becomes x and
     y, the heads' bounds move to it, and only the filled workers' choices
     there are stored.  The state moves over k·D, k the lcm of the
-    denominators of the point's numerators, so that they are `int`s.
+    denominators of the point's numerators, so that they are `int`s; it is
+    built from this state's capacities, quotas and bounds, each times k.
     """
     y, quota, outcomes = state.y, state.quota, state.outcomes
     firms = _filled(state, inst.firms)
@@ -506,9 +509,8 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
         if not tight:
             raise InvariantError("aggregation LP optimum leaves all inequalities slack")
     k = lcm(*{val.denominator for val in yp.values()})
-    new = _rescaled(state, k)
     point = {e: val.numerator * (k // val.denominator) for e, val in yp.items()}
-    bounds = new.bounds
+    bounds = _times(state.bounds, k)
     for w in workers:
         for e in wh[w]:
             bounds[e] = point[e]
@@ -518,9 +520,13 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
     # w sums to its quota at the point, so its choice keeps the offer and the
     # cutting height is the critical tie's largest value
     kept: dict[str, ChoiceOutcome] = {}
-    if type(_rechoose_scaled(inst, workers, point, new.quota, (), kept)) is int:
+    quota = _times(quota, k)
+    if type(_rechoose_scaled(inst, workers, point, quota, (), kept)) is int:
         raise InvariantError("aggregated point overfills a filled worker")
-    return new._replace(round=state.round + 1, x=point, y=point, outcomes=kept, cut=frozenset())
+    return IterationState(
+        round=state.round + 1, den=state.den * k, capacity=_times(state.capacity, k),
+        quota=quota, bounds=bounds, x=point, y=point, outcomes=kept,
+    )
 
 
 def _normalise(

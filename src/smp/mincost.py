@@ -4,10 +4,11 @@ Every stable assignment is x_min plus a closed combination of rotations, so
 its cost is c·x_min plus the summed rotation weights ζ(ρ) = τ(ρ)·(c·ρ) over a
 downward-closed set of rotations.  Minimizing a node-weight sum over closed
 sets is the classical project-selection min-cut.  `min_cost_stable` checks
-the costs (every edge, no other, each an int or a Fraction), computes ζ as a
-list indexed by rotation id and solves the cut.  Every arc of the cut
-network has a finite capacity: a covering arc gets one above the total
-positive weight, which no flow reaches (see `min_cost_stable`).
+the costs with `Instance`'s check (no unknown edge, then each an int or a
+Fraction), then that no edge lacks one, computes ζ as a list indexed by
+rotation id and solves the cut.  Every arc of the cut network has a finite
+capacity: a covering arc gets one above the total positive weight, which no
+flow reaches (see `min_cost_stable`).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from math import lcm
 from typing import Mapping, NamedTuple, Optional
 
 from .flow import FlowNetwork, min_cut
-from .model import Instance, InstanceError, InvariantError, _exact
-from .poset import RotationPoset, _fully_closed, build_poset, gamma
+from .model import Instance, InstanceError, InvariantError, _checked_costs
+from .poset import RotationPoset, _closed_of_ideal, build_poset, gamma
 
 
 class MinCostResult(NamedTuple):
@@ -67,15 +68,10 @@ def min_cost_stable(
         costs = inst.costs
     if costs is None:
         raise InstanceError("no edge costs given")
-    unknown = set(costs) - inst.edge_by_id.keys()
-    if unknown:
-        raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
-    missing = set(inst.edge_ids) - set(costs)
+    costs = _checked_costs(inst.edge_by_id, costs)
+    missing = set(inst.edge_ids) - costs.keys()
     if missing:
         raise InstanceError(f"costs missing for edges: {sorted(missing)}")
-    for e, c in costs.items():
-        if _exact(c) is None:
-            raise InstanceError(f"edge {e!r}: cost must be an int or a Fraction")
     if poset is None:
         poset = build_poset(inst)
     zeta = [rot.tau * assignment_cost(costs, rot.values) for rot in poset.rotations]
@@ -97,15 +93,14 @@ def min_cost_stable(
     for (a, b) in poset.hasse:
         net.add_edge(a, b, cover)
     cut = min_cut(net)
-    source_side = cut.source_side
-    ideal = frozenset(i for i in range(len(zeta)) if i not in source_side)
-    if any(a in source_side and b not in source_side for (a, b) in poset.hasse):
+    ideal = frozenset(range(len(zeta))) - cut.source_side
+    if any(a not in ideal and b in ideal for (a, b) in poset.hasse):
         raise InvariantError("a covering arc leaves the source side of the cut")
     zeta_neg = sum((z for z in zeta if z < 0), Fraction(0))
     zeta_ideal = sum((zeta[i] for i in ideal), Fraction(0))
     if zeta_ideal != cut.value + zeta_neg:
         raise InvariantError("cut capacity does not match ideal weight")
-    x = gamma(inst, poset, _fully_closed(poset, ideal))
+    x = gamma(inst, poset, _closed_of_ideal(poset, ideal))
     cost = assignment_cost(costs, x)
     base = assignment_cost(costs, poset.xmin)
     if cost != base + zeta_ideal:

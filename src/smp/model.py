@@ -116,6 +116,21 @@ class Edge(NamedTuple):
         return self.worker if vertex == self.firm else self.firm
 
 
+def _checked_costs(edge_by_id: Mapping[str, Edge], costs: Mapping) -> dict[str, Fraction]:
+    """`costs` with every value a `Fraction`, after two checks in this order:
+    every id names an edge of `edge_by_id`, then every value is an `int`
+    (never a `bool`) or a `Fraction`.  `Instance` and `min_cost_stable`
+    share it; a missing cost is left to the caller."""
+    unknown = set(costs) - edge_by_id.keys()
+    if unknown:
+        raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
+    checked = {eid: _exact(c) for eid, c in costs.items()}
+    for eid, c in checked.items():
+        if c is None:
+            raise InstanceError(f"edge {eid!r}: cost must be an int or a Fraction")
+    return checked
+
+
 class Instance:
     """Immutable problem instance, checked in one pass that builds each table
     once.  A capacity, quota or cost may be given as an `int` (never a
@@ -233,18 +248,7 @@ class Instance:
         if len(corteges) > len(self.corteges):
             extra = sorted(set(corteges) - set(vertices))
             raise InstanceError(f"preferences given for unknown vertices: {extra}")
-        self.costs: Optional[dict[str, Fraction]] = None
-        if costs is not None:
-            unknown = set(costs) - edge_by_id.keys()
-            if unknown:
-                raise InstanceError(f"costs given for unknown edges: {sorted(unknown)}")
-            self.costs = {}
-            for eid, c in costs.items():
-                if type(c) is not Fraction:
-                    c = _exact(c)
-                    if c is None:
-                        raise InstanceError(f"edge {eid!r}: cost must be an int or a Fraction")
-                self.costs[eid] = c
+        self.costs = None if costs is None else _checked_costs(edge_by_id, costs)
 
     def vertices(self) -> tuple[str, ...]:
         return self.firms + self.workers

@@ -12,6 +12,7 @@ missing id reads as 0.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -63,6 +64,16 @@ def is_closed(poset: RotationPoset, lam: Mapping[int, Fraction]) -> bool:
 def _fully_closed(poset: RotationPoset, ideal: frozenset[int]) -> dict[int, Fraction]:
     """The closed function with λ = τ on `ideal` and 0 elsewhere."""
     return {i: (rot.tau if i in ideal else Fraction(0)) for i, rot in enumerate(poset.rotations)}
+
+
+def _closed_of_ideal(poset: RotationPoset, ideal: frozenset[int]) -> dict[int, Fraction]:
+    """`_fully_closed(poset, ideal)` for an ideal that the library found
+    itself, so a function that is not closed is an `InvariantError`, not the
+    caller's `InstanceError` from `gamma`."""
+    lam = _fully_closed(poset, ideal)
+    if not is_closed(poset, lam):
+        raise InvariantError(f"fully closed function of ideal {sorted(ideal)} not closed")
+    return lam
 
 
 def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -> RotationPoset:
@@ -124,11 +135,10 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
 
 
 def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int, cache: dict) -> None:
-    """Direct witness that ρ_a immediately precedes ρ_b."""
-    ideal = poset.downset(b) - {a, b}
-    if not all(poset.downset(c) - {c} <= ideal for c in ideal):
-        raise InvariantError("witness set not an ideal")
-    x = gamma(inst, poset, _fully_closed(poset, ideal), verify=False)
+    """Direct witness that ρ_a immediately precedes ρ_b, at the point of the
+    ideal below ρ_b without ρ_a; a set that is not an ideal fails
+    `_closed_of_ideal`."""
+    x = gamma(inst, poset, _closed_of_ideal(poset, poset.downset(b) - {a, b}), verify=False)
     act, rots = applicable_rotations(inst, x, cache)
     here = {r.key() for r in rots}
     pred, succ = poset.rotations[a], poset.rotations[b]
@@ -186,20 +196,18 @@ def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> di
     return lam
 
 
-def _ideals(preds: dict[int, set[int]], elements: frozenset[int]) -> list[frozenset[int]]:
+def _ideals(preds: dict[int, set[int]]) -> list[frozenset[int]]:
     """All downward-closed subsets; `preds[i]` = all strict predecessors of i.
 
-    Split on a minimal element m: ideals containing m are m plus an ideal of
-    the rest; ideals avoiding m must also avoid everything above m.
+    One pass over a linear extension, fewer predecessors first (a strict
+    predecessor has fewer).  Nothing taken before e lies above it, so the
+    ideals that gain e are those found so far that hold all of `preds[e]`.
+    The list is sorted once, by size and then by sorted members.
     """
-    if not elements:
-        return [frozenset()]
-    m = min(e for e in elements if not (preds[e] & elements))
-    up_m = {e for e in elements if m in preds[e]} | {m}
-    with_m = [ideal | {m} for ideal in _ideals(preds, elements - {m})]
-    without_m = _ideals(preds, elements - up_m)
-    out = set(with_m) | set(without_m)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    ideals = [frozenset()]
+    for e in sorted(preds, key=lambda e: len(preds[e])):
+        ideals += [ideal | {e} for ideal in ideals if preds[e] <= ideal]
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
 
 
 def enumerate_fully_closed(poset: RotationPoset) -> list[dict[int, Fraction]]:
@@ -209,14 +217,7 @@ def enumerate_fully_closed(poset: RotationPoset) -> list[dict[int, Fraction]]:
     if n > POSET_CAP:
         raise InstanceError(f"poset size {n} exceeds cap {POSET_CAP}")
     preds = {i: {a for (a, b) in poset.less if b == i} for i in range(n)}
-    ideals = _ideals(preds, frozenset(range(n)))
-    out = []
-    for ideal in ideals:
-        lam = _fully_closed(poset, ideal)
-        if not is_closed(poset, lam):
-            raise InvariantError(f"fully closed function of ideal {sorted(ideal)} not closed")
-        out.append(lam)
-    return out
+    return [_closed_of_ideal(poset, ideal) for ideal in _ideals(preds)]
 
 
 def grid_sublattice(inst: Instance, poset: RotationPoset, k: int) -> list[dict[str, Fraction]]:
@@ -225,17 +226,17 @@ def grid_sublattice(inst: Instance, poset: RotationPoset, k: int) -> list[dict[s
     τ > 0, so a rotation's k grid points differ, and so do the combinations:
     no assignment repeats.  k must be an `int` (`InstanceError` otherwise),
     so every grid weight is a `Fraction`; the grid has at most `GRID_CAP`
-    points.
+    points.  The grid is streamed in product order, the last rotation's
+    level moving fastest, so one candidate weight dict is held at a time.
     """
     if type(k) is not int or k < 2:
         raise InstanceError("grid needs k >= 2")
     n = len(poset.rotations)
     if k**n > GRID_CAP:
         raise InstanceError(f"grid size {k}^{n} exceeds cap {GRID_CAP}")
-    combos: list[dict[int, Fraction]] = [{}]
-    for i, rot in enumerate(poset.rotations):
-        combos = [{**c, i: rot.tau * j / (k - 1)} for c in combos for j in range(k)]
-    return [gamma(inst, poset, lam) for lam in combos if is_closed(poset, lam)]
+    levels = [[rot.tau * j / (k - 1) for j in range(k)] for rot in poset.rotations]
+    lams = (dict(enumerate(weights)) for weights in itertools.product(*levels))
+    return [gamma(inst, poset, lam) for lam in lams if is_closed(poset, lam)]
 
 
 def _choose_from_max(

@@ -457,6 +457,10 @@ def run_route(
     applicable rotations; by default the first, by smallest vertex id.
     `cache` is passed to `applicable_rotations` at every state.
 
+    An unstable or inadmissible `start` is the caller's `InstanceError`; a
+    later state that the analysis rejects was reached by the route's own
+    shifts, so the rejection is an `InvariantError`.
+
     `known` holds choice outcomes already known at `start`.  A shift changes
     x only on the rotation's support, so each later state is analysed with
     the previous state's outcomes carried over everywhere else
@@ -468,7 +472,12 @@ def run_route(
     steps: list[Rotation] = []
     bound = 2 * len(inst.edges)
     while True:
-        act, options = applicable_rotations(inst, x, cache, known)
+        try:
+            act, options = applicable_rotations(inst, x, cache, known)
+        except InstanceError as exc:
+            if not steps:  # the caller's start
+                raise
+            raise InvariantError(f"route state {len(steps)} rejected: {exc}") from exc
         if not options and act.regular:
             raise InvariantError("active edges left but no sink component")
         if avoid is not None:

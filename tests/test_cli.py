@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import smp.choice
 import smp.cli
 import smp.iteration
+import smp.poset
 import smp.rotations
 from smp import (
     Edge,
@@ -739,6 +740,87 @@ def test_mincost_checks_fire_under_optimize_flag(tmp_path, plant, message):
     proc = _run_optimized(script, str(path))
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {"error": message}
+
+
+def _doubled_tau(monkeypatch):
+    real = smp.rotations.max_weight
+    monkeypatch.setattr(smp.rotations, "max_weight", lambda *args: 2 * real(*args))
+
+
+def _doubled_fully_closed(monkeypatch):
+    real = smp.poset._fully_closed
+
+    def doubled(poset, ideal):
+        return {i: 2 * lam for i, lam in real(poset, ideal).items()}
+
+    monkeypatch.setattr(smp.poset, "_fully_closed", doubled)
+
+
+# the triangle's rotation shifted by 2τ takes f2w1 from 8 to 8 - 16
+ROUTE_STATE_REJECTED = (
+    "route state 1 rejected: assignment not admissible: edge f2w1: negative value -8; "
+    "edge f2w2: value 16 exceeds capacity 15; edge f2w3: value 16 exceeds capacity 15; "
+    "edge f3w1: value 22 exceeds capacity 15; edge f3w2: negative value -2"
+)
+
+
+@pytest.mark.parametrize(
+    "plant, instance, argv, message",
+    [
+        (_doubled_tau, "triangle", ["poset"], ROUTE_STATE_REJECTED),
+        (_doubled_tau, "triangle", ["solve", "--side", "workers"], ROUTE_STATE_REJECTED),
+        (_doubled_tau, "triangle", ["enumerate"], ROUTE_STATE_REJECTED),
+        # the tied 4 x 4 marriage has 3 Hasse edges; the witness of (0, 1)
+        # is x_min, whose closed function is 0 and stays closed when doubled,
+        # and that of (1, 2) is the ideal {0}
+        (_doubled_fully_closed, "marriage", ["poset"],
+         "fully closed function of ideal [0] not closed"),
+        # a raise of f3w1 is the triangle rotation's only cost, so the cut's
+        # ideal is {0}
+        (_doubled_fully_closed, "triangle", ["mincost", "--costs", "{costs}"],
+         "fully closed function of ideal [0] not closed"),
+    ],
+    ids=["poset route", "solve workers route", "enumerate route", "hasse witness", "cut ideal"],
+)
+def test_a_rejected_point_of_the_library_is_exit_4(
+    capsys, monkeypatch, tmp_path, triangle_file, plant, instance, argv, message
+):
+    # each point is one the library reached itself: a route state past the
+    # caller's start, a Hasse witness, the image of the cut's ideal
+    path = triangle_file
+    if instance == "marriage":
+        inst = rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3)
+        assert len(build_poset(inst).hasse) == 3
+        path = tmp_path / "m4.json"
+        path.write_text(json.dumps(serialize_instance(inst)))
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps({**{e: 0 for e in triangle_instance(F(8), F(15)).edge_ids}, "f3w1": -1}))
+    plant(monkeypatch)
+    command, *options = argv
+    code, out = run_cli(capsys, command, str(path), *(o.format(costs=costs) for o in options))
+    assert code == 4
+    assert json.loads(out) == {"error": message}
+
+
+def test_an_unstable_user_point_is_still_exit_1(capsys, tmp_path, six_cycle_file):
+    # the midpoint of the six-cycle's two stable points is blocked; the
+    # library rejects it where the caller hands it in
+    from gen import SIX_CYCLE_STABLE_EVEN
+
+    inst = six_cycle_instance()
+    half = {e: (SIX_CYCLE_STABLE_ODD[e] + SIX_CYCLE_STABLE_EVEN[e]) / 2 for e in inst.edge_ids}
+    at = tmp_path / "half.json"
+    at.write_text(json.dumps(serialize_assignment(half)))
+    code, out = run_cli(capsys, "rotations", six_cycle_file, "--at", str(at))
+    assert code == 1
+    assert json.loads(out)["error"].startswith("assignment is not stable (blocking: ")
+    poset = build_poset(inst)
+    for call in (lambda: smp.rotations.run_route(inst, half), lambda: smp.poset.omega(inst, poset, half)):
+        with pytest.raises(InstanceError, match=r"^assignment is not stable \(blocking: "):
+            call()
+    # an inadmissible start is the caller's too
+    with pytest.raises(InstanceError, match="^assignment not admissible: edge e1: negative value -1$"):
+        smp.rotations.run_route(inst, {**SIX_CYCLE_STABLE_ODD, "e1": F(-1)})
 
 
 @pytest.mark.parametrize(

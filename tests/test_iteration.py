@@ -749,6 +749,36 @@ def test_aggregation_step_matches_the_two_function_reference(monkeypatch):
         assert lp.b_le == [state.den * rhs for rhs in ref_lp.b_le]
 
 
+def test_aggregation_step_rescales_only_what_it_keeps(monkeypatch):
+    """An aggregation step builds its successor from the capacities, quotas
+    and bounds times k; the x, y and stored outcomes that its point replaces
+    are never rescaled (`_rescaled` serves the round retry alone)."""
+    inside, rescaled = [], []
+    real_big, real_rescaled = smp.iteration._big_iteration, smp.iteration._rescaled
+
+    def big(inst, state):
+        inside.append(state)
+        try:
+            return real_big(inst, state)
+        finally:
+            inside.pop()
+
+    def spy(state, k):
+        if inside:
+            rescaled.append(k)
+        return real_rescaled(state, k)
+
+    monkeypatch.setattr(smp.iteration, "_big_iteration", big)
+    monkeypatch.setattr(smp.iteration, "_rescaled", spy)
+    steps = []
+    for s in range(40):
+        inst = rand_marriage(random.Random(s), 4, cap=2, tie_prob=0.5)
+        trace: list = []
+        solve_xmin_modified(inst, trace)
+        steps += [kind for kind, _, _ in trace if kind == "aggregated"]
+    assert len(steps) == 21 and rescaled == []
+
+
 def _final_attempt_calls(monkeypatch):
     """Record the vertex of every kernel call in the rounds, dropping the
     calls of an attempt that asked for a larger D (the round runs again)."""

@@ -1,5 +1,6 @@
 """Exact numeric kernels: integer nullspace, simplex, max-flow/min-cut."""
 
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -680,6 +681,39 @@ def test_min_cut_disconnected():
     cut = min_cut(net)
     assert cut.value == F(0)
     assert cut.source_side == frozenset({"s", "a"})
+
+
+def test_min_cut_matches_the_cheapest_cut_on_random_networks():
+    # every s-t cut of a small network with rational capacities, antiparallel
+    # arcs and arcs into s and out of t: the value is the cheapest cut's, and
+    # the source side is the smallest cheapest one, the intersection of all
+    # cheapest source sides.  `min_cut` leaves the network as it found it.
+    rng = random.Random("min-cut")
+    for _ in range(1000):
+        inner = list(range(rng.randint(0, 5)))
+        nodes = ["s", "t", *inner]
+        net = FlowNetwork("s", "t")
+        density = rng.random()
+        for u in nodes:
+            for v in nodes:
+                if u != v and rng.random() < density:
+                    net.add_edge(u, v, F(rng.randint(0, 9), rng.randint(1, 4)))
+        capacity, adj = dict(net.capacity), {u: list(vs) for u, vs in net.adj.items()}
+        sides = [
+            frozenset({"s", *chosen})
+            for size in range(len(inner) + 1)
+            for chosen in itertools.combinations([u for u in net.adj if u not in ("s", "t")], size)
+        ]
+        value = {
+            side: sum((c for (u, v), c in capacity.items() if u in side and v not in side), F(0))
+            for side in sides
+        }
+        cheapest = min(value.values())
+        smallest = frozenset.intersection(*(side for side in sides if value[side] == cheapest))
+        cut = min_cut(net)
+        assert cut.value == cheapest and value[smallest] == cheapest
+        assert cut.source_side == smallest
+        assert net.capacity == capacity and net.adj == adj
 
 
 def test_flow_network_rejects_a_negative_capacity():

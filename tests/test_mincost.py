@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from smp import (
+    Instance,
     InstanceError,
     assignment_cost,
     build_poset,
@@ -39,6 +40,27 @@ def test_min_cost_rejects_a_cost_of_the_wrong_type(bad):
     costs["f3w1"] = bad
     with pytest.raises(InstanceError, match=r"^edge 'f3w1': cost must be an int or a Fraction$"):
         min_cost_stable(inst, costs)
+
+
+@pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+def test_cost_checks_run_unknown_then_type_then_missing(bad):
+    # `Instance` and `min_cost_stable` share one check of the ids, then of
+    # the types; `min_cost_stable` alone then requires a cost on every edge
+    inst = triangle_instance(F(8), F(15))
+
+    def instance(costs):
+        return Instance(inst.firms, inst.workers, inst.edges, inst.quota, inst.corteges, costs)
+
+    unknown = "^costs given for unknown edges: \\['bogus'\\]$"
+    wrong_type = "^edge 'f1w1': cost must be an int or a Fraction$"
+    for call in (instance, lambda costs: min_cost_stable(inst, costs)):
+        with pytest.raises(InstanceError, match=unknown):
+            call({"bogus": 1, "f1w1": bad})
+        with pytest.raises(InstanceError, match=wrong_type):
+            call({"f1w1": bad})
+    assert instance({"f1w1": 1}).costs == {"f1w1": F(1)}
+    with pytest.raises(InstanceError, match="^costs missing for edges: "):
+        min_cost_stable(inst, {"f1w1": 1})
 
 
 def test_triangle_min_cost_picks_the_cheaper_end():

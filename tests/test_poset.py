@@ -1,8 +1,10 @@
 """Rotation poset, closed weight functions and the lattice of stable points."""
 
+import itertools
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction as F
 from math import lcm, prod
@@ -275,6 +277,84 @@ def test_grid_sublattice_contains_fully_closed_images():
     for k in (1, 3.0, 2.5, True):
         with pytest.raises(InstanceError, match="k >= 2"):
             grid_sublattice(inst, poset, k)
+
+
+def _relabelled_order(rng, n):
+    """A random strict order on 0..n-1, transitively closed, drawn on
+    positions and relabelled by a random permutation, so that its pairs do
+    not all run from low ids to high ids as `build_poset`'s do."""
+    label = list(range(n))
+    rng.shuffle(label)
+    density = rng.random()
+    below: list[set[int]] = []
+    for j in range(n):
+        below.append(set())
+        for i in range(j):
+            if rng.random() < density:
+                below[j] |= {i} | below[i]
+    return frozenset((label[i], label[j]) for j in range(n) for i in below[j])
+
+
+def test_enumerate_fully_closed_matches_the_subset_filter():
+    # every subset of the rotations, by size and then by members, kept when
+    # it holds each predecessor of each member; the rotations' τ differ
+    rng = random.Random("ideals")
+    downward = 0
+    for _ in range(1000):
+        n = rng.randint(0, 10)
+        less = _relabelled_order(rng, n)
+        downward += any(a > b for a, b in less)
+        rotations = [Rotation({f"e{i}": 1}, F(i + 1, 2)) for i in range(n)]
+        poset = RotationPoset(rotations=rotations, less=less, hasse=[], xmin={}, xmax={})
+        ideals = [
+            set(members)
+            for size in range(n + 1)
+            for members in itertools.combinations(range(n), size)
+            if all(a in members for a, b in less if b in members)
+        ]
+        want = [{i: rot.tau if i in ideal else F(0) for i, rot in enumerate(rotations)} for ideal in ideals]
+        assert enumerate_fully_closed(poset) == want, sorted(less)
+    assert downward >= 500
+
+
+def _eager_grid(inst, poset, k):
+    """The grid as it was built before it was streamed: every weight dict
+    first, the last rotation's level moving fastest, then the closed ones'
+    images."""
+    combos = [{}]
+    for i, rot in enumerate(poset.rotations):
+        combos = [{**c, i: rot.tau * j / (k - 1)} for c in combos for j in range(k)]
+    return [gamma(inst, poset, lam) for lam in combos if is_closed(poset, lam)]
+
+
+def test_grid_sublattice_equals_the_eager_grid_in_order():
+    # two rotations in a chain: 5 of the 9 grid points are closed, from x_min
+    # through (τ0 / 2, 0), (τ0, 0) and (τ0, τ1 / 2) to x_max
+    inst = six_cycle_instance()
+    poset = build_poset(inst)
+    assert len(poset.rotations) == 2 and poset.less == {(0, 1)}
+    grid = grid_sublattice(inst, poset, 3)
+    assert grid == _eager_grid(inst, poset, 3)
+    assert len(grid) == 5 and grid[0] == poset.xmin and grid[-1] == poset.xmax
+
+
+def test_grid_sublattice_holds_one_candidate_at_a_time(monkeypatch):
+    # a chain of 12 rotations: 2^12 candidate weight dicts, of which the 13
+    # prefixes are closed.  Held at once, the candidates peak at about 4 MB;
+    # streamed, at about 13 kB
+    n = 12
+    rotations = [Rotation({f"e{i}": 1}, F(1)) for i in range(n)]
+    less = frozenset((a, b) for b in range(n) for a in range(b))
+    poset = RotationPoset(rotations=rotations, less=less, hasse=[], xmin={}, xmax={})
+    monkeypatch.setattr(smp.poset, "gamma", lambda inst, poset, lam: lam)
+    tracemalloc.start()
+    try:
+        grid = grid_sublattice(None, poset, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid == [{i: F(int(i < m)) for i in range(n)} for m in range(n + 1)]
+    assert peak < 200_000, peak
 
 
 def test_join_and_meet_realize_weightwise_max_and_min():
