@@ -183,6 +183,7 @@ def _cmd_verify(args) -> int:
             ledger[name] = f"fail: {exc}"
 
     state = {}
+    cache: dict = {}  # one state cache for every route and check of this call
 
     def roundtrip():
         if parse_instance(serialize_instance(inst)).edge_ids != inst.edge_ids:
@@ -195,16 +196,16 @@ def _cmd_verify(args) -> int:
 
     def route():
         # run_route raises InvariantError past 2·|E| shifts
-        run_route(inst, state["xmin"])
+        run_route(inst, state["xmin"], cache=cache)
 
     def poset_checks():
-        state["poset"] = build_poset(inst, state["xmin"])
+        state["poset"] = build_poset(inst, state["xmin"], cache)
 
     def bijection():
         poset = state["poset"]
         for lam in enumerate_fully_closed(poset):
-            x = gamma(inst, poset, lam)
-            if omega(inst, poset, x) != lam:
+            x = gamma(inst, poset, lam, cache=cache)
+            if omega(inst, poset, x, cache) != lam:
                 ideal = sorted(i for i, w in lam.items() if w)
                 raise InvariantError(f"omega does not invert gamma on the ideal {ideal}")
 

@@ -99,14 +99,18 @@ The outcomes travel on past the rounds, each time by an equal-input argument
 (a) At a terminal ordinary round y = x, so a worker's stored choice, made
     from x, is its choice at x.  A firm's was made from the bounds b, and
     choosing again from x|f gives the same outcome in every field: the
-    "choosing again from y" argument above with y replaced by x.  After an
+    "choosing again from y" argument above with y replaced by x.  Those
+    outcomes start the route that normalises the point in `inst.swapped()`,
+    whose first analysis builds the point's report from them.  After an
     aggregation step the stability test at y is built from the workers'
-    choices made there, and its report holds every choice at y.  Either set
-    starts the route that normalises the point in `inst.swapped()`: `choose`
-    reads only `incident`, `quota` and `corteges`, which `swapped()` keeps.
-(b) That route's outcomes at its end are the choices at x_min; `solve_xmax`,
+    choices made there, and that report itself starts the route.  `choose`
+    reads only `incident`, `quota` and `corteges`, which `swapped()` keeps,
+    and the report's blocking test, `fully_filled` and `unsaturated` treat
+    both endpoints of an edge alike, so a report is the same in either
+    orientation.
+(b) That route's report at its end is the report at x_min; `solve_xmax`,
     `smp solve --side workers` and `build_poset`'s base route start from
-    them (`_solve_xmin`).
+    it (`_solve_xmin`), so no route analyses x_min again.
 (c) Along every route a shift changes x only on the rotation's support, so
     only the support's endpoints choose again.
 """
@@ -128,7 +132,7 @@ from .model import (
 )
 from .rotations import run_route
 from .simplex import LinearProgram, simplex_maximize
-from .stability import stability_report
+from .stability import StabilityReport, stability_report
 
 
 def _step_cap(inst: Instance) -> int:
@@ -530,34 +534,35 @@ def _big_iteration(inst: Instance, state: IterationState) -> IterationState:
 
 
 def _normalise(
-    inst: Instance, x: Mapping[str, Fraction], known: Mapping[str, ChoiceOutcome]
-) -> tuple[dict[str, Fraction], dict[str, ChoiceOutcome]]:
-    """x_min, from the solver's stable point x, and every vertex's choice there.
+    inst: Instance, x: Mapping[str, Fraction], known: StabilityReport | Mapping[str, ChoiceOutcome]
+) -> tuple[dict[str, Fraction], StabilityReport]:
+    """x_min, from the solver's stable point x, and its stability report.
 
     In the swapped orientation the routes descend toward the firm-optimal
-    end of the original instance.  The route starts from the choices `known`
-    at x (module docstring, (a)), and its outcomes at its end are returned.
-    Its first active structure rejects an unstable x with `InstanceError`
-    (stability is side-symmetric).  x is always the solver's own, never the
-    user's, so that rejection is a failed solver invariant.
+    end of the original instance.  The route starts from what is `known` at
+    x, the report or the choices (module docstring, (a)), and its report at
+    its end is returned.  Its first active structure rejects an unstable x
+    with `InstanceError` (stability is side-symmetric).  x is always the
+    solver's own, never the user's, so that rejection is a failed solver
+    invariant.
     """
     try:
         route = run_route(inst.swapped(), x, known=known)
     except InstanceError as exc:
         raise InvariantError(f"solver's point rejected by the normalising route: {exc}") from exc
-    return route.states[-1], route.outcomes
+    return route.states[-1], route.report
 
 
 def _solve_xmin(
     inst: Instance, trace: Optional[list] = None
-) -> tuple[dict[str, Fraction], dict[str, ChoiceOutcome]]:
-    """The firm-optimal stable assignment and every vertex's choice there.
+) -> tuple[dict[str, Fraction], StabilityReport]:
+    """The firm-optimal stable assignment and its stability report.
 
     Ordinary rounds run as long as they are productive; a stalled round is
     followed by one LP aggregation step.  The raw stable output is then
     normalized to the firm-optimal point (`_normalise`), starting from the
-    outcomes the rounds already hold at the raw point (module docstring,
-    (a)).
+    outcomes the rounds already hold at the raw point, or from the
+    aggregated point's report (module docstring, (a)).
     """
     cap = _step_cap(inst)
     state = initial_state(inst)
@@ -581,7 +586,7 @@ def _solve_xmin(
             except InstanceError as exc:
                 raise InvariantError(f"aggregated point rejected: {exc}") from exc
             if report.stable:
-                return _normalise(inst, y, report.outcomes)
+                return _normalise(inst, y, report)
     raise SolverLimitError(f"no stable point within {cap} rounds")
 
 
@@ -593,11 +598,11 @@ def solve_xmin_modified(inst: Instance, trace: Optional[list] = None) -> dict[st
 def solve_xmax(inst: Instance, trace: Optional[list] = None) -> dict[str, Fraction]:
     """The worker-optimal stable assignment (terminal point of any route).
 
-    The route from x_min starts from the choices known there (module
-    docstring, (b)).  `trace` collects the rounds as in `solve_xmin_modified`.
+    The route from x_min starts from the report there (module docstring,
+    (b)).  `trace` collects the rounds as in `solve_xmin_modified`.
     """
-    xmin, known = _solve_xmin(inst, trace)
-    return run_route(inst, xmin, known=known).states[-1]
+    xmin, report = _solve_xmin(inst, trace)
+    return run_route(inst, xmin, known=report).states[-1]
 
 
 def build_extended_instance(inst: Instance) -> tuple[Instance, dict[str, Fraction]]:
@@ -673,13 +678,13 @@ def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
     extension's firm-optimal stable point; routing it to the worker-optimal
     end empties the depot edges exactly when the original instance is quota
     filling, and then the restriction is its worker-optimal assignment.  The
-    route starts from the choices of the seed's stability test.
+    route starts from the seed's stability report.
     """
     ext, y0 = build_extended_instance(inst)
     seed_report = stability_report(ext, y0)
     if not seed_report.stable:
         raise InvariantError("depot seed unexpectedly unstable")
-    ymax = run_route(ext, y0, known=seed_report.outcomes).states[-1]
+    ymax = run_route(ext, y0, known=seed_report).states[-1]
     # the depot edges are the seed's positive entries
     if any(ymax[e] != 0 for e, v in y0.items() if v):
         return None

@@ -72,8 +72,9 @@ def min_cost_stable(
     missing = set(inst.edge_ids) - costs.keys()
     if missing:
         raise InstanceError(f"costs missing for edges: {sorted(missing)}")
+    cache: dict = {}  # the states build_poset analyses, for gamma's check
     if poset is None:
-        poset = build_poset(inst)
+        poset = build_poset(inst, cache=cache)
     zeta = [rot.tau * assignment_cost(costs, rot.values) for rot in poset.rotations]
     net = FlowNetwork(source="s", sink="t")
     for i, z in enumerate(zeta):
@@ -94,13 +95,14 @@ def min_cost_stable(
         net.add_edge(a, b, cover)
     cut = min_cut(net)
     ideal = frozenset(range(len(zeta))) - cut.source_side
-    if any(a not in ideal and b in ideal for (a, b) in poset.hasse):
-        raise InvariantError("a covering arc leaves the source side of the cut")
+    # a covering arc (a, b) leaving the source side puts b in the ideal
+    # without its predecessor a, which `_closed_of_ideal` rejects
+    lam = _closed_of_ideal(poset, ideal)
     zeta_neg = sum((z for z in zeta if z < 0), Fraction(0))
     zeta_ideal = sum((zeta[i] for i in ideal), Fraction(0))
     if zeta_ideal != cut.value + zeta_neg:
         raise InvariantError("cut capacity does not match ideal weight")
-    x = gamma(inst, poset, _closed_of_ideal(poset, ideal))
+    x = gamma(inst, poset, lam, cache=cache)
     cost = assignment_cost(costs, x)
     base = assignment_cost(costs, poset.xmin)
     if cost != base + zeta_ideal:

@@ -23,6 +23,7 @@ from .rotations import (
     Rotation,
     _add_shift,
     _carried_outcomes,
+    _state_key,
     applicable_rotations,
     apply_shift,
     run_route,
@@ -76,7 +77,9 @@ def _closed_of_ideal(poset: RotationPoset, ideal: frozenset[int]) -> dict[int, F
     return lam
 
 
-def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -> RotationPoset:
+def build_poset(
+    inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None, cache: Optional[dict] = None
+) -> RotationPoset:
     """Collect the rotation set and its precedence order.
 
     The order is found by avoidance runs: forbidding ρ and applying everything
@@ -90,16 +93,18 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     route's i-th state: before it the base route applied other rotations,
     each first in line, so the run from x_min would repeat that prefix.  The
     base route, the avoidance runs and the Hasse checks share one state cache
-    (see `applicable_rotations`), so each distinct state is analysed once per
-    call; the cache is dropped when the call returns.  Without a given
-    `xmin`, the base route starts from the choices the solver already made
-    at x_min, and every route and Hasse witness carries them past each shift
-    (`rotations` module docstring, (b) and (c)).
+    (see `applicable_rotations`), so each distinct state is analysed once.
+    A given `cache` is the caller's, who owns it for one command on `inst`
+    and may read it after the call; without one, the call makes its own and
+    drops it when it returns.  Without a given `xmin`, the base route starts
+    from the solver's stability report at x_min, and every route and Hasse
+    witness carries its choices past each shift (`rotations` module
+    docstring, (b) and (c)).
     """
     known = None
     if xmin is None:
         xmin, known = _solve_xmin(inst)
-    cache: dict = {}
+    cache = {} if cache is None else cache
     base = run_route(inst, xmin, cache=cache, known=known)
     rotations = base.steps
     keys = [rot.key() for rot in rotations]
@@ -147,7 +152,7 @@ def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int, cac
     if succ.key() in here:
         raise InvariantError("successor applicable too early")
     x2 = apply_shift(inst, x, [pred], [pred.tau], verify=False)
-    known = _carried_outcomes(inst, act.outcomes, pred.values)
+    known = _carried_outcomes(inst, act.report.outcomes, pred.values)
     there = {r.key() for r in applicable_rotations(inst, x2, cache, known)[1]}
     if succ.key() not in there:
         raise InvariantError("successor not enabled by predecessor")
@@ -158,8 +163,15 @@ def gamma(
     poset: RotationPoset,
     lam: Mapping[int, Fraction],
     verify: bool = True,
+    cache: Optional[dict] = None,
 ) -> dict[str, Fraction]:
-    """Stable assignment realizing the closed weight function λ."""
+    """Stable assignment realizing the closed weight function λ.
+
+    With `verify`, the image's stability is checked.  When `cache` (the
+    state cache of `build_poset` on `inst`) holds the image, the check reads
+    the choice outcomes analysed at that exact state, so no vertex chooses
+    again.
+    """
     if not is_closed(poset, lam):
         raise InstanceError("weight function is not closed")
     x = dict(poset.xmin)
@@ -167,19 +179,23 @@ def gamma(
         l = lam.get(i, 0)
         if l:
             _add_shift(x, rot.values, l)
-    if verify and not stability_report(inst, x).stable:
+    hit = cache.get(_state_key(inst, x)) if verify and cache else None
+    if verify and not stability_report(inst, x, hit and hit[0].report.outcomes).stable:
         raise InvariantError("closed function image not stable")
     return x
 
 
-def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> dict[int, Fraction]:
+def omega(
+    inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction], cache: Optional[dict] = None
+) -> dict[int, Fraction]:
     """Closed weight function of a stable assignment (inverse of gamma).
 
     Computed by routing x the rest of the way to the worker optimum: the
     weight still consumed on each rotation there is τ minus the weight already
-    spent reaching x.
+    spent reaching x.  `cache` is the route's state cache (see
+    `applicable_rotations`).
     """
-    rest = run_route(inst, x)
+    rest = run_route(inst, x, cache=cache)
     if rest.states[-1] != poset.xmax:
         raise InvariantError("route from x did not reach the worker optimum")
     index = {rot.key(): i for i, rot in enumerate(poset.rotations)}

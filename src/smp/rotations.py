@@ -27,17 +27,20 @@ x_e + λ·v as one `Fraction` over lcm(d_x, d_λ), the denominators of x_e
 and λ (`_add_shift`, shared with `poset.gamma`); λ must be an `int` or a
 `Fraction`.
 
-Every state of a route is analysed from choice outcomes, and a vertex
-chooses again only where its input may have changed.  Three equal-input
-arguments say where it has not:
+Every state of a route is analysed once, from choice outcomes, and a
+vertex chooses again only where its input may have changed.  Three
+equal-input arguments say where it has not:
 
-(a) the last proposal round's outcomes are the choices at the stable point
-    it returns (see `iteration`), and they start the route that normalises
-    that point in the swapped instance — a choice reads only the incident
-    edges, quota and ties, which `Instance.swapped` keeps;
-(b) the outcomes at the end of that route are the choices at x_min, so the
+(a) the solver hands on what it knows at the stable point it returns (see
+    `iteration`): the last proposal round's outcomes, or the aggregated
+    point's `StabilityReport`.  That starts the route that normalises the
+    point in the swapped instance: a choice reads only the incident edges,
+    quota and ties, which `Instance.swapped` keeps, and the blocking test,
+    `fully_filled` and `unsaturated` treat both endpoints of an edge alike,
+    so a report made in `inst.swapped()` is the report in `inst`;
+(b) the report at the end of that route is the report at x_min, so the
     routes from x_min (`solve_xmax`, the base route of `build_poset`) start
-    from them;
+    from it and analyse x_min no further;
 (c) a shift changes x only on the rotation's support, so the next state
     keeps every outcome off the support's endpoints (`_carried_outcomes`).
 """
@@ -52,7 +55,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .choice import ChoiceOutcome
 from .linalg import integer_nullspace
 from .model import Instance, InstanceError, InvariantError, _exact, full_assignment
-from .stability import compare_stable, stability_report
+from .stability import StabilityReport, compare_stable, stability_report
 
 
 class ActiveStructure(NamedTuple):
@@ -63,7 +66,7 @@ class ActiveStructure(NamedTuple):
     every edge vu in `heads[v]`, v regular.
     """
 
-    outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at x
+    report: StabilityReport             # the stability analysis of x
     heads: dict[str, frozenset[str]]    # F^= -> D_f, W^= -> H_w
     regular: frozenset[str]             # V+ = V^= - V0
 
@@ -92,14 +95,15 @@ def endpoints(inst: Instance, edges: Iterable[str]) -> list[str]:
 def build_active_structure(
     inst: Instance,
     x: Mapping[str, Fraction],
-    known: Optional[Mapping[str, ChoiceOutcome]] = None,
+    known: Optional[StabilityReport | Mapping[str, ChoiceOutcome]] = None,
 ) -> ActiveStructure:
     """The heads D_f and H_w and the cleaned regular vertex set at stable x.
 
     x is a full assignment (one `Fraction` per edge, see `full_assignment`).
-    `known` holds choice outcomes already known at x; see `stability_report`.
+    `known` is what is already known at x: its `StabilityReport`, which is
+    used as it is, or some vertices' choice outcomes (see `stability_report`).
     """
-    report = stability_report(inst, x, known)
+    report = known if isinstance(known, StabilityReport) else stability_report(inst, x, known)
     if not report.stable:
         raise InstanceError(f"assignment is not stable (blocking: {report.blocking_edges})")
     outcomes = report.outcomes
@@ -147,7 +151,7 @@ def build_active_structure(
             raise InvariantError(f"regular vertex {v!r} with empty head")
         if any(inst.edge_by_id[e].other(v) not in regular for e in heads[v]):
             raise InvariantError(f"head of regular vertex {v!r} leaves the regular set")
-    return ActiveStructure(outcomes=outcomes, heads=heads, regular=regular)
+    return ActiveStructure(report=report, heads=heads, regular=regular)
 
 
 def _reach(succ: Mapping[str, Iterable[str]], start: Iterable[str]) -> set[str]:
@@ -321,7 +325,7 @@ def max_weight(
         # edge of w's critical tie outside the head; such an edge is never
         # in H_w, so its value is 0 or positive and the divisor positive
         terms.append((xe, zero, -v))
-        out = act.outcomes[edge.worker]
+        out = act.report.outcomes[edge.worker]
         for ep in inst.corteges[edge.worker][out.critical_tie]:
             if ep not in out.head:
                 terms.append((xe, x[ep].as_integer_ratio(), values.get(ep, 0) - v))
@@ -387,28 +391,33 @@ def apply_shift(
 class Route(NamedTuple):
     states: list[dict[str, Fraction]]
     steps: list[Rotation]  # each shifted by its full weight τ
-    outcomes: dict[str, ChoiceOutcome]  # per-vertex choice at the last state
+    report: StabilityReport  # the stability analysis of the last state
+
+
+def _state_key(inst: Instance, x: Mapping[str, Fraction]) -> tuple:
+    """The state-cache key of the full assignment x: each value's numerator
+    and denominator in lowest terms, in edge-id order.  Keys are equal
+    exactly when the states are, and flat ints, so no `Fraction` is hashed."""
+    return tuple(itertools.chain.from_iterable(x[e].as_integer_ratio() for e in inst.edge_ids))
 
 
 def applicable_rotations(
     inst: Instance,
     x: Mapping[str, Fraction],
     cache: Optional[dict] = None,
-    known: Optional[Mapping[str, ChoiceOutcome]] = None,
+    known: Optional[StabilityReport | Mapping[str, ChoiceOutcome]] = None,
 ) -> tuple[ActiveStructure, list[Rotation]]:
     """The active structure at the stable, full assignment x and one rotation
     per sink component.
 
-    `cache`, when given, maps a state to the result computed there, so a
-    caller that revisits states builds each one once.  The key lists each
-    value's numerator and denominator in lowest terms, in edge-id order: equal
-    exactly when the states are, and flat ints, so no `Fraction` is hashed.
-    It must not outlive one instance; `build_poset` makes one per call.
-    `known` holds choice outcomes already known at x (see `stability_report`);
-    a cached state needs none.
+    `cache`, when given, maps a state's `_state_key` to the result computed
+    there, so a caller that revisits states builds each one once.  It must
+    not outlive one instance; one command call owns it (`build_poset` makes
+    one per call when it is given none).  `known` is what is already known at
+    x (see `build_active_structure`); a cached state needs none.
     """
     if cache is not None:
-        key = tuple(itertools.chain.from_iterable(x[e].as_integer_ratio() for e in inst.edge_ids))
+        key = _state_key(inst, x)
         if key in cache:
             return cache[key]
     act = build_active_structure(inst, x, known)
@@ -441,7 +450,7 @@ def run_route(
     rng=None,
     avoid: Optional[tuple] = None,
     cache: Optional[dict] = None,
-    known: Optional[Mapping[str, ChoiceOutcome]] = None,
+    known: Optional[StabilityReport | Mapping[str, ChoiceOutcome]] = None,
 ) -> Route:
     """Full-weight shifts from the stable assignment `start` to the end.
 
@@ -461,11 +470,12 @@ def run_route(
     later state that the analysis rejects was reached by the route's own
     shifts, so the rejection is an `InvariantError`.
 
-    `known` holds choice outcomes already known at `start`.  A shift changes
-    x only on the rotation's support, so each later state is analysed with
-    the previous state's outcomes carried over everywhere else
-    (`_carried_outcomes`); `choose` runs again only at the support's
-    endpoints.  `Route.outcomes` are the outcomes at the last state.
+    `known` is what is already known at `start`: its `StabilityReport`, or
+    some vertices' choice outcomes.  A shift changes x only on the rotation's
+    support, so each later state is analysed with the previous state's
+    outcomes carried over everywhere else (`_carried_outcomes`); `choose`
+    runs again only at the support's endpoints.  `Route.report` is the
+    analysis of the last state, which a route from there can start from.
     """
     x = full_assignment(inst, start)
     states = [x]
@@ -486,10 +496,10 @@ def run_route(
             break
         rot = options[0] if rng is None else rng.choice(options)
         xp = apply_shift(inst, x, [rot], [rot.tau], verify=False)
-        known = _carried_outcomes(inst, act.outcomes, rot.values)
+        known = _carried_outcomes(inst, act.report.outcomes, rot.values)
         x = xp
         states.append(x)
         steps.append(rot)
         if len(steps) > bound:
             raise InvariantError(f"route exceeded {bound} shifts")
-    return Route(states=states, steps=steps, outcomes=act.outcomes)
+    return Route(states=states, steps=steps, report=act.report)

@@ -37,13 +37,17 @@ def stability_report(
     the two are checked to agree (`InvariantError` otherwise).
 
     `known` holds choice outcomes already known at x, `choose(inst, v, x)` for
-    each vertex v it names; only the other vertices choose.  The solvers pass
-    three kinds, each resting on an equal input: (a) the last proposal
-    round's outcomes at the point it returns; (b) the outcomes at the end of
-    the route that normalises that point, valid in either orientation since a
-    choice reads nothing `Instance.swapped` changes; (c) after a rotation
-    shift, the previous state's outcomes at every vertex off the shifted
-    edges.  Every check below runs on known outcomes as on fresh ones.
+    each vertex v it names; only the other vertices choose.  The library
+    passes three kinds, each resting on an equal input: (a) the proposal
+    rounds' outcomes at the point the solver returns, the terminal round's
+    or the aggregation step's kept workers', valid in either orientation
+    since a choice reads nothing `Instance.swapped` changes; (b) after a
+    rotation shift, the previous state's outcomes at every vertex off the
+    shifted edges; (c) the outcomes of the report that a state cache holds
+    for this exact x, which `gamma`'s check reads.  Every check below runs
+    on known outcomes as on fresh ones.  A finished report is not rebuilt:
+    a route that starts from one (x_min's, the aggregated point's, the depot
+    seed's) hands it to `build_active_structure` as it is.
 
     Admissibility, with or without `known`, is the box screen per edge and
     then the choices themselves; no load is summed.  The screen compares

@@ -630,12 +630,13 @@ def test_avoidance_checks_fire_under_optimize_flag(tmp_path, plant, message):
 
 
 def _omega_route_plant(change):
-    """A plant that alters omega's route, the one `smp.poset` route without a cache."""
+    """A plant that alters omega's route, the one `smp.poset` route called
+    with neither `avoid` (the avoidance runs) nor `known` (the base route)."""
     return (
         "real = smp.poset.run_route\n"
         "def planted(inst, start, **kw):\n"
         "    route = real(inst, start, **kw)\n"
-        f"    return route if 'cache' in kw else route._replace({change})\n"
+        f"    return route if 'avoid' in kw or 'known' in kw else route._replace({change})\n"
         "smp.poset.run_route = planted"
     )
 
@@ -643,7 +644,7 @@ def _omega_route_plant(change):
 @pytest.mark.parametrize(
     "plant, failing, message",
     [
-        ("smp.cli.omega = lambda inst, poset, x: {}",
+        ("smp.cli.omega = lambda inst, poset, x, cache=None: {}",
          "closed_function_bijection", "omega does not invert gamma on the ideal []"),
         ("smp.cli.stability_report = lambda inst, x: StabilityReport(False, [], frozenset(), {}, frozenset())",
          "solve_stable", "x_min is not stable"),
@@ -673,7 +674,7 @@ def _omega_route_plant(change):
          "smp.cli.parse_instance = planted",
          "parse_roundtrip", "serialized instance parses to other edges"),
         ("from smp.model import InvariantError\n"
-         "def planted(inst, start):\n"
+         "def planted(inst, start, cache=None):\n"
          "    raise InvariantError('route exceeded 12 shifts')\n"
          "smp.cli.run_route = planted",
          "route_bound", "route exceeded 12 shifts"),
@@ -701,12 +702,29 @@ def test_verify_checks_run_under_optimize_flag(six_cycle_file, plant, failing, m
     assert all(v == "pass" for k, v in ledger.items() if k != failing)
 
 
+def test_verify_shares_one_state_cache(capsys, tmp_path, monkeypatch):
+    """`smp verify` owns one state cache for its route, `build_poset`,
+    gamma's checks and omega's routes, so each state is analysed once: 50
+    `choose` calls on this tied 4 x 4 marriage.  With a cache in
+    `build_poset` alone it made 216."""
+    chosen = []
+    real_choose = smp.choice.choose
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or real_choose(inst, v, z))
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps(serialize_instance(rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3))))
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert set(json.loads(out).values()) == {"pass"}
+    assert len(chosen) == 50
+
+
 @pytest.mark.parametrize(
     "plant, message",
     [
-        # the six-cycle's Hasse edge (0, 1) crosses this cut
+        # the six-cycle's Hasse edge (0, 1) crosses this cut, whose ideal {1}
+        # lacks rotation 1's predecessor 0
         ("smp.mincost.min_cut = lambda net: CutResult(real_cut(net).value, frozenset({'s', 0}))",
-         "a covering arc leaves the source side of the cut"),
+         "fully closed function of ideal [1] not closed"),
         ("smp.mincost.min_cut = lambda net: CutResult(real_cut(net).value + 1, real_cut(net).source_side)",
          "cut capacity does not match ideal weight"),
         # the first two calls price the six-cycle's two rotations (ζ), the

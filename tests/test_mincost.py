@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import smp.choice
+import smp.mincost
 from smp import (
     Instance,
     InstanceError,
@@ -16,7 +18,14 @@ from smp import (
 )
 from smp.bruteforce import oracle_min_cost_ideal
 
-from gen import disjoint_union, rand_marriage, rotation_weights, triangle_instance, wide_unions
+from gen import (
+    chained_instance,
+    disjoint_union,
+    rand_marriage,
+    rotation_weights,
+    triangle_instance,
+    wide_unions,
+)
 
 
 def _random_costs(rng, inst):
@@ -192,3 +201,32 @@ def test_min_cost_of_a_disjoint_union_is_the_sum_over_its_parts():
             want = sum(min_cost_stable(*args).cost for args in zip(parts, costs, posets))
             assert min_cost_stable(union, union_costs, poset).cost == want
     assert wide >= 20
+
+
+def test_min_cost_does_not_choose_again_at_its_point(monkeypatch):
+    """The stability check of the cut's point reads the choices that
+    `build_poset` made at that exact state, so no vertex chooses there.  On
+    these marriages and chains the poset's routes visit every min-cost
+    point; on a wide poset an ideal may lie off every route, and is then
+    analysed afresh."""
+    rng = random.Random(11)
+    insts = (
+        [rand_marriage(random.Random(s), 6, cap=1) for s in range(10)]
+        + [rand_marriage(random.Random(s), 4, cap=2, tie_prob=0.3) for s in range(10)]
+        + [chained_instance(k, F(8 * 4 ** (k - 1)), F(15 * 4 ** (k - 1))) for k in (2, 3, 4)]
+    )
+    chosen, in_gamma = [], []
+    real_choose, real_gamma = smp.choice.choose, smp.mincost.gamma
+
+    def gamma(*args, **kwargs):
+        start = len(chosen)
+        x = real_gamma(*args, **kwargs)
+        in_gamma.append(chosen[start:])
+        return x
+
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or real_choose(inst, v, z))
+    monkeypatch.setattr(smp.mincost, "gamma", gamma)
+    for inst in insts:
+        min_cost_stable(inst, _random_costs(rng, inst))
+    assert chosen
+    assert in_gamma == [[]] * len(insts)

@@ -22,6 +22,7 @@ from smp import (
     Rotation,
     RotationPoset,
     Route,
+    StabilityReport,
     build_poset,
     compare_stable,
     enumerate_fully_closed,
@@ -662,6 +663,69 @@ def test_build_poset_does_not_choose_again_at_xmin():
         assert [calls[i][0] for i in at_xmin if i >= poset_start[0]] == []
         solver = [calls[i][0] for i in at_xmin if i < poset_start[0]]
         assert len(solver) == len(set(solver))
+
+
+def test_build_poset_does_not_report_again_at_xmin():
+    """The base route starts from the solver's report at x_min, so past the
+    solver no `stability_report` runs there, and the solver reports at x_min
+    once, in its normalising route or at its aggregated point."""
+    for inst in _carry_count_instances():
+        reports, poset_start = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            for mod in (smp.iteration, smp.rotations, smp.poset):
+
+                def recording(r_inst, x, known=None, real=mod.stability_report):
+                    x = full_assignment(r_inst, x)
+                    reports.append(tuple(x[e] for e in inst.edge_ids))
+                    return real(r_inst, x, known)
+
+                mp.setattr(mod, "stability_report", recording)
+
+            def poset_route(*args, route=smp.poset.run_route, **kwargs):
+                if not poset_start:
+                    poset_start.append(len(reports))
+                return route(*args, **kwargs)
+
+            mp.setattr(smp.poset, "run_route", poset_route)
+            poset = build_poset(inst)
+        key = tuple(poset.xmin[e] for e in inst.edge_ids)
+        at_xmin = [i for i, z in enumerate(reports) if z == key]
+        assert [i for i in at_xmin if i >= poset_start[0]] == []
+        assert len(at_xmin) == 1
+
+
+def test_routes_from_xmin_start_from_the_solver_report():
+    """`build_poset`'s base route and `solve_xmax` start from the report the
+    normalising route ends with, made in `inst.swapped()`; it equals a fresh
+    `stability_report(inst, x_min)` in every field."""
+    insts = _carry_count_instances() + [
+        _carry_instance(kind, seed, seed + 2) for kind in ("tied", "strict", "chain") for seed in range(4)
+    ]
+    for inst in insts:
+        starts = []  # (start, known) of each route on `inst` from what is known
+
+        def recording(real):
+            def route(r_inst, start, **kwargs):
+                if r_inst is inst and "known" in kwargs:
+                    starts.append((start, kwargs["known"]))
+                return real(r_inst, start, **kwargs)
+
+            return route
+
+        with pytest.MonkeyPatch.context() as mp:
+            for mod in (smp.poset, smp.iteration):
+                mp.setattr(mod, "run_route", recording(mod.run_route))
+            build_poset(inst)
+            solve_xmax(inst)
+        assert len(starts) == 2
+        xmin = starts[0][0]
+        fresh = stability_report(inst, xmin)
+        assert fresh.stable
+        for start, known in starts:
+            assert start == xmin
+            assert type(known) is StabilityReport
+            for field in StabilityReport._fields:
+                assert getattr(known, field) == getattr(fresh, field), field
 
 
 def test_route_step_chooses_only_on_the_rotation_support():

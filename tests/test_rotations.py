@@ -399,7 +399,7 @@ def reference_max_weight(inst, x, rot, act):
             candidates.append((edge.capacity - x[e]) / v)
             continue
         candidates.append(x[e] / -v)
-        out = act.outcomes[edge.worker]
+        out = act.report.outcomes[edge.worker]
         for ep in inst.corteges[edge.worker][out.critical_tie]:
             if ep not in out.head:
                 candidates.append((x[e] - x[ep]) / (rot.values.get(ep, 0) - v))
