@@ -183,7 +183,6 @@ def _cmd_verify(args) -> int:
             ledger[name] = f"fail: {exc}"
 
     state = {}
-    cache: dict = {}  # one state cache for every route and check of this call
 
     def roundtrip():
         if parse_instance(serialize_instance(inst)).edge_ids != inst.edge_ids:
@@ -194,26 +193,28 @@ def _cmd_verify(args) -> int:
         if not stability_report(inst, state["xmin"]).stable:
             raise InvariantError("x_min is not stable")
 
-    def route():
-        # run_route raises InvariantError past 2·|E| shifts
-        run_route(inst, state["xmin"], cache=cache)
-
     def poset_checks():
-        state["poset"] = build_poset(inst, state["xmin"], cache)
+        state["poset"] = build_poset(inst, state["xmin"])
+
+    def route():
+        # run_route raises InvariantError past 2·|E| shifts; it reads the
+        # states the poset's build analysed, if the build succeeded
+        poset = state.get("poset")
+        run_route(inst, state["xmin"], cache={} if poset is None else poset.cache)
 
     def bijection():
         poset = state["poset"]
         for lam in enumerate_fully_closed(poset):
-            x = gamma(inst, poset, lam, cache=cache)
-            if omega(inst, poset, x, cache) != lam:
+            x = gamma(inst, poset, lam)
+            if omega(inst, poset, x) != lam:
                 ideal = sorted(i for i, w in lam.items() if w)
                 raise InvariantError(f"omega does not invert gamma on the ideal {ideal}")
 
     run("parse_roundtrip", roundtrip)
     run("solve_stable", solve)
     if "xmin" in state:
-        run("route_bound", route)
         run("poset_consistency", poset_checks)
+        run("route_bound", route)
     if "poset" in state:
         run("closed_function_bijection", bijection)
     _emit(ledger)

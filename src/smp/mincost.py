@@ -62,7 +62,9 @@ def min_cost_stable(
     ζ(X) minus the (constant) total negative weight — minimal cut, minimal
     ideal weight.  Ties are broken deterministically by taking A = the nodes
     reachable from the source in the final residual network (the unique
-    smallest min cut).
+    smallest min cut).  Without a given `poset`, one is built from `inst`;
+    either way `gamma` checks the cut's point on the poset's own state
+    cache, so no vertex chooses there again.
     """
     if costs is None:
         costs = inst.costs
@@ -72,9 +74,8 @@ def min_cost_stable(
     missing = set(inst.edge_ids) - costs.keys()
     if missing:
         raise InstanceError(f"costs missing for edges: {sorted(missing)}")
-    cache: dict = {}  # the states build_poset analyses, for gamma's check
     if poset is None:
-        poset = build_poset(inst, cache=cache)
+        poset = build_poset(inst)
     zeta = [rot.tau * assignment_cost(costs, rot.values) for rot in poset.rotations]
     net = FlowNetwork(source="s", sink="t")
     for i, z in enumerate(zeta):
@@ -102,7 +103,7 @@ def min_cost_stable(
     zeta_ideal = sum((zeta[i] for i in ideal), Fraction(0))
     if zeta_ideal != cut.value + zeta_neg:
         raise InvariantError("cut capacity does not match ideal weight")
-    x = gamma(inst, poset, lam, cache=cache)
+    x = gamma(inst, poset, lam)
     cost = assignment_cost(costs, x)
     base = assignment_cost(costs, poset.xmin)
     if cost != base + zeta_ideal:

@@ -347,8 +347,9 @@ def serialize_instance(inst: Instance) -> dict:
 # a caller hands it in: the entry functions (`parse_assignment`,
 # `validate_assignment`, `stability_report`, `compare_stable`, `run_route`,
 # `build_poset`, `omega`, the worker-side join and meet) read a missing key as
-# 0 and an int as its Fraction.  The per-state functions of the rotation layer
-# take a full assignment, one Fraction per edge, as `full_assignment` makes.
+# 0 and an int as its Fraction, and reject an unknown id or any other value.
+# The per-state functions of the rotation layer take a full assignment, one
+# Fraction per edge, as `full_assignment` makes.
 
 def parse_assignment(data, inst: Instance) -> dict[str, Fraction]:
     data = _decode(data)
@@ -382,12 +383,22 @@ def serialize_assignment(x: Mapping[str, Fraction]) -> dict:
 def full_assignment(inst: Instance, x: Mapping[str, Fraction]) -> dict[str, Fraction]:
     """Normalize to a dict with a value for every edge (absent ids -> 0).
 
-    `Fraction` values pass through; any other value is converted.
+    Checked as `Instance` checks its numbers: every id must name an edge,
+    then every value be an `int` (never a `bool`) or a `Fraction`
+    (`InstanceError` otherwise).  `Fraction` values pass through; an `int`
+    becomes its `Fraction`.
     """
+    if not x.keys() <= inst.edge_by_id.keys():
+        unknown = sorted(x.keys() - inst.edge_by_id.keys())
+        raise InstanceError(f"unknown edge ids in assignment: {unknown}")
     out = {}
     for eid in inst.edge_ids:
         val = x.get(eid, ZERO)
-        out[eid] = val if type(val) is Fraction else Fraction(val)
+        if type(val) is not Fraction:
+            val = _exact(val)
+            if val is None:
+                raise InstanceError(f"edge {eid!r}: assignment value must be an int or a Fraction")
+        out[eid] = val
     return out
 
 
@@ -398,14 +409,13 @@ def vertex_load(inst: Instance, x: Mapping[str, Fraction], v: str) -> Fraction:
 def validate_assignment(inst: Instance, x: Mapping[str, Fraction]) -> list[str]:
     """The box and quota violations of x, empty when x is admissible.
 
-    Unknown edge ids are an error.
+    x is normalised by `full_assignment`, so an unknown edge id or a value
+    that is not an `int` or a `Fraction` is an error.
     """
-    unknown = set(x) - set(inst.edge_ids)
-    if unknown:
-        raise InstanceError(f"unknown edge ids in assignment: {sorted(unknown)}")
+    x = full_assignment(inst, x)
     violations = []
     for e in inst.edges:
-        val = x.get(e.id, ZERO)
+        val = x[e.id]
         if val < 0:
             violations.append(f"edge {e.id}: negative value {val}")
         elif val > e.capacity:

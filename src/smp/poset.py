@@ -42,6 +42,11 @@ class RotationPoset(NamedTuple):
     hasse: list[tuple[int, int]]         # transitive reduction of `less`
     xmin: dict[str, Fraction]
     xmax: dict[str, Fraction]
+    # the state cache of `applicable_rotations`, filled by the build and
+    # read and extended by everything that takes the poset; it lives as
+    # long as the poset, which for the CLI is one command, and grows with
+    # each `omega` route that reaches a new state
+    cache: dict
 
     def downset(self, i: int) -> frozenset[int]:
         return frozenset({i} | {a for (a, j) in self.less if j == i})
@@ -77,9 +82,7 @@ def _closed_of_ideal(poset: RotationPoset, ideal: frozenset[int]) -> dict[int, F
     return lam
 
 
-def build_poset(
-    inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None, cache: Optional[dict] = None
-) -> RotationPoset:
+def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -> RotationPoset:
     """Collect the rotation set and its precedence order.
 
     The order is found by avoidance runs: forbidding ρ and applying everything
@@ -94,17 +97,16 @@ def build_poset(
     each first in line, so the run from x_min would repeat that prefix.  The
     base route, the avoidance runs and the Hasse checks share one state cache
     (see `applicable_rotations`), so each distinct state is analysed once.
-    A given `cache` is the caller's, who owns it for one command on `inst`
-    and may read it after the call; without one, the call makes its own and
-    drops it when it returns.  Without a given `xmin`, the base route starts
-    from the solver's stability report at x_min, and every route and Hasse
-    witness carries its choices past each shift (`rotations` module
-    docstring, (b) and (c)).
+    Each call makes a fresh cache and hands it on as `RotationPoset.cache`,
+    which `gamma`'s check and `omega`'s route read and extend.  Without a
+    given `xmin`, the base route starts from the solver's stability report
+    at x_min, and every route and Hasse witness carries its choices past
+    each shift (`rotations` module docstring, (b) and (c)).
     """
     known = None
     if xmin is None:
         xmin, known = _solve_xmin(inst)
-    cache = {} if cache is None else cache
+    cache: dict = {}
     base = run_route(inst, xmin, cache=cache, known=known)
     rotations = base.steps
     keys = [rot.key() for rot in rotations]
@@ -133,18 +135,18 @@ def build_poset(
         for (a, b) in less
         if not any((a, c) in less and (c, b) in less for c in range(len(keys)))
     )
-    poset = RotationPoset(rotations=rotations, less=less, hasse=hasse, xmin=xmin, xmax=xmax)
+    poset = RotationPoset(rotations, less, hasse, xmin, xmax, cache)
     for (a, b) in hasse:
-        _verify_hasse_edge(inst, poset, a, b, cache)
+        _verify_hasse_edge(inst, poset, a, b)
     return poset
 
 
-def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int, cache: dict) -> None:
+def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int) -> None:
     """Direct witness that ρ_a immediately precedes ρ_b, at the point of the
     ideal below ρ_b without ρ_a; a set that is not an ideal fails
     `_closed_of_ideal`."""
     x = gamma(inst, poset, _closed_of_ideal(poset, poset.downset(b) - {a, b}), verify=False)
-    act, rots = applicable_rotations(inst, x, cache)
+    act, rots = applicable_rotations(inst, x, poset.cache)
     here = {r.key() for r in rots}
     pred, succ = poset.rotations[a], poset.rotations[b]
     if pred.key() not in here:
@@ -153,24 +155,19 @@ def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int, cac
         raise InvariantError("successor applicable too early")
     x2 = apply_shift(inst, x, [pred], [pred.tau], verify=False)
     known = _carried_outcomes(inst, act.report.outcomes, pred.values)
-    there = {r.key() for r in applicable_rotations(inst, x2, cache, known)[1]}
+    there = {r.key() for r in applicable_rotations(inst, x2, poset.cache, known)[1]}
     if succ.key() not in there:
         raise InvariantError("successor not enabled by predecessor")
 
 
 def gamma(
-    inst: Instance,
-    poset: RotationPoset,
-    lam: Mapping[int, Fraction],
-    verify: bool = True,
-    cache: Optional[dict] = None,
+    inst: Instance, poset: RotationPoset, lam: Mapping[int, Fraction], verify: bool = True
 ) -> dict[str, Fraction]:
     """Stable assignment realizing the closed weight function λ.
 
-    With `verify`, the image's stability is checked.  When `cache` (the
-    state cache of `build_poset` on `inst`) holds the image, the check reads
-    the choice outcomes analysed at that exact state, so no vertex chooses
-    again.
+    With `verify`, the image's stability is checked.  When the poset's state
+    cache holds the image, the check reads the choice outcomes analysed at
+    that exact state, so no vertex chooses again.
     """
     if not is_closed(poset, lam):
         raise InstanceError("weight function is not closed")
@@ -179,23 +176,22 @@ def gamma(
         l = lam.get(i, 0)
         if l:
             _add_shift(x, rot.values, l)
-    hit = cache.get(_state_key(inst, x)) if verify and cache else None
-    if verify and not stability_report(inst, x, hit and hit[0].report.outcomes).stable:
-        raise InvariantError("closed function image not stable")
+    if verify:
+        hit = poset.cache.get(_state_key(inst, x))
+        if not stability_report(inst, x, hit and hit[0].report.outcomes).stable:
+            raise InvariantError("closed function image not stable")
     return x
 
 
-def omega(
-    inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction], cache: Optional[dict] = None
-) -> dict[int, Fraction]:
+def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> dict[int, Fraction]:
     """Closed weight function of a stable assignment (inverse of gamma).
 
     Computed by routing x the rest of the way to the worker optimum: the
     weight still consumed on each rotation there is τ minus the weight already
-    spent reaching x.  `cache` is the route's state cache (see
-    `applicable_rotations`).
+    spent reaching x.  The route runs on the poset's state cache, so it
+    analyses only states the poset has not seen, and adds them to it.
     """
-    rest = run_route(inst, x, cache=cache)
+    rest = run_route(inst, x, cache=poset.cache)
     if rest.states[-1] != poset.xmax:
         raise InvariantError("route from x did not reach the worker optimum")
     index = {rot.key(): i for i, rot in enumerate(poset.rotations)}

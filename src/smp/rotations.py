@@ -412,9 +412,10 @@ def applicable_rotations(
 
     `cache`, when given, maps a state's `_state_key` to the result computed
     there, so a caller that revisits states builds each one once.  It must
-    not outlive one instance; one command call owns it (`build_poset` makes
-    one per call when it is given none).  `known` is what is already known at
-    x (see `build_active_structure`); a cached state needs none.
+    not outlive one instance; a routing caller without a poset owns one for
+    its call, and `build_poset` makes one per call and keeps it as
+    `RotationPoset.cache`.  `known` is what is already known at x (see
+    `build_active_structure`); a cached state needs none.
     """
     if cache is not None:
         key = _state_key(inst, x)

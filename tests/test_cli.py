@@ -718,6 +718,22 @@ def test_verify_shares_one_state_cache(capsys, tmp_path, monkeypatch):
     assert len(chosen) == 50
 
 
+@pytest.mark.parametrize("args, count", [([], 34), (["--grid", "3"], 66)], ids=["ideals", "grid"])
+def test_enumerate_checks_on_the_poset_state_cache(capsys, tmp_path, monkeypatch, args, count):
+    """`gamma` checks each enumerated point on the poset's state cache, so a
+    point the build analysed is not chosen at again: 34 `choose` calls on
+    this tied 4 x 4 marriage, as many as `smp poset`, and 66 for its grid.
+    Without the build's cache they were 74 and 106."""
+    chosen = []
+    real_choose = smp.choice.choose
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or real_choose(inst, v, z))
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps(serialize_instance(rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3))))
+    code, _ = run_cli(capsys, "enumerate", str(path), *args)
+    assert code == 0
+    assert len(chosen) == count
+
+
 @pytest.mark.parametrize(
     "plant, message",
     [

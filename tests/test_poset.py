@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter, defaultdict
@@ -45,6 +46,7 @@ from smp import (
 )
 from smp.choice import choose
 from smp.cli import main
+from smp.rotations import _state_key
 
 from gen import (
     chained_instance,
@@ -53,6 +55,7 @@ from gen import (
     random_instance,
     six_cycle_instance,
     triangle_instance,
+    wide_unions,
 )
 
 
@@ -262,7 +265,7 @@ def test_union_lattice_is_the_product_of_the_parts():
 def test_enumeration_cap_enforced():
     # 21 unordered rotations: the size alone is checked, before any ideal
     rotations = [Rotation({f"e{i}": 1}, F(1)) for i in range(21)]
-    poset = RotationPoset(rotations=rotations, less=frozenset(), hasse=[], xmin={}, xmax={})
+    poset = RotationPoset(rotations=rotations, less=frozenset(), hasse=[], xmin={}, xmax={}, cache={})
     with pytest.raises(InstanceError, match="^poset size 21 exceeds cap 20$"):
         enumerate_fully_closed(poset)
 
@@ -306,7 +309,7 @@ def test_enumerate_fully_closed_matches_the_subset_filter():
         less = _relabelled_order(rng, n)
         downward += any(a > b for a, b in less)
         rotations = [Rotation({f"e{i}": 1}, F(i + 1, 2)) for i in range(n)]
-        poset = RotationPoset(rotations=rotations, less=less, hasse=[], xmin={}, xmax={})
+        poset = RotationPoset(rotations=rotations, less=less, hasse=[], xmin={}, xmax={}, cache={})
         ideals = [
             set(members)
             for size in range(n + 1)
@@ -346,7 +349,7 @@ def test_grid_sublattice_holds_one_candidate_at_a_time(monkeypatch):
     n = 12
     rotations = [Rotation({f"e{i}": 1}, F(1)) for i in range(n)]
     less = frozenset((a, b) for b in range(n) for a in range(b))
-    poset = RotationPoset(rotations=rotations, less=less, hasse=[], xmin={}, xmax={})
+    poset = RotationPoset(rotations=rotations, less=less, hasse=[], xmin={}, xmax={}, cache={})
     monkeypatch.setattr(smp.poset, "gamma", lambda inst, poset, lam: lam)
     tracemalloc.start()
     try:
@@ -482,6 +485,30 @@ def test_build_poset_builds_each_state_once(monkeypatch):
         assert [r.key() for r in again.rotations] == [r.key() for r in poset.rotations]
 
 
+def test_build_poset_keeps_its_state_cache():
+    """The poset's cache holds the analysis of every state of its base
+    route, x_min and x_max included."""
+    insts = [triangle_instance(F(8), F(15))] + [inst for inst, _ in _marriage_posets(3, tag="kept")]
+    for inst in insts:
+        poset = build_poset(inst)
+        for x in run_route(inst, poset.xmin).states:
+            assert _state_key(inst, x) in poset.cache
+
+
+def test_gamma_and_omega_do_not_depend_on_the_state_cache():
+    """On every fully closed λ, `gamma` and `omega` give the same image and
+    the same λ on a poset and on the same poset with an empty cache."""
+    pairs = _marriage_posets(6, tag="fresh") + [
+        (union, build_poset(union)) for union in wide_unions("fresh", 3)
+    ]
+    for inst, poset in pairs:
+        fresh = poset._replace(cache={})
+        for lam in enumerate_fully_closed(poset):
+            x = gamma(inst, poset, lam)
+            assert gamma(inst, fresh, lam) == x
+            assert omega(inst, poset, x) == omega(inst, fresh, x) == lam
+
+
 # -- an assignment is normalised where it enters ------------------------------
 
 
@@ -536,6 +563,31 @@ def test_entry_functions_read_missing_keys_as_zero(name):
         assert partial == full
         for z in _assignments(partial):
             assert all(type(v) is F for v in z.values())
+
+
+BAD_ASSIGNMENTS = [
+    ("bogus", 5, "unknown edge ids in assignment: ['bogus']"),
+    ("f1w1", 8.0, "edge 'f1w1': assignment value must be an int or a Fraction"),
+    ("f1w1", True, "edge 'f1w1': assignment value must be an int or a Fraction"),
+    ("f1w1", "8", "edge 'f1w1': assignment value must be an int or a Fraction"),
+    ("f1w1", None, "edge 'f1w1': assignment value must be an int or a Fraction"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(set(ENTRY_FUNCTIONS) - {"parse_assignment"}))
+@pytest.mark.parametrize(
+    "eid, value, message", BAD_ASSIGNMENTS, ids=["unknown", "float", "bool", "str", "None"]
+)
+def test_entry_functions_reject_unknown_ids_and_inexact_values(name, eid, value, message):
+    """An assignment enters through `full_assignment`, which rejects an
+    unknown edge id and a value that is not an `int` or a `Fraction`: on the
+    triangle's x_min (8 on every edge) with one such entry, every entry
+    function raises that error."""
+    inst = triangle_instance(F(8), F(15))
+    poset = build_poset(inst)
+    bad = dict(poset.xmin, **{eid: value})
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        ENTRY_FUNCTIONS[name](inst, poset, bad, bad, bad)
 
 
 def test_build_poset_normalises_at_route_starts_and_reports_only():
