@@ -188,7 +188,8 @@ def _fraction_outcomes(
 ) -> dict[str, ChoiceOutcome]:
     """Outcomes whose results are numerators over `den`, with `Fraction` results."""
     return {
-        v: out._replace(result=_fractions(out.result, den, memo)) for v, out in outcomes.items()
+        v: ChoiceOutcome(_fractions(result, den, memo), head, tail, critical_tie, deficit)
+        for v, (result, head, tail, critical_tie, deficit) in outcomes.items()
     }
 
 
@@ -225,7 +226,8 @@ def _rescaled(state: IterationState, k: int) -> IterationState:
         x=_times(state.x, k),
         y=_times(state.y, k),
         outcomes={
-            v: out._replace(result=_times(out.result, k)) for v, out in state.outcomes.items()
+            v: ChoiceOutcome(_times(result, k), head, tail, critical_tie, deficit)
+            for v, (result, head, tail, critical_tie, deficit) in state.outcomes.items()
         },
     )
 

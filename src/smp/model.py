@@ -20,6 +20,8 @@ import copy
 import json
 import re
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 
@@ -265,8 +267,12 @@ class Instance:
         other = copy.copy(self)
         other.firms, other.workers = self.workers, self.firms
         other.firm_set, other.worker_set = self.worker_set, self.firm_set
-        other.edges = tuple(Edge(e.id, e.worker, e.firm, e.capacity) for e in self.edges)
-        other.edge_by_id = {e.id: e for e in other.edges}
+        # each edge's fields reordered to (id, worker, firm, capacity) and
+        # made an `Edge` in C: `tuple.__new__` skips the Python-level
+        # `Edge.__new__`; `edges` lists `edge_by_id` in its order
+        swap = map(itemgetter(0, 2, 1, 3), self.edges)
+        other.edges = tuple(map(partial(tuple.__new__, Edge), swap))
+        other.edge_by_id = dict(zip(self.edge_by_id, other.edges))
         return other
 
 

@@ -8,7 +8,10 @@ holds both.  After a cleaning pass removes vertices pinned by deficit
 neighbours, the remaining active edges form a digraph whose sink strong
 components each carry a unique (up to scale) balanced circulation — the
 rotation.  A vertex lies in a sink component exactly when every vertex it
-reaches reaches it back, and the component is then the set it reaches.  The
+reaches reaches it back, and the component is then the set it reaches.  Each
+head is built with its ends, the other endpoint of each of its edges, which
+the cleaning and its checks read; the sink components, the balance rows and
+the support checks read an edge's endpoints where they use them.  The
 cleaning and the check that a support is connected are each one
 reachability walk (`_reach`); the sink components take one forward walk from
 each vertex not yet classified, and one backward walk inside its reach set
@@ -47,7 +50,6 @@ equal-input arguments say where it has not:
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -110,36 +112,45 @@ def build_active_structure(
     fully = report.fully_filled
     unsaturated = report.unsaturated
 
-    heads = {w: outcomes[w].head for w in inst.workers if w in fully}
+    # each head is built with its ends: the other endpoint of each of its edges
+    edge_by_id = inst.edge_by_id
+    heads: dict[str, frozenset[str]] = {}
+    succ: dict[str, list[str]] = {}
+    for w in inst.workers:
+        if w in fully:
+            head = heads[w] = outcomes[w].head
+            succ[w] = [edge_by_id[e].firm for e in head]
     for f in inst.firms:
         if f not in fully:
             continue
-        heads[f] = frozenset()
+        heads[f], succ[f] = frozenset(), []
         for tie in inst.corteges[f]:
-            # a tie holding an unsaturated edge to a deficit worker blocks
-            # this tie and every worse one from being a potential head
-            if any(
-                e in unsaturated and inst.edge_by_id[e].other(f) not in fully
-                for e in tie
-            ):
-                break
-            candidates = frozenset(
-                e for e in tie
-                if e in unsaturated and e in outcomes[inst.edge_by_id[e].other(f)].tail
-            )
-            if candidates:
-                heads[f] = candidates
-                break
+            # one pass over the tie: an unsaturated edge to a deficit worker
+            # blocks this tie and every worse one from being a potential head
+            candidates, ends = [], []
+            for e in tie:
+                if e in unsaturated:
+                    w = edge_by_id[e].worker
+                    if w not in fully:
+                        break
+                    if e in outcomes[w].tail:
+                        candidates.append(e)
+                        ends.append(w)
+            else:  # not blocked
+                if not candidates:
+                    continue  # no potential head in this tie: try the next
+                heads[f], succ[f] = frozenset(candidates), ends
+            break
 
-    # cleaning: a vertex is pinned when its head is empty or leads to a
-    # deficit vertex, where no change of x is possible (a worker's head is
-    # never empty, as quotas are positive, and a firm's leads to fully filled
-    # workers); the singular vertices are those whose heads lead, transitively,
-    # to a pinned one, so the pinned vertices reach them backwards along `into`
+    # cleaning, on the ends in `succ`: a vertex is pinned when its head is
+    # empty or leads to a deficit vertex, where no change of x is possible (a
+    # worker's head is never empty, as quotas are positive, and a firm's leads
+    # to fully filled workers); the singular vertices are those whose heads
+    # lead, transitively, to a pinned one, so the pinned vertices reach them
+    # backwards along `into`
     into: dict[str, list[str]] = {}  # u -> the vertices whose head has an edge at u
     pinned = []
-    for v, edges in heads.items():
-        ends = [inst.edge_by_id[e].other(v) for e in edges]
+    for v, ends in succ.items():
         if not ends or not fully.issuperset(ends):
             pinned.append(v)
         for u in ends:
@@ -149,7 +160,7 @@ def build_active_structure(
     for v in regular:
         if not heads[v]:
             raise InvariantError(f"regular vertex {v!r} with empty head")
-        if any(inst.edge_by_id[e].other(v) not in regular for e in heads[v]):
+        if not regular.issuperset(succ[v]):
             raise InvariantError(f"head of regular vertex {v!r} leaves the regular set")
     return ActiveStructure(report=report, heads=heads, regular=regular)
 
@@ -178,10 +189,15 @@ def maximal_components(inst: Instance, act: ActiveStructure) -> list[tuple[str, 
     component is the sorted tuple of its vertex ids, found from its
     smallest, so the list comes out sorted.
     """
-    succ = {v: [inst.edge_by_id[e].other(v) for e in act.heads[v]] for v in act.regular}
+    edge_by_id = inst.edge_by_id
+    succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = {}
-    for v, ends in succ.items():
-        for u in ends:
+    for v in act.regular:
+        ends = succ[v] = []
+        for e in act.heads[v]:
+            edge = edge_by_id[e]
+            u = edge.worker if edge.firm == v else edge.firm
+            ends.append(u)
             pred.setdefault(u, []).append(v)
     classified: set[str] = set()
     out = []
@@ -232,12 +248,15 @@ def extract_rotation(
     order += [v for v in comp if v not in inst.firm_set]
     var_index = {v: i for i, v in enumerate(order)}
     rows: list[dict[int, int]] = []
-    for v in order:
-        row = {var_index[v]: len(act.heads[v])}
+    edge_by_id, heads = inst.edge_by_id, act.heads
+    for i, v in enumerate(order):
+        row = {i: len(heads[v])}
         for e in inst.incident[v]:
-            u = inst.edge_by_id[e].other(v)
-            if u in var_index and e in act.heads[u]:
-                row[var_index[u]] = row.get(var_index[u], 0) - 1
+            edge = edge_by_id[e]
+            u = edge.worker if i < nfirms else edge.firm
+            if u in var_index and e in heads[u]:
+                j = var_index[u]
+                row[j] = row.get(j, 0) - 1
         rows.append(row)
     basis = integer_nullspace(rows, len(order))
     if len(basis) != 1:
@@ -256,25 +275,31 @@ def extract_rotation(
 
 
 def _check_rotation_invariants(inst: Instance, values: Mapping[str, int]) -> None:
-    # a vertex off the support has net change 0
+    # one pass over the support reads each edge's endpoints once, for the
+    # net change at each vertex, the values raised at each firm and dropped
+    # at each worker, and the support's adjacency
+    edge_by_id = inst.edge_by_id
     net: dict[str, int] = {}
+    raised: dict[str, set[int]] = {}
+    dropped: dict[str, set[int]] = {}
+    adj: dict[str, list[str]] = {}
     for e, v in values.items():
-        edge = inst.edge_by_id[e]
-        net[edge.firm] = net.get(edge.firm, 0) + v
-        net[edge.worker] = net.get(edge.worker, 0) + v
+        edge = edge_by_id[e]
+        f, w = edge.firm, edge.worker
+        net[f] = net.get(f, 0) + v
+        net[w] = net.get(w, 0) + v
+        # one value on each D_f (the positive edges at f) and on each H_w
+        # (the negative edges at w); a zero is left to the integrality check
+        if v > 0:
+            raised.setdefault(f, set()).add(v)
+        elif v < 0:
+            dropped.setdefault(w, set()).add(v)
+        adj.setdefault(f, []).append(w)
+        adj.setdefault(w, []).append(f)
+    # a vertex off the support has net change 0
     for v in inst.vertices():
         if net.get(v, 0) != 0:
             raise InvariantError(f"rotation not conserved at {v!r}")
-    # one value on each D_f (the positive edges at f) and on each H_w (the
-    # negative edges at w); a zero is left to the integrality check below
-    raised: dict[str, set[int]] = {}
-    dropped: dict[str, set[int]] = {}
-    for e, v in values.items():
-        edge = inst.edge_by_id[e]
-        if v > 0:
-            raised.setdefault(edge.firm, set()).add(v)
-        elif v < 0:
-            dropped.setdefault(edge.worker, set()).add(v)
     for f, vals in raised.items():
         if len(vals) != 1:
             raise InvariantError(f"rotation not aligned at firm {f!r}")
@@ -290,11 +315,6 @@ def _check_rotation_invariants(inst: Instance, values: Mapping[str, int]) -> Non
         raise InvariantError("rotation values not coprime")
     # support connectivity; `net` is keyed by the support's endpoints, and
     # the support is not empty (an empty one has no gcd 1)
-    adj: dict[str, list[str]] = {}
-    for e in values:
-        edge = inst.edge_by_id[e]
-        adj.setdefault(edge.firm, []).append(edge.worker)
-        adj.setdefault(edge.worker, []).append(edge.firm)
     if _reach(adj, [min(net)]) != set(net):
         raise InvariantError("rotation support is disconnected")
 
@@ -398,7 +418,10 @@ def _state_key(inst: Instance, x: Mapping[str, Fraction]) -> tuple:
     """The state-cache key of the full assignment x: each value's numerator
     and denominator in lowest terms, in edge-id order.  Keys are equal
     exactly when the states are, and flat ints, so no `Fraction` is hashed."""
-    return tuple(itertools.chain.from_iterable(x[e].as_integer_ratio() for e in inst.edge_ids))
+    key: list[int] = []
+    for e in inst.edge_ids:
+        key += x[e].as_integer_ratio()
+    return tuple(key)
 
 
 def applicable_rotations(

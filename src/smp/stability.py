@@ -51,7 +51,8 @@ def stability_report(
 
     Admissibility, with or without `known`, is the box screen per edge and
     then the choices themselves; no load is summed.  The screen compares
-    each value with its capacity once: it rejects a value outside the box
+    each value with its capacity in `int`s, as cross-multiplied numerators
+    and denominators (`_screen_box`): it rejects a value outside the box
     and collects the edges below capacity, which the blocking test and
     `build_active_structure` read.  For x in the box the
     choice at v returns x on v's edges exactly when v's load is within its
@@ -66,30 +67,27 @@ def stability_report(
     x = full_assignment(inst, x)
     below = _screen_box(inst, x)
     outcomes = _rechoose(inst, inst.vertices(), x, known or {})
+    incident = inst.incident
     for v, out in outcomes.items():
-        xv = {e: x[e] for e in inst.incident[v]}
-        if out.result != xv:
+        if out.result != {e: x[e] for e in incident[v]}:
             # an overload is never stationary: name it as a full validation
             _require_admissible(inst, x)
             raise InstanceError(f"assignment not stationary at vertex {v!r}")
 
     blocking = []
+    edge_by_id, tie_index = inst.edge_by_id, inst.tie_index
     for eid in below:
-        e = inst.edge_by_id[eid]
-        in_both_tails = eid in outcomes[e.firm].tail and eid in outcomes[e.worker].tail
+        e = edge_by_id[eid]
+        f, w = e.firm, e.worker
+        at_f, at_w = outcomes[f], outcomes[w]
+        in_both_tails = eid in at_f.tail and eid in at_w.tail
         # second route: some endpoint is fully filled and holds the edge in
         # its head or past its critical tie
-        excused = False
-        for v in (e.firm, e.worker):
-            out = outcomes[v]
-            if out.deficit:
-                continue
-            if eid in out.head:
-                excused = True
-            else:
-                tie = inst.tie_index[(v, eid)]
-                if tie > out.critical_tie:
-                    excused = True
+        excused = (
+            not at_f.deficit and (eid in at_f.head or tie_index[f, eid] > at_f.critical_tie)
+        ) or (
+            not at_w.deficit and (eid in at_w.head or tie_index[w, eid] > at_w.critical_tie)
+        )
         if in_both_tails == excused:
             raise InvariantError(f"blocking characterizations disagree on edge {eid!r}")
         if in_both_tails:
@@ -100,7 +98,7 @@ def stability_report(
     return StabilityReport(
         stable=not blocking,
         blocking_edges=blocking,
-        fully_filled=frozenset(v for v in inst.vertices() if not outcomes[v].deficit),
+        fully_filled=frozenset([v for v, out in outcomes.items() if not out.deficit]),
         outcomes=outcomes,
         unsaturated=frozenset(below),
     )
@@ -116,21 +114,29 @@ def _screen_box(inst: Instance, x: Mapping[str, Fraction]) -> list[str]:
     """The edges with 0 <= x_e < capacity, in edge-id order, for x in the box.
 
     A value outside the box raises the full validation's `InstanceError`.
-    Capacities are positive, so 0 is below one and the capacity object
-    itself is not; any other value is compared with its capacity once, and
-    only a value not below it is compared again, for equality.
+    Each value is read as its `int` numerator n and denominator d: n = 0 is
+    below every capacity, as capacities are positive, and the capacity
+    object itself is not below it; any other value is compared with its
+    capacity c / q by the cross-multiplied `int`s n·q and c·d, which are
+    equal exactly when the value is the capacity.
     """
     below = []
+    edge_by_id = inst.edge_by_id
     for eid in inst.edge_ids:
-        val, cap = x[eid], inst.edge_by_id[eid].capacity
-        n = val.numerator
+        val = x[eid]
+        n, d = val.as_integer_ratio()
         if not n:
             below.append(eid)
-        elif val is not cap:
-            if n > 0 and val < cap:
-                below.append(eid)
-            elif val != cap:  # negative, or above the capacity
-                _require_admissible(inst, x)  # raises: the box names the violation
+            continue
+        cap = edge_by_id[eid].capacity
+        if val is cap:
+            continue
+        c, q = cap.as_integer_ratio()
+        lhs, rhs = n * q, c * d
+        if n > 0 and lhs < rhs:
+            below.append(eid)
+        elif lhs != rhs:  # negative, or above the capacity
+            _require_admissible(inst, x)  # raises: the box names the violation
     return below
 
 

@@ -346,7 +346,10 @@ def test_box_screen_collects_the_edges_below_capacity():
 
 def _flawed_points(rng, inst):
     """Admissible, negative, over-capacity and, at each vertex whose edges
-    can carry more than its quota, overloaded points (a label and x)."""
+    can carry more than its quota, overloaded points (a label and x); then
+    one edge at a value equal to its capacity but another `Fraction`, and
+    one just below its capacity over a larger denominator, which the box
+    screen's cross-multiplied comparison tells apart."""
     base = _admissible_point(rng, inst)
     yield "admissible", base
     e = rng.choice(inst.edges)
@@ -358,6 +361,14 @@ def _flawed_points(rng, inst):
             for eid in inst.incident[v]:
                 over[eid] = inst.edge_by_id[eid].capacity
             yield f"overload at {v}", over
+    e = rng.choice(inst.edges)
+    cap = e.capacity
+    copy = F(cap.numerator, cap.denominator)
+    assert copy is not cap and copy == cap
+    yield "equal copy", {**base, e.id: copy}
+    below = cap - F(1, 97 * cap.denominator)
+    assert below.denominator > cap.denominator
+    yield "just below", {**base, e.id: below}
 
 
 def _verdict(report_fn):
