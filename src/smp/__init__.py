@@ -5,16 +5,10 @@ rotations and their poset, the closed-function lattice, and minimum-cost
 stable assignments via min-cut.
 """
 
+import sys
+
 from .choice import ChoiceOutcome, choose, prefers
-from .iteration import (
-    IterationState,
-    build_extended_instance,
-    initial_state,
-    ordinary_iteration_step,
-    solve_quota_filling,
-    solve_xmax,
-    solve_xmin_modified,
-)
+from .iteration import solve_quota_filling, solve_xmax, solve_xmin_modified
 from .mincost import MinCostResult, assignment_cost, min_cost_stable
 from .model import (
     Edge,
@@ -57,5 +51,9 @@ from .rotations import (
 )
 from .stability import StabilityReport, compare_stable, stability_report
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules that importing them binds here
+# are reached as `smp.<module>`, not star-imported
+__all__ = sorted(
+    name for name, obj in globals().items() if name[0] != "_" and type(obj) is not type(sys)
+)
 __version__ = "0.1.0"

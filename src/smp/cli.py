@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .iteration import solve_quota_filling, solve_xmax, solve_xmin_modified
+from .iteration import _solve_xmin, solve_quota_filling, solve_xmax, solve_xmin_modified
 from .mincost import min_cost_stable
 from .model import (
     Instance,
@@ -29,8 +29,8 @@ from .model import (
     serialize_instance,
 )
 from .poset import build_poset, grid_sublattice, enumerate_fully_closed, gamma, omega
-from .rotations import applicable_rotations, endpoints, run_route
-from .stability import stability_report
+from .rotations import _applicable_rotations, _run_route, endpoints
+from .stability import _stability_report, stability_report
 
 
 def _read(path: str) -> str:
@@ -100,11 +100,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_rotations(args) -> int:
     inst = _load_instance(args.instance)
+    # a parsed assignment is full; the solver hands on its report at x_min
     if args.at is not None:
-        x = parse_assignment(_read(args.at), inst)
+        x, known = parse_assignment(_read(args.at), inst), {}
     else:
-        x = solve_xmin_modified(inst)
-    act, rots = applicable_rotations(inst, x)
+        x, known = _solve_xmin(inst)
+    act, rots = _applicable_rotations(inst, x, cache=None, known=known)
     if args.dot:
         lines = ["digraph active {"]
         for v in sorted(act.regular):
@@ -189,18 +190,19 @@ def _cmd_verify(args) -> int:
             raise InvariantError("serialized instance parses to other edges")
 
     def solve():
+        # x_min is analysed afresh, not from the solver's report
         state["xmin"] = solve_xmin_modified(inst)
-        if not stability_report(inst, state["xmin"]).stable:
+        if not _stability_report(inst, state["xmin"], known={}).stable:
             raise InvariantError("x_min is not stable")
 
     def poset_checks():
         state["poset"] = build_poset(inst, state["xmin"])
 
     def route():
-        # run_route raises InvariantError past 2·|E| shifts; it reads the
+        # the route raises InvariantError past 2·|E| shifts; it reads the
         # states the poset's build analysed, if the build succeeded
-        poset = state.get("poset")
-        run_route(inst, state["xmin"], cache={} if poset is None else poset.cache)
+        cache = state["poset"].cache if "poset" in state else {}
+        _run_route(inst, state["xmin"], known={}, cache=cache, avoid=None, rng=None)
 
     def bijection():
         poset = state["poset"]

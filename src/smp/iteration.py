@@ -109,8 +109,8 @@ The outcomes travel on past the rounds, each time by an equal-input argument
     both endpoints of an edge alike, so a report is the same in either
     orientation.
 (b) That route's report at its end is the report at x_min; `solve_xmax`,
-    `smp solve --side workers` and `build_poset`'s base route start from
-    it (`_solve_xmin`), so no route analyses x_min again.
+    `smp solve --side workers`, `build_poset`'s base route and `smp
+    rotations` start from it (`_solve_xmin`), so none analyses x_min again.
 (c) Along every route a shift changes x only on the rotation's support, so
     only the support's endpoints choose again.
 """
@@ -130,9 +130,9 @@ from .model import (
     InvariantError,
     SolverLimitError,
 )
-from .rotations import run_route
+from .rotations import _run_route
 from .simplex import LinearProgram, simplex_maximize
-from .stability import StabilityReport, stability_report
+from .stability import StabilityReport, _stability_report
 
 
 def _step_cap(inst: Instance) -> int:
@@ -196,7 +196,9 @@ def _fraction_outcomes(
 def initial_state(inst: Instance) -> IterationState:
     """Bounds, x and y at the capacities, over the lcm of every capacity's and
     quota's denominator."""
-    capacity = {e.id: e.capacity.as_integer_ratio() for e in inst.edges}
+    # in edge-id order, as every state's dicts then are: a point the loop
+    # hands on is a full assignment as `full_assignment` makes it
+    capacity = {e: inst.edge_by_id[e].capacity.as_integer_ratio() for e in inst.edge_ids}
     quota = {v: q.as_integer_ratio() for v, q in inst.quota.items()}
     den = lcm(*{d for _, d in capacity.values()}, *{d for _, d in quota.values()})
     bounds = _over(capacity, den)
@@ -549,7 +551,7 @@ def _normalise(
     invariant.
     """
     try:
-        route = run_route(inst.swapped(), x, known=known)
+        route = _run_route(inst.swapped(), x, known=known, cache=None, avoid=None, rng=None)
     except InstanceError as exc:
         raise InvariantError(f"solver's point rejected by the normalising route: {exc}") from exc
     return route.states[-1], route.report
@@ -584,7 +586,7 @@ def _solve_xmin(
                 trace.append(("aggregated", state.round, y))
             known = _fraction_outcomes(state.outcomes, state.den, memo)
             try:
-                report = stability_report(inst, y, known)
+                report = _stability_report(inst, y, known=known)
             except InstanceError as exc:
                 raise InvariantError(f"aggregated point rejected: {exc}") from exc
             if report.stable:
@@ -604,7 +606,7 @@ def solve_xmax(inst: Instance, trace: Optional[list] = None) -> dict[str, Fracti
     (b)).  `trace` collects the rounds as in `solve_xmin_modified`.
     """
     xmin, report = _solve_xmin(inst, trace)
-    return run_route(inst, xmin, known=report).states[-1]
+    return _run_route(inst, xmin, known=report, cache=None, avoid=None, rng=None).states[-1]
 
 
 def build_extended_instance(inst: Instance) -> tuple[Instance, dict[str, Fraction]]:
@@ -683,15 +685,15 @@ def solve_quota_filling(inst: Instance) -> Optional[dict[str, Fraction]]:
     route starts from the seed's stability report.
     """
     ext, y0 = build_extended_instance(inst)
-    seed_report = stability_report(ext, y0)
+    seed_report = _stability_report(ext, y0, known={})
     if not seed_report.stable:
         raise InvariantError("depot seed unexpectedly unstable")
-    ymax = run_route(ext, y0, known=seed_report).states[-1]
+    ymax = _run_route(ext, y0, known=seed_report, cache=None, avoid=None, rng=None).states[-1]
     # the depot edges are the seed's positive entries
     if any(ymax[e] != 0 for e, v in y0.items() if v):
         return None
     x = {eid: ymax[eid] for eid in inst.edge_ids}
-    report = stability_report(inst, x)
+    report = _stability_report(inst, x, known={})
     if not (report.stable and len(report.fully_filled) == len(inst.vertices())):
         raise InvariantError("restricted worker optimum not stable and quota filling")
     return x

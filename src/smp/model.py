@@ -349,13 +349,16 @@ def serialize_instance(inst: Instance) -> dict:
     return doc
 
 
-# An assignment is a plain dict: edge id -> Fraction.  It is normalised where
-# a caller hands it in: the entry functions (`parse_assignment`,
-# `validate_assignment`, `stability_report`, `compare_stable`, `run_route`,
-# `build_poset`, `omega`, the worker-side join and meet) read a missing key as
-# 0 and an int as its Fraction, and reject an unknown id or any other value.
-# The per-state functions of the rotation layer take a full assignment, one
-# Fraction per edge, as `full_assignment` makes.
+# An assignment is a plain dict: edge id -> Fraction.  It is normalised once,
+# by `full_assignment`, where a caller hands it in: the entry functions
+# (`parse_assignment`, `validate_assignment`, `stability_report`,
+# `compare_stable`, `applicable_rotations`, `run_route`, `build_poset` given
+# x_min, `omega`, the worker-side join and meet) read a missing key as 0 and
+# an int as its Fraction, and reject an unknown id or any other value.  The
+# private analysis and route (`_stability_report`, `_applicable_rotations`,
+# `_run_route`) and the per-state functions of the rotation layer take a full
+# assignment, one Fraction per edge in edge-id order, as `full_assignment`
+# makes and the solver builds, and do not normalise it again.
 
 def parse_assignment(data, inst: Instance) -> dict[str, Fraction]:
     data = _decode(data)

@@ -18,17 +18,17 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .choice import choose
 from .iteration import _solve_xmin
-from .model import ZERO, Instance, InstanceError, InvariantError, _exact
+from .model import ZERO, Instance, InstanceError, InvariantError, _exact, full_assignment
 from .rotations import (
     Rotation,
     _add_shift,
+    _applicable_rotations,
     _carried_outcomes,
+    _run_route,
     _state_key,
-    applicable_rotations,
     apply_shift,
-    run_route,
 )
-from .stability import stability_report
+from .stability import _stability_report, stability_report
 
 # the most rotations `enumerate_fully_closed` takes, and the most points of
 # a `grid_sublattice` grid
@@ -42,7 +42,7 @@ class RotationPoset(NamedTuple):
     hasse: list[tuple[int, int]]         # transitive reduction of `less`
     xmin: dict[str, Fraction]
     xmax: dict[str, Fraction]
-    # the state cache of `applicable_rotations`, filled by the build and
+    # the state cache of `_applicable_rotations`, filled by the build and
     # read and extended by everything that takes the poset; it lives as
     # long as the poset, which for the CLI is one command, and grows with
     # each `omega` route that reaches a new state
@@ -96,18 +96,20 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
     route's i-th state: before it the base route applied other rotations,
     each first in line, so the run from x_min would repeat that prefix.  The
     base route, the avoidance runs and the Hasse checks share one state cache
-    (see `applicable_rotations`), so each distinct state is analysed once.
+    (see `_applicable_rotations`), so each distinct state is analysed once.
     Each call makes a fresh cache and hands it on as `RotationPoset.cache`,
     which `gamma`'s check and `omega`'s route read and extend.  Without a
     given `xmin`, the base route starts from the solver's stability report
     at x_min, and every route and Hasse witness carries its choices past
-    each shift (`rotations` module docstring, (b) and (c)).
+    each shift (`rotations` module docstring, (b) and (c)).  A given `xmin`
+    is normalised by `full_assignment`.
     """
-    known = None
     if xmin is None:
         xmin, known = _solve_xmin(inst)
+    else:
+        xmin, known = full_assignment(inst, xmin), {}
     cache: dict = {}
-    base = run_route(inst, xmin, cache=cache, known=known)
+    base = _run_route(inst, xmin, known=known, cache=cache, avoid=None, rng=None)
     rotations = base.steps
     keys = [rot.key() for rot in rotations]
     if len(set(keys)) != len(keys):
@@ -116,7 +118,7 @@ def build_poset(inst: Instance, xmin: Optional[Mapping[str, Fraction]] = None) -
 
     upsets: dict[int, frozenset[int]] = {}
     for i, key in enumerate(keys):
-        partial = run_route(inst, base.states[i], avoid=key, cache=cache)
+        partial = _run_route(inst, base.states[i], known={}, cache=cache, avoid=key, rng=None)
         applied = set(keys[:i]) | {rot.key() for rot in partial.steps}
         unapplied = frozenset(j for j, k in enumerate(keys) if k not in applied)
         if i not in unapplied:
@@ -146,7 +148,7 @@ def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int) -> 
     ideal below ρ_b without ρ_a; a set that is not an ideal fails
     `_closed_of_ideal`."""
     x = gamma(inst, poset, _closed_of_ideal(poset, poset.downset(b) - {a, b}), verify=False)
-    act, rots = applicable_rotations(inst, x, poset.cache)
+    act, rots = _applicable_rotations(inst, x, cache=poset.cache, known={})
     here = {r.key() for r in rots}
     pred, succ = poset.rotations[a], poset.rotations[b]
     if pred.key() not in here:
@@ -155,7 +157,7 @@ def _verify_hasse_edge(inst: Instance, poset: RotationPoset, a: int, b: int) -> 
         raise InvariantError("successor applicable too early")
     x2 = apply_shift(inst, x, [pred], [pred.tau], verify=False)
     known = _carried_outcomes(inst, act.report.outcomes, pred.values)
-    there = {r.key() for r in applicable_rotations(inst, x2, poset.cache, known)[1]}
+    there = {r.key() for r in _applicable_rotations(inst, x2, cache=poset.cache, known=known)[1]}
     if succ.key() not in there:
         raise InvariantError("successor not enabled by predecessor")
 
@@ -178,7 +180,7 @@ def gamma(
             _add_shift(x, rot.values, l)
     if verify:
         hit = poset.cache.get(_state_key(inst, x))
-        if not stability_report(inst, x, hit and hit[0].report.outcomes).stable:
+        if not _stability_report(inst, x, known=hit[0].report.outcomes if hit else {}).stable:
             raise InvariantError("closed function image not stable")
     return x
 
@@ -189,9 +191,11 @@ def omega(inst: Instance, poset: RotationPoset, x: Mapping[str, Fraction]) -> di
     Computed by routing x the rest of the way to the worker optimum: the
     weight still consumed on each rotation there is τ minus the weight already
     spent reaching x.  The route runs on the poset's state cache, so it
-    analyses only states the poset has not seen, and adds them to it.
+    analyses only states the poset has not seen, and adds them to it.  x is
+    normalised by `full_assignment`.
     """
-    rest = run_route(inst, x, cache=poset.cache)
+    x = full_assignment(inst, x)
+    rest = _run_route(inst, x, known={}, cache=poset.cache, avoid=None, rng=None)
     if rest.states[-1] != poset.xmax:
         raise InvariantError("route from x did not reach the worker optimum")
     index = {rot.key(): i for i, rot in enumerate(poset.rotations)}

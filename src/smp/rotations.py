@@ -31,21 +31,30 @@ and λ (`_add_shift`, shared with `poset.gamma`); λ must be an `int` or a
 `Fraction`.
 
 Every state of a route is analysed once, from choice outcomes, and a
-vertex chooses again only where its input may have changed.  Three
-equal-input arguments say where it has not:
+vertex chooses again only where its input may have changed.  The public
+entries (`applicable_rotations`, `run_route`) normalise the caller's
+assignment and know nothing at it; the library's own full states and what
+it knows there go to the private ones, `_applicable_rotations` and
+`_run_route`, whose `known` is a `StabilityReport` or some vertices'
+outcomes (`stability._stability_report`).  Three equal-input arguments say
+where an input has not changed:
 
 (a) the solver hands on what it knows at the stable point it returns (see
     `iteration`): the last proposal round's outcomes, or the aggregated
-    point's `StabilityReport`.  That starts the route that normalises the
-    point in the swapped instance: a choice reads only the incident edges,
-    quota and ties, which `Instance.swapped` keeps, and the blocking test,
-    `fully_filled` and `unsaturated` treat both endpoints of an edge alike,
-    so a report made in `inst.swapped()` is the report in `inst`;
+    point's `StabilityReport`.  That is the `known` of the `_run_route`
+    that normalises the point in the swapped instance: a choice reads only
+    the incident edges, quota and ties, which `Instance.swapped` keeps, and
+    the blocking test, `fully_filled` and `unsaturated` treat both
+    endpoints of an edge alike, so a report made in `inst.swapped()` is the
+    report in `inst`;
 (b) the report at the end of that route is the report at x_min, so the
-    routes from x_min (`solve_xmax`, the base route of `build_poset`) start
-    from it and analyse x_min no further;
-(c) a shift changes x only on the rotation's support, so the next state
-    keeps every outcome off the support's endpoints (`_carried_outcomes`).
+    `_run_route`s from x_min (`solve_xmax`, the base route of `build_poset`)
+    and `smp rotations`' `_applicable_rotations` start from it and analyse
+    x_min no further;
+(c) a shift changes x only on the rotation's support, so the next state of
+    a `_run_route` keeps every outcome off the support's endpoints
+    (`_carried_outcomes`), and so does the state after the predecessor's
+    shift in a Hasse witness (`poset._verify_hasse_edge`).
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .choice import ChoiceOutcome
 from .linalg import integer_nullspace
 from .model import Instance, InstanceError, InvariantError, _exact, full_assignment
-from .stability import StabilityReport, compare_stable, stability_report
+from .stability import StabilityReport, _stability_report, compare_stable, stability_report
 
 
 class ActiveStructure(NamedTuple):
@@ -94,18 +103,9 @@ def endpoints(inst: Instance, edges: Iterable[str]) -> list[str]:
     return sorted(out)
 
 
-def build_active_structure(
-    inst: Instance,
-    x: Mapping[str, Fraction],
-    known: Optional[StabilityReport | Mapping[str, ChoiceOutcome]] = None,
-) -> ActiveStructure:
-    """The heads D_f and H_w and the cleaned regular vertex set at stable x.
-
-    x is a full assignment (one `Fraction` per edge, see `full_assignment`).
-    `known` is what is already known at x: its `StabilityReport`, which is
-    used as it is, or some vertices' choice outcomes (see `stability_report`).
-    """
-    report = known if isinstance(known, StabilityReport) else stability_report(inst, x, known)
+def build_active_structure(inst: Instance, report: StabilityReport) -> ActiveStructure:
+    """The heads D_f and H_w and the cleaned regular vertex set at a stable
+    x, read off its `StabilityReport`."""
     if not report.stable:
         raise InstanceError(f"assignment is not stable (blocking: {report.blocking_edges})")
     outcomes = report.outcomes
@@ -425,26 +425,32 @@ def _state_key(inst: Instance, x: Mapping[str, Fraction]) -> tuple:
 
 
 def applicable_rotations(
-    inst: Instance,
-    x: Mapping[str, Fraction],
-    cache: Optional[dict] = None,
-    known: Optional[StabilityReport | Mapping[str, ChoiceOutcome]] = None,
+    inst: Instance, x: Mapping[str, Fraction]
 ) -> tuple[ActiveStructure, list[Rotation]]:
-    """The active structure at the stable, full assignment x and one rotation
-    per sink component.
+    """The active structure at the stable assignment x and one rotation per
+    sink component.  x is normalised by `full_assignment`."""
+    return _applicable_rotations(inst, full_assignment(inst, x), cache=None, known={})
 
-    `cache`, when given, maps a state's `_state_key` to the result computed
+
+def _applicable_rotations(
+    inst: Instance, x: Mapping[str, Fraction], *, cache: Optional[dict],
+    known: StabilityReport | Mapping[str, ChoiceOutcome],
+) -> tuple[ActiveStructure, list[Rotation]]:
+    """`applicable_rotations` at the full assignment x.
+
+    `cache`, when not None, maps a state's `_state_key` to the result computed
     there, so a caller that revisits states builds each one once.  It must
-    not outlive one instance; a routing caller without a poset owns one for
-    its call, and `build_poset` makes one per call and keeps it as
-    `RotationPoset.cache`.  `known` is what is already known at x (see
-    `build_active_structure`); a cached state needs none.
+    not outlive one instance; `build_poset` makes one per call and keeps it
+    as `RotationPoset.cache`.  `known` is what is already known at x: its
+    `StabilityReport`, which is used as it is, or some vertices' choice
+    outcomes (see `_stability_report`); a cached state needs none.
     """
     if cache is not None:
         key = _state_key(inst, x)
         if key in cache:
             return cache[key]
-    act = build_active_structure(inst, x, known)
+    report = known if type(known) is StabilityReport else _stability_report(inst, x, known=known)
+    act = build_active_structure(inst, report)
     comps = maximal_components(inst, act)
     result = act, [extract_rotation(inst, x, c, act) for c in comps]
     if cache is not None:
@@ -468,46 +474,50 @@ def _carried_outcomes(
     return {v: out for v, out in outcomes.items() if v not in moved}
 
 
-def run_route(
-    inst: Instance,
-    start: Mapping[str, Fraction],
-    rng=None,
-    avoid: Optional[tuple] = None,
-    cache: Optional[dict] = None,
-    known: Optional[StabilityReport | Mapping[str, ChoiceOutcome]] = None,
+def run_route(inst: Instance, start: Mapping[str, Fraction], rng=None) -> Route:
+    """Full-weight shifts from the stable assignment `start` to the worker
+    optimum.
+
+    `start` is normalised by `full_assignment` (missing keys read as 0);
+    every state of the route is a full assignment.  The rotations applied
+    and their weights do not depend on the order, and there are at most
+    twice as many shifts as edges; a longer route raises `InvariantError`.
+    `rng` (a random.Random) picks among simultaneously applicable rotations;
+    by default the first, by smallest vertex id.  An unstable or
+    inadmissible `start` is the caller's `InstanceError`.
+    """
+    return _run_route(inst, full_assignment(inst, start), known={}, cache=None, avoid=None, rng=rng)
+
+
+def _run_route(
+    inst: Instance, x: Mapping[str, Fraction], *,
+    known: StabilityReport | Mapping[str, ChoiceOutcome], cache: Optional[dict],
+    avoid: Optional[tuple], rng,
 ) -> Route:
-    """Full-weight shifts from the stable assignment `start` to the end.
+    """`run_route` from the full assignment x.
 
-    `start` may leave out zero edges (missing keys read as 0); every state of
-    the route is a full assignment.
+    With `avoid` set, the rotation with that vector (`Rotation.key()`) is
+    never applied and the route stops once nothing else is applicable; the
+    bound of 2·|E| shifts holds either way.  `cache` (None for none) is
+    passed to `_applicable_rotations` at every state.
 
-    Without `avoid` the route ends at the worker optimum; the rotations
-    applied and their weights do not depend on the order, and there are at
-    most twice as many shifts as edges; a longer route raises
-    `InvariantError`, with or without `avoid`.  With `avoid` set, the
-    rotation with that vector (`Rotation.key()`) is never applied and the
-    route stops once nothing else is applicable.  `rng` (a random.Random) picks among simultaneously
-    applicable rotations; by default the first, by smallest vertex id.
-    `cache` is passed to `applicable_rotations` at every state.
+    An unstable or inadmissible x is the caller's `InstanceError`; a later
+    state that the analysis rejects was reached by the route's own shifts,
+    so the rejection is an `InvariantError`.
 
-    An unstable or inadmissible `start` is the caller's `InstanceError`; a
-    later state that the analysis rejects was reached by the route's own
-    shifts, so the rejection is an `InvariantError`.
-
-    `known` is what is already known at `start`: its `StabilityReport`, or
-    some vertices' choice outcomes.  A shift changes x only on the rotation's
+    `known` is what is already known at x: its `StabilityReport`, or some
+    vertices' choice outcomes.  A shift changes x only on the rotation's
     support, so each later state is analysed with the previous state's
     outcomes carried over everywhere else (`_carried_outcomes`); `choose`
     runs again only at the support's endpoints.  `Route.report` is the
     analysis of the last state, which a route from there can start from.
     """
-    x = full_assignment(inst, start)
     states = [x]
     steps: list[Rotation] = []
     bound = 2 * len(inst.edges)
     while True:
         try:
-            act, options = applicable_rotations(inst, x, cache, known)
+            act, options = _applicable_rotations(inst, x, cache=cache, known=known)
         except InstanceError as exc:
             if not steps:  # the caller's start
                 raise
@@ -519,9 +529,8 @@ def run_route(
         if not options:
             break
         rot = options[0] if rng is None else rng.choice(options)
-        xp = apply_shift(inst, x, [rot], [rot.tau], verify=False)
+        x = apply_shift(inst, x, [rot], [rot.tau], verify=False)
         known = _carried_outcomes(inst, act.report.outcomes, rot.values)
-        x = xp
         states.append(x)
         steps.append(rot)
         if len(steps) > bound:

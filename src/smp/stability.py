@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple
 
 from .choice import ChoiceOutcome, _rechoose, prefers
 from .model import (
@@ -23,11 +23,7 @@ class StabilityReport(NamedTuple):
     unsaturated: frozenset[str]        # edges e with x_e below capacity
 
 
-def stability_report(
-    inst: Instance,
-    x: Mapping[str, Fraction],
-    known: Optional[Mapping[str, ChoiceOutcome]] = None,
-) -> StabilityReport:
+def stability_report(inst: Instance, x: Mapping[str, Fraction]) -> StabilityReport:
     """Blocking-edge analysis of an admissible, stationary assignment.
 
     An edge blocks when it is below capacity and sits in the tail of the
@@ -35,6 +31,18 @@ def stability_report(
     below-capacity edge must have a fully filled endpoint that keeps it in its
     head or strictly below its critical tie — is evaluated independently and
     the two are checked to agree (`InvariantError` otherwise).
+
+    x is normalised by `full_assignment`; the analysis is `_stability_report`,
+    with nothing known at x.
+    """
+    return _stability_report(inst, full_assignment(inst, x), known={})
+
+
+def _stability_report(
+    inst: Instance, x: Mapping[str, Fraction], *, known: Mapping[str, ChoiceOutcome]
+) -> StabilityReport:
+    """`stability_report` of the full assignment x (one `Fraction` per edge,
+    see `full_assignment`), which is not normalised again.
 
     `known` holds choice outcomes already known at x, `choose(inst, v, x)` for
     each vertex v it names; only the other vertices choose.  The library
@@ -49,7 +57,7 @@ def stability_report(
     a route that starts from one (x_min's, the aggregated point's, the depot
     seed's) hands it to `build_active_structure` as it is.
 
-    Admissibility, with or without `known`, is the box screen per edge and
+    Admissibility, whatever is known, is the box screen per edge and
     then the choices themselves; no load is summed.  The screen compares
     each value with its capacity in `int`s, as cross-multiplied numerators
     and denominators (`_screen_box`): it rejects a value outside the box
@@ -62,11 +70,10 @@ def stability_report(
     quota the choice sums to the quota, so it differs from x.  Every overload
     is thus a vertex that is not stationary, and any such vertex runs
     `validate_assignment` before the stationarity error, so a rejection
-    carries the full list of violations whether or not `known` was given.
+    carries the full list of violations whatever was known.
     """
-    x = full_assignment(inst, x)
     below = _screen_box(inst, x)
-    outcomes = _rechoose(inst, inst.vertices(), x, known or {})
+    outcomes = _rechoose(inst, inst.vertices(), x, known)
     incident = inst.incident
     for v, out in outcomes.items():
         if out.result != {e: x[e] for e in incident[v]}:

@@ -176,7 +176,7 @@ def test_criterion_02_reference_rotation():
     xmin = solve_xmin_modified(inst)
     assert xmin == {e: F(8) for e in inst.edge_ids}
     assert stability_report(inst, xmin).stable
-    act = build_active_structure(inst, xmin)
+    act = build_active_structure(inst, stability_report(inst, xmin))
     comps = maximal_components(inst, act)
     assert len(comps) == 1
     assert set(comps[0]) == set(inst.vertices())  # spans all 6 vertices
@@ -191,7 +191,7 @@ def test_criterion_02_reference_rotation():
     for a, b in ((F(8), F(15)), (F(8), F(100)), (F(16), F(17))):
         inst = triangle_instance(a, b)
         x = full_assignment(inst, {e: a for e in inst.edge_ids})
-        act = build_active_structure(inst, x)
+        act = build_active_structure(inst, stability_report(inst, x))
         comps = maximal_components(inst, act)
         rot = extract_rotation(inst, x, comps[0], act)
         assert rot.tau == min(a / 8, (b - a) / 7)
@@ -208,7 +208,7 @@ def test_criterion_03_exponential_rotations():
         assert len(inst.vertices()) == 5 * k + 1
         x = full_assignment(inst, {e: a for e in inst.edge_ids})
         assert stability_report(inst, x).stable
-        act = build_active_structure(inst, x)
+        act = build_active_structure(inst, stability_report(inst, x))
         comps = maximal_components(inst, act)
         assert len(comps) == 1
         rot = extract_rotation(inst, x, comps[0], act)
@@ -247,7 +247,7 @@ def test_criterion_04_route_bounds_and_invariance():
 def test_criterion_05_single_tie_degeneracy():
     for inst in sdp_pool():
         xmin = solve_xmin_modified(inst)
-        act = build_active_structure(inst, xmin)
+        act = build_active_structure(inst, stability_report(inst, xmin))
         assert maximal_components(inst, act) == []
         assert solve_xmax(inst) == xmin
 
@@ -387,7 +387,7 @@ def test_criterion_10_modified_solver():
             assert stability_report(inst, xmin).stable
             # after normalization nothing rotates toward the firm side anymore
             swapped = inst.swapped()
-            act = build_active_structure(swapped, xmin)
+            act = build_active_structure(swapped, stability_report(swapped, xmin))
             assert maximal_components(swapped, act) == []
     # on quota-filling instances the depot construction agrees with the
     # route-derived worker optimum

@@ -140,10 +140,10 @@ def test_a_report_that_raises_stops_the_enumeration(monkeypatch):
     inst = _disjoint_edges([Fraction(1)] * 2)
     assert oracle_enumerate_stable(inst) == [{"e0": 1, "e1": 1}]
 
-    def planted(inst, x, known=None):  # rejects the one stable point
+    def planted(inst, x):  # rejects the one stable point
         if x["e0"] == 1:
             raise InstanceError("planted rejection")
-        return stability_report(inst, x, known)
+        return stability_report(inst, x)
 
     monkeypatch.setattr(smp.bruteforce, "stability_report", planted)
     with pytest.raises(InstanceError, match="planted rejection"):
@@ -153,9 +153,9 @@ def test_a_report_that_raises_stops_the_enumeration(monkeypatch):
 def test_cap_is_checked_before_any_report(monkeypatch):
     calls = []
 
-    def counting(inst, x, known=None):
+    def counting(inst, x):
         calls.append(x)
-        return stability_report(inst, x, known)
+        return stability_report(inst, x)
 
     monkeypatch.setattr(smp.bruteforce, "stability_report", counting)
     inst = _disjoint_edges([Fraction(10)] + [Fraction(9)] * 5)

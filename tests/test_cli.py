@@ -547,16 +547,16 @@ def test_route_guard_is_exit_4_under_optimize_flag(six_cycle_file):
         "from smp.cli import main\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
-        "real = smp.rotations.applicable_rotations\n"
+        "real = smp.rotations._applicable_rotations\n"
         "first = []\n"
-        "def stuck(inst, x, cache=None, known=None):\n"
+        "def stuck(inst, x, *, cache, known):\n"
         "    if not first:\n"
-        "        act, rots = real(inst, x, cache, known)\n"
+        "        act, rots = real(inst, x, cache=cache, known=known)\n"
         "        if not rots:\n"
         "            return act, rots\n"
         "        first.append((act, rots))\n"
         "    return first[0]\n"
-        "smp.rotations.applicable_rotations = stuck\n"
+        "smp.rotations._applicable_rotations = stuck\n"
         "sys.exit(main(['poset', sys.argv[1]]))\n"
     )
     proc = _run_optimized(script, six_cycle_file)
@@ -572,13 +572,13 @@ def test_repeated_base_route_rotation_is_exit_4_under_optimize_flag(six_cycle_fi
         "from smp.cli import main\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
-        "real = smp.poset.run_route\n"
+        "real = smp.poset._run_route\n"
         "def planted(inst, start, **kw):\n"
         "    route = real(inst, start, **kw)\n"
-        "    if 'avoid' in kw:\n"
+        "    if kw['avoid'] is not None:\n"
         "        return route\n"
         "    return route._replace(steps=route.steps + route.steps[:1])\n"
-        "smp.poset.run_route = planted\n"
+        "smp.poset._run_route = planted\n"
         "sys.exit(main(['poset', sys.argv[1]]))\n"
     )
     proc = _run_optimized(script, six_cycle_file)
@@ -589,7 +589,7 @@ def test_repeated_base_route_rotation_is_exit_4_under_optimize_flag(six_cycle_fi
 AVOIDANCE_PLANTS = [
     # every avoidance run routes on without avoiding, so it applies the
     # avoided rotation, the base route's next one
-    ("    return real(inst, start, cache=kw['cache'])",
+    ("    return real(inst, start, **{**kw, 'avoid': None})",
      "avoidance run applied the avoided rotation 0"),
     # avoiding rotation 0 leaves 0 and 1 unapplied, avoiding 1 leaves 1 and
     # every later one: 0 < 1, but 2 is above 1 and not above 0
@@ -613,15 +613,15 @@ def test_avoidance_checks_fire_under_optimize_flag(tmp_path, plant, message):
         "from smp.cli import main\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
-        "real = smp.poset.run_route\n"
+        "real = smp.poset._run_route\n"
         "base = []\n"
         "def planted(inst, start, **kw):\n"
-        "    if 'avoid' not in kw:\n"
+        "    if kw['avoid'] is None:\n"
         "        route = real(inst, start, **kw)\n"
         "        base.append(route.steps)\n"
         "        return route\n"
         f"{plant}\n"
-        "smp.poset.run_route = planted\n"
+        "smp.poset._run_route = planted\n"
         "sys.exit(main(['poset', sys.argv[1]]))\n"
     )
     proc = _run_optimized(script, str(path))
@@ -630,23 +630,25 @@ def test_avoidance_checks_fire_under_optimize_flag(tmp_path, plant, message):
 
 
 def _omega_route_plant(change):
-    """A plant that alters omega's route, the one `smp.poset` route called
-    with neither `avoid` (the avoidance runs) nor `known` (the base route)."""
+    """A plant that alters omega's routes: the `smp.poset` routes that avoid
+    nothing (not the avoidance runs), past the first (the base route)."""
     return (
-        "real = smp.poset.run_route\n"
+        "real = smp.poset._run_route\n"
+        "calls = []\n"
         "def planted(inst, start, **kw):\n"
         "    route = real(inst, start, **kw)\n"
-        f"    return route if 'avoid' in kw or 'known' in kw else route._replace({change})\n"
-        "smp.poset.run_route = planted"
+        "    calls.append(start)\n"
+        f"    return route if len(calls) == 1 or kw['avoid'] is not None else route._replace({change})\n"
+        "smp.poset._run_route = planted"
     )
 
 
 @pytest.mark.parametrize(
     "plant, failing, message",
     [
-        ("smp.cli.omega = lambda inst, poset, x, cache=None: {}",
+        ("smp.cli.omega = lambda inst, poset, x: {}",
          "closed_function_bijection", "omega does not invert gamma on the ideal []"),
-        ("smp.cli.stability_report = lambda inst, x: StabilityReport(False, [], frozenset(), {}, frozenset())",
+        ("smp.cli._stability_report = lambda inst, x, *, known: StabilityReport(False, [], frozenset(), {}, frozenset())",
          "solve_stable", "x_min is not stable"),
         (_omega_route_plant("states=route.states[:1]"),
          "closed_function_bijection", "route from x did not reach the worker optimum"),
@@ -657,7 +659,7 @@ def _omega_route_plant(change):
          "closed_function_bijection", "recovered weights are not closed"),
         (_omega_route_plant("steps=[]"),
          "closed_function_bijection", "weights do not reproduce x"),
-        ("smp.poset.stability_report = lambda inst, x, known=None: StabilityReport(False, [], frozenset(), {}, frozenset())",
+        ("smp.poset._stability_report = lambda inst, x, *, known: StabilityReport(False, [], frozenset(), {}, frozenset())",
          "closed_function_bijection", "closed function image not stable"),
         # the first call loads the file, the second parses the serialized
         # instance, here into a one-edge instance
@@ -674,9 +676,9 @@ def _omega_route_plant(change):
          "smp.cli.parse_instance = planted",
          "parse_roundtrip", "serialized instance parses to other edges"),
         ("from smp.model import InvariantError\n"
-         "def planted(inst, start, cache=None):\n"
+         "def planted(inst, x, **kw):\n"
          "    raise InvariantError('route exceeded 12 shifts')\n"
-         "smp.cli.run_route = planted",
+         "smp.cli._run_route = planted",
          "route_bound", "route exceeded 12 shifts"),
     ],
     ids=["omega", "stability", "omega route unfinished", "omega foreign rotation",
@@ -730,6 +732,26 @@ def test_enumerate_checks_on_the_poset_state_cache(capsys, tmp_path, monkeypatch
     path = tmp_path / "m4.json"
     path.write_text(json.dumps(serialize_instance(rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3))))
     code, _ = run_cli(capsys, "enumerate", str(path), *args)
+    assert code == 0
+    assert len(chosen) == count
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [(["solve"], 10), (["solve", "--side", "workers"], 34), (["rotations"], 10), (["poset"], 34)],
+    ids=["solve", "solve workers", "rotations", "poset"],
+)
+def test_commands_analyse_x_min_once(capsys, tmp_path, monkeypatch, args, count):
+    """Each command analyses x_min once, in the solver: `smp rotations`
+    starts from the solver's report there, so it makes as many `choose`
+    calls as `smp solve` on this tied 4 x 4 marriage (18 when it analysed
+    x_min again), and the routes from x_min choose only past it."""
+    chosen = []
+    real_choose = smp.choice.choose
+    monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or real_choose(inst, v, z))
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps(serialize_instance(rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3))))
+    code, _ = run_cli(capsys, args[0], str(path), *args[1:])
     assert code == 0
     assert len(chosen) == count
 
@@ -876,11 +898,11 @@ def test_quota_filling_checks_fire_under_optimize_flag(tmp_path, planted, messag
         "from smp.cli import main\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
-        "report = smp.iteration.stability_report\n"
-        "def planted(inst, x, known=None):\n"
-        "    out = report(inst, x, known)\n"
+        "report = smp.iteration._stability_report\n"
+        "def planted(inst, x, *, known):\n"
+        "    out = report(inst, x, known=known)\n"
         f"    return out._replace(stable=False) if {planted} else out\n"
-        "smp.iteration.stability_report = planted\n"
+        "smp.iteration._stability_report = planted\n"
         "sys.exit(main(['solve', sys.argv[1], '--method', 'quota-filling']))\n"
     )
     proc = _run_optimized(script, str(path))
@@ -923,16 +945,16 @@ def test_quota_filling_firms_side_solves_the_swapped_instance(capsys, tmp_path, 
     "plant, message",
     [
         # no rotation applicable at the witness state
-        ("smp.poset.applicable_rotations = lambda *a, **k: (real(*a, **k)[0], [])",
+        ("smp.poset._applicable_rotations = lambda *a, **k: (real(*a, **k)[0], [])",
          "predecessor not applicable at witness state"),
         # the witness state also offers every rotation one shift further on
-        ("def early(inst, x, cache=None, known=None):\n"
-         "    act, rots = real(inst, x, cache, known)\n"
-         "    if known is not None:  # the state after the predecessor's shift\n"
+        ("def early(inst, x, *, cache, known):\n"
+         "    act, rots = real(inst, x, cache=cache, known=known)\n"
+         "    if known:  # carried past a shift: the state after the predecessor's\n"
          "        return act, rots\n"
          "    shifted = [smp.poset.apply_shift(inst, x, [r], [r.tau], verify=False) for r in rots]\n"
-         "    return act, rots + [s for y in shifted for s in real(inst, y)[1]]\n"
-         "smp.poset.applicable_rotations = early",
+         "    return act, rots + [s for y in shifted for s in real(inst, y, cache=None, known={})[1]]\n"
+         "smp.poset._applicable_rotations = early",
          "successor applicable too early"),
         # the shift along the predecessor leaves the witness state unchanged
         ("smp.poset.apply_shift = lambda inst, x, *a, **k: dict(x)",
@@ -950,7 +972,7 @@ def test_hasse_witness_checks_fire_under_optimize_flag(tmp_path, plant, message)
         "from smp.cli import main\n"
         "if __debug__:\n"
         "    sys.exit('assertions are enabled')\n"
-        "real = smp.poset.applicable_rotations\n"
+        "real = smp.poset._applicable_rotations\n"
         f"{plant}\n"
         "sys.exit(main(['poset', sys.argv[1]]))\n"
     )
@@ -1033,13 +1055,13 @@ def test_shift_and_lattice_checks_fire_under_optimize_flag(six_cycle_file, plant
         "rot = applicable_rotations(inst, x)[1][0]\n"
         "y = apply_shift(inst, x, [rot], [rot.tau], verify=False)\n"
         "report = smp.rotations.stability_report\n"
-        "def unstable(inst, x, known=None):\n"
-        "    return report(inst, x, known)._replace(stable=False)\n"
+        "def unstable(inst, x):\n"
+        "    return report(inst, x)._replace(stable=False)\n"
         "reports = []\n"
-        "def unstable_output(inst, z, known=None):\n"
+        "def unstable_output(inst, z):\n"
         "    # the first two reports are of the inputs x and y\n"
         "    reports.append(z)\n"
-        "    return report(inst, z, known) if len(reports) <= 2 else unstable(inst, z)\n"
+        "    return report(inst, z) if len(reports) <= 2 else unstable(inst, z)\n"
         f"{plant}\n"
         "try:\n"
         f"    {call}\n"

@@ -15,10 +15,7 @@ from smp import (
     Edge,
     Instance,
     InstanceError,
-    build_extended_instance,
     compare_stable,
-    initial_state,
-    ordinary_iteration_step,
     run_route,
     solve_quota_filling,
     solve_xmax,
@@ -28,7 +25,14 @@ from smp import (
 )
 from smp.choice import ChoiceOutcome, choose
 from smp.bruteforce import oracle_enumerate_stable
-from smp.iteration import _filled, _reduced_edges, _rescaled
+from smp.iteration import (
+    _filled,
+    _reduced_edges,
+    _rescaled,
+    build_extended_instance,
+    initial_state,
+    ordinary_iteration_step,
+)
 from smp.model import InvariantError
 from smp.simplex import LinearProgram, simplex_maximize
 
@@ -209,7 +213,7 @@ def test_quota_filling_route_starts_from_the_seed_outcomes(monkeypatch):
     chosen = []
     monkeypatch.setattr(smp.choice, "choose", lambda inst, v, z: chosen.append(v) or choose(inst, v, z))
     per_state = []  # the `choose` calls of each analysed route state
-    analyse = smp.rotations.applicable_rotations
+    analyse = smp.rotations._applicable_rotations
 
     def counted(*args, **kwargs):
         before = len(chosen)
@@ -217,7 +221,7 @@ def test_quota_filling_route_starts_from_the_seed_outcomes(monkeypatch):
         per_state.append(len(chosen) - before)
         return out
 
-    monkeypatch.setattr(smp.rotations, "applicable_rotations", counted)
+    monkeypatch.setattr(smp.rotations, "_applicable_rotations", counted)
     for seed in range(4):
         inst = rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.3)
         per_state.clear()
@@ -346,7 +350,7 @@ def test_rounds_rechoose_only_where_the_input_changed(monkeypatch):
     # the rounds and the aggregation step call the kernel, the analysis `choose`
     monkeypatch.setattr(smp.choice, "choose", counting_choose)
     monkeypatch.setattr(smp.iteration, "_choose_scaled", counting_kernel)
-    for name in ("stability_report", "run_route"):
+    for name in ("_stability_report", "_run_route"):
         monkeypatch.setattr(smp.iteration, name, tagged(getattr(smp.iteration, name)))
     solve_xmin_modified(inst)
     expected = []

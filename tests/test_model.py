@@ -64,7 +64,7 @@ def test_edge_other_endpoint():
 def test_every_record_is_a_named_tuple_without_a_mutable_default():
     # a record is built once: no field can be written, no default is shared
     records = [
-        Edge, smp.ChoiceOutcome, smp.StabilityReport, smp.IterationState,
+        Edge, smp.ChoiceOutcome, smp.StabilityReport, smp.iteration.IterationState,
         smp.ActiveStructure, smp.Rotation, smp.Route, smp.RotationPoset,
         smp.MinCostResult, smp.flow.CutResult, smp.simplex.LinearProgram,
         smp.simplex.LPResult,

@@ -30,13 +30,13 @@ from smp import (
     full_assignment,
     gamma,
     grid_sublattice,
-    initial_state,
     is_closed,
     omega,
     parse_assignment,
     run_route,
     serialize_assignment,
     serialize_instance,
+    solve_quota_filling,
     solve_xmax,
     solve_xmin_modified,
     stability_report,
@@ -46,7 +46,8 @@ from smp import (
 )
 from smp.choice import choose
 from smp.cli import main
-from smp.rotations import _state_key
+from smp.iteration import initial_state
+from smp.rotations import _run_route, _state_key
 
 from gen import (
     chained_instance,
@@ -411,7 +412,8 @@ def _reference_poset(inst, xmin):
     tau = {i: rot.tau for i, rot in enumerate(base.steps)}
     upsets = {}
     for i, key in enumerate(keys):
-        applied = {rot.key() for rot in run_route(inst, xmin, avoid=key).steps}
+        route = _run_route(inst, xmin, known={}, cache=None, avoid=key, rng=None)
+        applied = {rot.key() for rot in route.steps}
         upsets[i] = {j for j, k in enumerate(keys) if k not in applied}
     less = frozenset((i, j) for i, up in upsets.items() for j in up if j != i)
     hasse = sorted(
@@ -464,9 +466,11 @@ def test_build_poset_builds_each_state_once(monkeypatch):
     real = smp.rotations.build_active_structure
     built = []
 
-    def counting(inst, x, known=None):
-        built.append(tuple(full_assignment(inst, x).values()))
-        return real(inst, x, known)
+    def counting(inst, report):
+        # a stable state is stationary: each edge's value is its firm's choice
+        outcomes = report.outcomes
+        built.append(tuple(outcomes[inst.edge_by_id[e].firm].result[e] for e in inst.edge_ids))
+        return real(inst, report)
 
     monkeypatch.setattr(smp.rotations, "build_active_structure", counting)
     insts = [triangle_instance(F(8), F(15))] + _multi_rotation_marriages(7, 1)
@@ -591,10 +595,9 @@ def test_entry_functions_reject_unknown_ids_and_inexact_values(name, eid, value,
 
 
 def test_build_poset_normalises_at_route_starts_and_reports_only():
-    """`build_poset` copies an assignment over every edge at most once per
-    route start and once per analysed state (its `stability_report`); the
-    per-state functions of the rotation layer take the full states as they
-    are."""
+    """`build_poset` copies its given x_min over every edge once; its
+    routes, their analyses and the per-state functions of the rotation layer
+    take the full states as they are."""
     insts = _carry_count_instances()
     starts = [(inst, solve_xmin_modified(inst)) for inst in insts]
     counts = Counter()
@@ -611,7 +614,7 @@ def test_build_poset_normalises_at_route_starts_and_reports_only():
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] == "smp" and getattr(mod, "full_assignment", None) is real:
                 mp.setattr(mod, "full_assignment", counted("full_assignment", real))
-        mp.setattr(smp.poset, "run_route", counted("route", smp.poset.run_route))
+        mp.setattr(smp.poset, "_run_route", counted("route", smp.poset._run_route))
         mp.setattr(
             smp.rotations,
             "build_active_structure",
@@ -620,7 +623,62 @@ def test_build_poset_normalises_at_route_starts_and_reports_only():
         for inst, xmin in starts:
             counts.clear()
             build_poset(inst, xmin)
-            assert 0 < counts["full_assignment"] <= counts["route"] + counts["state"], counts
+            assert counts["full_assignment"] == 1 and counts["route"] and counts["state"], counts
+
+
+
+def _contract_instances():
+    return [
+        rand_marriage(random.Random(4), 4, cap=2, tie_prob=0.3),
+        chained_instance(3, F(8), F(15)),
+        six_cycle_instance(),
+    ]
+
+
+def test_private_analysis_receives_only_full_assignments(capsys, tmp_path):
+    """The private analysis does not normalise: every command hands it
+    states that hold exactly the instance's edge ids, in edge-id order, each
+    value a `Fraction` (the solver builds its points in that order)."""
+    real = smp.stability._stability_report
+    received = []
+
+    def recording(inst, x, *, known):
+        received.append((inst.edge_ids, tuple(x), {type(v) for v in x.values()}))
+        return real(inst, x, known=known)
+
+    commands = [
+        ["solve"], ["solve", "--side", "workers"], ["solve", "--method", "quota-filling"],
+        ["poset"], ["mincost", "--costs", str(tmp_path / "costs.json")], ["enumerate"], ["verify"],
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "smp" and getattr(mod, "_stability_report", None) is real:
+                mp.setattr(mod, "_stability_report", recording)
+        for inst in _contract_instances():
+            (tmp_path / "inst.json").write_text(json.dumps(serialize_instance(inst)))
+            costs = {e: i % 3 - 1 for i, e in enumerate(inst.edge_ids)}
+            (tmp_path / "costs.json").write_text(json.dumps(costs))
+            for args in commands:
+                received.clear()
+                assert main([args[0], str(tmp_path / "inst.json"), *args[1:]]) == 0, args
+                assert received, args
+                for edge_ids, keys, types in received:
+                    assert keys == edge_ids and types == {F}, args
+    capsys.readouterr()
+
+
+def test_returned_assignments_iterate_in_edge_id_order():
+    """Every assignment the solvers and the lattice return iterates in
+    `inst.edge_ids` order, with one `Fraction` per edge."""
+    for inst in _contract_instances():
+        poset = build_poset(inst)
+        points = [solve_xmin_modified(inst), solve_xmax(inst), poset.xmin, poset.xmax]
+        points += [solve_quota_filling(side) for side in (inst, inst.swapped())]
+        points += [gamma(inst, poset, lam) for lam in enumerate_fully_closed(poset)]
+        for x in points:
+            if x is not None:
+                assert tuple(x) == inst.edge_ids
+                assert {type(v) for v in x.values()} == {F}
 
 
 # -- choice outcomes carried along solve -> route -> poset ---------------------
@@ -648,18 +706,17 @@ def test_carried_outcomes_equal_fresh_choices(kind, seed, k):
     carried = []  # per analysis: how many outcomes were known beforehand
 
     def checked(real):
-        def report(inst, x, known=None):
-            out = real(inst, x, known)
-            x = full_assignment(inst, x)
+        def report(inst, x, *, known):
+            out = real(inst, x, known=known)
             assert out.outcomes == {v: choose(inst, v, x) for v in inst.vertices()}
-            carried.append(len(known or {}))
+            carried.append(len(known))
             return out
 
         return report
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (smp.iteration, smp.rotations):
-            mp.setattr(mod, "stability_report", checked(mod.stability_report))
+            mp.setattr(mod, "_stability_report", checked(mod._stability_report))
         build_poset(inst)
         solve_xmax(inst)
     assert any(carried)
@@ -703,12 +760,12 @@ def test_build_poset_does_not_choose_again_at_xmin():
 
                 mp.setattr(smp.iteration, name, in_round)
 
-            def poset_route(*args, route=smp.poset.run_route, **kwargs):
+            def poset_route(*args, route=smp.poset._run_route, **kwargs):
                 if not poset_start:
                     poset_start.append(len(calls))
                 return route(*args, **kwargs)
 
-            mp.setattr(smp.poset, "run_route", poset_route)
+            mp.setattr(smp.poset, "_run_route", poset_route)
             poset = build_poset(inst)
         key = tuple(poset.xmin[e] for e in inst.edge_ids)
         at_xmin = [i for i, (v, z) in enumerate(calls) if z == key and i not in set(rounds)]
@@ -726,19 +783,18 @@ def test_build_poset_does_not_report_again_at_xmin():
         with pytest.MonkeyPatch.context() as mp:
             for mod in (smp.iteration, smp.rotations, smp.poset):
 
-                def recording(r_inst, x, known=None, real=mod.stability_report):
-                    x = full_assignment(r_inst, x)
+                def recording(r_inst, x, *, known, real=mod._stability_report):
                     reports.append(tuple(x[e] for e in inst.edge_ids))
-                    return real(r_inst, x, known)
+                    return real(r_inst, x, known=known)
 
-                mp.setattr(mod, "stability_report", recording)
+                mp.setattr(mod, "_stability_report", recording)
 
-            def poset_route(*args, route=smp.poset.run_route, **kwargs):
+            def poset_route(*args, route=smp.poset._run_route, **kwargs):
                 if not poset_start:
                     poset_start.append(len(reports))
                 return route(*args, **kwargs)
 
-            mp.setattr(smp.poset, "run_route", poset_route)
+            mp.setattr(smp.poset, "_run_route", poset_route)
             poset = build_poset(inst)
         key = tuple(poset.xmin[e] for e in inst.edge_ids)
         at_xmin = [i for i, z in enumerate(reports) if z == key]
@@ -754,11 +810,11 @@ def test_routes_from_xmin_start_from_the_solver_report():
         _carry_instance(kind, seed, seed + 2) for kind in ("tied", "strict", "chain") for seed in range(4)
     ]
     for inst in insts:
-        starts = []  # (start, known) of each route on `inst` from what is known
+        starts = []  # (start, known) of each route on `inst` that avoids nothing
 
         def recording(real):
             def route(r_inst, start, **kwargs):
-                if r_inst is inst and "known" in kwargs:
+                if r_inst is inst and kwargs["avoid"] is None:
                     starts.append((start, kwargs["known"]))
                 return real(r_inst, start, **kwargs)
 
@@ -766,7 +822,7 @@ def test_routes_from_xmin_start_from_the_solver_report():
 
         with pytest.MonkeyPatch.context() as mp:
             for mod in (smp.poset, smp.iteration):
-                mp.setattr(mod, "run_route", recording(mod.run_route))
+                mp.setattr(mod, "_run_route", recording(mod._run_route))
             build_poset(inst)
             solve_xmax(inst)
         assert len(starts) == 2
@@ -788,11 +844,11 @@ def test_route_step_chooses_only_on_the_rotation_support():
     for with_known in (False, True):
         for inst in insts:
             xmin = solve_xmin_modified(inst)
-            known = stability_report(inst, xmin).outcomes if with_known else None
+            known = stability_report(inst, xmin).outcomes if with_known else {}
             calls = []
             with pytest.MonkeyPatch.context() as mp:
                 _record_choose(mp, calls)
-                route = run_route(inst, xmin, **({"known": known} if known else {}))
+                route = _run_route(inst, xmin, known=known, cache=None, avoid=None, rng=None)
             chosen = defaultdict(list)
             for v, z in calls:
                 chosen[z].append(v)

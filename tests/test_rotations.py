@@ -41,7 +41,7 @@ from test_kernels import chain_family
 def triangle_setup(a, b):
     inst = triangle_instance(a, b)
     x = full_assignment(inst, {e: a for e in inst.edge_ids})
-    act = build_active_structure(inst, x)
+    act = build_active_structure(inst, stability_report(inst, x))
     comps = maximal_components(inst, act)
     return inst, x, act, comps
 
@@ -81,7 +81,7 @@ def test_chained_instance_rotation_recurrence(k):
     a = F(8 * 4 ** (k - 1))
     x = full_assignment(inst, {e: a for e in inst.edge_ids})
     assert stability_report(inst, x).stable
-    act = build_active_structure(inst, x)
+    act = build_active_structure(inst, stability_report(inst, x))
     comps = maximal_components(inst, act)
     assert len(comps) == 1
     rot = extract_rotation(inst, x, comps[0], act)
@@ -94,7 +94,7 @@ def test_apply_shift_partial_weight_keeps_rotation_applicable():
     rot = extract_rotation(inst, x, comps[0], act)
     y = apply_shift(inst, x, [rot], [rot.tau / 2])  # verify=True checks stability
     assert y["f2w1"] == F(8) - F(4)
-    act2 = build_active_structure(inst, y)
+    act2 = build_active_structure(inst, stability_report(inst, y))
     comps2 = maximal_components(inst, act2)
     assert len(comps2) == 1
     rot2 = extract_rotation(inst, y, comps2[0], act2)
@@ -130,7 +130,7 @@ def test_full_shift_exhausts_the_triangle_rotation():
     inst, x, act, comps = triangle_setup(F(8), F(15))
     rot = extract_rotation(inst, x, comps[0], act)
     y = apply_shift(inst, x, [rot], [rot.tau])
-    assert not maximal_components(inst, build_active_structure(inst, y))
+    assert not maximal_components(inst, build_active_structure(inst, stability_report(inst, y)))
     # the shift moved weight the firms' way down and the workers' way up
     assert compare_stable(inst, x, y)
     assert compare_stable(inst.swapped(), y, x)
@@ -171,7 +171,7 @@ def test_build_active_structure_chooses_once_per_vertex(monkeypatch):
             monkeypatch.setattr(mod, "choose", counting)
     inst, x, _, _ = triangle_setup(F(8), F(15))
     calls.clear()
-    build_active_structure(inst, x)
+    build_active_structure(inst, stability_report(inst, x))
     assert sorted(calls) == sorted(inst.vertices())
 
 
@@ -180,7 +180,7 @@ def test_rotation_invariants_on_random_marriage_instances():
     for seed in range(10):
         inst = rand_marriage(random.Random(f"inv{seed}"), 4, cap=2, tie_prob=0.25)
         x = solve_xmin_modified(inst)
-        act = build_active_structure(inst, x)
+        act = build_active_structure(inst, stability_report(inst, x))
         for comp in maximal_components(inst, act):
             rot = extract_rotation(inst, x, comp, act)
             assert rot.tau > 0
@@ -216,7 +216,7 @@ def test_rotation_values_hold_exactly_the_support():
         # union of the heads over its sink component, and the support's
         # endpoints are that component
         for x in run_route(inst, solve_xmin_modified(inst)).states:
-            act = build_active_structure(inst, x)
+            act = build_active_structure(inst, stability_report(inst, x))
             for comp in maximal_components(inst, act):
                 rot = extract_rotation(inst, x, comp, act)
                 assert set(rot.values) == set().union(*(act.heads[v] for v in comp))
@@ -294,11 +294,11 @@ def test_route_guard_is_twice_the_edge_count(monkeypatch, extra):
     idle = ActiveStructure({}, {}, frozenset())
     calls = []
 
-    def planted(inst, x, cache=None, known=None):
+    def planted(inst, x, *, cache, known):
         calls.append(x)
         return (act, [rot]) if len(calls) <= bound + extra else (idle, [])
 
-    monkeypatch.setattr(smp.rotations, "applicable_rotations", planted)
+    monkeypatch.setattr(smp.rotations, "_applicable_rotations", planted)
     if extra:
         with pytest.raises(InvariantError, match=f"route exceeded {bound} shifts"):
             run_route(inst, x)
@@ -360,7 +360,7 @@ def test_walks_match_closure_and_fixpoint_references(family):
     most = 0
     for inst in ROUTE_FAMILIES[family]:
         for x in run_route(inst, solve_xmin_modified(inst)).states:
-            act = build_active_structure(inst, x)
+            act = build_active_structure(inst, stability_report(inst, x))
             assert act.regular == _reference_regular(inst, x, act)
             comps = maximal_components(inst, act)
             assert comps == _reference_sink_components(inst, act)
@@ -417,7 +417,7 @@ def test_heads_match_the_definition(family):
     for inst in ROUTE_FAMILIES.get(family, HEAD_POOL):
         for x in run_route(inst, solve_xmin_modified(inst)).states:
             heads, cut = _reference_heads(inst, x)
-            assert build_active_structure(inst, x).heads == heads
+            assert build_active_structure(inst, stability_report(inst, x)).heads == heads
             firm_heads += sum(1 for f in inst.firms if heads.get(f))
             hidden += len(cut)
     assert firm_heads > 0
@@ -427,7 +427,7 @@ def test_heads_match_the_definition(family):
 
 def _sink_walks(monkeypatch, inst, x):
     """The `_reach` walks that `maximal_components` makes at x."""
-    act = build_active_structure(inst, x)
+    act = build_active_structure(inst, stability_report(inst, x))
     real, walks = smp.rotations._reach, []
     with monkeypatch.context() as m:
         m.setattr(smp.rotations, "_reach", lambda succ, start: walks.append(1) or real(succ, start))

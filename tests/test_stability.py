@@ -14,14 +14,17 @@ from smp import (
     Instance,
     InstanceError,
     InvariantError,
+    build_poset,
     compare_stable,
+    enumerate_fully_closed,
     full_assignment,
+    gamma,
     solve_xmin_modified,
     stability_report,
 )
 from smp.choice import choose
 from smp.model import validate_assignment
-from smp.stability import StabilityReport
+from smp.stability import StabilityReport, _stability_report
 
 from gen import (
     SIX_CYCLE_STABLE_EVEN,
@@ -133,7 +136,7 @@ def test_dual_route_blocking_check_on_random_assignments():
 
 def _rejection(inst, x, known=None):
     with pytest.raises(InstanceError) as exc:
-        stability_report(inst, x, known)
+        _stability_report(inst, x, known=known or {})
     return str(exc.value)
 
 
@@ -182,8 +185,11 @@ def test_admissible_points_sum_no_load(monkeypatch, with_known):
         rng = random.Random(f"noload{seed}")
         inst = random_instance(rng, max_edges=8)
         for x in (_admissible_point(rng, inst), solve_xmin_modified(inst)):
-            known = {v: choose(inst, v, x) for v in inst.vertices()} if with_known else None
-            stability_report(inst, x, known)
+            if with_known:
+                known = {v: choose(inst, v, x) for v in inst.vertices()}
+                _stability_report(inst, full_assignment(inst, x), known=known)
+            else:
+                stability_report(inst, x)
             checked += 1
     assert checked == 80 and calls == []
 
@@ -408,7 +414,7 @@ def test_report_matches_the_validate_first_reference():
                     for v in vertices
                     if all(x[eid] >= 0 for eid in inst.incident[v])
                 }
-                assert _verdict(lambda: stability_report(inst, x, known)) == expected, (seed, label, name)
+                assert _verdict(lambda: _stability_report(inst, x, known=known)) == expected, (seed, label, name)
             assert _verdict(lambda: stability_report(inst, x)) == expected, (seed, label)
             kind = label.split(" at ")[0]
             seen[kind, expected[0] is InstanceError] += 1
@@ -417,3 +423,30 @@ def test_report_matches_the_validate_first_reference():
     assert seen["admissible", False] == 60
     assert seen["negative", True] == seen["over capacity", True] == 60
     assert seen["overload", True] >= 100 and not seen["overload", False]
+
+
+def test_another_points_outcomes_are_rejected_or_give_the_fresh_report():
+    """`_stability_report` trusts the outcomes it is handed.  Each stable
+    point of these tied marriages, given another stable point's outcomes at
+    every vertex where their results agree, is rejected or gets the report
+    it gets with nothing known: never another report."""
+    pairs = 0
+    for seed in range(180):
+        inst = rand_marriage(random.Random(seed), 4, cap=2, tie_prob=0.3)
+        poset = build_poset(inst)
+        points = [gamma(inst, poset, lam) for lam in enumerate_fully_closed(poset)]
+        reports = [stability_report(inst, x) for x in points]
+        for x, fresh in zip(points, reports):
+            for other in reports:
+                if other is fresh:
+                    continue
+                known = {
+                    v: out for v, out in other.outcomes.items() if out.result == fresh.outcomes[v].result
+                }
+                pairs += 1
+                try:
+                    report = _stability_report(inst, x, known=known)
+                except InstanceError:
+                    continue
+                assert report == fresh, seed
+    assert pairs >= 400, pairs
